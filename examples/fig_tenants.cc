@@ -40,11 +40,8 @@ KernelStats
 tenantSum(const RunResult &r)
 {
     KernelStats sum;
-    for (const TenantStats &t : r.tenants) {
-#define GVC_ADD_FIELD(name) sum.name += t.stats.name;
-        GVC_KERNELSTAT_FIELDS(GVC_ADD_FIELD)
-#undef GVC_ADD_FIELD
-    }
+    for (const TenantStats &t : r.tenants)
+        sum = kernelSum(sum, t.stats);
     return sum;
 }
 

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <unordered_map>
@@ -84,20 +85,20 @@ BenchCounters
 runCell(const BenchConfig &cfg, const BenchOptions &opts)
 {
     if (cfg.mode == "cold") {
-        return BenchCounters::fromResult(
+        return BenchCounters(
             runWorkload(cfg.workload, cellConfig(cfg, opts)));
     }
     if (cfg.mode == "replay") {
         trace::TraceKernelSource source(
             replayTraces().get(cfg.workload, opts));
-        return BenchCounters::fromResult(
+        return BenchCounters(
             runSource(source, cellConfig(cfg, opts)));
     }
     if (cfg.mode == "warm") {
         ScenarioSpec spec;
         spec.rounds = opts.scenario_rounds;
         spec.boundary = BoundaryPolicy::keepAll();
-        return BenchCounters::fromResult(
+        return BenchCounters(
             runScenario(cfg.workload, cellConfig(cfg, opts), spec));
     }
     if (cfg.mode == "policy-srrip" || cfg.mode == "policy-drrip" ||
@@ -113,7 +114,7 @@ runCell(const BenchConfig &cfg, const BenchOptions &opts)
             rc.soc.tlb_replacement = kTlbReplDrrip;
         else
             rc.soc.percu_tlb_fill_policy = kTlbFillBypassTrained;
-        return BenchCounters::fromResult(runWorkload(cfg.workload, rc));
+        return BenchCounters(runWorkload(cfg.workload, rc));
     }
     if (cfg.mode == "tenants") {
         // Multi-tenant contention cell: '+'-separated tenant workloads
@@ -134,7 +135,7 @@ runCell(const BenchConfig &cfg, const BenchOptions &opts)
         spec.switch_policy = SwitchPolicy::kAsidShootdown;
         spec.storm.pages = 4;
         spec.storm.period = 1;
-        return BenchCounters::fromResult(runTenants(spec, rc));
+        return BenchCounters(runTenants(spec, rc));
     }
     if (cfg.mode == "sweep") {
         Sweep sweep(/*jobs=*/1);
@@ -150,7 +151,9 @@ runCell(const BenchConfig &cfg, const BenchOptions &opts)
         sweep.run();
         BenchCounters sum;
         for (std::size_t i = 0; i < sweep.size(); ++i)
-            sum.add(BenchCounters::fromResult(sweep.result(i)));
+            forEachRunCounter([](const char *, std::uint64_t &total,
+                                 std::uint64_t v) { total += v; },
+                              sum, sweep.result(i));
         return sum;
     }
     fatal("gvc_bench: unknown bench mode '" + cfg.mode + "'");
@@ -170,34 +173,6 @@ median(std::vector<double> v)
 
 BenchOptions::BenchOptions() : seed(WorkloadParams{}.seed)
 {
-}
-
-BenchCounters
-BenchCounters::fromResult(const RunResult &r)
-{
-    BenchCounters c;
-    c.exec_ticks = r.exec_ticks;
-    c.instructions = r.instructions;
-    c.mem_instructions = r.mem_instructions;
-    c.tlb_accesses = r.tlb_accesses;
-    c.tlb_misses = r.tlb_misses;
-    c.iommu_accesses = r.iommu_accesses;
-    c.page_walks = r.page_walks;
-    c.l1_accesses = r.l1_accesses;
-    c.l2_accesses = r.l2_accesses;
-    c.dram_accesses = r.dram_accesses;
-    c.dram_bytes = r.dram_bytes;
-    c.fbt_lookups = r.fbt_lookups;
-    c.synonym_replays = r.synonym_replays;
-    return c;
-}
-
-void
-BenchCounters::add(const BenchCounters &o)
-{
-#define GVC_ADD_FIELD(name) name += o.name;
-    GVC_BENCHCOUNTER_FIELDS(GVC_ADD_FIELD)
-#undef GVC_ADD_FIELD
 }
 
 std::string
@@ -305,9 +280,9 @@ benchReportToJson(const BenchReport &report)
         j.set("workload", m.cfg.workload);
         j.set("design", m.cfg.design);
         Json counters = Json::object();
-#define GVC_EMIT_FIELD(name) counters.set(#name, m.counters.name);
-        GVC_BENCHCOUNTER_FIELDS(GVC_EMIT_FIELD)
-#undef GVC_EMIT_FIELD
+        forEachRunCounter([&](const char *name,
+                              std::uint64_t v) { counters.set(name, v); },
+                          m.counters);
         j.set("counters", std::move(counters));
         Json walls = Json::array();
         for (const double ms : m.wall_ms)
@@ -341,6 +316,33 @@ jsonField(const Json &obj, const char *key, const Json *&out,
     return true;
 }
 
+/** A strict non-negative decimal integer field no larger than @p max. */
+bool
+jsonU64(const Json &obj, const char *key, std::uint64_t &out,
+        std::string *err, std::uint64_t max = ~std::uint64_t(0))
+{
+    const Json *v = obj.find(key);
+    if (!v || !v->toU64(out, max)) {
+        if (err)
+            *err = std::string("bench json: missing or malformed "
+                               "integer field '") +
+                   key + "'";
+        return false;
+    }
+    return true;
+}
+
+bool
+jsonUnsigned(const Json &obj, const char *key, unsigned &out,
+             std::string *err)
+{
+    std::uint64_t v = 0;
+    if (!jsonU64(obj, key, v, err, std::numeric_limits<unsigned>::max()))
+        return false;
+    out = unsigned(v);
+    return true;
+}
+
 } // namespace
 
 bool
@@ -352,13 +354,13 @@ benchReportFromJson(const Json &doc, BenchReport &out, std::string *err)
         return false;
     }
     const Json *v = nullptr;
-    if (!jsonField(doc, "bench_schema_version", v, Json::Type::kNumber,
-                   err))
+    std::uint64_t version = 0;
+    if (!jsonU64(doc, "bench_schema_version", version, err))
         return false;
-    if (v->asU64() != std::uint64_t(kBenchSchemaVersion)) {
+    if (version != std::uint64_t(kBenchSchemaVersion)) {
         if (err)
             *err = "bench json: unknown bench_schema_version '" +
-                   std::to_string(v->asU64()) + "'";
+                   std::to_string(version) + "'";
         return false;
     }
     if (!jsonField(doc, "generator", v, Json::Type::kString, err))
@@ -368,18 +370,12 @@ benchReportFromJson(const Json &doc, BenchReport &out, std::string *err)
     if (!jsonField(doc, "scale", v, Json::Type::kNumber, err))
         return false;
     report.opts.scale = v->asNumber();
-    if (!jsonField(doc, "seed", v, Json::Type::kNumber, err))
+    if (!jsonU64(doc, "seed", report.opts.seed, err) ||
+        !jsonUnsigned(doc, "trials", report.opts.trials, err) ||
+        !jsonUnsigned(doc, "warmup", report.opts.warmup, err) ||
+        !jsonUnsigned(doc, "scenario_rounds", report.opts.scenario_rounds,
+                      err))
         return false;
-    report.opts.seed = v->asU64();
-    if (!jsonField(doc, "trials", v, Json::Type::kNumber, err))
-        return false;
-    report.opts.trials = unsigned(v->asU64());
-    if (!jsonField(doc, "warmup", v, Json::Type::kNumber, err))
-        return false;
-    report.opts.warmup = unsigned(v->asU64());
-    if (!jsonField(doc, "scenario_rounds", v, Json::Type::kNumber, err))
-        return false;
-    report.opts.scenario_rounds = unsigned(v->asU64());
     const Json *configs = nullptr;
     if (!jsonField(doc, "configs", configs, Json::Type::kArray, err))
         return false;
@@ -412,12 +408,14 @@ benchReportFromJson(const Json &doc, BenchReport &out, std::string *err)
         const Json *counters = nullptr;
         if (!jsonField(j, "counters", counters, Json::Type::kObject, err))
             return false;
-#define GVC_READ_FIELD(name)                                              \
-    if (!jsonField(*counters, #name, v, Json::Type::kNumber, err))        \
-        return false;                                                     \
-    m.counters.name = v->asU64();
-        GVC_BENCHCOUNTER_FIELDS(GVC_READ_FIELD)
-#undef GVC_READ_FIELD
+        bool ok = true;
+        forEachRunCounter(
+            [&](const char *name, std::uint64_t &out) {
+                ok = ok && jsonU64(*counters, name, out, err);
+            },
+            m.counters);
+        if (!ok)
+            return false;
         const Json *walls = nullptr;
         if (!jsonField(j, "wall_ms", walls, Json::Type::kArray, err))
             return false;
@@ -434,9 +432,8 @@ benchReportFromJson(const Json &doc, BenchReport &out, std::string *err)
                        err))
             return false;
         m.sim_cycles_per_sec = v->asNumber();
-        if (!jsonField(j, "peak_rss_kb", v, Json::Type::kNumber, err))
+        if (!jsonU64(j, "peak_rss_kb", m.peak_rss_kb, err))
             return false;
-        m.peak_rss_kb = v->asU64();
         report.configs.push_back(std::move(m));
     }
     out = std::move(report);
@@ -474,13 +471,13 @@ benchCountersMatch(const BenchReport &baseline, const BenchReport &current,
             mismatch("config " + b.cfg.name(), "present", "absent");
             continue;
         }
-#define GVC_DIFF_FIELD(field)                                             \
-    if (b.counters.field != c->counters.field)                            \
-        mismatch(b.cfg.name() + "." #field,                               \
-                 std::to_string(b.counters.field),                        \
-                 std::to_string(c->counters.field));
-        GVC_BENCHCOUNTER_FIELDS(GVC_DIFF_FIELD)
-#undef GVC_DIFF_FIELD
+        forEachRunCounter(
+            [&](const char *name, std::uint64_t base, std::uint64_t cur) {
+                if (base != cur)
+                    mismatch(b.cfg.name() + "." + name,
+                             std::to_string(base), std::to_string(cur));
+            },
+            b.counters, c->counters);
     }
     for (const BenchMeasurement &m : current.configs) {
         bool found = false;

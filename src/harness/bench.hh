@@ -32,51 +32,12 @@ namespace gvc
 {
 
 /**
- * Deterministic per-configuration counters, one X-macro entry per
- * exported field.  All are exact event counts (or tick counts) summed
- * over every simulation the configuration executes, so a sweep config
- * contributes the sum over its cells.
+ * One configuration's deterministic counters: the RunCounters of a run
+ * (forEachRunCounter() is their field table), summed over every
+ * simulation the configuration executes, so a sweep config contributes
+ * the sum over its cells.
  */
-#define GVC_BENCHCOUNTER_FIELDS(X)                                        \
-    X(exec_ticks)                                                         \
-    X(instructions)                                                       \
-    X(mem_instructions)                                                   \
-    X(tlb_accesses)                                                       \
-    X(tlb_misses)                                                         \
-    X(iommu_accesses)                                                     \
-    X(page_walks)                                                         \
-    X(l1_accesses)                                                        \
-    X(l2_accesses)                                                        \
-    X(dram_accesses)                                                      \
-    X(dram_bytes)                                                         \
-    X(fbt_lookups)                                                        \
-    X(synonym_replays)
-
-/** One configuration's deterministic counters. */
-struct BenchCounters
-{
-#define GVC_DECLARE_FIELD(name) std::uint64_t name = 0;
-    GVC_BENCHCOUNTER_FIELDS(GVC_DECLARE_FIELD)
-#undef GVC_DECLARE_FIELD
-
-    /** Extract the benchmarked counters from one run's results. */
-    static BenchCounters fromResult(const RunResult &r);
-
-    /** Field-wise accumulate (sweep configs sum over their cells). */
-    void add(const BenchCounters &o);
-
-    bool
-    operator==(const BenchCounters &o) const
-    {
-#define GVC_CMP_FIELD(name)                                               \
-    if (name != o.name)                                                   \
-        return false;
-        GVC_BENCHCOUNTER_FIELDS(GVC_CMP_FIELD)
-#undef GVC_CMP_FIELD
-        return true;
-    }
-    bool operator!=(const BenchCounters &o) const { return !(*this == o); }
-};
+using BenchCounters = RunCounters;
 
 /** Identity of one benchmark configuration. */
 struct BenchConfig

@@ -1,8 +1,10 @@
 #include "harness/journal.hh"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 
 namespace gvc
 {
@@ -165,27 +167,30 @@ metaFromJson(const Json &j, ExportMeta &meta, std::string &err)
         }
         return true;
     };
-    double num = 0;
+    const auto getInteger = [&](const char *key, std::uint64_t max,
+                                auto &out) {
+        const Json *v = j.find(key);
+        std::uint64_t u = 0;
+        if (!v || !v->toU64(u, max)) {
+            err = std::string("journal meta.") + key +
+                  ": expected a non-negative decimal integer no larger "
+                  "than " +
+                  std::to_string(max);
+            return false;
+        }
+        out = u;
+        return true;
+    };
+    const std::uint64_t u32 = std::numeric_limits<unsigned>::max();
     if (!getString("generator", meta.generator) ||
         !getLabels("workloads", meta.workloads) ||
         !getLabels("designs", meta.designs) ||
-        !getNumber("scale", meta.scale))
+        !getNumber("scale", meta.scale) ||
+        !getInteger("seed", ~std::uint64_t(0), meta.seed) ||
+        !getInteger("jobs", u32, meta.jobs) ||
+        !getInteger("shard_index", u32, meta.shard_index) ||
+        !getInteger("shard_count", u32, meta.shard_count))
         return false;
-    const Json *seed = j.find("seed");
-    if (!seed || !seed->isNumber()) {
-        err = "journal meta.seed: expected a number";
-        return false;
-    }
-    meta.seed = seed->asU64();
-    if (!getNumber("jobs", num))
-        return false;
-    meta.jobs = unsigned(num);
-    if (!getNumber("shard_index", num))
-        return false;
-    meta.shard_index = unsigned(num);
-    if (!getNumber("shard_count", num))
-        return false;
-    meta.shard_count = unsigned(num);
     std::string digest;
     if (!getString("assignment", meta.shard_assignment) ||
         !getString("cost_digest", digest))
@@ -325,7 +330,7 @@ parseJournal(const std::uint8_t *data, std::size_t size, ExportMeta &meta,
         return false;
     }
     const std::uint32_t version = getU32(data + 4);
-    if (version != kJournalVersion) {
+    if (version != kJournalVersion && version != kJournalVersionLegacy) {
         setErr(err, "journal: unsupported format version " +
                         std::to_string(version));
         return false;
@@ -355,6 +360,8 @@ parseJournal(const std::uint8_t *data, std::size_t size, ExportMeta &meta,
         setErr(err, merr);
         return false;
     }
+    if (version == kJournalVersionLegacy)
+        meta.schema_version = kResultsSchemaVersionPlain;
     while (pos < size) {
         if (size - pos < 12) {
             setErr(err, "journal: truncated record frame header at offset " +
@@ -388,14 +395,24 @@ parseJournal(const std::uint8_t *data, std::size_t size, ExportMeta &meta,
             setErr(err, "journal: record frame missing \"key\"/\"record\"");
             return false;
         }
+        // Legacy journals hold v1–v3 records, which differ only in the
+        // per-record blocks they carry.
+        const int schema = version == kJournalVersion
+                               ? kResultsSchemaVersion
+                           : record->find("tenants")
+                               ? kResultsSchemaVersionTenants
+                           : record->find("kernels")
+                               ? kResultsSchemaVersionKernels
+                               : kResultsSchemaVersionPlain;
         JournalEntry entry;
         entry.key = key->asString();
         std::string rerr;
-        if (!resultRecordFromJson(*record, entry.record, &rerr)) {
+        if (!resultRecordFromJson(*record, entry.record, &rerr, schema)) {
             setErr(err, "journal: " + rerr);
             return false;
         }
         entries.push_back(std::move(entry));
+        meta.schema_version = std::max(meta.schema_version, schema);
     }
     return true;
 }
@@ -427,6 +444,18 @@ bool
 journalMatchesGrid(const ExportMeta &journal, const ExportMeta &run,
                    std::string *err)
 {
+    if (journal.schema_version != run.schema_version) {
+        setErr(err, "journal holds results schema v" +
+                        std::to_string(journal.schema_version) +
+                        " records, this sweep writes v" +
+                        std::to_string(run.schema_version) +
+                        ": a journal written before v" +
+                        std::to_string(kResultsSchemaVersion) +
+                        " lacks fields such as *_tlb_refs, so a resumed "
+                        "export could not match an uninterrupted one "
+                        "(start a fresh sweep with --journal)");
+        return false;
+    }
     const auto fail = [&](const std::string &msg) {
         setErr(err, "journal grid mismatch: " + msg +
                         " (the journal belongs to a different sweep; "

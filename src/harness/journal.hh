@@ -33,6 +33,11 @@
  * most the frame in flight; the reader mirrors the `.gvct` reader's
  * strictness — truncated frames, digest mismatches, bad magic/version,
  * and malformed payloads each fail with a named error.
+ *
+ * Version 2 records are results-schema v4 records.  Version 1 journals
+ * (same framing, records in the v1–v3 shapes) are import-only: they
+ * still load as cost models and in gvc_plan, but journalMatchesGrid()
+ * refuses to resume them.
  */
 
 #ifndef GVC_HARNESS_JOURNAL_HH
@@ -48,8 +53,10 @@
 namespace gvc
 {
 
-/** On-disk journal format version. */
-inline constexpr std::uint32_t kJournalVersion = 1;
+/** On-disk journal format version written. */
+inline constexpr std::uint32_t kJournalVersion = 2;
+/** Import-only format version whose records predate schema v4. */
+inline constexpr std::uint32_t kJournalVersionLegacy = 1;
 
 /** File magic ("GVCJ"). */
 inline constexpr char kJournalMagic[4] = {'G', 'V', 'C', 'J'};
@@ -119,8 +126,10 @@ std::vector<std::uint8_t> journalFrame(const std::string &key,
  * Parse a full journal image: header plus every record frame.
  * Validates magic, version, both digest layers, framing (a truncated
  * header or frame is an error, mirroring the `.gvct` reader), and
- * every record payload field-exactly.  Returns false with a named
- * error in @p err on any defect.
+ * every record payload field-exactly.  `meta.schema_version` is the
+ * results-schema version of the records (for a legacy journal, the
+ * newest record shape found).  Returns false with a named error in
+ * @p err on any defect.
  */
 bool parseJournal(const std::uint8_t *data, std::size_t size,
                   ExportMeta &meta, std::vector<JournalEntry> &entries,
@@ -132,12 +141,13 @@ bool readJournal(const std::string &path, ExportMeta &meta,
                  std::string *err = nullptr);
 
 /**
- * Check that a journal's meta describes the sweep about to run:
- * generator, workload/design axes, scale, seed, shard position, and
- * shard-assignment stamp must all match (`jobs` is deliberately
- * exempt — worker count does not affect results, so an elastic fleet
- * may resume with a different `--jobs`; the export's "jobs" field
- * reflects the final invocation).  Returns false with a named
+ * Check that a journal's meta describes the sweep about to run: the
+ * records' results-schema version (a journal written before v4 is
+ * refused by name), generator, workload/design axes, scale, seed,
+ * shard position, and shard-assignment stamp must all match (`jobs`
+ * is deliberately exempt — worker count does not affect results, so
+ * an elastic fleet may resume with a different `--jobs`; the export's
+ * "jobs" field reflects the final invocation).  Returns false with a named
  * mismatch in @p err.
  */
 bool journalMatchesGrid(const ExportMeta &journal, const ExportMeta &run,

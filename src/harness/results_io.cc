@@ -6,7 +6,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <optional>
+#include <string_view>
+#include <type_traits>
+#include <utility>
 
 #include "harness/cli.hh"
 #include "sim/logging.hh"
@@ -51,12 +55,29 @@ Json::Json(std::uint64_t v) : type_(Type::kNumber), num_(double(v))
     str_ = buf;
 }
 
+bool
+Json::toU64(std::uint64_t &out, std::uint64_t max) const
+{
+    if (type_ != Type::kNumber || str_.empty())
+        return false;
+    std::uint64_t v = 0;
+    for (const char c : str_) {
+        if (c < '0' || c > '9')
+            return false;
+        const std::uint64_t digit = std::uint64_t(c - '0');
+        if (digit > max || v > (max - digit) / 10)
+            return false;
+        v = v * 10 + digit;
+    }
+    out = v;
+    return true;
+}
+
 std::uint64_t
 Json::asU64() const
 {
-    if (type_ != Type::kNumber)
-        return 0;
-    return std::strtoull(str_.c_str(), nullptr, 10);
+    std::uint64_t v = 0;
+    return toU64(v) ? v : 0;
 }
 
 void
@@ -79,8 +100,14 @@ Json::set(std::string key, Json v)
     members_.emplace_back(std::move(key), std::move(v));
 }
 
+Json *
+Json::find(std::string_view key)
+{
+    return const_cast<Json *>(std::as_const(*this).find(key));
+}
+
 const Json *
-Json::find(const std::string &key) const
+Json::find(std::string_view key) const
 {
     if (type_ != Type::kObject)
         return nullptr;
@@ -215,10 +242,7 @@ Json::dump(int indent) const
 // Parser
 // ---------------------------------------------------------------------
 
-namespace
-{
-
-struct Parser
+struct Json::Parser
 {
     const char *p;
     const char *end;
@@ -409,39 +433,46 @@ struct Parser
             out = Json();
             return true;
           default: {
+            // JSON number grammar:
+            //   -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
+            // The lexeme is kept verbatim, so integers round-trip
+            // exactly even beyond 2^53 and toU64() can tell a plain
+            // decimal from a fraction or an exponent.
             const char *start = p;
-            if (p < end && (*p == '-' || *p == '+'))
+            const auto digits = [this] {
+                const char *first = p;
+                while (p < end &&
+                       std::isdigit(static_cast<unsigned char>(*p)))
+                    ++p;
+                return p > first;
+            };
+            if (p < end && *p == '-')
                 ++p;
-            bool digits = false;
-            while (p < end &&
-                   (std::isdigit(static_cast<unsigned char>(*p)) ||
-                    *p == '.' || *p == 'e' || *p == 'E' || *p == '-' ||
-                    *p == '+')) {
-                digits = digits ||
-                         std::isdigit(static_cast<unsigned char>(*p));
+            if (p < end && *p == '0')
                 ++p;
-            }
-            if (!digits)
+            else if (!digits())
                 return fail("unexpected character");
-            const std::string lex(start, p);
-            const double v = std::strtod(lex.c_str(), nullptr);
-            // Non-negative integer lexemes are re-read as uint64 so
-            // tick counts round-trip exactly even beyond 2^53.
-            if (lex.find('.') == std::string::npos &&
-                lex.find('e') == std::string::npos &&
-                lex.find('E') == std::string::npos && lex[0] != '-') {
-                out = Json(std::uint64_t(
-                    std::strtoull(lex.c_str(), nullptr, 10)));
-            } else {
-                out = Json(v);
+            if (p < end && *p == '.') {
+                ++p;
+                if (!digits())
+                    return fail("bad number");
             }
+            if (p < end && (*p == 'e' || *p == 'E')) {
+                ++p;
+                if (p < end && (*p == '+' || *p == '-'))
+                    ++p;
+                if (!digits())
+                    return fail("bad number");
+            }
+            out = Json();
+            out.type_ = Type::kNumber;
+            out.str_.assign(start, p);
+            out.num_ = std::strtod(out.str_.c_str(), nullptr);
             return true;
           }
         }
     }
 };
-
-} // namespace
 
 Json
 Json::parse(const std::string &text, std::string *err)
@@ -467,191 +498,138 @@ Json::parse(const std::string &text, std::string *err)
 }
 
 // ---------------------------------------------------------------------
-// RunResult / SocConfig serialization
+// Field tables and serialization
 // ---------------------------------------------------------------------
-
-// Scalar RunResult fields in struct declaration order, shared between
-// the JSON and CSV emitters so the two formats cannot drift apart.
-#define GVC_RUNRESULT_U64_FIELDS(X)                                     \
-    X(exec_ticks)                                                       \
-    X(instructions)                                                     \
-    X(mem_instructions)                                                 \
-    X(tlb_accesses)                                                     \
-    X(tlb_misses)                                                       \
-    X(iommu_accesses)                                                   \
-    X(page_walks)                                                       \
-    X(l1_accesses)                                                      \
-    X(l2_accesses)                                                      \
-    X(dram_accesses)                                                    \
-    X(dram_bytes)                                                       \
-    X(fbt_lookups)                                                      \
-    X(synonym_replays)                                                  \
-    X(rw_faults)                                                        \
-    X(fbt_purges)                                                       \
-    X(fbt_valid_pages)
-
-// Reach-generalized translation counters: zero for the classic designs,
-// so they are emitted only when nonzero (keeping pre-existing exports
-// byte-identical) and imported as optional with default 0.
-#define GVC_RUNRESULT_U64_OPT_FIELDS(X)                                 \
-    X(tlb_reach_hits)                                                   \
-    X(tlb_reach_fills)                                                  \
-    X(tlb_merges)                                                       \
-    X(tlb_fill_bypasses)                                                \
-    X(iommu_reach_hits)                                                 \
-    X(iommu_reach_fills)                                                \
-    X(iommu_coalesced_fills)                                            \
-    X(large_page_walks)                                                 \
-    X(victima_stashes)                                                  \
-    X(victima_probes)                                                   \
-    X(victima_hits)                                                     \
-    X(tlb_dead_first_evictions)                                         \
-    X(tlb_pred_true_pos)                                                \
-    X(tlb_pred_false_pos)                                               \
-    X(iommu_fill_bypasses)                                              \
-    X(iommu_dead_first_evictions)                                       \
-    X(iommu_pred_true_pos)                                              \
-    X(iommu_pred_false_pos)
-
-#define GVC_RUNRESULT_F64_FIELDS(X)                                     \
-    X(lines_per_mem_inst)                                               \
-    X(tlb_miss_ratio)                                                   \
-    X(iommu_apc_mean)                                                   \
-    X(iommu_apc_stdev)                                                  \
-    X(iommu_apc_max)                                                    \
-    X(iommu_frac_windows_over_1)                                        \
-    X(iommu_serialization_mean)                                         \
-    X(fbt_second_level_hit_ratio)                                       \
-    X(l1_hit_ratio)                                                     \
-    X(l2_hit_ratio)
-
-#define GVC_RUNRESULT_BREAKDOWN_FIELDS(X)                               \
-    X(miss_l1_hit)                                                      \
-    X(miss_l2_hit)                                                      \
-    X(miss_l2_miss)
-
-std::string
-tlbPolicyStamp(const SocConfig &soc)
-{
-    std::string stamp;
-    const auto add = [&](const std::string &part) {
-        if (!stamp.empty())
-            stamp += ',';
-        stamp += part;
-    };
-    if (soc.tlb_replacement != kTlbReplLru)
-        add(std::string("repl=") +
-            tlbReplacementName(soc.tlb_replacement));
-    if (soc.percu_tlb_fill_policy != kTlbFillLru)
-        add(std::string("fill=") +
-            tlbFillPolicyName(soc.percu_tlb_fill_policy));
-    if (soc.iommu_tlb_fill_policy != kTlbFillLru)
-        add(std::string("iommu-fill=") +
-            tlbFillPolicyName(soc.iommu_tlb_fill_policy));
-    return stamp;
-}
-
-Json
-socConfigToJson(const SocConfig &soc)
-{
-    Json gpu = Json::object();
-    gpu.set("num_cus", soc.gpu.num_cus);
-    gpu.set("max_resident_warps", soc.gpu.max_resident_warps);
-    gpu.set("scratchpad_latency", soc.gpu.scratchpad_latency);
-    gpu.set("max_outstanding_stores", soc.gpu.max_outstanding_stores);
-    gpu.set("sched", unsigned(soc.gpu.sched));
-
-    Json ptw = Json::object();
-    ptw.set("max_concurrent", soc.iommu.ptw.max_concurrent);
-    ptw.set("pwc_hit_latency", soc.iommu.ptw.pwc_hit_latency);
-    ptw.set("dispatch_latency", soc.iommu.ptw.dispatch_latency);
-
-    Json iommu = Json::object();
-    iommu.set("tlb_entries", soc.iommu.tlb_entries);
-    iommu.set("tlb_assoc", soc.iommu.tlb_assoc);
-    iommu.set("tlb_infinite", soc.iommu.tlb_infinite);
-    iommu.set("accesses_per_cycle", soc.iommu.accesses_per_cycle);
-    iommu.set("unlimited_bw", soc.iommu.unlimited_bw);
-    iommu.set("banks", soc.iommu.banks);
-    iommu.set("bank_select_shift", soc.iommu.bank_select_shift);
-    iommu.set("tlb_latency", soc.iommu.tlb_latency);
-    iommu.set("second_level_latency", soc.iommu.second_level_latency);
-    iommu.set("fault_latency", soc.iommu.fault_latency);
-    iommu.set("ptw", std::move(ptw));
-    iommu.set("sample_window", soc.iommu.sample_window);
-
-    Json fbt = Json::object();
-    fbt.set("entries", soc.fbt.entries);
-    fbt.set("bt_assoc", soc.fbt.bt_assoc);
-    fbt.set("ft_assoc", soc.fbt.ft_assoc);
-    fbt.set("split_large_pages", soc.fbt.split_large_pages);
-
-    Json dram = Json::object();
-    dram.set("access_latency", soc.dram.access_latency);
-    dram.set("bytes_per_cycle", soc.dram.bytes_per_cycle);
-
-    Json j = Json::object();
-    j.set("gpu", std::move(gpu));
-    j.set("l1_size", soc.l1_size);
-    j.set("l1_assoc", soc.l1_assoc);
-    j.set("l2_size", soc.l2_size);
-    j.set("l2_assoc", soc.l2_assoc);
-    j.set("l2_banks", soc.l2_banks);
-    j.set("l1_latency", soc.l1_latency);
-    j.set("cu_to_l2", soc.cu_to_l2);
-    j.set("l2_latency", soc.l2_latency);
-    j.set("l2_to_dir", soc.l2_to_dir);
-    j.set("dir_latency", soc.dir_latency);
-    j.set("cu_to_iommu", soc.cu_to_iommu);
-    j.set("l2_to_iommu", soc.l2_to_iommu);
-    j.set("fbt_latency", soc.fbt_latency);
-    j.set("percu_tlb_latency", soc.percu_tlb_latency);
-    j.set("percu_tlb_entries", soc.percu_tlb_entries);
-    j.set("percu_tlb_assoc", soc.percu_tlb_assoc);
-    j.set("percu_tlb_infinite", soc.percu_tlb_infinite);
-    // Reach-stack knobs: emitted only when non-default so pre-existing
-    // configurations keep their exact serialized form.
-    if (soc.percu_tlb_fill_policy != kTlbFillLru)
-        j.set("percu_tlb_fill_policy", soc.percu_tlb_fill_policy);
-    if (soc.iommu_tlb_fill_policy != kTlbFillLru)
-        j.set("iommu_tlb_fill_policy", soc.iommu_tlb_fill_policy);
-    if (soc.tlb_replacement != kTlbReplLru)
-        j.set("tlb_replacement", soc.tlb_replacement);
-    if (soc.tlb_max_reach)
-        j.set("tlb_max_reach", soc.tlb_max_reach);
-    if (soc.tlb_merge_on_insert)
-        j.set("tlb_merge_on_insert", soc.tlb_merge_on_insert);
-    if (soc.coalesce_max_reach)
-        j.set("coalesce_max_reach", soc.coalesce_max_reach);
-    if (soc.victima_stash)
-        j.set("victima_stash", soc.victima_stash);
-    if (soc.vm_page_policy)
-        j.set("vm_page_policy", soc.vm_page_policy);
-    j.set("iommu", std::move(iommu));
-    j.set("fbt", std::move(fbt));
-    j.set("fbt_as_second_level_tlb", soc.fbt_as_second_level_tlb);
-    j.set("synonym_remap_entries", soc.synonym_remap_entries);
-    j.set("cu_injection_rate", soc.cu_injection_rate);
-    j.set("dram", std::move(dram));
-    j.set("phys_mem_bytes", soc.phys_mem_bytes);
-    j.set("track_lifetimes", soc.track_lifetimes);
-    j.set("classify_tlb_misses", soc.classify_tlb_misses);
-    return j;
-}
-
-Json
-workloadParamsToJson(const WorkloadParams &p)
-{
-    Json j = Json::object();
-    j.set("scale", p.scale);
-    j.set("seed", p.seed);
-    j.set("grid_warps", p.grid_warps);
-    j.set("graph", unsigned(p.graph));
-    return j;
-}
 
 namespace
 {
+
+/**
+ * SocConfig's field table, in the forEachResultField() style: every
+ * simulation-relevant field in export order, dotted names being nested
+ * JSON objects.  translation_memo is absent on purpose: it is a
+ * host-side toggle with bit-identical results.
+ */
+template <class F, class... S>
+void
+forEachSocField(F &&f, S &...s)
+{
+    f("gpu.num_cus", 0u, s.gpu.num_cus...);
+    f("gpu.max_resident_warps", 0u, s.gpu.max_resident_warps...);
+    f("gpu.scratchpad_latency", 0u, s.gpu.scratchpad_latency...);
+    f("gpu.max_outstanding_stores", 0u, s.gpu.max_outstanding_stores...);
+    f("gpu.sched", 0u, s.gpu.sched...);
+    f("l1_size", 0u, s.l1_size...);
+    f("l1_assoc", 0u, s.l1_assoc...);
+    f("l2_size", 0u, s.l2_size...);
+    f("l2_assoc", 0u, s.l2_assoc...);
+    f("l2_banks", 0u, s.l2_banks...);
+    f("l1_latency", 0u, s.l1_latency...);
+    f("cu_to_l2", 0u, s.cu_to_l2...);
+    f("l2_latency", 0u, s.l2_latency...);
+    f("l2_to_dir", 0u, s.l2_to_dir...);
+    f("dir_latency", 0u, s.dir_latency...);
+    f("cu_to_iommu", 0u, s.cu_to_iommu...);
+    f("l2_to_iommu", 0u, s.l2_to_iommu...);
+    f("fbt_latency", 0u, s.fbt_latency...);
+    f("percu_tlb_latency", 0u, s.percu_tlb_latency...);
+    f("percu_tlb_entries", 0u, s.percu_tlb_entries...);
+    f("percu_tlb_assoc", 0u, s.percu_tlb_assoc...);
+    f("percu_tlb_infinite", 0u, s.percu_tlb_infinite...);
+    constexpr unsigned kOpt = kFieldLegacyOptional;
+    f("percu_tlb_fill_policy", kOpt, s.percu_tlb_fill_policy...);
+    f("iommu_tlb_fill_policy", kOpt, s.iommu_tlb_fill_policy...);
+    f("tlb_replacement", kOpt, s.tlb_replacement...);
+    f("tlb_max_reach", kOpt, s.tlb_max_reach...);
+    f("tlb_merge_on_insert", kOpt, s.tlb_merge_on_insert...);
+    f("coalesce_max_reach", kOpt, s.coalesce_max_reach...);
+    f("victima_stash", kOpt, s.victima_stash...);
+    f("vm_page_policy", kOpt, s.vm_page_policy...);
+    f("iommu.tlb_entries", 0u, s.iommu.tlb_entries...);
+    f("iommu.tlb_assoc", 0u, s.iommu.tlb_assoc...);
+    f("iommu.tlb_infinite", 0u, s.iommu.tlb_infinite...);
+    f("iommu.accesses_per_cycle", 0u, s.iommu.accesses_per_cycle...);
+    f("iommu.unlimited_bw", 0u, s.iommu.unlimited_bw...);
+    f("iommu.banks", 0u, s.iommu.banks...);
+    f("iommu.bank_select_shift", 0u, s.iommu.bank_select_shift...);
+    f("iommu.tlb_latency", 0u, s.iommu.tlb_latency...);
+    f("iommu.second_level_latency", 0u, s.iommu.second_level_latency...);
+    f("iommu.fault_latency", 0u, s.iommu.fault_latency...);
+    f("iommu.ptw.max_concurrent", 0u, s.iommu.ptw.max_concurrent...);
+    f("iommu.ptw.pwc_hit_latency", 0u, s.iommu.ptw.pwc_hit_latency...);
+    f("iommu.ptw.dispatch_latency", 0u, s.iommu.ptw.dispatch_latency...);
+    f("iommu.sample_window", 0u, s.iommu.sample_window...);
+    f("fbt.entries", 0u, s.fbt.entries...);
+    f("fbt.bt_assoc", 0u, s.fbt.bt_assoc...);
+    f("fbt.ft_assoc", 0u, s.fbt.ft_assoc...);
+    f("fbt.split_large_pages", 0u, s.fbt.split_large_pages...);
+    f("fbt_as_second_level_tlb", 0u, s.fbt_as_second_level_tlb...);
+    f("synonym_remap_entries", 0u, s.synonym_remap_entries...);
+    f("cu_injection_rate", 0u, s.cu_injection_rate...);
+    f("dram.access_latency", 0u, s.dram.access_latency...);
+    f("dram.bytes_per_cycle", 0u, s.dram.bytes_per_cycle...);
+    f("phys_mem_bytes", 0u, s.phys_mem_bytes...);
+    f("track_lifetimes", 0u, s.track_lifetimes...);
+    f("classify_tlb_misses", 0u, s.classify_tlb_misses...);
+}
+
+/** WorkloadParams' field table. */
+template <class F, class... P>
+void
+forEachWorkloadParam(F &&f, P &...p)
+{
+    f("scale", 0u, p.scale...);
+    f("seed", 0u, p.seed...);
+    f("grid_warps", 0u, p.grid_warps...);
+    f("graph", 0u, p.graph...);
+}
+
+/** The JSON value of one table field (enums as their number). */
+template <class T>
+Json
+fieldToJson(const T &v)
+{
+    if constexpr (std::is_same_v<T, bool> || std::is_floating_point_v<T>)
+        return Json(v);
+    else
+        return Json(std::uint64_t(v));
+}
+
+/** Set @p path ("a.b.c") in @p obj, creating intermediate objects. */
+void
+setPath(Json &obj, std::string_view path, Json v)
+{
+    const std::size_t dot = path.find('.');
+    if (dot == std::string_view::npos) {
+        obj.set(std::string(path), std::move(v));
+        return;
+    }
+    const std::string_view key = path.substr(0, dot);
+    Json *child = obj.find(key);
+    if (!child) {
+        obj.set(std::string(key), Json::object());
+        child = obj.find(key);
+    }
+    setPath(*child, path.substr(dot + 1), std::move(v));
+}
+
+/** A table visitor writing each row of one object into @p j. */
+auto
+rowWriter(Json &j)
+{
+    return [&j](const char *name, unsigned, const auto &v) {
+        setPath(j, name, fieldToJson(v));
+    };
+}
+
+Json
+kernelStatsToJson(const KernelStats &k)
+{
+    Json j = Json::object();
+    forEachKernelStat(
+        [&](const char *name, std::uint64_t v) { j.set(name, v); }, k);
+    return j;
+}
 
 Json
 tlbRefHistToJson(const TlbRefHist &h)
@@ -665,82 +643,6 @@ tlbRefHistToJson(const TlbRefHist &h)
     j.set("dead", h.dead);
     return j;
 }
-
-} // namespace
-
-Json
-runResultToJson(const RunResult &r, const SocConfig *soc)
-{
-    Json j = Json::object();
-    j.set("workload", r.workload);
-    j.set("design", designName(r.design));
-#define X(field) j.set(#field, std::uint64_t(r.field));
-    GVC_RUNRESULT_U64_FIELDS(X)
-#undef X
-#define X(field)                                                        \
-    if (r.field)                                                        \
-        j.set(#field, std::uint64_t(r.field));
-    GVC_RUNRESULT_U64_OPT_FIELDS(X)
-#undef X
-#define X(field) j.set(#field, r.field);
-    GVC_RUNRESULT_F64_FIELDS(X)
-#undef X
-    Json bd = Json::object();
-#define X(field) bd.set(#field, r.tlb_breakdown.field);
-    GVC_RUNRESULT_BREAKDOWN_FIELDS(X)
-#undef X
-    j.set("tlb_breakdown", std::move(bd));
-    if (!r.kernels.empty()) {
-        Json kernels = Json::array();
-        for (const KernelStats &k : r.kernels) {
-            Json one = Json::object();
-#define X(field) one.set(#field, std::uint64_t(k.field));
-            GVC_KERNELSTAT_FIELDS(X)
-#undef X
-            kernels.push(std::move(one));
-        }
-        j.set("kernels", std::move(kernels));
-    }
-    // The tenant block (and the TLB lifetime histograms, which ride
-    // with it) only appears for multi-tenant runs, so version-1/2
-    // exports stay byte-identical to what older writers produced.
-    if (!r.tenants.empty()) {
-        Json tenants = Json::array();
-        for (const TenantStats &t : r.tenants) {
-            Json one = Json::object();
-            one.set("workload", t.workload);
-            one.set("launches", t.launches);
-            Json stats = Json::object();
-#define X(field) stats.set(#field, std::uint64_t(t.stats.field));
-            GVC_KERNELSTAT_FIELDS(X)
-#undef X
-            one.set("stats", std::move(stats));
-            tenants.push(std::move(one));
-        }
-        j.set("tenants", std::move(tenants));
-        j.set("tenant_context_switches", r.tenant_context_switches);
-        j.set("tenant_storm_pages", r.tenant_storm_pages);
-        j.set("percu_tlb_refs", tlbRefHistToJson(r.percu_tlb_refs));
-        j.set("iommu_tlb_refs", tlbRefHistToJson(r.iommu_tlb_refs));
-    }
-    if (soc)
-        j.set("soc", socConfigToJson(*soc));
-    return j;
-}
-
-Json
-resultRecordToJson(const ResultRecord &rec)
-{
-    const SocConfig effective =
-        rec.cfg.raw_soc ? rec.cfg.soc
-                        : configFor(rec.cfg.design, rec.cfg.soc);
-    Json one = runResultToJson(rec.result, &effective);
-    one.set("workload_params", workloadParamsToJson(rec.cfg.workload));
-    return one;
-}
-
-namespace
-{
 
 std::string
 hexU64(std::uint64_t v)
@@ -772,6 +674,81 @@ parseHexU64(const std::string &s, std::uint64_t &out)
 
 } // namespace
 
+std::string
+tlbPolicyStamp(const SocConfig &soc)
+{
+    std::string stamp;
+    const auto add = [&](const std::string &part) {
+        if (!stamp.empty())
+            stamp += ',';
+        stamp += part;
+    };
+    if (soc.tlb_replacement != kTlbReplLru)
+        add(std::string("repl=") +
+            tlbReplacementName(soc.tlb_replacement));
+    if (soc.percu_tlb_fill_policy != kTlbFillLru)
+        add(std::string("fill=") +
+            tlbFillPolicyName(soc.percu_tlb_fill_policy));
+    if (soc.iommu_tlb_fill_policy != kTlbFillLru)
+        add(std::string("iommu-fill=") +
+            tlbFillPolicyName(soc.iommu_tlb_fill_policy));
+    return stamp;
+}
+
+Json
+socConfigToJson(const SocConfig &soc)
+{
+    Json j = Json::object();
+    forEachSocField(rowWriter(j), soc);
+    return j;
+}
+
+Json
+workloadParamsToJson(const WorkloadParams &p)
+{
+    Json j = Json::object();
+    forEachWorkloadParam(rowWriter(j), p);
+    return j;
+}
+
+Json
+runResultToJson(const RunResult &r, const SocConfig *soc)
+{
+    Json j = Json::object();
+    j.set("workload", r.workload);
+    j.set("design", designName(r.design));
+    forEachResultField(rowWriter(j), r);
+    Json kernels = Json::array();
+    for (const KernelStats &k : r.kernels)
+        kernels.push(kernelStatsToJson(k));
+    j.set("kernels", std::move(kernels));
+    Json tenants = Json::array();
+    for (const TenantStats &t : r.tenants) {
+        Json one = Json::object();
+        one.set("workload", t.workload);
+        one.set("launches", t.launches);
+        one.set("stats", kernelStatsToJson(t.stats));
+        tenants.push(std::move(one));
+    }
+    j.set("tenants", std::move(tenants));
+    j.set("percu_tlb_refs", tlbRefHistToJson(r.percu_tlb_refs));
+    j.set("iommu_tlb_refs", tlbRefHistToJson(r.iommu_tlb_refs));
+    if (soc)
+        j.set("soc", socConfigToJson(*soc));
+    return j;
+}
+
+Json
+resultRecordToJson(const ResultRecord &rec)
+{
+    const SocConfig effective =
+        rec.cfg.raw_soc ? rec.cfg.soc
+                        : configFor(rec.cfg.design, rec.cfg.soc);
+    Json one = runResultToJson(rec.result, &effective);
+    one.set("workload_params", workloadParamsToJson(rec.cfg.workload));
+    return one;
+}
+
 Json
 resultsToJson(const ExportMeta &meta,
               const std::vector<ResultRecord> &records)
@@ -788,58 +765,20 @@ resultsToJson(const ExportMeta &meta,
     grid.set("scale", meta.scale);
     grid.set("seed", meta.seed);
     grid.set("jobs", meta.jobs);
-    // The policy-axis stamp only appears for non-default TLB policies,
-    // so classic exports stay byte-identical.
-    if (!meta.tlb_policy.empty())
-        grid.set("tlb_policy", meta.tlb_policy);
-    if (meta.shard_count > 1) {
-        Json shard = Json::object();
-        shard.set("index", meta.shard_index);
-        shard.set("count", meta.shard_count);
-        // The assignment stamp only appears for non-modulo shard
-        // plans, so classic modulo-sharded exports stay byte-identical.
-        if (!meta.shard_assignment.empty()) {
-            shard.set("assignment", meta.shard_assignment);
-            shard.set("cost_digest", hexU64(meta.shard_cost_digest));
-        }
-        grid.set("shard", std::move(shard));
-    }
-
-    // Schema version 3 exactly when the records carry per-tenant stats,
-    // version 2 exactly when (tenant-free) records carry per-kernel
-    // stats: the record shapes cannot share a document, so a mix is a
-    // bug in the caller, not a new schema.  Tenant records may carry
-    // per-kernel stats or not (a one-slot schedule has no boundaries),
-    // so the kernels-mix check only applies to non-tenant records.
-    bool with_tenants = false, without_tenants = false;
-    bool with_kernels = false, without_kernels = false;
-    for (const auto &rec : records) {
-        if (rec.result.tenants.empty()) {
-            without_tenants = true;
-            if (rec.result.kernels.empty())
-                without_kernels = true;
-            else
-                with_kernels = true;
-        } else {
-            with_tenants = true;
-        }
-    }
-    if (with_tenants && without_tenants)
-        fatal("resultsToJson: cannot mix tenant and non-tenant records "
-              "in one document");
-    if (with_kernels && without_kernels)
-        fatal("resultsToJson: cannot mix records with and without "
-              "per-kernel stats in one document");
+    grid.set("tlb_policy", meta.tlb_policy);
+    Json shard = Json::object();
+    shard.set("index", meta.shard_index);
+    shard.set("count", meta.shard_count);
+    shard.set("assignment", meta.shard_assignment);
+    shard.set("cost_digest", hexU64(meta.shard_cost_digest));
+    grid.set("shard", std::move(shard));
 
     Json results = Json::array();
     for (const auto &rec : records)
         results.push(resultRecordToJson(rec));
 
     Json doc = Json::object();
-    doc.set("schema_version",
-            with_tenants  ? kResultsSchemaVersionTenants
-            : with_kernels ? kResultsSchemaVersionKernels
-                           : kResultsSchemaVersion);
+    doc.set("schema_version", kResultsSchemaVersion);
     doc.set("generator", meta.generator);
     doc.set("grid", std::move(grid));
     doc.set("results", std::move(results));
@@ -852,6 +791,14 @@ resultsToJson(const ExportMeta &meta,
 
 namespace
 {
+
+/** The error suffix for an integer field holding anything else. */
+std::string
+notAnInteger(std::uint64_t max)
+{
+    return ": expected a non-negative decimal integer no larger than " +
+           std::to_string(max);
+}
 
 /**
  * Strict field extraction with dotted-path error messages.  Every
@@ -871,280 +818,198 @@ struct Importer
     }
 
     const Json *
-    get(const Json &obj, const char *key, const std::string &ctx)
+    get(const Json &obj, std::string_view key, const std::string &ctx)
     {
         const Json *v = obj.find(key);
         if (!v)
-            fail(ctx + ": missing field '" + key + "'");
+            fail(ctx + ": missing field '" + std::string(key) + "'");
+        return v;
+    }
+
+    const Json *
+    getObject(const Json &obj, std::string_view key,
+              const std::string &ctx)
+    {
+        const Json *v = get(obj, key, ctx);
+        if (v && !v->isObject()) {
+            fail(ctx + "." + std::string(key) + ": expected an object");
+            return nullptr;
+        }
         return v;
     }
 
     bool
-    getU64(const Json &obj, const char *key, const std::string &ctx,
-           std::uint64_t &out)
-    {
-        const Json *v = get(obj, key, ctx);
-        if (!v)
-            return false;
-        if (!v->isNumber())
-            return fail(ctx + "." + key + ": expected a number");
-        out = v->asU64();
-        return true;
-    }
-
-    bool
-    getUnsigned(const Json &obj, const char *key,
-                const std::string &ctx, unsigned &out)
-    {
-        std::uint64_t v = 0;
-        if (!getU64(obj, key, ctx, v))
-            return false;
-        if (v > 0xffffffffull)
-            return fail(ctx + "." + key + ": value out of range");
-        out = unsigned(v);
-        return true;
-    }
-
-    bool
-    getNumber(const Json &obj, const char *key, const std::string &ctx,
-              double &out)
-    {
-        const Json *v = get(obj, key, ctx);
-        if (!v)
-            return false;
-        if (!v->isNumber())
-            return fail(ctx + "." + key + ": expected a number");
-        out = v->asNumber();
-        return true;
-    }
-
-    bool
-    getBool(const Json &obj, const char *key, const std::string &ctx,
-            bool &out)
-    {
-        const Json *v = get(obj, key, ctx);
-        if (!v)
-            return false;
-        if (v->type() != Json::Type::kBool)
-            return fail(ctx + "." + key + ": expected a bool");
-        out = v->asBool();
-        return true;
-    }
-
-    bool
-    getString(const Json &obj, const char *key, const std::string &ctx,
-              std::string &out)
+    getString(const Json &obj, std::string_view key,
+              const std::string &ctx, std::string &out)
     {
         const Json *v = get(obj, key, ctx);
         if (!v)
             return false;
         if (!v->isString())
-            return fail(ctx + "." + key + ": expected a string");
+            return fail(ctx + "." + std::string(key) +
+                        ": expected a string");
         out = v->asString();
         return true;
     }
 
     /**
-     * Optional variants: absent keys keep @p out at its default (they
-     * exist for the reach-stack additions, which older documents —
-     * and classic-design records — legitimately omit).
+     * Read table row @p path of @p obj ("a.b" descends into object
+     * "a") into @p out, by the field's type: bools, numbers, and
+     * unsigned integers or enums within the field's range.
      */
+    template <class T>
     bool
-    optU64(const Json &obj, const char *key, const std::string &ctx,
-           std::uint64_t &out)
+    read(const Json &obj, std::string_view path, const std::string &ctx,
+         T &out)
     {
-        const Json *v = obj.find(key);
-        if (!v)
-            return true;
-        if (!v->isNumber())
-            return fail(ctx + "." + key + ": expected a number");
-        out = v->asU64();
-        return true;
-    }
-
-    bool
-    optUnsigned(const Json &obj, const char *key,
-                const std::string &ctx, unsigned &out)
-    {
-        const Json *v = obj.find(key);
-        if (!v)
-            return true;
-        std::uint64_t u = 0;
-        if (!getU64(obj, key, ctx, u))
-            return false;
-        if (u > 0xffffffffull)
-            return fail(ctx + "." + key + ": value out of range");
-        out = unsigned(u);
-        return true;
-    }
-
-    bool
-    optBool(const Json &obj, const char *key, const std::string &ctx,
-            bool &out)
-    {
-        const Json *v = obj.find(key);
-        if (!v)
-            return true;
-        if (v->type() != Json::Type::kBool)
-            return fail(ctx + "." + key + ": expected a bool");
-        out = v->asBool();
-        return true;
-    }
-
-    const Json *
-    getObject(const Json &obj, const char *key, const std::string &ctx)
-    {
-        const Json *v = get(obj, key, ctx);
-        if (!v)
-            return nullptr;
-        if (!v->isObject()) {
-            fail(ctx + "." + key + ": expected an object");
-            return nullptr;
+        const std::size_t dot = path.find('.');
+        if (dot != std::string_view::npos) {
+            const std::string_view key = path.substr(0, dot);
+            const Json *child = getObject(obj, key, ctx);
+            return child && read(*child, path.substr(dot + 1),
+                                 ctx + "." + std::string(key), out);
         }
-        return v;
+        const Json *v = get(obj, path, ctx);
+        if (!v)
+            return false;
+        const auto where = [&] { return ctx + "." + std::string(path); };
+        if constexpr (std::is_same_v<T, bool>) {
+            if (v->type() != Json::Type::kBool)
+                return fail(where() + ": expected a bool");
+            out = v->asBool();
+        } else if constexpr (std::is_floating_point_v<T>) {
+            if (!v->isNumber())
+                return fail(where() + ": expected a number");
+            out = v->asNumber();
+        } else {
+            using U = typename std::conditional_t<
+                std::is_enum_v<T>, std::underlying_type<T>,
+                std::type_identity<T>>::type;
+            const std::uint64_t max = std::numeric_limits<U>::max();
+            std::uint64_t u = 0;
+            if (!v->toU64(u, max))
+                return fail(where() + notAnInteger(max));
+            out = T(u);
+        }
+        return true;
+    }
+
+    bool
+    tenantFieldTooOld(const std::string &where)
+    {
+        return fail(where + ": tenant stats require schema_version " +
+                    std::to_string(kResultsSchemaVersionTenants));
+    }
+};
+
+/**
+ * A table visitor reading each row of @p j into one object under the
+ * document version's rules: v1–v3 default the rows their writers
+ * omitted while zero (kFieldLegacyOptional), and v1/v2 must not carry
+ * tenant rows.  The first failure sticks in `ok`.
+ */
+struct RowReader
+{
+    Importer &imp;
+    const Json &j;
+    const std::string &ctx;
+    int version;
+    bool ok = true;
+
+    template <class T>
+    void
+    operator()(const char *name, unsigned flags, T &field)
+    {
+        if (!ok)
+            return;
+        if (version < kResultsSchemaVersion) {
+            if ((flags & kFieldTenant) &&
+                version < kResultsSchemaVersionTenants) {
+                ok = !j.find(name) ||
+                     imp.tenantFieldTooOld(ctx + "." + name);
+                return;
+            }
+            if ((flags & kFieldLegacyOptional) && !j.find(name))
+                return;
+        }
+        ok = imp.read(j, name, ctx, field);
     }
 };
 
 bool
-socConfigFromJson(Importer &imp, const Json &j, const std::string &ctx,
-                  SocConfig &soc)
+kernelStatsFromJson(Importer &imp, const Json &j, const std::string &ctx,
+                    KernelStats &out)
 {
-    const Json *gpu = imp.getObject(j, "gpu", ctx);
-    if (!gpu)
-        return false;
-    const std::string gctx = ctx + ".gpu";
-    unsigned sched = 0;
-    if (!imp.getUnsigned(*gpu, "num_cus", gctx, soc.gpu.num_cus) ||
-        !imp.getUnsigned(*gpu, "max_resident_warps", gctx,
-                         soc.gpu.max_resident_warps) ||
-        !imp.getU64(*gpu, "scratchpad_latency", gctx,
-                    soc.gpu.scratchpad_latency) ||
-        !imp.getUnsigned(*gpu, "max_outstanding_stores", gctx,
-                         soc.gpu.max_outstanding_stores) ||
-        !imp.getUnsigned(*gpu, "sched", gctx, sched))
-        return false;
-    soc.gpu.sched = WarpSchedPolicy(sched);
-
-    if (!imp.getU64(j, "l1_size", ctx, soc.l1_size) ||
-        !imp.getUnsigned(j, "l1_assoc", ctx, soc.l1_assoc) ||
-        !imp.getU64(j, "l2_size", ctx, soc.l2_size) ||
-        !imp.getUnsigned(j, "l2_assoc", ctx, soc.l2_assoc) ||
-        !imp.getUnsigned(j, "l2_banks", ctx, soc.l2_banks) ||
-        !imp.getU64(j, "l1_latency", ctx, soc.l1_latency) ||
-        !imp.getU64(j, "cu_to_l2", ctx, soc.cu_to_l2) ||
-        !imp.getU64(j, "l2_latency", ctx, soc.l2_latency) ||
-        !imp.getU64(j, "l2_to_dir", ctx, soc.l2_to_dir) ||
-        !imp.getU64(j, "dir_latency", ctx, soc.dir_latency) ||
-        !imp.getU64(j, "cu_to_iommu", ctx, soc.cu_to_iommu) ||
-        !imp.getU64(j, "l2_to_iommu", ctx, soc.l2_to_iommu) ||
-        !imp.getU64(j, "fbt_latency", ctx, soc.fbt_latency) ||
-        !imp.getU64(j, "percu_tlb_latency", ctx,
-                    soc.percu_tlb_latency) ||
-        !imp.getUnsigned(j, "percu_tlb_entries", ctx,
-                         soc.percu_tlb_entries) ||
-        !imp.getUnsigned(j, "percu_tlb_assoc", ctx,
-                         soc.percu_tlb_assoc) ||
-        !imp.getBool(j, "percu_tlb_infinite", ctx,
-                     soc.percu_tlb_infinite))
-        return false;
-    if (!imp.optUnsigned(j, "percu_tlb_fill_policy", ctx,
-                         soc.percu_tlb_fill_policy) ||
-        !imp.optUnsigned(j, "iommu_tlb_fill_policy", ctx,
-                         soc.iommu_tlb_fill_policy) ||
-        !imp.optUnsigned(j, "tlb_replacement", ctx,
-                         soc.tlb_replacement) ||
-        !imp.optUnsigned(j, "tlb_max_reach", ctx, soc.tlb_max_reach) ||
-        !imp.optBool(j, "tlb_merge_on_insert", ctx,
-                     soc.tlb_merge_on_insert) ||
-        !imp.optUnsigned(j, "coalesce_max_reach", ctx,
-                         soc.coalesce_max_reach) ||
-        !imp.optBool(j, "victima_stash", ctx, soc.victima_stash) ||
-        !imp.optUnsigned(j, "vm_page_policy", ctx, soc.vm_page_policy))
-        return false;
-
-    const Json *iommu = imp.getObject(j, "iommu", ctx);
-    if (!iommu)
-        return false;
-    const std::string ictx = ctx + ".iommu";
-    if (!imp.getUnsigned(*iommu, "tlb_entries", ictx,
-                         soc.iommu.tlb_entries) ||
-        !imp.getUnsigned(*iommu, "tlb_assoc", ictx,
-                         soc.iommu.tlb_assoc) ||
-        !imp.getBool(*iommu, "tlb_infinite", ictx,
-                     soc.iommu.tlb_infinite) ||
-        !imp.getNumber(*iommu, "accesses_per_cycle", ictx,
-                       soc.iommu.accesses_per_cycle) ||
-        !imp.getBool(*iommu, "unlimited_bw", ictx,
-                     soc.iommu.unlimited_bw) ||
-        !imp.getUnsigned(*iommu, "banks", ictx, soc.iommu.banks) ||
-        !imp.getUnsigned(*iommu, "bank_select_shift", ictx,
-                         soc.iommu.bank_select_shift) ||
-        !imp.getU64(*iommu, "tlb_latency", ictx,
-                    soc.iommu.tlb_latency) ||
-        !imp.getU64(*iommu, "second_level_latency", ictx,
-                    soc.iommu.second_level_latency) ||
-        !imp.getU64(*iommu, "fault_latency", ictx,
-                    soc.iommu.fault_latency) ||
-        !imp.getU64(*iommu, "sample_window", ictx,
-                    soc.iommu.sample_window))
-        return false;
-    const Json *ptw = imp.getObject(*iommu, "ptw", ictx);
-    if (!ptw)
-        return false;
-    const std::string pctx = ictx + ".ptw";
-    if (!imp.getUnsigned(*ptw, "max_concurrent", pctx,
-                         soc.iommu.ptw.max_concurrent) ||
-        !imp.getU64(*ptw, "pwc_hit_latency", pctx,
-                    soc.iommu.ptw.pwc_hit_latency) ||
-        !imp.getU64(*ptw, "dispatch_latency", pctx,
-                    soc.iommu.ptw.dispatch_latency))
-        return false;
-
-    const Json *fbt = imp.getObject(j, "fbt", ctx);
-    if (!fbt)
-        return false;
-    const std::string fctx = ctx + ".fbt";
-    if (!imp.getUnsigned(*fbt, "entries", fctx, soc.fbt.entries) ||
-        !imp.getUnsigned(*fbt, "bt_assoc", fctx, soc.fbt.bt_assoc) ||
-        !imp.getUnsigned(*fbt, "ft_assoc", fctx, soc.fbt.ft_assoc) ||
-        !imp.getBool(*fbt, "split_large_pages", fctx,
-                     soc.fbt.split_large_pages))
-        return false;
-
-    const Json *dram = imp.getObject(j, "dram", ctx);
-    if (!dram)
-        return false;
-    const std::string dctx = ctx + ".dram";
-    if (!imp.getU64(*dram, "access_latency", dctx,
-                    soc.dram.access_latency) ||
-        !imp.getNumber(*dram, "bytes_per_cycle", dctx,
-                       soc.dram.bytes_per_cycle))
-        return false;
-
-    return imp.getBool(j, "fbt_as_second_level_tlb", ctx,
-                       soc.fbt_as_second_level_tlb) &&
-           imp.getUnsigned(j, "synonym_remap_entries", ctx,
-                           soc.synonym_remap_entries) &&
-           imp.getNumber(j, "cu_injection_rate", ctx,
-                         soc.cu_injection_rate) &&
-           imp.getU64(j, "phys_mem_bytes", ctx, soc.phys_mem_bytes) &&
-           imp.getBool(j, "track_lifetimes", ctx,
-                       soc.track_lifetimes) &&
-           imp.getBool(j, "classify_tlb_misses", ctx,
-                       soc.classify_tlb_misses);
+    if (!j.isObject())
+        return imp.fail(ctx + ": expected an object");
+    bool ok = true;
+    forEachKernelStat(
+        [&](const char *name, std::uint64_t &v) {
+            ok = ok && imp.read(j, name, ctx, v);
+        },
+        out);
+    return ok;
 }
 
 bool
-workloadParamsFromJson(Importer &imp, const Json &j,
-                       const std::string &ctx, WorkloadParams &p)
+tenantStatsFromJson(Importer &imp, const Json &j, const std::string &ctx,
+                    TenantStats &out)
 {
-    unsigned graph = 0;
-    if (!imp.getNumber(j, "scale", ctx, p.scale) ||
-        !imp.getU64(j, "seed", ctx, p.seed) ||
-        !imp.getUnsigned(j, "grid_warps", ctx, p.grid_warps) ||
-        !imp.getUnsigned(j, "graph", ctx, graph))
+    if (!j.isObject())
+        return imp.fail(ctx + ": expected an object");
+    if (!imp.getString(j, "workload", ctx, out.workload) ||
+        !imp.read(j, "launches", ctx, out.launches))
         return false;
-    p.graph = GraphKind(graph);
+    const Json *stats = imp.getObject(j, "stats", ctx);
+    return stats &&
+           kernelStatsFromJson(imp, *stats, ctx + ".stats", out.stats);
+}
+
+bool
+tlbRefHistFromJson(Importer &imp, const Json &j, const char *key,
+                   const std::string &ctx, TlbRefHist &out)
+{
+    const Json *h = imp.getObject(j, key, ctx);
+    if (!h)
+        return false;
+    const std::string hctx = ctx + "." + key;
+    const Json *buckets = h->find("buckets");
+    if (!buckets || !buckets->isArray() ||
+        buckets->size() != TlbRefHist::kBuckets)
+        return imp.fail(hctx + ".buckets: expected an array of " +
+                        std::to_string(TlbRefHist::kBuckets) +
+                        " numbers");
+    for (std::size_t b = 0; b < buckets->size(); ++b) {
+        if (!buckets->at(b).toU64(out.buckets[b]))
+            return imp.fail(hctx + ".buckets[" + std::to_string(b) + "]" +
+                            notAnInteger(~std::uint64_t(0)));
+    }
+    return imp.read(*h, "retired", hctx, out.retired) &&
+           imp.read(*h, "dead", hctx, out.dead);
+}
+
+/**
+ * Read the array @p key of @p j element by element with @p one; the
+ * v2/v3 arrays additionally had to be non-empty.
+ */
+template <class T, class Fn>
+bool
+arrayFromJson(Importer &imp, const Json &j, const char *key,
+              const std::string &ctx, bool non_empty, std::vector<T> &out,
+              Fn one)
+{
+    const std::string actx = ctx + "." + key;
+    const Json *a = j.find(key);
+    if (!a || !a->isArray() || (non_empty && a->size() == 0))
+        return imp.fail(actx + (non_empty ? ": expected a non-empty array"
+                                          : ": expected an array"));
+    for (std::size_t i = 0; i < a->size(); ++i) {
+        T item;
+        if (!one(imp, a->at(i), actx + "[" + std::to_string(i) + "]",
+                 item))
+            return false;
+        out.push_back(std::move(item));
+    }
     return true;
 }
 
@@ -1162,148 +1027,64 @@ resultRecordFromJson(Importer &imp, const Json &j,
         return imp.fail(ctx + ": unknown design '" + design + "'");
     rec.cfg.design = rec.result.design;
 
-#define X(field)                                                        \
-    {                                                                   \
-        std::uint64_t v = 0;                                            \
-        if (!imp.getU64(j, #field, ctx, v))                             \
-            return false;                                               \
-        rec.result.field = v;                                           \
-    }
-    GVC_RUNRESULT_U64_FIELDS(X)
-#undef X
-#define X(field)                                                        \
-    {                                                                   \
-        std::uint64_t v = 0;                                            \
-        if (!imp.optU64(j, #field, ctx, v))                             \
-            return false;                                               \
-        rec.result.field = v;                                           \
-    }
-    GVC_RUNRESULT_U64_OPT_FIELDS(X)
-#undef X
-#define X(field)                                                        \
-    if (!imp.getNumber(j, #field, ctx, rec.result.field))               \
+    // Per-kernel stats: always an array in v4; v1 predates them, v2
+    // requires them in every record, and a v3 (tenant) record may go
+    // either way — a one-slot schedule has no boundaries.
+    const bool legacy = version < kResultsSchemaVersion;
+    const bool kernels = j.find("kernels");
+    if (kernels && version == kResultsSchemaVersionPlain)
+        return imp.fail(ctx + ".kernels: per-kernel stats require "
+                              "schema_version " +
+                        std::to_string(kResultsSchemaVersionKernels));
+    if ((kernels || version == kResultsSchemaVersionKernels ||
+         !legacy) &&
+        !arrayFromJson(imp, j, "kernels", ctx, legacy, rec.result.kernels,
+                       kernelStatsFromJson))
         return false;
-    GVC_RUNRESULT_F64_FIELDS(X)
-#undef X
 
-    const Json *bd = imp.getObject(j, "tlb_breakdown", ctx);
-    if (!bd)
-        return false;
-#define X(field)                                                        \
-    if (!imp.getU64(*bd, #field, ctx + ".tlb_breakdown",               \
-                    rec.result.tlb_breakdown.field))                    \
-        return false;
-    GVC_RUNRESULT_BREAKDOWN_FIELDS(X)
-#undef X
-
-    // Per-kernel stats are schema-versioned: a version-2 record must
-    // carry them, a version-1 record must not, and a version-3 (tenant)
-    // record may go either way — a one-slot schedule has no boundaries
-    // — but what it carries must still validate.
-    const Json *kernels = j.find("kernels");
-    if (version == kResultsSchemaVersion) {
-        if (kernels)
-            return imp.fail(ctx + ".kernels: per-kernel stats require "
-                                  "schema_version " +
-                            std::to_string(kResultsSchemaVersionKernels));
-    } else if (kernels || version == kResultsSchemaVersionKernels) {
-        if (!kernels || !kernels->isArray() || kernels->size() == 0)
-            return imp.fail(ctx + ".kernels: expected a non-empty array");
-        for (std::size_t k = 0; k < kernels->size(); ++k) {
-            const std::string kctx =
-                ctx + ".kernels[" + std::to_string(k) + "]";
-            if (!kernels->at(k).isObject())
-                return imp.fail(kctx + ": expected an object");
-            KernelStats ks;
-#define X(field)                                                        \
-    if (!imp.getU64(kernels->at(k), #field, kctx, ks.field))            \
-        return false;
-            GVC_KERNELSTAT_FIELDS(X)
-#undef X
-            rec.result.kernels.push_back(ks);
-        }
-    }
-
-    // The tenant block: required in full for version 3, rejected
-    // outright below it.
-    if (version < kResultsSchemaVersionTenants) {
+    // The tenant block: always present from v3 on (v3: non-empty),
+    // rejected outright below it.
+    const bool tenant_block = version >= kResultsSchemaVersionTenants;
+    if (!tenant_block) {
         for (const char *key :
-             {"tenants", "tenant_context_switches", "tenant_storm_pages",
-              "percu_tlb_refs", "iommu_tlb_refs"}) {
+             {"tenants", "percu_tlb_refs", "iommu_tlb_refs"})
             if (j.find(key))
-                return imp.fail(ctx + "." + key +
-                                ": tenant stats require schema_version " +
-                                std::to_string(
-                                    kResultsSchemaVersionTenants));
-        }
-    } else {
-        const Json *tenants = j.find("tenants");
-        if (!tenants || !tenants->isArray() || tenants->size() == 0)
-            return imp.fail(ctx + ".tenants: expected a non-empty array");
-        for (std::size_t t = 0; t < tenants->size(); ++t) {
-            const std::string tctx =
-                ctx + ".tenants[" + std::to_string(t) + "]";
-            if (!tenants->at(t).isObject())
-                return imp.fail(tctx + ": expected an object");
-            TenantStats ts;
-            if (!imp.getString(tenants->at(t), "workload", tctx,
-                               ts.workload) ||
-                !imp.getU64(tenants->at(t), "launches", tctx,
-                            ts.launches))
-                return false;
-            const Json *stats =
-                imp.getObject(tenants->at(t), "stats", tctx);
-            if (!stats)
-                return false;
-#define X(field)                                                        \
-    if (!imp.getU64(*stats, #field, tctx + ".stats", ts.stats.field))   \
+                return imp.tenantFieldTooOld(ctx + "." + key);
+    } else if (!arrayFromJson(imp, j, "tenants", ctx, legacy,
+                              rec.result.tenants, tenantStatsFromJson)) {
         return false;
-            GVC_KERNELSTAT_FIELDS(X)
-#undef X
-            rec.result.tenants.push_back(std::move(ts));
-        }
-        if (!imp.getU64(j, "tenant_context_switches", ctx,
-                        rec.result.tenant_context_switches) ||
-            !imp.getU64(j, "tenant_storm_pages", ctx,
-                        rec.result.tenant_storm_pages))
-            return false;
-        const auto ref_hist = [&](const char *key, TlbRefHist &out) {
-            const Json *h = imp.getObject(j, key, ctx);
-            if (!h)
-                return false;
-            const std::string hctx = ctx + "." + key;
-            const Json *buckets = h->find("buckets");
-            if (!buckets || !buckets->isArray() ||
-                buckets->size() != TlbRefHist::kBuckets)
-                return imp.fail(hctx + ".buckets: expected an array of " +
-                                std::to_string(TlbRefHist::kBuckets) +
-                                " numbers");
-            for (std::size_t b = 0; b < buckets->size(); ++b) {
-                if (!buckets->at(b).isNumber())
-                    return imp.fail(hctx + ".buckets[" +
-                                    std::to_string(b) +
-                                    "]: expected a number");
-                out.buckets[b] = buckets->at(b).asU64();
-            }
-            return imp.getU64(*h, "retired", hctx, out.retired) &&
-                   imp.getU64(*h, "dead", hctx, out.dead);
-        };
-        if (!ref_hist("percu_tlb_refs", rec.result.percu_tlb_refs) ||
-            !ref_hist("iommu_tlb_refs", rec.result.iommu_tlb_refs))
-            return false;
     }
+
+    RowReader scalars{imp, j, ctx, version};
+    forEachResultField(scalars, rec.result);
+    if (!scalars.ok)
+        return false;
+    if (tenant_block &&
+        (!tlbRefHistFromJson(imp, j, "percu_tlb_refs", ctx,
+                             rec.result.percu_tlb_refs) ||
+         !tlbRefHistFromJson(imp, j, "iommu_tlb_refs", ctx,
+                             rec.result.iommu_tlb_refs)))
+        return false;
 
     const Json *soc = imp.getObject(j, "soc", ctx);
-    if (!soc || !socConfigFromJson(imp, *soc, ctx + ".soc", rec.cfg.soc))
+    if (!soc)
+        return false;
+    const std::string soc_ctx = ctx + ".soc";
+    RowReader soc_rows{imp, *soc, soc_ctx, version};
+    forEachSocField(soc_rows, rec.cfg.soc);
+    if (!soc_rows.ok)
         return false;
     // The document stores the *effective* config; raw_soc makes the
     // re-exported "soc" object reproduce it byte-for-byte.
     rec.cfg.raw_soc = true;
 
     const Json *params = imp.getObject(j, "workload_params", ctx);
-    return params && workloadParamsFromJson(imp, *params,
-                                            ctx + ".workload_params",
-                                            rec.cfg.workload);
+    if (!params)
+        return false;
+    const std::string params_ctx = ctx + ".workload_params";
+    RowReader param_rows{imp, *params, params_ctx, version};
+    forEachWorkloadParam(param_rows, rec.cfg.workload);
+    return param_rows.ok;
 }
 
 bool
@@ -1322,23 +1103,18 @@ stringList(Importer &imp, const Json &arr, const std::string &ctx,
 } // namespace
 
 bool
-resultRecordFromJson(const Json &j, ResultRecord &rec, std::string *err)
+resultRecordFromJson(const Json &j, ResultRecord &rec, std::string *err,
+                     int version)
 {
     Importer imp;
     rec = ResultRecord{};
-    const auto done = [&](bool ok) {
-        if (!ok && err)
-            *err = imp.err;
-        return ok;
-    };
-    if (!j.isObject())
-        return done(imp.fail("record: expected a JSON object"));
-    // Infer the schema version from the record's own shape: the three
-    // versions differ only in which per-record blocks they carry.
-    const int version = j.find("tenants")   ? kResultsSchemaVersionTenants
-                        : j.find("kernels") ? kResultsSchemaVersionKernels
-                                            : kResultsSchemaVersion;
-    return done(resultRecordFromJson(imp, j, "record", version, rec));
+    const bool ok = j.isObject()
+                        ? resultRecordFromJson(imp, j, "record", version,
+                                               rec)
+                        : imp.fail("record: expected a JSON object");
+    if (!ok && err)
+        *err = imp.err;
+    return ok;
 }
 
 bool
@@ -1357,18 +1133,16 @@ resultsFromJson(const Json &doc, ExportMeta &meta,
     if (!doc.isObject())
         return done(imp.fail("document: expected a JSON object"));
     std::uint64_t version = 0;
-    if (!imp.getU64(doc, "schema_version", "document", version))
+    if (!imp.read(doc, "schema_version", "document", version))
         return done(false);
-    if (version != std::uint64_t(kResultsSchemaVersion) &&
-        version != std::uint64_t(kResultsSchemaVersionKernels) &&
-        version != std::uint64_t(kResultsSchemaVersionTenants))
+    if (version < std::uint64_t(kResultsSchemaVersionPlain) ||
+        version > std::uint64_t(kResultsSchemaVersion))
         return done(imp.fail(
             "unsupported schema_version " + std::to_string(version) +
             " (expected " + std::to_string(kResultsSchemaVersion) +
-            ", " + std::to_string(kResultsSchemaVersionKernels) +
-            ", or " + std::to_string(kResultsSchemaVersionTenants) +
-            ")"));
+            ", or 1-3 for import-only legacy documents)"));
     meta.schema_version = int(version);
+    const bool legacy = meta.schema_version < kResultsSchemaVersion;
     if (!imp.getString(doc, "generator", "document", meta.generator))
         return done(false);
 
@@ -1385,25 +1159,24 @@ resultsFromJson(const Json &doc, ExportMeta &meta,
                     meta.workloads) ||
         !stringList(imp, *designs, "grid.designs", meta.designs))
         return done(false);
-    if (!imp.getNumber(*grid, "scale", "grid", meta.scale) ||
-        !imp.getU64(*grid, "seed", "grid", meta.seed) ||
-        !imp.getUnsigned(*grid, "jobs", "grid", meta.jobs))
+    if (!imp.read(*grid, "scale", "grid", meta.scale) ||
+        !imp.read(*grid, "seed", "grid", meta.seed) ||
+        !imp.read(*grid, "jobs", "grid", meta.jobs))
         return done(false);
-    if (grid->find("tlb_policy")) {
-        if (!imp.getString(*grid, "tlb_policy", "grid",
-                           meta.tlb_policy))
+    // v1–v3 writers omitted the default policy stamp, the shard object
+    // of unsharded runs, and the modulo assignment stamp.
+    if (!legacy || grid->find("tlb_policy")) {
+        if (!imp.getString(*grid, "tlb_policy", "grid", meta.tlb_policy))
             return done(false);
-        if (meta.tlb_policy.empty())
+        if (legacy && meta.tlb_policy.empty())
             return done(imp.fail("grid.tlb_policy: expected a "
                                  "non-empty policy stamp"));
     }
-    if (grid->find("shard")) {
+    if (!legacy || grid->find("shard")) {
         const Json *shard = imp.getObject(*grid, "shard", "grid");
         if (!shard ||
-            !imp.getUnsigned(*shard, "index", "grid.shard",
-                             meta.shard_index) ||
-            !imp.getUnsigned(*shard, "count", "grid.shard",
-                             meta.shard_count))
+            !imp.read(*shard, "index", "grid.shard", meta.shard_index) ||
+            !imp.read(*shard, "count", "grid.shard", meta.shard_count))
             return done(false);
         if (meta.shard_count == 0 ||
             meta.shard_index >= meta.shard_count)
@@ -1412,19 +1185,24 @@ resultsFromJson(const Json &doc, ExportMeta &meta,
                 std::to_string(meta.shard_index) +
                 " out of range for count " +
                 std::to_string(meta.shard_count)));
-        if (shard->find("assignment")) {
+        if (!legacy || shard->find("assignment")) {
             std::string digest;
             if (!imp.getString(*shard, "assignment", "grid.shard",
                                meta.shard_assignment) ||
                 !imp.getString(*shard, "cost_digest", "grid.shard",
                                digest))
                 return done(false);
-            if (meta.shard_assignment.empty())
+            if (legacy && meta.shard_assignment.empty())
                 return done(imp.fail("grid.shard.assignment: expected a "
                                      "non-empty strategy name"));
             if (!parseHexU64(digest, meta.shard_cost_digest))
                 return done(imp.fail("grid.shard.cost_digest: expected "
                                      "16 lowercase hex digits"));
+            // "" is modulo striping, which no cost model drives.
+            if (meta.shard_assignment.empty() && meta.shard_cost_digest)
+                return done(imp.fail("grid.shard.assignment: modulo "
+                                     "(empty) with a nonzero "
+                                     "cost_digest"));
         }
     }
 
@@ -1504,8 +1282,7 @@ mergeResults(const std::vector<Json> &shards, Json &merged,
                             " differs from shard 0's " +
                             std::to_string(meta.schema_version) +
                             "; shards of different schema versions "
-                            "(per-kernel / per-tenant stats) cannot "
-                            "merge");
+                            "cannot merge");
             if (m.generator != meta.generator)
                 return fail(who + ": generator '" + m.generator +
                             "' differs from shard 0's '" +
@@ -1620,14 +1397,10 @@ std::string
 resultsCsvHeader()
 {
     std::string h = "workload,design";
-#define X(field) h += "," #field;
-    GVC_RUNRESULT_U64_FIELDS(X)
-    GVC_RUNRESULT_U64_OPT_FIELDS(X)
-    GVC_RUNRESULT_F64_FIELDS(X)
-#undef X
-#define X(field) h += ",tlb_breakdown." #field;
-    GVC_RUNRESULT_BREAKDOWN_FIELDS(X)
-#undef X
+    forEachResultField([&](const char *name, unsigned flags) {
+        if (!(flags & kFieldTenant))
+            h += std::string(",") + name;
+    });
     return h;
 }
 
@@ -1636,28 +1409,13 @@ resultsCsvRow(const RunResult &r)
 {
     // Design names contain spaces but no commas/quotes, so plain
     // unquoted CSV cells are sufficient.
-    std::string row = r.workload;
-    row += ',';
-    row += designName(r.design);
-    char buf[40];
-#define X(field)                                                        \
-    std::snprintf(buf, sizeof(buf), ",%llu",                            \
-                  (unsigned long long)(r.field));                       \
-    row += buf;
-    GVC_RUNRESULT_U64_FIELDS(X)
-    GVC_RUNRESULT_U64_OPT_FIELDS(X)
-#undef X
-#define X(field)                                                        \
-    row += ',';                                                         \
-    row += doubleLexeme(r.field);
-    GVC_RUNRESULT_F64_FIELDS(X)
-#undef X
-#define X(field)                                                        \
-    std::snprintf(buf, sizeof(buf), ",%llu",                            \
-                  (unsigned long long)(r.tlb_breakdown.field));         \
-    row += buf;
-    GVC_RUNRESULT_BREAKDOWN_FIELDS(X)
-#undef X
+    std::string row = r.workload + "," + designName(r.design);
+    forEachResultField(
+        [&](const char *, unsigned flags, const auto &v) {
+            if (!(flags & kFieldTenant))
+                row += "," + fieldToJson(v).dump();
+        },
+        r);
     return row;
 }
 

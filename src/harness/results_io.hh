@@ -10,33 +10,45 @@
  * losslessly: a Json number keeps its exact lexeme, so a 64-bit tick
  * count survives write -> parse -> write byte-identically.
  *
- * Schema (version 1):
+ * Schema (version 4) — every record has the same shape, and the writer
+ * emits nothing conditionally:
  *   {
- *     "schema_version": 1,
+ *     "schema_version": 4,
  *     "generator": "<tool name>",
  *     "grid": { "workloads": [...], "designs": [...],
- *               "scale": F, "seed": N, "jobs": N },
+ *               "scale": F, "seed": N, "jobs": N,
+ *               "tlb_policy": "<stamp, '' for the defaults>",
+ *               "shard": { "index": N, "count": N,
+ *                          "assignment": "<'' = modulo, or 'lpt'>",
+ *                          "cost_digest": "<16 hex digits>" } },
  *     "results": [ { "workload": "...", "design": "...",
- *                    "exec_ticks": N, ... , "soc": {...} }, ... ]
+ *                    <every forEachResultField() row>,
+ *                    "kernels": [ {<KernelStats>}, ... ],
+ *                    "tenants": [ {"workload", "launches",
+ *                                  "stats": {<KernelStats>}}, ... ],
+ *                    "percu_tlb_refs": {<TlbRefHist>},
+ *                    "iommu_tlb_refs": {<TlbRefHist>},
+ *                    "soc": {<every SocConfig table row>},
+ *                    "workload_params": {...} }, ... ]
  *   }
  *
- * Schema version 2 is version 1 plus a per-record "kernels" array (one
- * object of KernelStats counters per kernel of a multi-kernel scenario
- * run).  A document is stamped version 2 exactly when its records carry
- * per-kernel stats, so exports of plain runs stay byte-identical to the
- * version-1 schema; mixing records with and without per-kernel stats in
- * one document is an error.
+ * "kernels" and "tenants" are always present and empty for runs
+ * without per-kernel or per-tenant stats.  Each record type is
+ * serialized from one field table (forEachRunCounter,
+ * forEachKernelStat, forEachResultField, and the SocConfig and
+ * WorkloadParams tables in results_io.cc) that JSON export, JSON
+ * import, CSV, and the bench counters all iterate, so a new counter is
+ * one RunResult member plus one table row.
  *
- * Schema version 3 is the multi-tenant shape: each record additionally
- * carries a non-empty "tenants" array (workload, launches, and one
- * KernelStats object per tenant — the per-tenant deltas, which sum
- * field-exactly to the record's cumulative totals), the
- * "tenant_context_switches" / "tenant_storm_pages" counters, and the
- * "percu_tlb_refs" / "iommu_tlb_refs" TLB entry-lifetime histograms.
- * A document is stamped version 3 exactly when its records carry
- * tenant stats (the "kernels" array is then optional per record), so
- * version-1/2 exports stay byte-identical; mixing tenant and
- * non-tenant records in one document is an error, and shards of
+ * Versions 1–3 are import-only.  Their writers omitted fields: v1 is a
+ * plain record, v2 adds a non-empty "kernels" array to every record,
+ * v3 adds the tenant block ("tenants" non-empty, the tenant counters,
+ * both *_tlb_refs histograms; "kernels" optional) to every record, and
+ * all three omitted the reach/policy counters and SocConfig knobs while
+ * zero or default, "grid.tlb_policy" for the default policies, and
+ * "grid.shard" for unsharded runs.  Importing them keeps each version's
+ * rules (a v1 record must not carry "kernels", v1/v2 records must not
+ * carry tenant fields, ...) and defaults what they omitted.  Shards of
  * different schema versions never merge.
  */
 
@@ -45,6 +57,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -90,7 +103,14 @@ class Json
 
     bool asBool() const { return bool_; }
     double asNumber() const { return num_; }
-    /** Exact for any uint64 written through Json: reparses the lexeme. */
+    /**
+     * Strict unsigned read: true, with @p out set, only when this is a
+     * number whose lexeme is a plain non-negative decimal (no sign,
+     * fraction, or exponent) no larger than @p max.
+     */
+    bool toU64(std::uint64_t &out,
+               std::uint64_t max = ~std::uint64_t(0)) const;
+    /** toU64()'s value, or 0 when it fails. */
     std::uint64_t asU64() const;
     const std::string &asString() const { return str_; }
 
@@ -99,7 +119,8 @@ class Json
     /** Insert/overwrite an object member (insertion-ordered). */
     void set(std::string key, Json v);
     /** Object member lookup; nullptr when absent or not an object. */
-    const Json *find(const std::string &key) const;
+    const Json *find(std::string_view key) const;
+    Json *find(std::string_view key);
     /** Array element / object member count. */
     std::size_t size() const;
     /** Array element access (kArray only). */
@@ -119,6 +140,8 @@ class Json
     static Json parse(const std::string &text, std::string *err = nullptr);
 
   private:
+    struct Parser;
+
     void dumpTo(std::string &out, int indent, int depth) const;
 
     Type type_ = Type::kNull;
@@ -136,11 +159,11 @@ struct ResultRecord
     RunResult result;
 };
 
-/** Schema version stamped into documents without per-kernel stats. */
-inline constexpr int kResultsSchemaVersion = 1;
-/** Schema version stamped when records carry per-kernel stats arrays. */
+/** Schema version of every exported document. */
+inline constexpr int kResultsSchemaVersion = 4;
+/** Import-only legacy versions: plain, per-kernel, and tenant records. */
+inline constexpr int kResultsSchemaVersionPlain = 1;
 inline constexpr int kResultsSchemaVersionKernels = 2;
-/** Schema version stamped when records carry per-tenant stat blocks. */
 inline constexpr int kResultsSchemaVersionTenants = 3;
 
 /** Metadata describing the exporting run (the "grid" JSON object). */
@@ -154,38 +177,34 @@ struct ExportMeta
     std::uint64_t seed = 0;
     unsigned jobs = 1;
     /**
-     * Shard position when the grid was partitioned with `--shard I/N`.
-     * A shard_count of 1 means an unsharded document; the "shard" JSON
-     * object is only emitted when shard_count > 1, so unsharded
-     * exports are byte-identical to the pre-sharding schema.
+     * Shard position when the grid was partitioned with `--shard I/N`;
+     * a shard_count of 1 means an unsharded document.
      */
     unsigned shard_index = 0;
     unsigned shard_count = 1;
     /**
      * How cells were assigned to shards: empty for the classic
-     * idx % N modulo striping (never emitted, so modulo-sharded
-     * exports keep their exact pre-existing form), "lpt" for
-     * cost-balanced longest-processing-time bin packing.  Emitted
-     * inside the "shard" object together with the FNV-1a-64 digest of
-     * the cost-model file that drove the packing (0 = uniform costs),
-     * so gvc_merge can refuse shards planned against different cost
-     * models — such shard sets can silently overlap or leave holes.
+     * idx % N modulo striping, "lpt" for cost-balanced
+     * longest-processing-time bin packing.  Stored with the FNV-1a-64
+     * digest of the cost-model file that drove the packing (0 =
+     * uniform costs), so gvc_merge can refuse shards planned against
+     * different cost models — such shard sets can silently overlap or
+     * leave holes.
      */
     std::string shard_assignment;
     std::uint64_t shard_cost_digest = 0;
     /**
      * TLB policy axis the whole grid ran under: empty for the default
-     * LRU/install-all policies (never emitted, so classic exports keep
-     * their exact serialized form), otherwise a canonical stamp such
-     * as "repl=srrip,fill=bypass-trained" (see gvc_sweep).  Shards of
+     * LRU/install-all policies, otherwise a canonical stamp such as
+     * "repl=srrip,fill=bypass-trained" (see gvc_sweep).  Shards of
      * different policy axes measure different machines; gvc_merge
      * refuses to merge them.
      */
     std::string tlb_policy;
     /**
-     * Version of the document this meta was imported from (set by
-     * resultsFromJson).  Export ignores it: resultsToJson derives the
-     * version from whether the records carry per-kernel stats.
+     * Version of the document (or journal records) this meta was
+     * imported from.  Export ignores it: resultsToJson always writes
+     * kResultsSchemaVersion.
      */
     int schema_version = kResultsSchemaVersion;
 };
@@ -221,41 +240,32 @@ Json resultRecordToJson(const ResultRecord &rec);
 
 /**
  * Rebuild one ResultRecord from resultRecordToJson() output — the
- * record-level inverse of the importer behind resultsFromJson(), with
- * the schema version inferred from the record's shape (tenant block ->
- * 3, "kernels" array -> 2, plain -> 1).  Field-exact with the same
- * dotted-path error messages; the imported record carries the
+ * record-level inverse of the importer behind resultsFromJson(), under
+ * @p version's rules (see the schema notes above).  Field-exact with
+ * the same dotted-path error messages; the imported record carries the
  * document's effective SocConfig with `raw_soc` set so it re-exports
  * byte-identically.  Returns false with a message in @p err on any
  * mismatch.
  */
 bool resultRecordFromJson(const Json &j, ResultRecord &rec,
-                          std::string *err = nullptr);
+                          std::string *err = nullptr,
+                          int version = kResultsSchemaVersion);
 
-/**
- * Full versioned results document.  Stamped schema version 3 when the
- * records carry per-tenant stats (`RunResult::tenants`), version 2 when
- * they carry per-kernel stats (`RunResult::kernels`), version 1
- * otherwise; a mix of tenant and non-tenant records — or, among
- * non-tenant records, of records with and without per-kernel stats —
- * is a fatal error (the schemas cannot share a document).
- */
+/** Full versioned results document (always kResultsSchemaVersion). */
 Json resultsToJson(const ExportMeta &meta,
                    const std::vector<ResultRecord> &records);
 
 /**
  * Rebuild an ExportMeta plus ResultRecords from a parsed results
- * document — the inverse of resultsToJson().  Field-exact: every
- * schema field must be present with the right type, and documents
- * with an unknown schema_version are rejected outright.  Version 2
- * documents must carry a non-empty "kernels" array in every record;
- * version 1 documents must carry none; version 3 documents must carry
- * every tenant-block field in every record ("kernels" then optional),
- * and versions 1/2 reject any tenant-block field (the seen version is
- * recorded in `meta.schema_version`).  Imported
- * records carry the document's (effective) SocConfig with `raw_soc`
- * set, so re-exporting them emits byte-identical "soc" objects.
- * Returns false and stores a message in @p err on any mismatch.
+ * document — the inverse of resultsToJson(), and the import path for
+ * the legacy versions 1–3.  Field-exact: every field the document's
+ * version requires must be present with the right type (integers as
+ * plain non-negative decimals within the field's range), and documents
+ * with an unknown schema_version are rejected outright; the seen
+ * version is recorded in `meta.schema_version`.  Imported records
+ * carry the document's (effective) SocConfig with `raw_soc` set, so
+ * re-exporting them emits byte-identical "soc" objects.  Returns false
+ * and stores a message in @p err on any mismatch.
  */
 bool resultsFromJson(const Json &doc, ExportMeta &meta,
                      std::vector<ResultRecord> &records,
@@ -266,8 +276,8 @@ bool resultsFromJson(const Json &doc, ExportMeta &meta,
  * into one document in canonical grid order, byte-identical to the
  * unsharded export of the same grid.  Validates every shard against
  * the first: schema version (via resultsFromJson), generator, grid
- * axes, scale, seed, schema version, and shard count must match
- * (schema-v1 and schema-v2 shards never merge), every grid label
+ * axes, scale, seed, TLB policy axis, and shard count must match
+ * (shards of different schema versions never merge), every grid label
  * must be resolvable, and each (workload, design) cell must appear
  * exactly once across all shards — duplicates and missing cells are
  * reported by name.  Shards planned with different assignment
@@ -285,7 +295,7 @@ bool mergeResults(const std::vector<Json> &shards, Json &merged,
 /** CSV column header matching csvRow(). */
 std::string resultsCsvHeader();
 
-/** One CSV data row (scalar RunResult fields only). */
+/** One CSV data row: every forEachResultField() row but the tenant ones. */
 std::string resultsCsvRow(const RunResult &r);
 
 /** Whole CSV document: header plus one row per record. */

@@ -104,29 +104,25 @@ runSource(trace::KernelSource &source, const RunConfig &cfg,
     sut.flushLifetimes();
 
     RunResult r;
+    // The shared counters come from the same snapshot the per-kernel
+    // deltas use; the design arms below only add what is specific to
+    // one hierarchy.
+    const KernelStats totals = collectKernelStats(sut, gpu, dram, ctx);
+    static_cast<RunCounters &>(r) = totals;
+    const auto ratio = [](std::uint64_t num, std::uint64_t den) {
+        return den ? double(num) / double(den) : 0.0;
+    };
+    r.tlb_miss_ratio = ratio(totals.tlb_misses, totals.tlb_accesses);
+    r.l1_hit_ratio = ratio(totals.l1_hits, totals.l1_accesses);
+    r.l2_hit_ratio = ratio(totals.l2_hits, totals.l2_accesses);
     sut.collectTlbRefs(r.percu_tlb_refs, r.iommu_tlb_refs);
     r.workload = source.name();
     r.design = cfg.design;
     r.kernels = std::move(per_kernel);
-    r.exec_ticks = end;
-    r.instructions = gpu.totalInstructions();
-    r.mem_instructions = gpu.totalMemInstructions();
     r.lines_per_mem_inst = gpu.meanLinesPerMemInst();
 
     if (BaselineMmuSystem *b = sut.baseline()) {
-        r.tlb_accesses = b->tlbAccesses();
-        r.tlb_misses = b->tlbMisses();
-        r.tlb_miss_ratio = b->tlbMissRatio();
         r.tlb_breakdown = b->breakdown();
-        std::uint64_t l1_acc = 0, l1_hit = 0;
-        for (unsigned cu = 0; cu < soc.gpu.num_cus; ++cu) {
-            l1_acc += b->caches().l1(cu).accesses();
-            l1_hit += b->caches().l1(cu).hits();
-        }
-        r.l1_accesses = l1_acc;
-        r.l2_accesses = b->caches().l2().accesses();
-        r.l1_hit_ratio = l1_acc ? double(l1_hit) / double(l1_acc) : 0.0;
-        r.l2_hit_ratio = b->caches().l2().hitRatio();
         r.tlb_reach_hits = b->tlbReachHits();
         r.tlb_reach_fills = b->tlbReachFills();
         r.tlb_merges = b->tlbMerges();
@@ -138,68 +134,30 @@ runSource(trace::KernelSource &source, const RunConfig &cfg,
         r.victima_probes = b->victimaProbes();
         r.victima_hits = b->victimaHits();
     } else if (VirtualCacheSystem *v = sut.vc()) {
-        std::uint64_t l1_acc = 0, l1_hit = 0;
-        for (unsigned cu = 0; cu < soc.gpu.num_cus; ++cu) {
-            l1_acc += v->l1(cu).accesses();
-            l1_hit += v->l1(cu).hits();
-        }
-        r.l1_accesses = l1_acc;
-        r.l2_accesses = v->l2().accesses();
-        r.l1_hit_ratio = l1_acc ? double(l1_hit) / double(l1_acc) : 0.0;
-        r.l2_hit_ratio = v->l2().hitRatio();
-        r.synonym_replays = v->synonymReplays();
         r.rw_faults = v->rwFaults();
         r.fbt_purges = v->fbtPurges();
         r.fbt_valid_pages = v->fbt().validEntries();
         r.fbt_second_level_hit_ratio = v->fbt().ftHitRatio();
-        r.fbt_lookups = v->fbt().btLookups() + v->fbt().ftLookups();
     } else if (L1OnlyVcSystem *l = sut.l1vc()) {
-        std::uint64_t l1_acc = 0, l1_hit = 0, t_acc = 0, t_miss = 0;
         for (unsigned cu = 0; cu < soc.gpu.num_cus; ++cu) {
-            l1_acc += l->l1(cu).accesses();
-            l1_hit += l->l1(cu).hits();
-            t_acc += l->perCuTlb(cu).accesses();
-            t_miss += l->perCuTlb(cu).misses();
-            r.tlb_reach_hits += l->perCuTlb(cu).reachHits();
-            r.tlb_reach_fills += l->perCuTlb(cu).reachFills();
-            r.tlb_merges += l->perCuTlb(cu).merges();
-            r.tlb_fill_bypasses += l->perCuTlb(cu).fillBypasses();
-            r.tlb_dead_first_evictions +=
-                l->perCuTlb(cu).deadFirstEvictions();
-            r.tlb_pred_true_pos += l->perCuTlb(cu).predTruePos();
-            r.tlb_pred_false_pos += l->perCuTlb(cu).predFalsePos();
+            const Tlb &t = l->perCuTlb(cu);
+            r.tlb_reach_hits += t.reachHits();
+            r.tlb_reach_fills += t.reachFills();
+            r.tlb_merges += t.merges();
+            r.tlb_fill_bypasses += t.fillBypasses();
+            r.tlb_dead_first_evictions += t.deadFirstEvictions();
+            r.tlb_pred_true_pos += t.predTruePos();
+            r.tlb_pred_false_pos += t.predFalsePos();
         }
-        r.l1_accesses = l1_acc;
-        r.l2_accesses = l->caches().l2().accesses();
-        r.l1_hit_ratio = l1_acc ? double(l1_hit) / double(l1_acc) : 0.0;
-        r.l2_hit_ratio = l->caches().l2().hitRatio();
-        r.tlb_accesses = t_acc;
-        r.tlb_misses = t_miss;
-        r.tlb_miss_ratio = t_acc ? double(t_miss) / double(t_acc) : 0.0;
-        r.synonym_replays = l->synonymReplays();
-    } else if (IdealMmuSystem *i = sut.ideal()) {
-        std::uint64_t l1_acc = 0, l1_hit = 0;
-        for (unsigned cu = 0; cu < soc.gpu.num_cus; ++cu) {
-            l1_acc += i->caches().l1(cu).accesses();
-            l1_hit += i->caches().l1(cu).hits();
-        }
-        r.l1_accesses = l1_acc;
-        r.l2_accesses = i->caches().l2().accesses();
-        r.l1_hit_ratio = l1_acc ? double(l1_hit) / double(l1_acc) : 0.0;
-        r.l2_hit_ratio = i->caches().l2().hitRatio();
     }
-    r.dram_accesses = dram.accesses();
-    r.dram_bytes = dram.bytesMoved();
 
     if (Iommu *io = sut.iommu()) {
-        r.iommu_accesses = io->accesses();
         r.iommu_apc_mean = io->sampler().meanPerCycle();
         r.iommu_apc_stdev = io->sampler().stdevPerCycle();
         r.iommu_apc_max = io->sampler().maxPerCycle();
         r.iommu_frac_windows_over_1 =
             io->sampler().fractionAboveThreshold();
         r.iommu_serialization_mean = io->meanSerializationDelay();
-        r.page_walks = io->walks();
         r.iommu_reach_hits = io->tlb().reachHits();
         r.iommu_reach_fills = io->tlb().reachFills();
         r.iommu_coalesced_fills = io->coalescedFills();

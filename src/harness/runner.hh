@@ -44,53 +44,23 @@ struct RunConfig
     std::string trace_in;
 };
 
-/** Scalar results of one run. */
-struct RunResult
+/**
+ * Results of one run: the cumulative RunCounters plus design-specific
+ * counters, rates, and histograms.  Every scalar is exported through
+ * forEachResultField(), so a new counter is one member here plus one
+ * row there.
+ */
+struct RunResult : RunCounters
 {
     std::string workload;
     MmuDesign design = MmuDesign::kBaseline512;
 
-    /** GPU execution time in cycles. */
-    Tick exec_ticks = 0;
-
-    // --- GPU-side activity ---
-    std::uint64_t instructions = 0;
-    std::uint64_t mem_instructions = 0;
-    double lines_per_mem_inst = 0.0;
-
-    // --- per-CU TLBs (baseline / L1-only VC designs) ---
-    std::uint64_t tlb_accesses = 0;
-    std::uint64_t tlb_misses = 0;
-    double tlb_miss_ratio = 0.0;
-    TlbMissBreakdown tlb_breakdown; ///< Figure 2 classification.
-
-    // --- shared IOMMU TLB ---
-    std::uint64_t iommu_accesses = 0;
-    double iommu_apc_mean = 0.0;  ///< Accesses per cycle, window mean.
-    double iommu_apc_stdev = 0.0;
-    double iommu_apc_max = 0.0;
-    double iommu_frac_windows_over_1 = 0.0;
-    double iommu_serialization_mean = 0.0; ///< Cycles queued per access.
-    std::uint64_t page_walks = 0;
-    double fbt_second_level_hit_ratio = 0.0;
-
-    // --- caches and memory (activity counts for energy estimates) ---
-    double l1_hit_ratio = 0.0;
-    double l2_hit_ratio = 0.0;
-    std::uint64_t l1_accesses = 0;
-    std::uint64_t l2_accesses = 0;
-    std::uint64_t dram_accesses = 0;
-    std::uint64_t dram_bytes = 0;
-    std::uint64_t fbt_lookups = 0; ///< BT + FT lookups.
-
     // --- virtual-cache specifics ---
-    std::uint64_t synonym_replays = 0;
     std::uint64_t rw_faults = 0;
     std::uint64_t fbt_purges = 0;
     std::uint64_t fbt_valid_pages = 0; ///< Pages resident at end.
 
-    // --- reach-generalized translation stack (zero for classic
-    //     designs, so classic results keep their exact exports) ---
+    // --- reach-generalized translation stack ---
     std::uint64_t tlb_reach_hits = 0;    ///< Per-CU hits on reach>0.
     std::uint64_t tlb_reach_fills = 0;   ///< Per-CU reach>0 fills.
     std::uint64_t tlb_merges = 0;        ///< Per-CU buddy merges.
@@ -103,8 +73,7 @@ struct RunResult
     std::uint64_t victima_probes = 0;        ///< Stash probes on miss.
     std::uint64_t victima_hits = 0;          ///< Probes that hit.
 
-    // --- dead-entry-aware TLB policies (zero under the default
-    //     LRU/install-all policies, so classic exports are unchanged) ---
+    // --- dead-entry-aware TLB policies ---
     std::uint64_t tlb_dead_first_evictions = 0; ///< Per-CU dead-first.
     std::uint64_t tlb_pred_true_pos = 0;  ///< Sampled installs, dead.
     std::uint64_t tlb_pred_false_pos = 0; ///< Sampled installs, reused.
@@ -113,11 +82,25 @@ struct RunResult
     std::uint64_t iommu_pred_true_pos = 0;
     std::uint64_t iommu_pred_false_pos = 0;
 
+    // --- rates ---
+    double lines_per_mem_inst = 0.0;
+    double tlb_miss_ratio = 0.0;
+    double iommu_apc_mean = 0.0;  ///< Accesses per cycle, window mean.
+    double iommu_apc_stdev = 0.0;
+    double iommu_apc_max = 0.0;
+    double iommu_frac_windows_over_1 = 0.0;
+    double iommu_serialization_mean = 0.0; ///< Cycles queued per access.
+    double fbt_second_level_hit_ratio = 0.0;
+    double l1_hit_ratio = 0.0;
+    double l2_hit_ratio = 0.0;
+
+    TlbMissBreakdown tlb_breakdown; ///< Figure 2 classification.
+
     /**
      * Per-kernel stat deltas for multi-kernel scenario runs, one entry
      * per kernel (delimited by the source's boundaries).  Empty for
-     * plain single-scenario runs — the scalar fields above always hold
-     * the cumulative totals either way.
+     * plain single-scenario runs — the counters above always hold the
+     * cumulative totals either way.
      */
     std::vector<KernelStats> kernels;
 
@@ -133,6 +116,75 @@ struct RunResult
     TlbRefHist percu_tlb_refs; ///< Per-CU TLBs (designs that have them).
     TlbRefHist iommu_tlb_refs; ///< Shared IOMMU TLB.
 };
+
+/** Row flags of the RunResult and SocConfig field tables. */
+enum FieldFlags : unsigned {
+    /**
+     * Results-schema v1–v3 writers omitted the field while it was zero
+     * (or the knob at its default), so importing those versions
+     * defaults it when absent.
+     */
+    kFieldLegacyOptional = 1u << 0,
+    /**
+     * Part of the multi-tenant block: v1/v2 documents must not carry
+     * it, v3 documents must.  Not a CSV column.
+     */
+    kFieldTenant = 1u << 1,
+};
+
+/**
+ * RunResult's scalar field table: calls @p f(name, flags, field...)
+ * once per exported scalar, in export and CSV-column order, passing
+ * that member of each object in @p r.  Dotted names address nested
+ * members ("tlb_breakdown.miss_l1_hit" is a nested JSON object and a
+ * dotted CSV column).  The vectors and histograms are not scalars and
+ * are serialized by results_io directly.
+ */
+template <class F, class... R>
+void
+forEachResultField(F &&f, R &...r)
+{
+    forEachRunCounter(
+        [&](const char *name, auto &...v) { f(name, 0u, v...); }, r...);
+    f("rw_faults", 0u, r.rw_faults...);
+    f("fbt_purges", 0u, r.fbt_purges...);
+    f("fbt_valid_pages", 0u, r.fbt_valid_pages...);
+    constexpr unsigned kOpt = kFieldLegacyOptional;
+    f("tlb_reach_hits", kOpt, r.tlb_reach_hits...);
+    f("tlb_reach_fills", kOpt, r.tlb_reach_fills...);
+    f("tlb_merges", kOpt, r.tlb_merges...);
+    f("tlb_fill_bypasses", kOpt, r.tlb_fill_bypasses...);
+    f("iommu_reach_hits", kOpt, r.iommu_reach_hits...);
+    f("iommu_reach_fills", kOpt, r.iommu_reach_fills...);
+    f("iommu_coalesced_fills", kOpt, r.iommu_coalesced_fills...);
+    f("large_page_walks", kOpt, r.large_page_walks...);
+    f("victima_stashes", kOpt, r.victima_stashes...);
+    f("victima_probes", kOpt, r.victima_probes...);
+    f("victima_hits", kOpt, r.victima_hits...);
+    f("tlb_dead_first_evictions", kOpt, r.tlb_dead_first_evictions...);
+    f("tlb_pred_true_pos", kOpt, r.tlb_pred_true_pos...);
+    f("tlb_pred_false_pos", kOpt, r.tlb_pred_false_pos...);
+    f("iommu_fill_bypasses", kOpt, r.iommu_fill_bypasses...);
+    f("iommu_dead_first_evictions", kOpt, r.iommu_dead_first_evictions...);
+    f("iommu_pred_true_pos", kOpt, r.iommu_pred_true_pos...);
+    f("iommu_pred_false_pos", kOpt, r.iommu_pred_false_pos...);
+    f("lines_per_mem_inst", 0u, r.lines_per_mem_inst...);
+    f("tlb_miss_ratio", 0u, r.tlb_miss_ratio...);
+    f("iommu_apc_mean", 0u, r.iommu_apc_mean...);
+    f("iommu_apc_stdev", 0u, r.iommu_apc_stdev...);
+    f("iommu_apc_max", 0u, r.iommu_apc_max...);
+    f("iommu_frac_windows_over_1", 0u, r.iommu_frac_windows_over_1...);
+    f("iommu_serialization_mean", 0u, r.iommu_serialization_mean...);
+    f("fbt_second_level_hit_ratio", 0u, r.fbt_second_level_hit_ratio...);
+    f("l1_hit_ratio", 0u, r.l1_hit_ratio...);
+    f("l2_hit_ratio", 0u, r.l2_hit_ratio...);
+    f("tlb_breakdown.miss_l1_hit", 0u, r.tlb_breakdown.miss_l1_hit...);
+    f("tlb_breakdown.miss_l2_hit", 0u, r.tlb_breakdown.miss_l2_hit...);
+    f("tlb_breakdown.miss_l2_miss", 0u, r.tlb_breakdown.miss_l2_miss...);
+    f("tenant_context_switches", kFieldTenant,
+      r.tenant_context_switches...);
+    f("tenant_storm_pages", kFieldTenant, r.tenant_storm_pages...);
+}
 
 /**
  * Hook invoked after the run completes but before teardown, for benches

@@ -61,9 +61,10 @@ KernelStats
 kernelDelta(const KernelStats &cur, const KernelStats &prev)
 {
     KernelStats d;
-#define GVC_DELTA_FIELD(name) d.name = cur.name - prev.name;
-    GVC_KERNELSTAT_FIELDS(GVC_DELTA_FIELD)
-#undef GVC_DELTA_FIELD
+    forEachKernelStat(
+        [](const char *, std::uint64_t &out, std::uint64_t c,
+           std::uint64_t p) { out = c - p; },
+        d, cur, prev);
     return d;
 }
 
@@ -71,9 +72,10 @@ KernelStats
 kernelSum(const KernelStats &a, const KernelStats &b)
 {
     KernelStats s;
-#define GVC_SUM_FIELD(name) s.name = a.name + b.name;
-    GVC_KERNELSTAT_FIELDS(GVC_SUM_FIELD)
-#undef GVC_SUM_FIELD
+    forEachKernelStat(
+        [](const char *, std::uint64_t &out, std::uint64_t x,
+           std::uint64_t y) { out = x + y; },
+        s, a, b);
     return s;
 }
 

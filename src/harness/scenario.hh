@@ -23,55 +23,84 @@ namespace gvc
 {
 
 /**
- * Deterministic per-kernel counters, one X-macro entry per exported
- * field.  Every field is a plain event count (or tick count) so deltas
- * between cumulative snapshots are exact; window-based rate statistics
- * (the IOMMU APC sampler) are deliberately excluded because their
- * windows are anchored at absolute time zero, not at kernel starts.
+ * The deterministic event counters every run reports: a RunResult
+ * carries them as cumulative totals, a KernelStats as one kernel's (or
+ * one snapshot's) values, and gvc_bench gates on exactly this set.
+ * Every field is a plain event count (or tick count) so deltas between
+ * cumulative snapshots are exact; window-based rate statistics (the
+ * IOMMU APC sampler) are deliberately excluded because their windows
+ * are anchored at absolute time zero, not at kernel starts.
  */
-#define GVC_KERNELSTAT_FIELDS(X)                                          \
-    X(exec_ticks)                                                         \
-    X(instructions)                                                       \
-    X(mem_instructions)                                                   \
-    X(tlb_accesses)                                                       \
-    X(tlb_misses)                                                         \
-    X(iommu_accesses)                                                     \
-    X(page_walks)                                                         \
-    X(l1_accesses)                                                        \
-    X(l1_hits)                                                            \
-    X(l2_accesses)                                                        \
-    X(l2_hits)                                                            \
-    X(dram_accesses)                                                      \
-    X(dram_bytes)                                                         \
-    X(fbt_lookups)                                                        \
-    X(synonym_replays)
-
-/** One kernel's (or one cumulative snapshot's) counters. */
-struct KernelStats
+struct RunCounters
 {
-#define GVC_DECLARE_FIELD(name) std::uint64_t name = 0;
-    GVC_KERNELSTAT_FIELDS(GVC_DECLARE_FIELD)
-#undef GVC_DECLARE_FIELD
+    Tick exec_ticks = 0; ///< GPU execution time in cycles.
+    std::uint64_t instructions = 0;
+    std::uint64_t mem_instructions = 0;
+    std::uint64_t tlb_accesses = 0; ///< Per-CU TLBs (if the design has them).
+    std::uint64_t tlb_misses = 0;
+    std::uint64_t iommu_accesses = 0; ///< Shared IOMMU TLB.
+    std::uint64_t page_walks = 0;
+    std::uint64_t l1_accesses = 0;
+    std::uint64_t l2_accesses = 0;
+    std::uint64_t dram_accesses = 0;
+    std::uint64_t dram_bytes = 0;
+    std::uint64_t fbt_lookups = 0; ///< BT + FT lookups.
+    std::uint64_t synonym_replays = 0;
 
-    bool
-    operator==(const KernelStats &o) const
-    {
-#define GVC_CMP_FIELD(name)                                               \
-    if (name != o.name)                                                   \
-        return false;
-        GVC_KERNELSTAT_FIELDS(GVC_CMP_FIELD)
-#undef GVC_CMP_FIELD
-        return true;
-    }
-    bool operator!=(const KernelStats &o) const { return !(*this == o); }
+    bool operator==(const RunCounters &) const = default;
 };
 
 /**
+ * RunCounters' field table: calls @p f(name, field...) once per counter,
+ * in export order, passing that member of each object in @p s (so one
+ * table serves serializers, field-wise arithmetic, and comparisons).
+ */
+template <class F, class... S>
+void
+forEachRunCounter(F &&f, S &...s)
+{
+    f("exec_ticks", s.exec_ticks...);
+    f("instructions", s.instructions...);
+    f("mem_instructions", s.mem_instructions...);
+    f("tlb_accesses", s.tlb_accesses...);
+    f("tlb_misses", s.tlb_misses...);
+    f("iommu_accesses", s.iommu_accesses...);
+    f("page_walks", s.page_walks...);
+    f("l1_accesses", s.l1_accesses...);
+    f("l2_accesses", s.l2_accesses...);
+    f("dram_accesses", s.dram_accesses...);
+    f("dram_bytes", s.dram_bytes...);
+    f("fbt_lookups", s.fbt_lookups...);
+    f("synonym_replays", s.synonym_replays...);
+}
+
+/**
+ * One kernel's (or one cumulative snapshot's) counters: RunCounters
+ * plus the cache hit counts a per-kernel hit ratio is derived from.
+ */
+struct KernelStats : RunCounters
+{
+    std::uint64_t l1_hits = 0;
+    std::uint64_t l2_hits = 0;
+
+    bool operator==(const KernelStats &) const = default;
+};
+
+/** KernelStats' field table, in the forEachRunCounter() style. */
+template <class F, class... S>
+void
+forEachKernelStat(F &&f, S &...s)
+{
+    forEachRunCounter(f, s...);
+    f("l1_hits", s.l1_hits...);
+    f("l2_hits", s.l2_hits...);
+}
+
+/**
  * One tenant's share of a multi-tenant run: the cumulative-counter
- * deltas of every slot the scheduler attributed to it (X-macro driven
- * through KernelStats, so the field set can never drift from the
- * per-kernel stats).  Per-tenant deltas partition the run's timeline,
- * so they sum field-exactly to the run's cumulative totals.
+ * deltas of every slot the scheduler attributed to it, as KernelStats
+ * like the per-kernel stats.  Per-tenant deltas partition the run's
+ * timeline, so they sum field-exactly to the run's cumulative totals.
  */
 struct TenantStats
 {
@@ -79,13 +108,7 @@ struct TenantStats
     std::uint64_t launches = 0; ///< Kernel launches executed.
     KernelStats stats;
 
-    bool
-    operator==(const TenantStats &o) const
-    {
-        return workload == o.workload && launches == o.launches &&
-               stats == o.stats;
-    }
-    bool operator!=(const TenantStats &o) const { return !(*this == o); }
+    bool operator==(const TenantStats &) const = default;
 };
 
 /** How to run a multi-kernel scenario. */

@@ -4,12 +4,15 @@
 #
 #   - tests/golden_stats.txt      (golden-stats regression matrix)
 #   - tests/POLICY_SMOKE_*.json   (TLB policy-axis sweep goldens)
+#   - tests/TENANTS_SMOKE.json    (multi-tenant grid golden)
 #   - BENCH_PR<N>.json            (bench counter baseline gated in CI)
 #
 # Run after an intended behavior change, then commit the updated files
-# together with the change that caused it.
+# together with the change that caused it.  tests/compat/ holds files
+# written by older versions (import-only results schemas v1-v3 and a
+# pre-v4 journal); they are fixtures and are never regenerated.
 #
-#   tests/regen_golden.sh [gvc_tests] [gvc_bench] [gvc_sweep]
+#   tests/regen_golden.sh [gvc_tests] [gvc_bench] [gvc_sweep] [gvc_tenants]
 #
 # The bench regeneration runs the full matrix at scale 1 and takes a
 # few minutes; pass GVC_REGEN_SKIP_BENCH=1 to regenerate only the
@@ -20,6 +23,7 @@ repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 tests_bin="${1:-build/tests/gvc_tests}"
 bench_bin="${2:-build/tools/gvc_bench}"
 sweep_bin="${3:-build/tools/gvc_sweep}"
+tenants_bin="${4:-build/tools/gvc_tenants}"
 
 if [ ! -x "$tests_bin" ]; then
     echo "error: test binary '$tests_bin' not found (build first, or" >&2
@@ -44,6 +48,21 @@ smoke_args="--workloads pagerank --designs baseline512,l1vc32 \
 "$sweep_bin" $smoke_args --tlb-fill-policy bypass-trained \
     --json "$repo_root/tests/POLICY_SMOKE_BYPASS.json"
 echo "regenerated $repo_root/tests/POLICY_SMOKE_{LRU,SRRIP,BYPASS}.json"
+
+# Multi-tenant grid golden: the exact command CI's multi-tenant step
+# diffs against this file.
+if [ ! -x "$tenants_bin" ]; then
+    echo "error: tenants binary '$tenants_bin' not found (build first," >&2
+    echo "or pass its path as the fourth argument)" >&2
+    exit 1
+fi
+"$tenants_bin" -w pagerank,bfs \
+    -d baseline512,vc_opt --rounds 2 \
+    --switch keep-all,asid-shootdown --storm 0,4 \
+    --arrival poisson --interval 500 --sched fifo \
+    --scale 0.1 --jobs 2 --quiet --no-table \
+    --json "$repo_root/tests/TENANTS_SMOKE.json"
+echo "regenerated $repo_root/tests/TENANTS_SMOKE.json"
 
 if [ "${GVC_REGEN_SKIP_BENCH:-0}" = 1 ]; then
     echo "skipping bench baseline (GVC_REGEN_SKIP_BENCH=1)"

@@ -4,7 +4,8 @@
 # the same grid.  Then re-use the finished journal as a cost model for
 # a cost-balanced (LPT) 3-shard split and require the merged shards to
 # be byte-identical as well.  Mirrors the CI kill-and-resume step so
-# both properties are checked by `ctest` locally too.
+# both properties are checked by `ctest` locally too.  Finally, a
+# journal written before results schema v4 must load but not resume.
 
 set(args --workloads hotspot,backprop
          --designs ideal,baseline512,vc_opt,base2mb
@@ -78,6 +79,31 @@ execute_process(COMMAND ${GVC_SWEEP} --workloads hotspot,backprop
 if(bad_rc EQUAL 0)
     message(FATAL_ERROR
             "gvc_sweep resumed a journal from a different grid")
+endif()
+
+# 6. A journal written before results schema v4 still loads in
+#    gvc_plan and as a cost model, but resuming it is refused by name:
+#    its records lack v4 fields, so the resumed export could not match
+#    an uninterrupted run.  (Resume a copy: a refusal must not touch
+#    the journal, but the fixture stays read-only either way.)
+set(old_args --workloads hotspot --designs ideal,baseline512
+             --scale 0.05 --jobs 1 --percu-tlb 64 --quiet --no-table)
+file(COPY ${COMPAT_DIR}/SWEEP_PRE_V4.gvcj DESTINATION ${WORK_DIR})
+set(old_journal ${WORK_DIR}/SWEEP_PRE_V4.gvcj)
+run_checked(${GVC_PLAN} journal ${old_journal})
+run_checked(${GVC_SWEEP} ${old_args} --shard 0/2 --balance
+            --cost-model ${old_journal}
+            --json ${WORK_DIR}/resume_old_cost.json)
+execute_process(COMMAND ${GVC_SWEEP} ${old_args} --resume ${old_journal}
+                --json ${WORK_DIR}/resume_old.json
+                RESULT_VARIABLE old_rc ERROR_VARIABLE old_err
+                OUTPUT_QUIET)
+if(old_rc EQUAL 0)
+    message(FATAL_ERROR "gvc_sweep resumed a pre-v4 journal")
+endif()
+if(NOT old_err MATCHES "results schema v1")
+    message(FATAL_ERROR
+            "pre-v4 journal refused without naming the schema: ${old_err}")
 endif()
 
 message(STATUS

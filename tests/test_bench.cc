@@ -62,7 +62,7 @@ TEST(Bench, ColdCountersMatchPlainRunner)
     rc.workload.scale = opts.scale;
     rc.workload.seed = opts.seed;
     const BenchCounters direct =
-        BenchCounters::fromResult(runWorkload("bfs", rc));
+        BenchCounters(runWorkload("bfs", rc));
 
     EXPECT_EQ(runBenchConfigOnce(cfg, opts), direct);
 }
@@ -80,7 +80,7 @@ TEST(Bench, ReplayCountersMatchLiveRun)
     rc.workload.scale = opts.scale;
     rc.workload.seed = opts.seed;
     const BenchCounters live =
-        BenchCounters::fromResult(runWorkload("hotspot", rc));
+        BenchCounters(runWorkload("hotspot", rc));
 
     EXPECT_EQ(runBenchConfigOnce(cfg, opts), live);
 }
@@ -98,7 +98,7 @@ TEST(Bench, WarmCountersMatchScenarioRunner)
     spec.rounds = opts.scenario_rounds;
     spec.boundary = BoundaryPolicy::keepAll();
     const BenchCounters direct =
-        BenchCounters::fromResult(runScenario("bfs", rc, spec));
+        BenchCounters(runScenario("bfs", rc, spec));
 
     EXPECT_EQ(runBenchConfigOnce(cfg, opts), direct);
 }

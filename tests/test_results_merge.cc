@@ -7,7 +7,9 @@
  */
 
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,8 +17,10 @@
 #include "harness/cli.hh"
 #include "harness/results_io.hh"
 #include "harness/runner.hh"
+#include "legacy_schema.hh"
 
 using namespace gvc;
+using gvc::test::legacyDoc;
 
 namespace
 {
@@ -114,9 +118,9 @@ makeKernelStats(std::uint64_t salt, std::uint64_t k)
 {
     KernelStats s;
     std::uint64_t i = 0;
-#define GVC_FILL_FIELD(name) s.name = 1000000 * salt + 100 * k + (i++);
-    GVC_KERNELSTAT_FIELDS(GVC_FILL_FIELD)
-#undef GVC_FILL_FIELD
+    forEachKernelStat([&](const char *, std::uint64_t &v) {
+        v = 1000000 * salt + 100 * k + (i++);
+    }, s);
     return s;
 }
 
@@ -228,6 +232,84 @@ TEST(ResultsImport, RoundTripRestoresEveryField)
     EXPECT_TRUE(got.cfg.soc.iommu.unlimited_bw);
     EXPECT_EQ(got.cfg.soc.iommu.tlb_entries,
               effective.iommu.tlb_entries);
+
+    // Now every table field at once, each with a distinct nonzero
+    // value: RunResult and KernelStats through their tables (u64
+    // counters beyond 2^53), SocConfig and WorkloadParams through the
+    // leaves of their exported objects (their tables are private to
+    // results_io; every leaf there is one table row).
+    ResultRecord rec = makeRecord("alpha", MmuDesign::kVcOpt, 1);
+    std::uint64_t next = 1;
+    forEachResultField(
+        [&](const char *, unsigned, auto &v) {
+            if constexpr (std::is_floating_point_v<
+                              std::decay_t<decltype(v)>>)
+                v = double(next++) + 0.25;
+            else
+                v = (std::uint64_t{1} << 60) + next++;
+        },
+        rec.result);
+    for (std::uint64_t k = 0; k < 2; ++k) {
+        rec.result.kernels.push_back(makeKernelStats(next++, k));
+        rec.result.tenants.push_back(
+            {"tenant" + std::to_string(k), next++,
+             makeKernelStats(next++, k)});
+    }
+    for (TlbRefHist *h :
+         {&rec.result.percu_tlb_refs, &rec.result.iommu_tlb_refs})
+        for (std::uint64_t &b : h->buckets)
+            b = next++;
+    rec.result.percu_tlb_refs.retired = next++;
+    rec.result.iommu_tlb_refs.dead = next++;
+
+    // Number leaves get small distinct values (every one fits the
+    // narrowest field, a uint8_t enum); bool leaves become true.
+    const std::function<Json(const Json &)> fill = [&](const Json &j) {
+        if (j.isNumber())
+            return Json(std::uint64_t(next++ % 250 + 1));
+        if (j.type() == Json::Type::kBool)
+            return Json(true);
+        Json out = Json::object();
+        for (const auto &[key, value] : j.members())
+            out.set(key, fill(value));
+        return out;
+    };
+    Json j = resultRecordToJson(rec);
+    const Json soc = fill(*j.find("soc"));
+    const Json params = fill(*j.find("workload_params"));
+    j.set("soc", soc);
+    j.set("workload_params", params);
+
+    ResultRecord back;
+    ASSERT_TRUE(resultRecordFromJson(Json::parse(j.dump(2), &err), back,
+                                     &err))
+        << err;
+    forEachResultField(
+        [](const char *name, unsigned, const auto &want,
+           const auto &have) { EXPECT_EQ(have, want) << name; },
+        rec.result, back.result);
+    EXPECT_EQ(back.result.kernels, rec.result.kernels);
+    EXPECT_EQ(back.result.tenants, rec.result.tenants);
+    EXPECT_EQ(back.result.percu_tlb_refs, rec.result.percu_tlb_refs);
+    EXPECT_EQ(back.result.iommu_tlb_refs, rec.result.iommu_tlb_refs);
+    // Leaf values, not lexemes: a double field filled with 130 exports
+    // as 1.3e+02.
+    const std::function<void(const Json &, const Json &)> same =
+        [&](const Json &want, const Json &have) {
+            ASSERT_EQ(have.size(), want.size());
+            for (const auto &[key, value] : want.members()) {
+                const Json *got = have.find(key);
+                ASSERT_NE(got, nullptr) << key;
+                if (value.isObject())
+                    same(value, *got);
+                else if (value.isNumber())
+                    EXPECT_EQ(got->asNumber(), value.asNumber()) << key;
+                else
+                    EXPECT_EQ(got->dump(), value.dump()) << key;
+            }
+        };
+    same(soc, socConfigToJson(back.cfg.soc));
+    same(params, workloadParamsToJson(back.cfg.workload));
 }
 
 TEST(ResultsImport, ShardMetadataRoundTrips)
@@ -244,21 +326,22 @@ TEST(ResultsImport, ShardMetadataRoundTrips)
     EXPECT_EQ(meta.shard_count, 3u);
     EXPECT_EQ(resultsToJson(meta, records).dump(2), doc.dump(2));
 
-    // Unsharded exports must not grow a "shard" member (schema
-    // stability: pre-sharding documents stay byte-identical).
+    // Unsharded exports carry the same object, as shard 0 of 1.
     const Json plain = resultsToJson(testMeta(), testRecords());
-    EXPECT_EQ(plain.find("grid")->find("shard"), nullptr);
+    const Json *shard = plain.find("grid")->find("shard");
+    ASSERT_NE(shard, nullptr);
+    EXPECT_EQ(shard->find("index")->asU64(), 0u);
+    EXPECT_EQ(shard->find("count")->asU64(), 1u);
 }
 
 // ---------------------------------------------------------------------
-// Schema version 2: per-kernel stats arrays
+// Schema version 2 (import-only): per-kernel stats arrays
 // ---------------------------------------------------------------------
 
 TEST(ResultsSchemaV2, ScenarioRecordsStampVersion2AndRoundTrip)
 {
-    const Json doc = resultsToJson(testMeta(), scenarioRecords());
-    EXPECT_EQ(doc.find("schema_version")->asU64(),
-              std::uint64_t(kResultsSchemaVersionKernels));
+    const Json v4 = resultsToJson(testMeta(), scenarioRecords());
+    const Json doc = legacyDoc(v4, kResultsSchemaVersionKernels);
 
     ExportMeta meta;
     std::vector<ResultRecord> records;
@@ -270,30 +353,15 @@ TEST(ResultsSchemaV2, ScenarioRecordsStampVersion2AndRoundTrip)
     ASSERT_EQ(records[2].result.kernels.size(), 3u);
     EXPECT_EQ(records[2].result.kernels[1], makeKernelStats(3, 1));
 
-    // Byte-identical re-export covers every per-kernel field at once.
-    EXPECT_EQ(resultsToJson(meta, records).dump(2), doc.dump(2));
-}
-
-TEST(ResultsSchemaV2, PlainRecordsStayVersion1)
-{
-    const Json doc = resultsToJson(testMeta(), testRecords());
-    EXPECT_EQ(doc.find("schema_version")->asU64(),
-              std::uint64_t(kResultsSchemaVersion));
-    EXPECT_EQ(doc.find("results")->at(0).find("kernels"), nullptr);
-
-    ExportMeta meta;
-    std::vector<ResultRecord> records;
-    std::string err;
-    ASSERT_TRUE(resultsFromJson(reparse(doc), meta, records, &err))
-        << err;
-    EXPECT_EQ(meta.schema_version, kResultsSchemaVersion);
-    EXPECT_TRUE(records[0].result.kernels.empty());
+    // The v4 re-export covers every per-kernel field at once.
+    EXPECT_EQ(resultsToJson(meta, records).dump(2), v4.dump(2));
 }
 
 TEST(ResultsSchemaV2, Version1DocumentMustNotCarryKernels)
 {
-    Json doc = resultsToJson(testMeta(), scenarioRecords());
-    doc.set("schema_version", kResultsSchemaVersion);
+    Json doc = legacyDoc(resultsToJson(testMeta(), scenarioRecords()),
+                         kResultsSchemaVersionKernels);
+    doc.set("schema_version", kResultsSchemaVersionPlain);
 
     ExportMeta meta;
     std::vector<ResultRecord> records;
@@ -304,7 +372,8 @@ TEST(ResultsSchemaV2, Version1DocumentMustNotCarryKernels)
 
 TEST(ResultsSchemaV2, Version2DocumentMustCarryKernels)
 {
-    Json doc = resultsToJson(testMeta(), testRecords());
+    Json doc = legacyDoc(resultsToJson(testMeta(), testRecords()),
+                         kResultsSchemaVersionPlain);
     doc.set("schema_version", kResultsSchemaVersionKernels);
 
     ExportMeta meta;
@@ -314,14 +383,6 @@ TEST(ResultsSchemaV2, Version2DocumentMustCarryKernels)
     EXPECT_NE(err.find("kernels"), std::string::npos) << err;
 }
 
-TEST(ResultsSchemaV2, MixedRecordsInOneExportAreFatal)
-{
-    std::vector<ResultRecord> mixed = testRecords();
-    mixed[1].result.kernels.push_back(makeKernelStats(9, 0));
-    EXPECT_DEATH((void)resultsToJson(testMeta(), mixed),
-                 "mix records");
-}
-
 TEST(ResultsSchemaV2, MergeRejectsMixedSchemaShards)
 {
     // Shard 0 carries per-kernel stats (v2), shard 1 does not (v1):
@@ -329,8 +390,10 @@ TEST(ResultsSchemaV2, MergeRejectsMixedSchemaShards)
     // silently merge.
     Json merged;
     std::string err;
-    EXPECT_FALSE(mergeResults({scenarioShardDoc(0, 2), shardDoc(1, 2)},
-                              merged, &err));
+    EXPECT_FALSE(mergeResults(
+        {legacyDoc(scenarioShardDoc(0, 2), kResultsSchemaVersionKernels),
+         legacyDoc(shardDoc(1, 2), kResultsSchemaVersionPlain)},
+        merged, &err));
     EXPECT_NE(err.find("schema_version"), std::string::npos) << err;
 }
 
@@ -338,14 +401,69 @@ TEST(ResultsSchemaV2, MergedV2ShardsMatchUnshardedExport)
 {
     Json merged;
     std::string err;
-    ASSERT_TRUE(mergeResults({scenarioShardDoc(0, 2),
-                              scenarioShardDoc(1, 2)},
-                             merged, &err))
+    ASSERT_TRUE(mergeResults(
+        {legacyDoc(scenarioShardDoc(0, 2), kResultsSchemaVersionKernels),
+         legacyDoc(scenarioShardDoc(1, 2), kResultsSchemaVersionKernels)},
+        merged, &err))
         << err;
     EXPECT_EQ(merged.dump(2),
               resultsToJson(testMeta(), scenarioRecords()).dump(2));
     EXPECT_EQ(merged.find("schema_version")->asU64(),
-              std::uint64_t(kResultsSchemaVersionKernels));
+              std::uint64_t(kResultsSchemaVersion));
+}
+
+// ---------------------------------------------------------------------
+// Schema version 4: one record shape
+// ---------------------------------------------------------------------
+
+TEST(ResultsSchemaV4, MixedRecordsShareOneDocument)
+{
+    // Plain, per-kernel, and tenant records have the same shape, so a
+    // grid mixing them exports and round-trips like any other.
+    std::vector<ResultRecord> mixed = testRecords();
+    mixed[1].result.kernels.push_back(makeKernelStats(9, 0));
+    mixed[2].result.tenants.push_back({"beta", 2, makeKernelStats(9, 1)});
+    const Json doc = resultsToJson(testMeta(), mixed);
+    EXPECT_EQ(doc.find("schema_version")->asU64(),
+              std::uint64_t(kResultsSchemaVersion));
+    for (std::size_t i = 0; i < mixed.size(); ++i) {
+        const Json &rec = doc.find("results")->at(i);
+        EXPECT_TRUE(rec.find("kernels")->isArray());
+        EXPECT_TRUE(rec.find("tenants")->isArray());
+        EXPECT_NE(rec.find("percu_tlb_refs"), nullptr);
+        EXPECT_NE(rec.find("victima_hits"), nullptr);
+        EXPECT_NE(rec.find("soc")->find("coalesce_max_reach"), nullptr);
+    }
+
+    ExportMeta meta;
+    std::vector<ResultRecord> records;
+    std::string err;
+    ASSERT_TRUE(resultsFromJson(reparse(doc), meta, records, &err))
+        << err;
+    EXPECT_EQ(meta.schema_version, kResultsSchemaVersion);
+    EXPECT_EQ(records[2].result.tenants, mixed[2].result.tenants);
+    EXPECT_EQ(resultsToJson(meta, records).dump(2), doc.dump(2));
+}
+
+TEST(ResultsSchemaV4, EveryFieldIsRequired)
+{
+    // v4 has no optional fields: dropping any record member that v1
+    // writers omitted while zero is an error now.
+    for (const char *key :
+         {"victima_hits", "kernels", "tenants", "tenant_storm_pages",
+          "iommu_tlb_refs", "coalesce_max_reach", "tlb_policy"}) {
+        const Json doc = resultsToJson(testMeta(), testRecords());
+        std::string text = doc.dump(2);
+        const std::string from = std::string("\"") + key + "\"";
+        text.replace(text.find(from), from.size(), "\"renamed\"");
+        std::string err;
+        ExportMeta meta;
+        std::vector<ResultRecord> records;
+        EXPECT_FALSE(resultsFromJson(Json::parse(text, &err), meta,
+                                     records, &err))
+            << key;
+        EXPECT_NE(err.find(key), std::string::npos) << err;
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -598,13 +716,13 @@ TEST(ShardAssignment, StampRoundTripsAndModuloStaysStampFree)
     EXPECT_EQ(meta.shard_cost_digest, 0xfeedface12345678ull);
     EXPECT_EQ(resultsToJson(meta, records).dump(2), doc.dump(2));
 
-    // Modulo-sharded exports keep their exact pre-existing shape: no
-    // assignment members at all.
+    // Modulo-sharded exports carry an empty stamp.
     const Json modulo = shardDoc(0, 2);
     const Json *mshard = modulo.find("grid")->find("shard");
     ASSERT_NE(mshard, nullptr);
-    EXPECT_EQ(mshard->find("assignment"), nullptr);
-    EXPECT_EQ(mshard->find("cost_digest"), nullptr);
+    EXPECT_EQ(mshard->find("assignment")->asString(), "");
+    EXPECT_EQ(mshard->find("cost_digest")->asString(),
+              "0000000000000000");
 }
 
 TEST(ShardAssignment, MergedLptShardsDropTheStamp)
@@ -641,7 +759,8 @@ TEST(ShardAssignment, MergeRejectsMixedAssignmentStrategies)
 
 TEST(ShardAssignment, ImportRejectsMalformedStamps)
 {
-    // An empty assignment string is never emitted; reject it.
+    // An empty assignment means modulo striping, which no cost model
+    // drives: a nonzero digest beside it is corrupt.
     std::string text = lptShardDoc(0, 2, 7).dump(2);
     const std::string from = "\"assignment\": \"lpt\"";
     std::size_t pos = text.find(from);

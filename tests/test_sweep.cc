@@ -347,7 +347,25 @@ TEST(ResultsIo, CsvShapeMatchesHeader)
     const auto columns = [](const std::string &line) {
         return std::count(line.begin(), line.end(), ',') + 1;
     };
-    EXPECT_EQ(lines[0].rfind("workload,design,exec_ticks", 0), 0u);
+    // The full header, column set and order, as CSV consumers see it.
+    EXPECT_EQ(lines[0],
+              "workload,design,exec_ticks,instructions,mem_instructions,"
+              "tlb_accesses,tlb_misses,iommu_accesses,page_walks,"
+              "l1_accesses,l2_accesses,dram_accesses,dram_bytes,"
+              "fbt_lookups,synonym_replays,rw_faults,fbt_purges,"
+              "fbt_valid_pages,tlb_reach_hits,tlb_reach_fills,tlb_merges,"
+              "tlb_fill_bypasses,iommu_reach_hits,iommu_reach_fills,"
+              "iommu_coalesced_fills,large_page_walks,victima_stashes,"
+              "victima_probes,victima_hits,tlb_dead_first_evictions,"
+              "tlb_pred_true_pos,tlb_pred_false_pos,iommu_fill_bypasses,"
+              "iommu_dead_first_evictions,iommu_pred_true_pos,"
+              "iommu_pred_false_pos,lines_per_mem_inst,tlb_miss_ratio,"
+              "iommu_apc_mean,iommu_apc_stdev,iommu_apc_max,"
+              "iommu_frac_windows_over_1,iommu_serialization_mean,"
+              "fbt_second_level_hit_ratio,l1_hit_ratio,l2_hit_ratio,"
+              "tlb_breakdown.miss_l1_hit,tlb_breakdown.miss_l2_hit,"
+              "tlb_breakdown.miss_l2_miss");
+    EXPECT_EQ(columns(lines[0]), 49);
     for (std::size_t i = 1; i < lines.size(); ++i) {
         EXPECT_EQ(columns(lines[i]), columns(lines[0])) << lines[i];
         EXPECT_EQ(lines[i].rfind(records[i - 1].result.workload + ",", 0),

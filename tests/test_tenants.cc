@@ -3,9 +3,9 @@
  * Tenant subsystem tests: seeded multi-tenant runs are deterministic,
  * a 1-tenant schedule is bit-identical to the plain scenario runner,
  * per-tenant deltas partition the cumulative totals field-exactly, the
- * TLB entry-lifetime histogram is well-formed, and the schema-v3
- * results document (tenant block + ref histograms) round-trips, merges
- * per shard, and rejects every malformed variant.
+ * TLB entry-lifetime histogram is well-formed, and import-only
+ * schema-v3 results documents (tenant block + ref histograms) round-trip
+ * into v4, merge per shard, and reject every malformed variant.
  */
 
 #include <cstdint>
@@ -17,9 +17,11 @@
 #include "harness/results_io.hh"
 #include "harness/runner.hh"
 #include "harness/tenants.hh"
+#include "legacy_schema.hh"
 #include "tlb/tlb.hh"
 
 using namespace gvc;
+using gvc::test::legacyDoc;
 
 namespace
 {
@@ -49,11 +51,8 @@ KernelStats
 sumTenants(const RunResult &r)
 {
     KernelStats sum;
-    for (const TenantStats &t : r.tenants) {
-#define GVC_ADD_FIELD(name) sum.name += t.stats.name;
-        GVC_KERNELSTAT_FIELDS(GVC_ADD_FIELD)
-#undef GVC_ADD_FIELD
-    }
+    for (const TenantStats &t : r.tenants)
+        sum = kernelSum(sum, t.stats);
     return sum;
 }
 
@@ -61,11 +60,8 @@ KernelStats
 sumKernels(const RunResult &r)
 {
     KernelStats sum;
-    for (const KernelStats &k : r.kernels) {
-#define GVC_ADD_FIELD(name) sum.name += k.name;
-        GVC_KERNELSTAT_FIELDS(GVC_ADD_FIELD)
-#undef GVC_ADD_FIELD
-    }
+    for (const KernelStats &k : r.kernels)
+        sum = kernelSum(sum, k);
     return sum;
 }
 
@@ -108,9 +104,9 @@ makeStats(std::uint64_t salt)
 {
     KernelStats s;
     std::uint64_t i = 0;
-#define GVC_FILL_FIELD(name) s.name = 1000000 * salt + (i++);
-    GVC_KERNELSTAT_FIELDS(GVC_FILL_FIELD)
-#undef GVC_FILL_FIELD
+    forEachKernelStat([&](const char *, std::uint64_t &v) {
+        v = 1000000 * salt + (i++);
+    }, s);
     return s;
 }
 
@@ -368,14 +364,13 @@ TEST(Tenants, NameTablesRoundTrip)
 }
 
 // ---------------------------------------------------------------------
-// Schema version 3: tenant block + lifetime histograms
+// Schema version 3 (import-only): tenant block + lifetime histograms
 // ---------------------------------------------------------------------
 
 TEST(ResultsSchemaV3, TenantRecordsStampVersion3AndRoundTrip)
 {
-    const Json doc = resultsToJson(testMeta(), tenantRecords());
-    EXPECT_EQ(doc.find("schema_version")->asU64(),
-              std::uint64_t(kResultsSchemaVersionTenants));
+    const Json v4 = resultsToJson(testMeta(), tenantRecords());
+    const Json doc = legacyDoc(v4, kResultsSchemaVersionTenants);
 
     ExportMeta meta;
     std::vector<ResultRecord> records;
@@ -392,31 +387,14 @@ TEST(ResultsSchemaV3, TenantRecordsStampVersion3AndRoundTrip)
     EXPECT_EQ(r.percu_tlb_refs, makeRefHist(2));
     EXPECT_EQ(r.iommu_tlb_refs, makeRefHist(102));
 
-    // Byte-identical re-export covers every v3 field at once.
-    EXPECT_EQ(resultsToJson(meta, records).dump(2), doc.dump(2));
-}
-
-TEST(ResultsSchemaV3, PlainRecordsStayOnOlderVersions)
-{
-    std::vector<ResultRecord> plain = {
-        makeRecord("alpha", MmuDesign::kIdeal, 1),
-        makeRecord("alpha", MmuDesign::kVcOpt, 2),
-        makeRecord("beta", MmuDesign::kIdeal, 3),
-        makeRecord("beta", MmuDesign::kVcOpt, 4),
-    };
-    const Json doc = resultsToJson(testMeta(), plain);
-    EXPECT_EQ(doc.find("schema_version")->asU64(),
-              std::uint64_t(kResultsSchemaVersion));
-    // None of the tenant-block keys leak into older exports.
-    for (const char *key :
-         {"tenants", "tenant_context_switches", "tenant_storm_pages",
-          "percu_tlb_refs", "iommu_tlb_refs"})
-        EXPECT_EQ(doc.find("results")->at(0).find(key), nullptr) << key;
+    // The v4 re-export covers every v3 field at once.
+    EXPECT_EQ(resultsToJson(meta, records).dump(2), v4.dump(2));
 }
 
 TEST(ResultsSchemaV3, OlderDocumentMustNotCarryTenantFields)
 {
-    Json doc = resultsToJson(testMeta(), tenantRecords());
+    Json doc = legacyDoc(resultsToJson(testMeta(), tenantRecords()),
+                         kResultsSchemaVersionTenants);
     doc.set("schema_version", kResultsSchemaVersionKernels);
 
     ExportMeta meta;
@@ -434,7 +412,8 @@ TEST(ResultsSchemaV3, Version3DocumentMustCarryTenantFields)
         makeRecord("beta", MmuDesign::kIdeal, 3),
         makeRecord("beta", MmuDesign::kVcOpt, 4),
     };
-    Json doc = resultsToJson(testMeta(), plain);
+    Json doc = legacyDoc(resultsToJson(testMeta(), plain),
+                         kResultsSchemaVersionPlain);
     doc.set("schema_version", kResultsSchemaVersionTenants);
 
     ExportMeta meta;
@@ -442,13 +421,6 @@ TEST(ResultsSchemaV3, Version3DocumentMustCarryTenantFields)
     std::string err;
     EXPECT_FALSE(resultsFromJson(reparse(doc), meta, records, &err));
     EXPECT_NE(err.find("tenants"), std::string::npos) << err;
-}
-
-TEST(ResultsSchemaV3, MixedTenantRecordsInOneExportAreFatal)
-{
-    std::vector<ResultRecord> mixed = tenantRecords();
-    mixed[2].result.tenants.clear();
-    EXPECT_DEATH((void)resultsToJson(testMeta(), mixed), "mix");
 }
 
 TEST(ResultsSchemaV3, MergeRejectsMixedSchemaShards)
@@ -465,12 +437,15 @@ TEST(ResultsSchemaV3, MergeRejectsMixedSchemaShards)
         if (i % 2 == 1)
             plain.push_back(
                 makeRecord(names[i], designs[i], std::uint64_t(i + 1)));
-    const Json v1_shard = resultsToJson(meta, plain);
+    const Json v1_shard =
+        legacyDoc(resultsToJson(meta, plain), kResultsSchemaVersionPlain);
 
     Json merged;
     std::string err;
-    EXPECT_FALSE(
-        mergeResults({tenantShardDoc(0, 2), v1_shard}, merged, &err));
+    EXPECT_FALSE(mergeResults(
+        {legacyDoc(tenantShardDoc(0, 2), kResultsSchemaVersionTenants),
+         v1_shard},
+        merged, &err));
     EXPECT_NE(err.find("schema_version"), std::string::npos) << err;
 }
 
@@ -478,8 +453,10 @@ TEST(ResultsSchemaV3, MergedV3ShardsMatchUnshardedExport)
 {
     Json merged;
     std::string err;
-    ASSERT_TRUE(mergeResults({tenantShardDoc(0, 2), tenantShardDoc(1, 2)},
-                             merged, &err))
+    ASSERT_TRUE(mergeResults(
+        {legacyDoc(tenantShardDoc(0, 2), kResultsSchemaVersionTenants),
+         legacyDoc(tenantShardDoc(1, 2), kResultsSchemaVersionTenants)},
+        merged, &err))
         << err;
     EXPECT_EQ(merged.dump(2),
               resultsToJson(testMeta(), tenantRecords()).dump(2));

@@ -3,7 +3,7 @@
  * gvc_tenants — multi-tenant contention driver: run N tenants (each its
  * own address space and kernel round stream) on one memory system under
  * a grid of (context-switch policy x shootdown-storm intensity x MMU
- * design) cells, and export per-tenant results as schema-v3 JSON.
+ * design) cells, and export per-tenant results as JSON.
  *
  *   gvc_tenants --workloads pagerank,bfs --designs baseline512,vc_opt \
  *               --switch keep-all,asid-shootdown --storm 0,8 --json -
@@ -77,7 +77,7 @@ usage(int code)
         "      --seed N            workload RNG seed (all tenants)\n"
         "  -j, --jobs N            worker threads (default: GVC_JOBS or\n"
         "                          hardware concurrency)\n"
-        "      --json PATH         write schema-v3 JSON ('-' = stdout)\n"
+        "      --json PATH         write results JSON ('-' = stdout)\n"
         "      --csv PATH          write CSV results ('-' = stdout)\n"
         "      --per-tenant        print the per-tenant breakdown table\n"
         "      --no-table          skip the summary table on stdout\n"
