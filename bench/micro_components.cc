@@ -203,12 +203,18 @@ BENCHMARK(BM_WarpStreamDrainFreshBuffer);
 void
 BM_MshrAllocateComplete(benchmark::State &state)
 {
-    MshrTable mshrs;
+    struct Waiter
+    {
+        Waiter *mshr_next = nullptr;
+    };
+    MshrTable<Waiter> mshrs;
+    Waiter w;
     Rng rng(8);
     for (auto _ : state) {
         const std::uint64_t key = rng.below(64);
-        if (mshrs.allocate(key, [] {}) == MshrTable::Result::kPrimary)
-            mshrs.complete(key);
+        if (mshrs.allocate(key, &w, false) ==
+            MshrTable<Waiter>::Result::kPrimary)
+            mshrs.complete(key, [](Waiter *) {});
     }
     state.SetItemsProcessed(state.iterations());
 }

@@ -75,13 +75,15 @@ class Directory
           Callback done)
     {
         ++fetches_;
+        // The one closure that carries a whole callback, so it is too
+        // big for Callback's inline buffer: wrapped explicitly.
         ctx_.eq.scheduleIn(params_.latency,
-                           [this, requester, line, exclusive,
-                            done = std::move(done)]() mutable {
+                           Callback([this, requester, line, exclusive,
+                                     done = std::move(done)]() mutable {
                                fetchAtDirectory(requester, line,
                                                 exclusive,
                                                 std::move(done));
-                           });
+                           }));
     }
 
     /** Explicit writeback of a dirty line from @p node. */

@@ -19,7 +19,6 @@
 #define GVC_CORE_VIRTUAL_HIERARCHY_HH
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -37,6 +36,7 @@
 #include "sim/debug.hh"
 #include "mmu/boundary.hh"
 #include "mmu/injection.hh"
+#include "mmu/mem_request.hh"
 #include "mmu/soc_config.hh"
 #include "tlb/iommu.hh"
 
@@ -118,16 +118,16 @@ class VirtualCacheSystem final : public GpuMemInterface
             line_va = pageBase(t->leading_vpn) |
                       (line_va & kPageMask & ~kLineMask);
         }
-        injection_.inject(cu_id, [this, cu_id, asid, line_va, is_store,
-                                  done = std::move(done)]() mutable {
+        MemRequest *req =
+            reqs_.make(cu_id, asid, line_va, is_store, std::move(done));
+        injection_.inject(cu_id, [this, req] {
             ctx_.eq.scheduleIn(cfg_.l1_latency,
-                               [this, cu_id, asid, line_va, is_store,
-                                done = std::move(done)]() mutable {
-                                   l1Access(cu_id, asid, line_va,
-                                            is_store, std::move(done));
-                               });
+                               [this, req] { l1Access(req); });
         });
     }
+
+    /** Accesses issued and not yet completed (synonym replays too). */
+    std::size_t requestsInFlight() const { return reqs_.inFlight(); }
 
     // ---------------------------------------------------------------
     // Coherence requests from the CPU / directory (§4.1)
@@ -259,22 +259,24 @@ class VirtualCacheSystem final : public GpuMemInterface
     // --- L1 stage (virtual, write-through no-allocate) ---
 
     void
-    l1Access(unsigned cu_id, Asid asid, Vaddr line_va, bool is_store,
-             Callback done)
+    l1Access(MemRequest *req)
     {
+        const unsigned cu_id = req->cu;
+        const Asid asid = req->asid;
+        const Vaddr line_va = req->line_va;
         const auto perms = l1s_[cu_id]->linePerms(asid, line_va);
         const bool usable =
-            perms && (!is_store || permsAllow(*perms, kPermWrite));
+            perms && (!req->is_store || permsAllow(*perms, kPermWrite));
         if (usable) {
-            l1s_[cu_id]->access(asid, line_va, is_store, ctx_.now());
-            if (!is_store) {
-                done();
+            l1s_[cu_id]->access(asid, line_va, req->is_store, ctx_.now());
+            if (!req->is_store) {
+                reqs_.finish(req);
                 return;
             }
             // Store hit still writes through to the L2.
         } else if (!perms) {
             l1s_[cu_id]->access(asid, line_va, false, ctx_.now());
-        } else if (perms && is_store) {
+        } else if (perms && req->is_store) {
             // Write to a read-only line: drop the stale copy; the miss
             // path below re-checks permissions at translation time.
             if (auto info = l1s_[cu_id]->invalidateLine(asid, line_va)) {
@@ -282,44 +284,39 @@ class VirtualCacheSystem final : public GpuMemInterface
                                              pageOf(info->line_addr));
             }
         }
-        sendToL2(cu_id, asid, line_va, is_store, std::move(done));
+        sendToL2(req);
     }
 
     // --- L2 stage (virtual, banked, write-back write-allocate) ---
 
     void
-    sendToL2(unsigned cu_id, Asid asid, Vaddr line_va, bool is_store,
-             Callback done)
+    sendToL2(MemRequest *req)
     {
-        const Tick arrive = ctx_.now() + cfg_.cu_to_l2;
-        const unsigned bank =
-            unsigned((line_va >> kLineShift) % cfg_.l2_banks);
-        ctx_.eq.schedule(arrive, [this, cu_id, asid, line_va, is_store,
-                                  bank, done = std::move(done)]() mutable {
+        ctx_.eq.scheduleIn(cfg_.cu_to_l2, [this, req] {
+            const unsigned bank =
+                unsigned((req->line_va >> kLineShift) % cfg_.l2_banks);
             const Tick start = banks_[bank].acquire(ctx_.now());
             ctx_.eq.schedule(start + cfg_.l2_latency,
-                             [this, cu_id, asid, line_va, is_store,
-                              done = std::move(done)]() mutable {
-                                 l2Access(cu_id, asid, line_va, is_store,
-                                          std::move(done));
-                             });
+                             [this, req] { l2Access(req); });
         });
     }
 
     void
-    l2Access(unsigned cu_id, Asid asid, Vaddr line_va, bool is_store,
-             Callback done)
+    l2Access(MemRequest *req)
     {
+        const Asid asid = req->asid;
+        const Vaddr line_va = req->line_va;
         const auto perms = l2_.linePerms(asid, line_va);
         const bool usable =
-            perms && (!is_store || permsAllow(*perms, kPermWrite));
+            perms && (!req->is_store || permsAllow(*perms, kPermWrite));
         if (usable) {
-            l2_.access(asid, line_va, is_store, ctx_.now());
-            if (is_store)
+            l2_.access(asid, line_va, req->is_store, ctx_.now());
+            if (req->is_store)
                 fbt_.markWritten(asid, pageOf(line_va));
             else
-                l1Fill(cu_id, asid, line_va, *perms);
-            ctx_.eq.scheduleIn(cfg_.cu_to_l2, std::move(done));
+                l1Fill(req->cu, asid, line_va, *perms);
+            ctx_.eq.scheduleIn(cfg_.cu_to_l2,
+                               [this, req] { reqs_.finish(req); });
             return;
         }
         if (!perms)
@@ -327,80 +324,60 @@ class VirtualCacheSystem final : public GpuMemInterface
 
         // Virtual L2 miss: translation required (the only point where
         // the IOMMU is consulted in this design).
-        const std::uint64_t key = mshrKey(asid, line_va);
-        pending_store_[key] = pending_store_[key] || is_store;
-        // WakeFn up front: a raw lambda would convert through a
-        // temporary on the first allocate() and lose its captures.
-        MshrTable::WakeFn waiter = [this, cu_id, asid, line_va, is_store,
-                                    done = std::move(done)]() mutable {
-            if (!is_store) {
-                // Fill the L1 only if the data landed under this VA
-                // (i.e., this VA is the leading VA; synonym replays
-                // leave the non-leading access uncached, §4.1).
-                if (auto p = l2_.linePerms(asid, line_va))
-                    l1Fill(cu_id, asid, line_va, *p);
-            }
-            ctx_.eq.scheduleIn(cfg_.cu_to_l2, std::move(done));
-        };
-        if (mshrs_.allocate(key, std::move(waiter)) ==
-            MshrTable::Result::kSecondary)
+        if (mshrs_.allocate(mshrKey(req), req, req->is_store) ==
+            MshrTable<MemRequest>::Result::kSecondary)
             return;
-        mshrs_.allocate(key, std::move(waiter));
 
         // Coalesce concurrent translation requests for the same page:
         // one IOMMU access serves every outstanding line miss of the
         // page (standard MSHR-style merging; without it any DRAM-bound
         // streaming phase would falsely bottleneck on the shared TLB
         // port even though it only needs one translation per page).
-        const std::uint64_t xkey =
-            pageOf(line_va) | (std::uint64_t(asid) << 40);
-        auto [it, fresh] = xlate_pending_.try_emplace(xkey);
-        it->second.push_back(
-            [this, cu_id, asid, line_va, is_store,
-             key](const IommuResponse &resp) {
-                onTranslation(cu_id, asid, line_va, is_store, key, resp);
-            });
+        auto [it, fresh] = xlate_pending_.try_emplace(xlateKey(req));
+        it->second.append(req);
         if (!fresh) {
             ++xlate_merges_;
             return;
         }
-        ctx_.eq.scheduleIn(cfg_.l2_to_iommu, [this, asid, line_va,
-                                              xkey] {
-            iommu_.translate(asid, pageOf(line_va),
-                             [this, xkey](const IommuResponse &resp) {
-                                 auto node = xlate_pending_.extract(xkey);
-                                 if (node.empty())
-                                     return;
-                                 for (auto &fn : node.mapped())
-                                     fn(resp);
-                             });
+        ctx_.eq.scheduleIn(cfg_.l2_to_iommu, [this, req] {
+            iommu_.translate(
+                req->asid, pageOf(req->line_va),
+                [this, req](const IommuResponse &resp) {
+                    auto node = xlate_pending_.extract(xlateKey(req));
+                    if (node.empty())
+                        return;
+                    node.mapped().forEach([this, &resp](MemRequest *r) {
+                        r->resp = resp;
+                        onTranslation(r);
+                    });
+                });
         });
     }
 
     // --- IOMMU response: permission check, then the BT synonym check ---
 
+    /** @p req is the primary miss of its line; req->resp is its page. */
     void
-    onTranslation(unsigned cu_id, Asid asid, Vaddr line_va, bool is_store,
-                  std::uint64_t key, const IommuResponse &resp)
+    onTranslation(MemRequest *req)
     {
-        if (resp.fault)
+        if (req->resp.fault)
             fatal("VirtualCacheSystem: unhandled GPU page fault");
-        const Perms need = is_store ? kPermWrite : kPermRead;
-        if (!permsAllow(resp.perms, need)) {
+        const Perms need = req->is_store ? kPermWrite : kPermRead;
+        if (!permsAllow(req->resp.perms, need)) {
             ++protection_faults_;
-            completeKey(key);
+            completeKey(req);
             return;
         }
-        ctx_.eq.scheduleIn(cfg_.fbt_latency, [this, cu_id, asid, line_va,
-                                              is_store, key, resp] {
-            synonymCheck(cu_id, asid, line_va, is_store, key, resp);
-        });
+        ctx_.eq.scheduleIn(cfg_.fbt_latency,
+                           [this, req] { synonymCheck(req); });
     }
 
     void
-    synonymCheck(unsigned cu_id, Asid asid, Vaddr line_va, bool is_store,
-                 std::uint64_t key, const IommuResponse &resp)
+    synonymCheck(MemRequest *req)
     {
+        const Asid asid = req->asid;
+        const Vaddr line_va = req->line_va;
+        const IommuResponse &resp = req->resp;
         // 2 MB pages either split into 4 KB subpage entries (§4.3
         // optimization, the default) or use one counter-mode entry.
         const bool counter_mode =
@@ -411,13 +388,13 @@ class VirtualCacheSystem final : public GpuMemInterface
             const Vpn large_base = vpn & ~Vpn{0x1ff};
             const Ppn ppn_base = resp.ppn - (vpn & 0x1ff);
             check = fbt_.onCacheMissLarge(asid, large_base, ppn_base,
-                                          resp.perms, is_store);
+                                          resp.perms, req->is_store);
             // Counter mode has no per-line bits: always fetch.
             check.line_cached = false;
         } else {
             check = fbt_.onCacheMiss(asid, pageOf(line_va), resp.ppn,
                                      resp.perms, lineInPage(line_va),
-                                     is_store);
+                                     req->is_store);
         }
         for (const auto &victim : check.victims)
             purgePage(victim);
@@ -427,9 +404,9 @@ class VirtualCacheSystem final : public GpuMemInterface
           case SynonymCheck::Kind::kLeadingMatch:
             if (check.line_cached) {
                 // In-flight fill already landed (same leading VA).
-                completeKey(key);
+                completeKey(req);
             } else {
-                fetchLine(asid, line_va, resp.perms, resp.ppn, key);
+                fetchLine(req);
             }
             return;
           case SynonymCheck::Kind::kSynonym: {
@@ -454,14 +431,15 @@ class VirtualCacheSystem final : public GpuMemInterface
                     : (pageBase(check.leading_vpn) |
                        (line_va & kPageMask & ~kLineMask));
             // Replay the access through the hierarchy with the leading
-            // VA; waiters of the original key complete when it does.
-            access(cu_id, check.leading_asid, leading_line, is_store,
-                   [this, key] { completeKey(key); });
+            // VA as a request of its own; the waiters of @p req's line
+            // complete when it does.
+            access(req->cu, check.leading_asid, leading_line,
+                   req->is_store, [this, req] { completeKey(req); });
             return;
           }
           case SynonymCheck::Kind::kRwFault:
             ++rw_faults_;
-            completeKey(key);
+            completeKey(req);
             return;
         }
     }
@@ -469,36 +447,35 @@ class VirtualCacheSystem final : public GpuMemInterface
     // --- memory fetch and L2 fill under the leading VA ---
 
     void
-    fetchLine(Asid asid, Vaddr line_va, Perms page_perms, Ppn ppn,
-              std::uint64_t key)
+    fetchLine(MemRequest *req)
     {
         // The IOMMU sits next to the directory (Figure 6), so the
         // translated request proceeds to the directory without another
         // network hop; the directory handles CPU-side conflicts and
         // the memory access.
-        const Paddr line_pa =
-            pageBase(ppn) | (line_va & kPageMask & ~kLineMask);
-        const bool exclusive = pending_store_[key];
-        dir_.fetch(DirNode::kGpu, line_pa, exclusive,
-                   [this, asid, line_va, page_perms, key] {
-                       fillL2(asid, line_va, page_perms, key);
-                   });
+        req->line_pa = pageBase(req->resp.ppn) |
+                       (req->line_va & kPageMask & ~kLineMask);
+        dir_.fetch(DirNode::kGpu, req->line_pa,
+                   mshrs_.storePending(mshrKey(req)),
+                   [this, req] { fillL2(req); });
     }
 
     void
-    fillL2(Asid asid, Vaddr line_va, Perms page_perms, std::uint64_t key)
+    fillL2(MemRequest *req)
     {
+        const Asid asid = req->asid;
+        const Vaddr line_va = req->line_va;
         const Vpn vpn = pageOf(line_va);
         if (!fbt_.hasLeading(asid, vpn)) {
             // The page was purged (shootdown / FBT eviction) while the
             // fill was in flight: drop the fill, complete the waiters.
             ++dropped_fills_;
-            completeKey(key);
+            completeKey(req);
             return;
         }
-        const bool dirty = pending_store_[key];
+        const bool dirty = mshrs_.storePending(mshrKey(req));
         const auto victim =
-            l2_.insert(asid, line_va, page_perms, dirty, ctx_.now());
+            l2_.insert(asid, line_va, req->resp.perms, dirty, ctx_.now());
         fbt_.lineFilled(asid, vpn, lineInPage(line_va));
         if (dirty)
             fbt_.markWritten(asid, vpn);
@@ -508,14 +485,27 @@ class VirtualCacheSystem final : public GpuMemInterface
             if (victim->dirty)
                 writebackVictim(*victim);
         }
-        completeKey(key);
+        completeKey(req);
     }
 
+    /**
+     * The line @p primary missed on is settled (filled, dropped or
+     * refused): wake its MSHR waiters in merge order.
+     */
     void
-    completeKey(std::uint64_t key)
+    completeKey(MemRequest *primary)
     {
-        pending_store_.erase(key);
-        mshrs_.complete(key);
+        mshrs_.complete(mshrKey(primary), [this](MemRequest *w) {
+            if (!w->is_store) {
+                // Fill the L1 only if the data landed under this VA
+                // (i.e., this VA is the leading VA; synonym replays
+                // leave the non-leading access uncached, §4.1).
+                if (auto p = l2_.linePerms(w->asid, w->line_va))
+                    l1Fill(w->cu, w->asid, w->line_va, *p);
+            }
+            ctx_.eq.scheduleIn(cfg_.cu_to_l2,
+                               [this, w] { reqs_.finish(w); });
+        });
     }
 
     // --- L1 fills with invalidation-filter bookkeeping ---
@@ -599,9 +589,16 @@ class VirtualCacheSystem final : public GpuMemInterface
     }
 
     static std::uint64_t
-    mshrKey(Asid asid, Vaddr line_va)
+    mshrKey(const MemRequest *req)
     {
-        return (line_va >> kLineShift) | (std::uint64_t(asid) << 52);
+        return (req->line_va >> kLineShift) |
+               (std::uint64_t(req->asid) << 52);
+    }
+
+    static std::uint64_t
+    xlateKey(const MemRequest *req)
+    {
+        return pageOf(req->line_va) | (std::uint64_t(req->asid) << 40);
     }
 
     SimContext &ctx_;
@@ -613,12 +610,10 @@ class VirtualCacheSystem final : public GpuMemInterface
     std::vector<std::unique_ptr<InvalidationFilter>> filters_;
     CacheArray l2_;
     std::vector<BankPort> banks_;
-    MshrTable mshrs_;
-    std::unordered_map<std::uint64_t, bool> pending_store_;
-    std::unordered_map<
-        std::uint64_t,
-        std::vector<SmallFunc<void(const IommuResponse &)>>>
-        xlate_pending_;
+    RequestPool reqs_;
+    MshrTable<MemRequest> mshrs_;
+    /// Primary misses waiting on one translation, keyed by xlateKey().
+    std::unordered_map<std::uint64_t, XlateChain> xlate_pending_;
     Fbt fbt_;
     Iommu iommu_;
     SynonymRemapTable remap_;

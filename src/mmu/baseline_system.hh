@@ -17,7 +17,6 @@
 #ifndef GVC_MMU_BASELINE_SYSTEM_HH
 #define GVC_MMU_BASELINE_SYSTEM_HH
 
-#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -58,7 +57,7 @@ class BaselineMmuSystem final : public GpuMemInterface
      */
     BaselineMmuSystem(SimContext &ctx, const SocConfig &cfg, Vm &vm,
                       Dram &dram, bool merge_tlb_misses = false)
-        : ctx_(ctx), cfg_(cfg), vm_(vm), caches_(ctx, cfg, dram),
+        : ctx_(ctx), cfg_(cfg), vm_(vm), caches_(ctx, cfg, dram, reqs_),
           iommu_(ctx, vm, dram, cfg.iommuParams()),
           injection_(ctx, cfg.gpu.num_cus, cfg.cu_injection_rate),
           merge_tlb_misses_(merge_tlb_misses)
@@ -95,17 +94,16 @@ class BaselineMmuSystem final : public GpuMemInterface
     access(unsigned cu_id, Asid asid, Vaddr line_va, bool is_store,
            Callback done) override
     {
-        injection_.inject(cu_id, [this, cu_id, asid, line_va, is_store,
-                                  done = std::move(done)]() mutable {
-            ctx_.eq.scheduleIn(
-                cfg_.percu_tlb_latency,
-                [this, cu_id, asid, line_va, is_store,
-                 done = std::move(done)]() mutable {
-                    afterTlb(cu_id, asid, line_va, is_store,
-                             std::move(done));
-                });
+        MemRequest *req =
+            reqs_.make(cu_id, asid, line_va, is_store, std::move(done));
+        injection_.inject(cu_id, [this, req] {
+            ctx_.eq.scheduleIn(cfg_.percu_tlb_latency,
+                               [this, req] { afterTlb(req); });
         });
     }
+
+    /** Accesses issued and not yet completed. */
+    std::size_t requestsInFlight() const { return reqs_.inFlight(); }
 
     Tlb &perCuTlb(unsigned cu) { return *tlbs_[cu]; }
     const Tlb &perCuTlb(unsigned cu) const { return *tlbs_[cu]; }
@@ -253,17 +251,18 @@ class BaselineMmuSystem final : public GpuMemInterface
 
   private:
     void
-    afterTlb(unsigned cu_id, Asid asid, Vaddr line_va, bool is_store,
-             Callback done)
+    afterTlb(MemRequest *req)
     {
-        const Vpn vpn = pageOf(line_va);
+        const unsigned cu_id = req->cu;
+        const Asid asid = req->asid;
+        const Vpn vpn = req->vpn;
         if (auto hit = tlbs_[cu_id]->lookup(asid, vpn, ctx_.now())) {
-            proceed(cu_id, hit->ppn, line_va, is_store, std::move(done));
+            proceed(req, hit->ppn);
             return;
         }
 
         if (cfg_.classify_tlb_misses)
-            classify(cu_id, asid, line_va);
+            classify(cu_id, asid, req->line_va);
 
         // Victima-style stash probe: before paying the PCIe hop to the
         // IOMMU, check whether an earlier capacity eviction parked this
@@ -281,20 +280,19 @@ class BaselineMmuSystem final : public GpuMemInterface
                     // consume the stash copy.  Cost is one L2 round
                     // trip instead of the full IOMMU translation.
                     ++victima_hits_;
-                    const StashEntry e = it->second;
+                    req->resp.ppn = it->second.ppn;
+                    req->resp.perms = it->second.perms;
                     stash_.erase(it);
                     caches_.l2().invalidateLine(0, addr);
                     const Tick lat = 2 * cfg_.cu_to_l2 + cfg_.l2_latency;
-                    ctx_.eq.scheduleIn(
-                        lat, [this, cu_id, asid, vpn, e, line_va, is_store,
-                              done = std::move(done)]() mutable {
-                            tlbs_[cu_id]->insert(
-                                asid, vpn,
-                                TlbLookup{e.ppn, e.perms, false},
-                                ctx_.now());
-                            proceed(cu_id, e.ppn, line_va, is_store,
-                                    std::move(done));
-                        });
+                    ctx_.eq.scheduleIn(lat, [this, req] {
+                        tlbs_[req->cu]->insert(
+                            req->asid, req->vpn,
+                            TlbLookup{req->resp.ppn, req->resp.perms,
+                                      false},
+                            ctx_.now());
+                        proceed(req, req->resp.ppn);
+                    });
                     return;
                 }
                 // The stash line was silently displaced by an ordinary
@@ -306,92 +304,57 @@ class BaselineMmuSystem final : public GpuMemInterface
         }
 
         if (merge_tlb_misses_) {
-            const std::uint64_t key =
-                (std::uint64_t(cu_id) << 56) |
-                (std::uint64_t(asid) << 40) | vpn;
-            auto it = pending_.find(key);
-            if (it != pending_.end()) {
-                it->second.push_back(Waiter{line_va, is_store,
-                                            std::move(done)});
+            // One IOMMU request per (CU, page); later misses queue
+            // behind the first on its xlate_next chain.
+            auto [it, fresh] = pending_.try_emplace(mergeKey(req));
+            it->second.append(req);
+            if (!fresh)
                 return;
-            }
-            pending_[key].push_back(Waiter{line_va, is_store,
-                                           std::move(done)});
-            requestTranslation(cu_id, asid, vpn, key);
-            return;
         }
 
         // Unmerged: each miss is one IOMMU request (paper accounting).
-        ctx_.eq.scheduleIn(
-            cfg_.cu_to_iommu,
-            [this, cu_id, asid, vpn, line_va, is_store,
-             done = std::move(done)]() mutable {
-                iommu_.translate(
-                    asid, vpn,
-                    [this, cu_id, asid, vpn, line_va, is_store,
-                     done = std::move(done)](
-                        const IommuResponse &resp) mutable {
-                        ctx_.eq.scheduleIn(
-                            cfg_.cu_to_iommu,
-                            [this, cu_id, asid, vpn, line_va, is_store,
-                             resp, done = std::move(done)]() mutable {
-                                onTranslation(cu_id, asid, vpn, resp,
-                                              line_va, is_store,
-                                              std::move(done));
-                            });
-                    });
-            });
-    }
-
-    void
-    requestTranslation(unsigned cu_id, Asid asid, Vpn vpn,
-                       std::uint64_t key)
-    {
-        ctx_.eq.scheduleIn(cfg_.cu_to_iommu, [this, cu_id, asid, vpn,
-                                              key] {
-            iommu_.translate(asid, vpn, [this, cu_id, asid, vpn, key](
-                                            const IommuResponse &resp) {
-                ctx_.eq.scheduleIn(cfg_.cu_to_iommu,
-                                   [this, cu_id, asid, vpn, key, resp] {
-                                       completeMerged(cu_id, asid, vpn,
-                                                      key, resp);
-                                   });
-            });
+        ctx_.eq.scheduleIn(cfg_.cu_to_iommu, [this, req] {
+            iommu_.translate(
+                req->asid, req->vpn,
+                [this, req](const IommuResponse &resp) {
+                    req->resp = resp;
+                    ctx_.eq.scheduleIn(cfg_.cu_to_iommu,
+                                       [this, req] { onTranslation(req); });
+                });
         });
     }
 
+    /**
+     * The IOMMU answered @p req's translation: fill the per-CU TLB and
+     * send @p req — with every request merged behind it — to the
+     * caches.
+     */
     void
-    completeMerged(unsigned cu_id, Asid asid, Vpn vpn, std::uint64_t key,
-                   const IommuResponse &resp)
+    onTranslation(MemRequest *req)
     {
-        installAndCheck(cu_id, asid, vpn, resp);
-        auto waiters = std::move(pending_[key]);
-        pending_.erase(key);
-        for (auto &w : waiters)
-            proceed(cu_id, resp.ppn, w.line_va, w.is_store,
-                    std::move(w.done));
-    }
-
-    void
-    onTranslation(unsigned cu_id, Asid asid, Vpn vpn,
-                  const IommuResponse &resp, Vaddr line_va, bool is_store,
-                  Callback done)
-    {
-        installAndCheck(cu_id, asid, vpn, resp);
-        proceed(cu_id, resp.ppn, line_va, is_store, std::move(done));
-    }
-
-    void
-    installAndCheck(unsigned cu_id, Asid asid, Vpn vpn,
-                    const IommuResponse &resp)
-    {
-        if (resp.fault)
+        if (req->resp.fault)
             fatal("BaselineMmuSystem: unhandled GPU page fault");
-        tlbs_[cu_id]->insert(asid, vpn,
-                             TlbLookup{resp.ppn, resp.perms, resp.large,
-                                       resp.reach, resp.base_vpn,
-                                       resp.base_ppn},
-                             ctx_.now());
+        const IommuResponse &resp = req->resp;
+        tlbs_[req->cu]->insert(req->asid, req->vpn,
+                               TlbLookup{resp.ppn, resp.perms, resp.large,
+                                         resp.reach, resp.base_vpn,
+                                         resp.base_ppn},
+                               ctx_.now());
+        if (!merge_tlb_misses_) {
+            proceed(req, resp.ppn);
+            return;
+        }
+        const Ppn ppn = resp.ppn;
+        auto node = pending_.extract(mergeKey(req));
+        node.mapped().forEach(
+            [this, ppn](MemRequest *w) { proceed(w, ppn); });
+    }
+
+    static std::uint64_t
+    mergeKey(const MemRequest *req)
+    {
+        return (std::uint64_t(req->cu) << 56) |
+               (std::uint64_t(req->asid) << 40) | req->vpn;
     }
 
     // --- Victima-style L2 translation stash ---
@@ -460,12 +423,11 @@ class BaselineMmuSystem final : public GpuMemInterface
     }
 
     void
-    proceed(unsigned cu_id, Ppn ppn, Vaddr line_va, bool is_store,
-            Callback done)
+    proceed(MemRequest *req, Ppn ppn)
     {
-        const Paddr line_pa =
-            pageBase(ppn) | (line_va & kPageMask & ~kLineMask);
-        caches_.accessL1(cu_id, line_pa, is_store, std::move(done));
+        req->line_pa =
+            pageBase(ppn) | (req->line_va & kPageMask & ~kLineMask);
+        caches_.accessL1(req);
     }
 
     /** Figure 2: classify a TLB miss by current data residency. */
@@ -485,13 +447,6 @@ class BaselineMmuSystem final : public GpuMemInterface
             ++breakdown_.miss_l2_miss;
     }
 
-    struct Waiter
-    {
-        Vaddr line_va;
-        bool is_store;
-        Callback done;
-    };
-
     /** Payload of a stashed translation, keyed by stash line address. */
     struct StashEntry
     {
@@ -502,12 +457,13 @@ class BaselineMmuSystem final : public GpuMemInterface
     SimContext &ctx_;
     SocConfig cfg_;
     Vm &vm_;
+    RequestPool reqs_;
     PhysCaches caches_;
     Iommu iommu_;
     CuInjectionPorts injection_;
     bool merge_tlb_misses_;
     std::vector<std::unique_ptr<Tlb>> tlbs_;
-    std::unordered_map<std::uint64_t, std::vector<Waiter>> pending_;
+    std::unordered_map<std::uint64_t, XlateChain> pending_;
     TlbMissBreakdown breakdown_;
     /// Victima side map: stash line address -> stashed translation.
     std::unordered_map<Paddr, StashEntry> stash_;

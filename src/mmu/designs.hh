@@ -220,6 +220,27 @@ class SystemUnderTest
         return nullptr;
     }
 
+    /**
+     * Access, IOMMU and page-walk records not yet back in their pools;
+     * zero whenever the event queue has drained.
+     */
+    std::size_t
+    recordsInFlight()
+    {
+        std::size_t n = 0;
+        if (ideal_)
+            n += ideal_->requestsInFlight();
+        if (baseline_)
+            n += baseline_->requestsInFlight();
+        if (vc_)
+            n += vc_->requestsInFlight();
+        if (l1vc_)
+            n += l1vc_->requestsInFlight();
+        if (Iommu *io = iommu())
+            n += io->requestsInFlight() + io->ptw().walksInFlight();
+        return n;
+    }
+
     IdealMmuSystem *ideal() { return ideal_.get(); }
     BaselineMmuSystem *baseline() { return baseline_.get(); }
     VirtualCacheSystem *vc() { return vc_.get(); }

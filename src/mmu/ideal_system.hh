@@ -24,7 +24,7 @@ class IdealMmuSystem final : public GpuMemInterface
   public:
     IdealMmuSystem(SimContext &ctx, const SocConfig &cfg, Vm &vm,
                    Dram &dram)
-        : vm_(vm), caches_(ctx, cfg, dram),
+        : vm_(vm), caches_(ctx, cfg, dram, reqs_),
           injection_(ctx, cfg.gpu.num_cus, cfg.cu_injection_rate)
     {
     }
@@ -36,13 +36,15 @@ class IdealMmuSystem final : public GpuMemInterface
         const auto t = vm_.translate(asid, line_va);
         if (!t)
             fatal("IdealMmuSystem: access to unmapped address");
-        const Paddr line_pa =
+        MemRequest *req =
+            reqs_.make(cu_id, asid, line_va, is_store, std::move(done));
+        req->line_pa =
             pageBase(t->ppn) | (line_va & kPageMask & ~kLineMask);
-        injection_.inject(cu_id, [this, cu_id, line_pa, is_store,
-                                  done = std::move(done)]() mutable {
-            caches_.accessL1(cu_id, line_pa, is_store, std::move(done));
-        });
+        injection_.inject(cu_id, [this, req] { caches_.accessL1(req); });
     }
+
+    /** Accesses issued and not yet completed. */
+    std::size_t requestsInFlight() const { return reqs_.inFlight(); }
 
     PhysCaches &caches() { return caches_; }
     const PhysCaches &caches() const { return caches_; }
@@ -59,6 +61,7 @@ class IdealMmuSystem final : public GpuMemInterface
 
   private:
     Vm &vm_;
+    RequestPool reqs_;
     PhysCaches caches_;
     CuInjectionPorts injection_;
 };

@@ -9,6 +9,7 @@
 #ifndef GVC_MMU_INJECTION_HH
 #define GVC_MMU_INJECTION_HH
 
+#include <utility>
 #include <vector>
 
 #include "cache/bank_port.hh"
@@ -38,8 +39,9 @@ class CuInjectionPorts
      * Run @p fn when CU @p cu wins its injection slot (immediately when
      * the limit is disabled).
      */
+    template <typename F>
     void
-    inject(unsigned cu, Callback fn)
+    inject(unsigned cu, F &&fn)
     {
         if (ports_.empty()) {
             fn();
@@ -49,7 +51,7 @@ class CuInjectionPorts
         if (start == ctx_.now())
             fn();
         else
-            ctx_.eq.schedule(start, std::move(fn));
+            ctx_.eq.schedule(start, std::forward<F>(fn));
     }
 
     /** Mean cycles requests waited at CU ports (0 when disabled). */

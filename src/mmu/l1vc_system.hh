@@ -16,7 +16,6 @@
 #define GVC_MMU_L1VC_SYSTEM_HH
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -98,7 +97,9 @@ class L1OnlyVcSystem final : public GpuMemInterface
   public:
     L1OnlyVcSystem(SimContext &ctx, const SocConfig &cfg, Vm &vm,
                    Dram &dram)
-        : ctx_(ctx), cfg_(cfg), vm_(vm), caches_(ctx, cfg, dram),
+        : ctx_(ctx), cfg_(cfg), vm_(vm),
+          caches_(ctx, cfg, dram, reqs_,
+                  [this](MemRequest *req) { l2Returned(req); }),
           iommu_(ctx, vm, dram, cfg.iommuParams()),
           injection_(ctx, cfg.gpu.num_cus, cfg.cu_injection_rate)
     {
@@ -142,16 +143,11 @@ class L1OnlyVcSystem final : public GpuMemInterface
     access(unsigned cu_id, Asid asid, Vaddr line_va, bool is_store,
            Callback done) override
     {
-        injection_.inject(cu_id, [this, cu_id, asid, line_va, is_store,
-                                  done = std::move(done)]() mutable {
-            ctx_.eq.scheduleIn(cfg_.l1_latency,
-                               [this, cu_id, asid, line_va, is_store,
-                                done = std::move(done)]() mutable {
-                                   l1Access(cu_id, asid, line_va,
-                                            is_store, std::move(done));
-                               });
-        });
+        issue(reqs_.make(cu_id, asid, line_va, is_store, std::move(done)));
     }
+
+    /** Accesses issued and not yet completed. */
+    std::size_t requestsInFlight() const { return reqs_.inFlight(); }
 
     Tlb &perCuTlb(unsigned cu) { return *tlbs_[cu]; }
     CacheArray &l1(unsigned cu) { return *l1s_[cu]; }
@@ -197,100 +193,103 @@ class L1OnlyVcSystem final : public GpuMemInterface
 
   private:
     void
-    l1Access(unsigned cu_id, Asid asid, Vaddr line_va, bool is_store,
-             Callback done)
+    issue(MemRequest *req)
     {
-        const auto perms = l1s_[cu_id]->linePerms(asid, line_va);
+        injection_.inject(req->cu, [this, req] {
+            ctx_.eq.scheduleIn(cfg_.l1_latency,
+                               [this, req] { l1Access(req); });
+        });
+    }
+
+    void
+    l1Access(MemRequest *req)
+    {
+        CacheArray &l1 = *l1s_[req->cu];
+        const auto perms = l1.linePerms(req->asid, req->line_va);
         const bool usable =
-            perms && (!is_store || permsAllow(*perms, kPermWrite));
+            perms && (!req->is_store || permsAllow(*perms, kPermWrite));
         if (usable) {
-            l1s_[cu_id]->access(asid, line_va, is_store, ctx_.now());
-            if (!is_store) {
-                done();
+            l1.access(req->asid, req->line_va, req->is_store, ctx_.now());
+            if (!req->is_store) {
+                reqs_.finish(req);
                 return;
             }
             // Store hit: write through; translation still needed for
             // the physical L2.
         } else if (!perms) {
-            l1s_[cu_id]->access(asid, line_va, false, ctx_.now());
+            l1.access(req->asid, req->line_va, false, ctx_.now());
         }
         ctx_.eq.scheduleIn(cfg_.percu_tlb_latency,
-                           [this, cu_id, asid, line_va, is_store,
-                            done = std::move(done)]() mutable {
-                               tlbStage(cu_id, asid, line_va, is_store,
-                                        std::move(done));
-                           });
+                           [this, req] { tlbStage(req); });
     }
 
     void
-    tlbStage(unsigned cu_id, Asid asid, Vaddr line_va, bool is_store,
-             Callback done)
+    tlbStage(MemRequest *req)
     {
-        const Vpn vpn = pageOf(line_va);
-        if (auto hit = tlbs_[cu_id]->lookup(asid, vpn, ctx_.now())) {
-            translated(cu_id, asid, line_va, is_store, hit->ppn,
-                       hit->perms, std::move(done));
+        if (auto hit =
+                tlbs_[req->cu]->lookup(req->asid, req->vpn, ctx_.now())) {
+            req->resp.perms = hit->perms;
+            translated(req, hit->ppn);
             return;
         }
-        ctx_.eq.scheduleIn(
-            cfg_.cu_to_iommu,
-            [this, cu_id, asid, vpn, line_va, is_store,
-             done = std::move(done)]() mutable {
-                iommu_.translate(
-                    asid, vpn,
-                    [this, cu_id, asid, vpn, line_va, is_store,
-                     done = std::move(done)](
-                        const IommuResponse &resp) mutable {
-                        ctx_.eq.scheduleIn(
-                            cfg_.cu_to_iommu,
-                            [this, cu_id, asid, vpn, line_va, is_store,
-                             resp, done = std::move(done)]() mutable {
-                                if (resp.fault) {
-                                    fatal("L1OnlyVcSystem: unhandled "
-                                          "GPU page fault");
-                                }
-                                tlbs_[cu_id]->insert(
-                                    asid, vpn,
-                                    TlbLookup{resp.ppn, resp.perms,
-                                              resp.large, resp.reach,
-                                              resp.base_vpn,
-                                              resp.base_ppn},
-                                    ctx_.now());
-                                translated(cu_id, asid, line_va,
-                                           is_store, resp.ppn,
-                                           resp.perms, std::move(done));
-                            });
-                    });
-            });
+        ctx_.eq.scheduleIn(cfg_.cu_to_iommu, [this, req] {
+            iommu_.translate(
+                req->asid, req->vpn,
+                [this, req](const IommuResponse &resp) {
+                    req->resp = resp;
+                    ctx_.eq.scheduleIn(cfg_.cu_to_iommu,
+                                       [this, req] { onTranslation(req); });
+                });
+        });
     }
 
     void
-    translated(unsigned cu_id, Asid asid, Vaddr line_va, bool is_store,
-               Ppn ppn, Perms page_perms, Callback done)
+    onTranslation(MemRequest *req)
     {
-        const Paddr line_pa =
-            pageBase(ppn) | (line_va & kPageMask & ~kLineMask);
+        const IommuResponse &resp = req->resp;
+        if (resp.fault)
+            fatal("L1OnlyVcSystem: unhandled GPU page fault");
+        tlbs_[req->cu]->insert(req->asid, req->vpn,
+                               TlbLookup{resp.ppn, resp.perms, resp.large,
+                                         resp.reach, resp.base_vpn,
+                                         resp.base_ppn},
+                               ctx_.now());
+        translated(req, resp.ppn);
+    }
+
+    /** @p req->resp.perms holds the page permissions from translation. */
+    void
+    translated(MemRequest *req, Ppn ppn)
+    {
+        req->line_pa =
+            pageBase(ppn) | (req->line_va & kPageMask & ~kLineMask);
 
         // Synonym discipline: the L1s may cache a physical line under a
         // single leading virtual name only.
-        if (const auto leading = registry_.lookup(line_pa)) {
-            if (leading->asid != asid || leading->line_va != line_va) {
+        if (const auto leading = registry_.lookup(req->line_pa)) {
+            if (leading->asid != req->asid ||
+                leading->line_va != req->line_va) {
                 ++synonym_replays_;
-                access(cu_id, leading->asid, leading->line_va, is_store,
-                       std::move(done));
+                req->asid = leading->asid;
+                req->line_va = leading->line_va;
+                req->vpn = pageOf(leading->line_va);
+                issue(req);
                 return;
             }
         }
 
-        caches_.accessL2(
-            cu_id, line_pa, is_store,
-            [this, cu_id, asid, line_va, line_pa, page_perms, is_store,
-             done = std::move(done)]() mutable {
-                if (!is_store)
-                    fillL1(cu_id, asid, line_va, line_pa, page_perms);
-                done();
-            },
-            /*fill_l1=*/false);
+        req->fill_l1 = false; // the L1s are virtual: filled on return
+        caches_.accessL2(req);
+    }
+
+    /** The physical L2 returned @p req's line: fill the virtual L1. */
+    void
+    l2Returned(MemRequest *req)
+    {
+        if (!req->is_store)
+            fillL1(req->cu, req->asid, req->line_va, req->line_pa,
+                   req->resp.perms);
+        reqs_.finish(req);
     }
 
     void
@@ -321,6 +320,7 @@ class L1OnlyVcSystem final : public GpuMemInterface
     SimContext &ctx_;
     SocConfig cfg_;
     Vm &vm_;
+    RequestPool reqs_;
     PhysCaches caches_;
     Iommu iommu_;
     std::vector<std::unique_ptr<CacheArray>> l1s_;

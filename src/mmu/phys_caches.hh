@@ -10,9 +10,7 @@
 #define GVC_MMU_PHYS_CACHES_HH
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/bank_port.hh"
@@ -20,6 +18,7 @@
 #include "cache/directory.hh"
 #include "cache/mshr.hh"
 #include "mem/dram.hh"
+#include "mmu/mem_request.hh"
 #include "mmu/soc_config.hh"
 #include "sim/sim_context.hh"
 
@@ -27,16 +26,25 @@ namespace gvc
 {
 
 /**
- * The physical cache hierarchy.  Callers provide already-translated
- * line-aligned physical addresses; completion callbacks fire when load
- * data returns to the CU (including the return NoC hop) or when a store
- * has been accepted by the L2.
+ * The physical cache hierarchy.  Callers hand in a MemRequest whose
+ * line_pa is the already-translated line-aligned physical address; the
+ * request finishes when load data returns to the CU (including the
+ * return NoC hop) or when a store has been accepted by the L2.
  */
 class PhysCaches
 {
   public:
-    PhysCaches(SimContext &ctx, const SocConfig &cfg, Dram &dram)
-        : ctx_(ctx), cfg_(cfg), dram_(dram),
+    /**
+     * Runs in place of RequestPool::finish when a request's data is back
+     * at the CU; an owner with its own L1s (the L1-only VC) fills them
+     * here, then finishes the request.
+     */
+    using ReturnHook = SmallFunc<void(MemRequest *)>;
+
+    PhysCaches(SimContext &ctx, const SocConfig &cfg, Dram &dram,
+               RequestPool &reqs, ReturnHook on_return = nullptr)
+        : ctx_(ctx), cfg_(cfg), dram_(dram), reqs_(reqs),
+          on_return_(std::move(on_return)),
           dir_(ctx, dram, Directory::Params{cfg.dir_latency}),
           l2_(CacheParams{cfg.l2_size, cfg.l2_assoc, unsigned(kLineSize),
                           /*write_back=*/true, /*write_allocate=*/true,
@@ -71,47 +79,38 @@ class PhysCaches
     }
 
     /**
-     * Access starting at the L1 of @p cu.  Stores write through: the L1
-     * line is updated on hit but never allocated, and the store always
-     * proceeds to the L2.
+     * Access starting at the L1 of @p req->cu.  Stores write through:
+     * the L1 line is updated on hit but never allocated, and the store
+     * always proceeds to the L2.
      */
     void
-    accessL1(unsigned cu, Paddr line, bool is_store, Callback done)
+    accessL1(MemRequest *req)
     {
-        ctx_.eq.scheduleIn(cfg_.l1_latency, [this, cu, line, is_store,
-                                             done = std::move(done)]() mutable {
-            const bool hit =
-                l1s_[cu]->access(0, line, is_store, ctx_.now());
-            if (is_store) {
-                accessL2(cu, line, true, std::move(done));
-            } else if (hit) {
-                done();
-            } else {
-                accessL2(cu, line, false, std::move(done));
-            }
+        ctx_.eq.scheduleIn(cfg_.l1_latency, [this, req] {
+            const bool hit = l1s_[req->cu]->access(0, req->line_pa,
+                                                   req->is_store,
+                                                   ctx_.now());
+            if (hit && !req->is_store)
+                reqs_.finish(req);
+            else
+                accessL2(req);
         });
     }
 
     /**
      * Access the shared L2 directly (the L1-only-VC design lands here
      * after translation).  Includes the CU<->L2 NoC hops and the bank
-     * port arbitration.
+     * port arbitration.  A load fills the CU's L1 on return when
+     * @p req->fill_l1 is set.
      */
     void
-    accessL2(unsigned cu, Paddr line, bool is_store, Callback done,
-             bool fill_l1 = true)
+    accessL2(MemRequest *req)
     {
-        const Tick arrive = ctx_.now() + cfg_.cu_to_l2;
-        const unsigned bank = bankOf(line);
-        ctx_.eq.schedule(arrive, [this, cu, line, is_store, bank, fill_l1,
-                                  done = std::move(done)]() mutable {
-            const Tick start = banks_[bank].acquire(ctx_.now());
-            ctx_.eq.schedule(
-                start + cfg_.l2_latency,
-                [this, cu, line, is_store, fill_l1,
-                 done = std::move(done)]() mutable {
-                    l2Access(cu, line, is_store, std::move(done), fill_l1);
-                });
+        ctx_.eq.scheduleIn(cfg_.cu_to_l2, [this, req] {
+            const Tick start =
+                banks_[bankOf(req->line_pa)].acquire(ctx_.now());
+            ctx_.eq.schedule(start + cfg_.l2_latency,
+                             [this, req] { l2Access(req); });
         });
     }
 
@@ -119,7 +118,7 @@ class PhysCaches
     const CacheArray &l1(unsigned cu) const { return *l1s_[cu]; }
     CacheArray &l2() { return l2_; }
     const CacheArray &l2() const { return l2_; }
-    MshrTable &mshrs() { return mshrs_; }
+    MshrTable<MemRequest> &mshrs() { return mshrs_; }
     Directory &directory() { return dir_; }
 
     /**
@@ -157,53 +156,52 @@ class PhysCaches
     }
 
     void
-    l2Access(unsigned cu, Paddr line, bool is_store, Callback done,
-             bool fill_l1)
+    l2Access(MemRequest *req)
     {
-        const bool hit = l2_.access(0, line, is_store, ctx_.now());
-        if (hit) {
-            if (!is_store && fill_l1)
-                fillL1(cu, line);
-            ctx_.eq.scheduleIn(cfg_.cu_to_l2, std::move(done));
+        if (l2_.access(0, req->line_pa, req->is_store, ctx_.now())) {
+            returnToCu(req);
             return;
         }
 
-        // Miss: merge with any outstanding fill of the same line.
+        // Miss: queue behind any outstanding fill of the same line.
+        const Paddr line = req->line_pa;
         const std::uint64_t key = line >> kLineShift;
-        pending_store_[key] = pending_store_[key] || is_store;
-        // Built as a WakeFn up front: allocate() takes an rvalue ref,
-        // and a raw lambda would be converted through a temporary that
-        // steals the captures even when the result is kPrimary.
-        MshrTable::WakeFn waiter = [this, cu, line, is_store, fill_l1,
-                                    done = std::move(done)]() mutable {
-            if (!is_store && fill_l1)
-                fillL1(cu, line);
-            ctx_.eq.scheduleIn(cfg_.cu_to_l2, std::move(done));
-        };
-        const auto res = mshrs_.allocate(key, std::move(waiter));
-        if (res == MshrTable::Result::kSecondary)
+        if (mshrs_.allocate(key, req, req->is_store) ==
+            MshrTable<MemRequest>::Result::kSecondary)
             return;
 
         // Primary: fetch through the directory (exclusive for stores).
-        const bool exclusive = pending_store_[key];
-        ctx_.eq.scheduleIn(cfg_.l2_to_dir, [this, key, line, exclusive] {
+        const bool exclusive = req->is_store;
+        ctx_.eq.scheduleIn(cfg_.l2_to_dir, [this, line, exclusive] {
             dir_.fetch(DirNode::kGpu, line, exclusive,
-                       [this, key, line] { fillComplete(key, line); });
+                       [this, line] { fillComplete(line); });
         });
-        // The primary's own completion rides the MSHR like a secondary.
-        mshrs_.allocate(key, std::move(waiter));
+    }
+
+    /** Fill the L1 for a returning load, then finish after the NoC hop. */
+    void
+    returnToCu(MemRequest *req)
+    {
+        if (!req->is_store && req->fill_l1)
+            fillL1(req->cu, req->line_pa);
+        ctx_.eq.scheduleIn(cfg_.cu_to_l2, [this, req] {
+            if (on_return_)
+                on_return_(req);
+            else
+                reqs_.finish(req);
+        });
     }
 
     void
-    fillComplete(std::uint64_t key, Paddr line)
+    fillComplete(Paddr line)
     {
-        const bool dirty = pending_store_[key];
-        pending_store_.erase(key);
-        const auto victim = l2_.insert(0, line, kPermRead | kPermWrite,
-                                       dirty, ctx_.now());
+        const std::uint64_t key = line >> kLineShift;
+        const auto victim =
+            l2_.insert(0, line, kPermRead | kPermWrite,
+                       mshrs_.storePending(key), ctx_.now());
         if (victim && victim->dirty)
             dir_.writeback(DirNode::kGpu, victim->line_addr);
-        mshrs_.complete(key);
+        mshrs_.complete(key, [this](MemRequest *w) { returnToCu(w); });
     }
 
     void
@@ -214,14 +212,15 @@ class PhysCaches
     }
 
     SimContext &ctx_;
-    const SocConfig &cfg_;
+    const SocConfig cfg_; ///< A copy: callers may pass a temporary.
     Dram &dram_;
+    RequestPool &reqs_;
+    ReturnHook on_return_;
     Directory dir_;
     std::vector<std::unique_ptr<CacheArray>> l1s_;
     CacheArray l2_;
     std::vector<BankPort> banks_;
-    MshrTable mshrs_;
-    std::unordered_map<std::uint64_t, bool> pending_store_;
+    MshrTable<MemRequest> mshrs_;
 };
 
 } // namespace gvc

@@ -2,25 +2,26 @@
  * @file
  * SmallFunc: the simulator's callback type.
  *
- * The engine advances by scheduling millions of continuation closures —
- * memory-access completions that capture the next completion, five or
- * six levels deep.  std::function's 16-byte small-buffer loses on every
- * level of such a chain (each closure embeds the next callback by
- * value), so every scheduled event costs one or more malloc/free pairs.
- * SmallFunc replaces it on the hot paths with:
+ * The engine advances by scheduling millions of small closures.  On the
+ * memory path every continuation captures the owner's @c this and one
+ * pooled record pointer (see sim/slab_pool.hh): all per-access state,
+ * the CU's completion callback included, lives in the record, so a
+ * closure never embeds another callback.  SmallFunc serves that shape
+ * better than std::function (16-byte small buffer, copyable only):
  *
- *  - a 56-byte inline buffer, sized so leaf closures (a couple of
- *    pointers and scalars) never allocate;
- *  - a fixed-size block pool for closures that spill — continuation
- *    chains allocate by popping a thread-local free list instead of
- *    calling malloc;
- *  - move-only semantics: continuations are moved along the chain and
- *    invoked once, so requiring copyability (as std::function does)
- *    buys nothing and forbids capturing move-only state.
+ *  - a 56-byte inline buffer, so closures of a few pointers and scalars
+ *    never allocate and relocate by a plain byte copy;
+ *  - a fixed-size block pool for the rare closure that does not fit
+ *    (Directory::fetch, which carries its requester's callback) — it
+ *    pops a thread-local free list instead of calling malloc;
+ *  - move-only semantics: a completion is moved once, into its record,
+ *    and invoked once, so requiring copyability buys nothing.
  *
- * Host-side only: swapping std::function for SmallFunc changes no
- * simulated ordering or statistic (the golden-stats and replay-identity
- * suites pin this down).
+ * EventQueue's lambda overloads static_assert storesInline(), so a
+ * closure that would spill must be wrapped in a Callback explicitly.
+ *
+ * Host-side only: the callback type changes no simulated ordering or
+ * statistic (the golden-stats and replay-identity suites pin this down).
  */
 
 #ifndef GVC_SIM_CALLBACK_HH
@@ -42,10 +43,10 @@ namespace detail
 
 /**
  * Thread-local free list of fixed-size blocks backing spilled callables.
- * One size class covers every continuation closure in the engine (the
- * deepest chains capture one SmallFunc plus a handful of scalars);
- * larger objects fall through to operator new.  Thread-local because the
- * sweep engine runs independent simulations on pool threads.
+ * One size class covers a closure that embeds one SmallFunc plus a
+ * handful of scalars; larger objects fall through to operator new.
+ * Thread-local because the sweep engine runs independent simulations
+ * on pool threads.
  */
 class CallbackPool
 {
@@ -118,16 +119,19 @@ class SmallFunc<R(Args...), Inline>
                   std::is_invocable_r_v<R, D &, Args...>>>
     SmallFunc(F &&f)
     {
-        if constexpr (fitsInline<D>()) {
-            ::new (static_cast<void *>(storage_.buf))
-                D(std::forward<F>(f));
-            ops_ = &OpsFor<D, true>::ops;
-        } else {
-            void *p = detail::CallbackPool::alloc(sizeof(D));
-            ::new (p) D(std::forward<F>(f));
-            storage_.ptr = p;
-            ops_ = &OpsFor<D, false>::ops;
-        }
+        construct<D>(std::forward<F>(f));
+    }
+
+    /** Replace the held callable with @p f, built in place. */
+    template <typename F, typename D = std::decay_t<F>,
+              typename = std::enable_if_t<
+                  !std::is_same_v<D, SmallFunc> &&
+                  std::is_invocable_r_v<R, D &, Args...>>>
+    void
+    emplace(F &&f)
+    {
+        reset();
+        construct<D>(std::forward<F>(f));
     }
 
     SmallFunc(SmallFunc &&o) noexcept { moveFrom(o); }
@@ -155,6 +159,14 @@ class SmallFunc<R(Args...), Inline>
     ~SmallFunc() { reset(); }
 
     explicit operator bool() const noexcept { return ops_ != nullptr; }
+
+    /** True when a callable of type @p F is stored without allocating. */
+    template <typename F>
+    static constexpr bool
+    storesInline()
+    {
+        return fitsInline<std::decay_t<F>>();
+    }
 
     R
     operator()(Args... args)
@@ -184,6 +196,22 @@ class SmallFunc<R(Args...), Inline>
         /// return their pool block.
         void (*destroy)(Storage &) noexcept;
     };
+
+    template <typename D, typename F>
+    void
+    construct(F &&f)
+    {
+        if constexpr (fitsInline<D>()) {
+            ::new (static_cast<void *>(storage_.buf))
+                D(std::forward<F>(f));
+            ops_ = &OpsFor<D, true>::ops;
+        } else {
+            void *p = detail::CallbackPool::alloc(sizeof(D));
+            ::new (p) D(std::forward<F>(f));
+            storage_.ptr = p;
+            ops_ = &OpsFor<D, false>::ops;
+        }
+    }
 
     template <typename D>
     static constexpr bool
@@ -251,11 +279,13 @@ class SmallFunc<R(Args...), Inline>
                 ops_->relocate(storage_, o.storage_);
             } else {
                 // Byte-copy relocation copies the whole union, including
-                // tail bytes past the stored object.  Those bytes are
-                // indeterminate but never read (unsigned char, so the
-                // copy itself is defined); GCC 12 still warns.
+                // tail bytes past the stored object (all of them for a
+                // captureless closure).  Those bytes are indeterminate
+                // but never read (unsigned char, so the copy itself is
+                // defined); GCC 12 still warns.
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#pragma GCC diagnostic ignored "-Wuninitialized"
                 storage_ = o.storage_;
 #pragma GCC diagnostic pop
             }

@@ -15,9 +15,12 @@
  * drain loop are O(1) appends and pops instead of binary-heap sifts.
  * Events beyond the horizon (page-fault service, deep DRAM backlog)
  * go to a small overflow heap and migrate into the wheel when their
- * tick enters the window.  Callbacks live in a slot pool recycled
- * through a free list; wheel cells and heap entries hold indices, so
- * no container operation moves a callback object.
+ * tick enters the window.  Callbacks live in a slot pool of fixed-size
+ * chunks (slot index -> chunk by shift, position by mask) recycled
+ * through a free list; wheel cells and heap entries hold indices, and
+ * a chunk never moves once allocated, so no container operation moves
+ * a callback object and a running callback stays put while it
+ * schedules more events.
  *
  * Order equivalence with a (tick, insertion-seq) priority queue:
  *  - A cell's append order is global insertion order for that tick:
@@ -37,8 +40,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <queue>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -59,6 +63,10 @@ class EventQueue
   public:
     using Callback = gvc::Callback;
 
+    /// Slots per chunk of the callback pool.
+    static constexpr unsigned kSlotChunkBits = 10;
+    static constexpr std::uint32_t kSlotChunk = 1u << kSlotChunkBits;
+
     /** Current simulated time. */
     Tick now() const { return now_; }
 
@@ -75,15 +83,10 @@ class EventQueue
     void
     schedule(Tick when, Callback cb)
     {
-        if (when < now_)
-            panic("EventQueue: scheduling event in the past");
-        const std::uint32_t slot = allocSlot(std::move(cb));
-        if (when - now_ < kWheelSize) {
-            wheel_[std::size_t(when & kWheelMask)].push_back(slot);
-            ++wheel_count_;
-        } else {
-            overflow_.push(FarEntry{when, next_seq_++, slot});
-        }
+        checkNotPast(when);
+        const std::uint32_t slot = allocSlot();
+        slotRef(slot) = std::move(cb);
+        enqueue(when, slot);
     }
 
     /** Schedule @p cb to run @p delay ticks from now. */
@@ -91,6 +94,36 @@ class EventQueue
     scheduleIn(Tick delay, Callback cb)
     {
         schedule(now_ + delay, std::move(cb));
+    }
+
+    /**
+     * Schedule a closure.  It must fit Callback's inline buffer: per-
+     * access state belongs in a pooled record the closure points to
+     * (capture [this, req]).  A larger closure must be wrapped in a
+     * Callback at the call site, so the spill is explicit.
+     */
+    template <typename F>
+        requires(!std::is_same_v<std::decay_t<F>, Callback>)
+    void
+    schedule(Tick when, F &&f)
+    {
+        static_assert(Callback::storesInline<F>(),
+                      "closure spills out of Callback's inline buffer: "
+                      "capture a record pointer, or wrap it in "
+                      "Callback(...) explicitly");
+        checkNotPast(when);
+        const std::uint32_t slot = allocSlot();
+        slotRef(slot).emplace(std::forward<F>(f));
+        enqueue(when, slot);
+    }
+
+    /** Schedule closure @p f to run @p delay ticks from now. */
+    template <typename F>
+        requires(!std::is_same_v<std::decay_t<F>, Callback>)
+    void
+    scheduleIn(Tick delay, F &&f)
+    {
+        schedule(now_ + delay, std::forward<F>(f));
     }
 
     /**
@@ -132,7 +165,8 @@ class EventQueue
         wheel_count_ = 0;
         cur_head_ = 0;
         overflow_ = {};
-        slots_.clear();
+        chunks_.clear();
+        slot_count_ = 0;
         free_slots_.clear();
         now_ = 0;
         next_seq_ = 0;
@@ -160,17 +194,44 @@ class EventQueue
         }
     };
 
+    Callback &
+    slotRef(std::uint32_t slot)
+    {
+        return chunks_[slot >> kSlotChunkBits][slot & (kSlotChunk - 1)];
+    }
+
+    void
+    checkNotPast(Tick when) const
+    {
+        if (when < now_)
+            panic("EventQueue: scheduling event in the past");
+    }
+
+    /** An empty slot for a new event's callback. */
     std::uint32_t
-    allocSlot(Callback cb)
+    allocSlot()
     {
         if (free_slots_.empty()) {
-            slots_.push_back(std::move(cb));
-            return std::uint32_t(slots_.size() - 1);
+            const std::uint32_t slot = slot_count_++;
+            if ((slot & (kSlotChunk - 1)) == 0)
+                chunks_.push_back(std::make_unique<Callback[]>(kSlotChunk));
+            return slot;
         }
         const std::uint32_t slot = free_slots_.back();
         free_slots_.pop_back();
-        slots_[slot] = std::move(cb);
         return slot;
+    }
+
+    /** File @p slot under tick @p when. */
+    void
+    enqueue(Tick when, std::uint32_t slot)
+    {
+        if (when - now_ < kWheelSize) {
+            wheel_[std::size_t(when & kWheelMask)].push_back(slot);
+            ++wheel_count_;
+        } else {
+            overflow_.push(FarEntry{when, next_seq_++, slot});
+        }
     }
 
     /** Pull every far event whose tick has entered the wheel window. */
@@ -228,11 +289,11 @@ class EventQueue
         const std::uint32_t slot = cur[cur_head_++];
         --wheel_count_;
         ++executed_;
-        // Invoke in place: slots_ is a deque, so references stay valid
-        // when the callback schedules further events (which may append
-        // new slots).  The slot is recycled only after the call, so no
+        // Invoke in place: chunks never move, so the reference stays
+        // valid when the callback schedules further events (which may
+        // add chunks).  The slot is recycled only after the call, so no
         // new event can overwrite the running callback.
-        Callback &cb = slots_[slot];
+        Callback &cb = slotRef(slot);
         cb();
         cb = nullptr;
         free_slots_.push_back(slot);
@@ -244,7 +305,8 @@ class EventQueue
     std::uint64_t wheel_count_ = 0; ///< Pending entries across all cells.
     std::priority_queue<FarEntry, std::vector<FarEntry>, std::greater<>>
         overflow_;
-    std::deque<Callback> slots_;
+    std::vector<std::unique_ptr<Callback[]>> chunks_;
+    std::uint32_t slot_count_ = 0; ///< Slots ever handed out.
     std::vector<std::uint32_t> free_slots_;
     Tick now_ = 0;
     std::uint64_t next_seq_ = 0;

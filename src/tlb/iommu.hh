@@ -24,6 +24,7 @@
 #include "mem/vm.hh"
 #include "sim/debug.hh"
 #include "sim/sim_context.hh"
+#include "sim/slab_pool.hh"
 #include "tlb/ptw.hh"
 #include "tlb/tlb.hh"
 
@@ -135,7 +136,7 @@ class Iommu
 
     /** Request a translation of (asid, vpn). */
     void
-    translate(Asid asid, Vpn vpn, DoneFn done)
+    translate(Asid asid, Vpn vpn, DoneFn on_done)
     {
         ++accesses_;
         sampler_.record(ctx_.now());
@@ -156,11 +157,12 @@ class Iommu
             start = start_fp / kFpScale;
             serialization_delay_ += start - ctx_.now();
         }
-        const Tick lookup_done = start + params_.tlb_latency;
-        ctx_.eq.schedule(lookup_done,
-                         [this, asid, vpn, done = std::move(done)]() mutable {
-                             afterTlbLookup(asid, vpn, std::move(done));
-                         });
+        Request *req = reqs_.acquire();
+        req->asid = asid;
+        req->vpn = vpn;
+        req->done = std::move(on_done);
+        ctx_.eq.schedule(start + params_.tlb_latency,
+                         [this, req] { afterTlbLookup(req); });
     }
 
     /** Install the FBT (or other) second-level translation source. */
@@ -198,6 +200,9 @@ class Iommu
     /** Walk completions filled as one multi-page coalesced entry. */
     std::uint64_t coalescedFills() const { return coalesced_fills_.value; }
 
+    /** Translations requested and not yet answered. */
+    std::size_t requestsInFlight() const { return reqs_.inUse(); }
+
     /** Total cycles requests spent waiting for the shared TLB port. */
     std::uint64_t
     serializationDelay() const
@@ -219,79 +224,90 @@ class Iommu
   private:
     static constexpr std::uint64_t kFpScale = 1024;
 
-    void
-    afterTlbLookup(Asid asid, Vpn vpn, DoneFn done)
+    /** One translation in flight; hops capture [this, req]. */
+    struct Request
     {
-        if (auto hit = tlb_.lookup(asid, vpn, ctx_.now())) {
-            done(IommuResponse{false, hit->ppn, hit->perms, hit->large,
-                               hit->reach, hit->base_vpn,
-                               hit->base_ppn});
-            return;
-        }
-        GVC_DPRINTF(kIommu, ctx_.now(),
-                    "shared TLB miss asid=%u vpn=%#llx", unsigned(asid),
-                    (unsigned long long)vpn);
-        if (second_level_) {
-            ++sl_lookups_;
-            ctx_.eq.scheduleIn(
-                params_.second_level_latency,
-                [this, asid, vpn, done = std::move(done)]() mutable {
-                    if (auto hit = second_level_(asid, vpn)) {
-                        ++sl_hits_;
-                        tlb_.insert(asid, vpn, *hit, ctx_.now());
-                        done(IommuResponse{false, hit->ppn, hit->perms,
-                                           hit->large});
-                    } else {
-                        startWalk(asid, vpn, std::move(done));
-                    }
-                });
-            return;
-        }
-        startWalk(asid, vpn, std::move(done));
+        Asid asid = 0;
+        Vpn vpn = 0;
+        DoneFn done;
+    };
+
+    /** Deliver @p resp to the requester and recycle @p req. */
+    void
+    respond(Request *req, const IommuResponse &resp)
+    {
+        req->done(resp);
+        req->done = nullptr;
+        reqs_.release(req);
     }
 
     void
-    startWalk(Asid asid, Vpn vpn, DoneFn done)
+    afterTlbLookup(Request *req)
+    {
+        if (auto hit = tlb_.lookup(req->asid, req->vpn, ctx_.now())) {
+            respond(req, IommuResponse{false, hit->ppn, hit->perms,
+                                       hit->large, hit->reach,
+                                       hit->base_vpn, hit->base_ppn});
+            return;
+        }
+        GVC_DPRINTF(kIommu, ctx_.now(),
+                    "shared TLB miss asid=%u vpn=%#llx",
+                    unsigned(req->asid), (unsigned long long)req->vpn);
+        if (second_level_) {
+            ++sl_lookups_;
+            ctx_.eq.scheduleIn(params_.second_level_latency, [this, req] {
+                if (auto hit = second_level_(req->asid, req->vpn)) {
+                    ++sl_hits_;
+                    tlb_.insert(req->asid, req->vpn, *hit, ctx_.now());
+                    respond(req, IommuResponse{false, hit->ppn,
+                                               hit->perms, hit->large});
+                } else {
+                    startWalk(req);
+                }
+            });
+            return;
+        }
+        startWalk(req);
+    }
+
+    void
+    startWalk(Request *req)
     {
         ++walks_;
         GVC_DPRINTF(kIommu, ctx_.now(), "walk asid=%u vpn=%#llx",
-                    unsigned(asid), (unsigned long long)vpn);
-        ptw_.walk(asid, vpn,
-                  [this, asid, vpn, done = std::move(done)](
-                      std::optional<Translation> t) mutable {
-                      walkDone(asid, vpn, std::move(done), t, false);
+                    unsigned(req->asid), (unsigned long long)req->vpn);
+        ptw_.walk(req->asid, req->vpn,
+                  [this, req](std::optional<Translation> t) {
+                      walkDone(req, t, false);
                   });
     }
 
     void
-    walkDone(Asid asid, Vpn vpn, DoneFn done,
-             std::optional<Translation> t, bool retried)
+    walkDone(Request *req, std::optional<Translation> t, bool retried)
     {
+        const Asid asid = req->asid;
+        const Vpn vpn = req->vpn;
         if (!t) {
             ++faults_;
             if (fault_fixer_ && !retried && fault_fixer_(asid, vpn)) {
                 // The CPU repaired the mapping; retry the walk after the
                 // fault-service latency.
-                ctx_.eq.scheduleIn(
-                    params_.fault_latency,
-                    [this, asid, vpn, done = std::move(done)]() mutable {
-                        ptw_.walk(asid, vpn,
-                                  [this, asid, vpn,
-                                   done = std::move(done)](
-                                      std::optional<Translation> t2) mutable {
-                                      walkDone(asid, vpn, std::move(done),
-                                               t2, true);
-                                  });
-                    });
+                ctx_.eq.scheduleIn(params_.fault_latency, [this, req] {
+                    ptw_.walk(req->asid, req->vpn,
+                              [this, req](std::optional<Translation> t2) {
+                                  walkDone(req, t2, true);
+                              });
+                });
                 return;
             }
-            done(IommuResponse{true, kInvalidPpn, kPermNone, false});
+            respond(req, IommuResponse{true, kInvalidPpn, kPermNone, false});
             return;
         }
         const TlbLookup fill = fillFor(asid, vpn, *t);
         tlb_.insert(asid, vpn, fill, ctx_.now());
-        done(IommuResponse{false, t->ppn, t->perms, t->large,
-                           fill.reach, fill.base_vpn, fill.base_ppn});
+        respond(req, IommuResponse{false, t->ppn, t->perms, t->large,
+                                   fill.reach, fill.base_vpn,
+                                   fill.base_ppn});
     }
 
     /**
@@ -366,6 +382,7 @@ class Iommu
 
     SecondLevelFn second_level_;
     FaultFixFn fault_fixer_;
+    SlabPool<Request> reqs_;
 
     Counter accesses_;
     Counter sl_lookups_;

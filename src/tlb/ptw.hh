@@ -11,15 +11,14 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <optional>
 #include <utility>
-#include <vector>
 
 #include "mem/dram.hh"
 #include "sim/callback.hh"
 #include "mem/vm.hh"
 #include "sim/sim_context.hh"
+#include "sim/slab_pool.hh"
 #include "tlb/pwc.hh"
 
 namespace gvc
@@ -51,13 +50,17 @@ class PageTableWalker
     {
     }
 
-    /** Begin a walk of (asid, vpn); @p done fires at completion time. */
+    /** Begin a walk of (asid, vpn); @p on_done fires at completion. */
     void
-    walk(Asid asid, Vpn vpn, DoneFn done)
+    walk(Asid asid, Vpn vpn, DoneFn on_done)
     {
         ++requests_;
-        pending_.push_back(
-            Request{asid, vpn, std::move(done), ctx_.now()});
+        WalkState *state = states_.acquire();
+        state->asid = asid;
+        state->vpn = vpn;
+        state->done = std::move(on_done);
+        state->issued = ctx_.now();
+        pending_.push_back(state);
         pump();
     }
 
@@ -69,6 +72,8 @@ class PageTableWalker
     /** Walks that ended at a 2 MB leaf (3-level paths). */
     std::uint64_t largeWalks() const { return large_walks_.value; }
     unsigned active() const { return active_; }
+    /** Walks requested and not yet completed (queued or running). */
+    std::size_t walksInFlight() const { return states_.inUse(); }
 
     /** Mean cycles from walk() to completion (includes queueing). */
     double
@@ -80,52 +85,31 @@ class PageTableWalker
     }
 
   private:
-    struct Request
-    {
-        Asid asid;
-        Vpn vpn;
-        DoneFn done;
-        Tick issued;
-    };
-
+    /**
+     * One walk from request to completion.  It is owned by the pending
+     * queue, then by exactly one pending event at a time (the step chain
+     * is linear), and recycled in finish().
+     */
     struct WalkState
     {
-        Request req;
+        Asid asid = 0;
+        Vpn vpn = 0;
+        DoneFn done;
+        Tick issued = 0;
         WalkPath path;
         unsigned level = 0;
     };
-
-    /**
-     * Walk states are recycled through a free list: each in-flight walk
-     * is owned by exactly one pending event at a time (the step chain is
-     * linear), so a raw pointer plus explicit recycling in finish()
-     * replaces a shared_ptr allocation per walk.  The slab keeps
-     * ownership for teardown with walks still in flight.
-     */
-    WalkState *
-    allocState()
-    {
-        if (state_pool_.empty()) {
-            state_slab_.push_back(std::make_unique<WalkState>());
-            return state_slab_.back().get();
-        }
-        WalkState *s = state_pool_.back();
-        state_pool_.pop_back();
-        return s;
-    }
 
     /** Start queued walks while thread slots are free. */
     void
     pump()
     {
         while (active_ < params_.max_concurrent && !pending_.empty()) {
-            WalkState *state = allocState();
-            state->req = std::move(pending_.front());
+            WalkState *state = pending_.front();
             pending_.pop_front();
             state->level = 0;
             ++active_;
-            state->path =
-                vm_.pageTable(state->req.asid).walk(state->req.vpn);
+            state->path = vm_.pageTable(state->asid).walk(state->vpn);
             ctx_.eq.scheduleIn(params_.dispatch_latency,
                                [this, state] { step(state); });
         }
@@ -163,11 +147,11 @@ class PageTableWalker
         ++completed_;
         if (state->path.result && state->path.result->large)
             ++large_walks_;
-        latency_sum_ += ctx_.now() - state->req.issued;
+        latency_sum_ += ctx_.now() - state->issued;
         --active_;
-        DoneFn done = std::move(state->req.done);
+        DoneFn done = std::move(state->done);
         const std::optional<Translation> result = state->path.result;
-        state_pool_.push_back(state);
+        states_.release(state);
         // Hand the slot to a queued walk before delivering the result so
         // completion callbacks observe a fully-consistent walker.
         pump();
@@ -182,9 +166,8 @@ class PageTableWalker
     Dram &dram_;
     PtwParams params_;
     PageWalkCache pwc_;
-    std::deque<Request> pending_;
-    std::vector<std::unique_ptr<WalkState>> state_slab_;
-    std::vector<WalkState *> state_pool_;
+    std::deque<WalkState *> pending_;
+    SlabPool<WalkState> states_;
     unsigned active_ = 0;
     Counter requests_;
     Counter completed_;

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -106,6 +107,48 @@ TEST(EventQueue, ResetClearsEverything)
     EXPECT_TRUE(eq.empty());
     EXPECT_EQ(eq.now(), 0u);
     EXPECT_EQ(eq.executed(), 0u);
+}
+
+TEST(EventQueue, RunningCallbackSurvivesSlotChunkGrowth)
+{
+    // One callback schedules more same-tick events than three slot
+    // chunks hold, so the pool grows while it runs.  It must still see
+    // its own captures afterwards, and the new events run in order.
+    EventQueue eq;
+    const std::uint32_t n = 3 * EventQueue::kSlotChunk + 7;
+    std::vector<std::uint32_t> order;
+    std::uint32_t seen_after = 0;
+    const std::uint32_t tag = 0xC0FFEE;
+    eq.schedule(4, [&eq, &order, &seen_after, n, tag] {
+        for (std::uint32_t i = 0; i < n; ++i)
+            eq.schedule(4, [&order, i] { order.push_back(i); });
+        seen_after = tag + n; // reads the captures after the growth
+    });
+    eq.run();
+    EXPECT_EQ(seen_after, tag + n);
+    ASSERT_EQ(order.size(), std::size_t(n));
+    for (std::uint32_t i = 0; i < n; ++i)
+        ASSERT_EQ(order[i], i);
+    EXPECT_EQ(eq.now(), 4u);
+    EXPECT_EQ(eq.executed(), std::uint64_t(n) + 1);
+}
+
+TEST(EventQueue, RecycledSlotsKeepFifoAcrossChunks)
+{
+    // Slots freed by one tick are reused by the next in LIFO order;
+    // FIFO within a tick must not depend on which slot an event got.
+    EventQueue eq;
+    const std::uint32_t n = EventQueue::kSlotChunk + 3;
+    std::vector<std::uint32_t> order;
+    for (std::uint32_t i = 0; i < n; ++i)
+        eq.schedule(1, [] {});
+    eq.run();
+    for (std::uint32_t i = 0; i < 2 * n; ++i)
+        eq.schedule(2, [&order, i] { order.push_back(i); });
+    eq.run();
+    ASSERT_EQ(order.size(), std::size_t(2 * n));
+    for (std::uint32_t i = 0; i < 2 * n; ++i)
+        ASSERT_EQ(order[i], i);
 }
 
 TEST(EventQueueDeathTest, SchedulingInThePastPanics)

@@ -33,6 +33,7 @@
 #include "mmu/ideal_system.hh"
 #include "mmu/injection.hh"
 #include "mmu/l1vc_system.hh"
+#include "mmu/mem_request.hh"
 #include "mmu/phys_caches.hh"
 #include "mmu/soc_config.hh"
 #include "sim/debug.hh"
@@ -40,6 +41,7 @@
 #include "sim/logging.hh"
 #include "sim/rng.hh"
 #include "sim/sim_context.hh"
+#include "sim/slab_pool.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 #include "tlb/iommu.hh"

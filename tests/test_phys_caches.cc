@@ -20,7 +20,16 @@ class PhysCachesTest : public ::testing::Test
     PhysCachesTest() : dram_(ctx_, {})
     {
         cfg_.gpu.num_cus = 2;
-        caches_ = std::make_unique<PhysCaches>(ctx_, cfg_, dram_);
+        caches_ = std::make_unique<PhysCaches>(ctx_, cfg_, dram_, reqs_);
+    }
+
+    /** A request for physical line @p pa (already translated). */
+    MemRequest *
+    request(unsigned cu, Paddr pa, bool store, Callback done)
+    {
+        MemRequest *req = reqs_.make(cu, 0, pa, store, std::move(done));
+        req->line_pa = lineAlign(pa);
+        return req;
     }
 
     Tick
@@ -28,18 +37,20 @@ class PhysCachesTest : public ::testing::Test
     {
         bool done = false;
         Tick at = 0;
-        caches_->accessL1(cu, lineAlign(pa), store, [&] {
+        caches_->accessL1(request(cu, pa, store, [&] {
             done = true;
             at = ctx_.now();
-        });
+        }));
         ctx_.eq.run();
         EXPECT_TRUE(done);
+        EXPECT_EQ(reqs_.inFlight(), 0u);
         return at;
     }
 
     SimContext ctx_;
     Dram dram_;
     SocConfig cfg_;
+    RequestPool reqs_;
     std::unique_ptr<PhysCaches> caches_;
 };
 
@@ -89,9 +100,10 @@ TEST_F(PhysCachesTest, ConcurrentMissesToOneLineMergeInMshr)
 {
     unsigned done = 0;
     for (int i = 0; i < 6; ++i)
-        caches_->accessL1(0, 0x30000, false, [&] { ++done; });
+        caches_->accessL1(request(0, 0x30000, false, [&] { ++done; }));
     ctx_.eq.run();
     EXPECT_EQ(done, 6u);
+    EXPECT_EQ(reqs_.inFlight(), 0u);
     // One demand fill moved one line from DRAM.
     EXPECT_EQ(dram_.accesses(), 1u);
     EXPECT_GE(caches_->mshrs().merges(), 5u);
@@ -116,8 +128,8 @@ TEST_F(PhysCachesTest, BanksSpreadContention)
     // the mean wait stays small for a modest burst.
     unsigned done = 0;
     for (int i = 0; i < 8; ++i)
-        caches_->accessL2(0, Paddr(i) * kLineSize, false,
-                          [&] { ++done; });
+        caches_->accessL2(
+            request(0, Paddr(i) * kLineSize, false, [&] { ++done; }));
     ctx_.eq.run();
     EXPECT_EQ(done, 8u);
 }
