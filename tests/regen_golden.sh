@@ -5,6 +5,7 @@
 #   - tests/golden_stats.txt      (golden-stats regression matrix)
 #   - tests/POLICY_SMOKE_*.json   (TLB policy-axis sweep goldens)
 #   - tests/TENANTS_SMOKE.json    (multi-tenant grid golden)
+#   - tests/DESIGNS_SMOKE.json    (every design, two graph workloads)
 #   - BENCH_PR<N>.json            (bench counter baseline gated in CI)
 #
 # Run after an intended behavior change, then commit the updated files
@@ -48,6 +49,13 @@ smoke_args="--workloads pagerank --designs baseline512,l1vc32 \
 "$sweep_bin" $smoke_args --tlb-fill-policy bypass-trained \
     --json "$repo_root/tests/POLICY_SMOKE_BYPASS.json"
 echo "regenerated $repo_root/tests/POLICY_SMOKE_{LRU,SRRIP,BYPASS}.json"
+
+# All-design golden: the exact command the gvc_designs_smoke ctest
+# diffs against this file.
+"$sweep_bin" --workloads bfs,pagerank --designs all \
+    --scale 0.1 --jobs 2 --quiet --no-table \
+    --json "$repo_root/tests/DESIGNS_SMOKE.json"
+echo "regenerated $repo_root/tests/DESIGNS_SMOKE.json"
 
 # Multi-tenant grid golden: the exact command CI's multi-tenant step
 # diffs against this file.
