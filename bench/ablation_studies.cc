@@ -61,7 +61,7 @@ main()
                 }
                 RunResult r;
                 r.exec_ticks = ctx.now();
-                r.iommu_accesses = sys.iommu().accesses();
+                r.iommu_accesses = sys.iommu()->accesses();
                 return r;
             }();
 

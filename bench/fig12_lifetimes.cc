@@ -35,18 +35,15 @@ main()
 
     runWorkload("bfs", cfg,
                 [&](SystemUnderTest &sut, Gpu &, SimContext &) {
-                    BaselineMmuSystem *b = sut.baseline();
+                    MmuSystem &sys = sut.system();
+                    PerCuTlbs &tlbs = *sys.perCuTlbs();
                     for (unsigned cu = 0; cu < 16; ++cu) {
-                        tlb_life.merge(b->perCuTlb(cu)
-                                           .lifetimes()
-                                           .histogram());
-                        l1_life.merge(b->caches()
-                                          .l1(cu)
-                                          .lifetimes()
-                                          .histogram());
+                        tlb_life.merge(
+                            tlbs[cu].lifetimes().histogram());
+                        l1_life.merge(
+                            sys.l1(cu).lifetimes().histogram());
                     }
-                    l2_life.merge(
-                        b->caches().l2().lifetimes().histogram());
+                    l2_life.merge(sys.l2().lifetimes().histogram());
                 });
 
     TextTable table({"lifetime (ns)", "TLB entries evicted",

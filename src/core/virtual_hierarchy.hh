@@ -37,6 +37,7 @@
 #include "mmu/boundary.hh"
 #include "mmu/injection.hh"
 #include "mmu/mem_request.hh"
+#include "mmu/mmu_system.hh"
 #include "mmu/soc_config.hh"
 #include "tlb/iommu.hh"
 
@@ -56,7 +57,7 @@ struct ProbeResult
 };
 
 /** The full virtual cache hierarchy (L1 + L2 virtual, FBT in IOMMU). */
-class VirtualCacheSystem final : public GpuMemInterface
+class VirtualCacheSystem final : public MmuSystem
 {
   public:
     VirtualCacheSystem(SimContext &ctx, const SocConfig &cfg, Vm &vm,
@@ -127,7 +128,7 @@ class VirtualCacheSystem final : public GpuMemInterface
     }
 
     /** Accesses issued and not yet completed (synonym replays too). */
-    std::size_t requestsInFlight() const { return reqs_.inFlight(); }
+    std::size_t requestsInFlight() const override { return reqs_.inFlight(); }
 
     // ---------------------------------------------------------------
     // Coherence requests from the CPU / directory (§4.1)
@@ -190,18 +191,20 @@ class VirtualCacheSystem final : public GpuMemInterface
 
     Fbt &fbt() { return fbt_; }
     const Fbt &fbt() const { return fbt_; }
-    Iommu &iommu() { return iommu_; }
-    const Iommu &iommu() const { return iommu_; }
+    Iommu *iommu() override { return &iommu_; }
     Directory &directory() { return dir_; }
-    CacheArray &l1(unsigned cu) { return *l1s_[cu]; }
+    CacheArray &l1(unsigned cu) override { return *l1s_[cu]; }
     const CacheArray &l1(unsigned cu) const { return *l1s_[cu]; }
-    CacheArray &l2() { return l2_; }
+    CacheArray &l2() override { return l2_; }
     const CacheArray &l2() const { return l2_; }
     InvalidationFilter &filter(unsigned cu) { return *filters_[cu]; }
     SynonymRemapTable &remapTable() { return remap_; }
     const SynonymRemapTable &remapTable() const { return remap_; }
 
-    std::uint64_t synonymReplays() const { return synonym_replays_.value; }
+    std::uint64_t synonymReplays() const override
+    {
+        return synonym_replays_.value;
+    }
     std::uint64_t translationMerges() const { return xlate_merges_.value; }
     std::uint64_t rwFaults() const { return rw_faults_.value; }
     std::uint64_t protectionFaults() const
@@ -217,7 +220,7 @@ class VirtualCacheSystem final : public GpuMemInterface
     std::uint64_t droppedFills() const { return dropped_fills_.value; }
 
     void
-    flushLifetimes()
+    flushLifetimes() override
     {
         for (auto &l1 : l1s_)
             l1->flushLifetimes();
@@ -234,7 +237,7 @@ class VirtualCacheSystem final : public GpuMemInterface
      * a flush-all warm round stays bit-identical to a fresh cold run.
      */
     void
-    applyBoundary(const BoundaryPolicy &p)
+    applyBoundary(const BoundaryPolicy &p) override
     {
         const bool drop_fbt =
             p.flush_fbt || p.flush_l2 || p.shootdown_tlbs;
@@ -253,6 +256,29 @@ class VirtualCacheSystem final : public GpuMemInterface
             iommu_.invalidateAll();
             iommu_.ptw().pwc().invalidateAll();
         }
+    }
+
+    void
+    registerStats(StatRegistry &reg) override
+    {
+        reg.addScalar("fbt.bt_lookups",
+                      [this] { return double(fbt_.btLookups()); });
+        reg.addScalar("fbt.ft_hit_ratio",
+                      [this] { return fbt_.ftHitRatio(); });
+        reg.addScalar("fbt.valid_pages",
+                      [this] { return double(fbt_.validEntries()); });
+        reg.addScalar("fbt.capacity_evictions", [this] {
+            return double(fbt_.capacityEvictions());
+        });
+        reg.addCounter("vc.synonym_replays", &synonym_replays_);
+        reg.addCounter("vc.rw_faults", &rw_faults_);
+        reg.addCounter("vc.l1_flushes", &l1_flushes_);
+        reg.addCounter("vc.translation_merges", &xlate_merges_);
+        reg.addScalar("vc.l2.hit_ratio",
+                      [this] { return l2_.hitRatio(); });
+        reg.addScalar("directory.probes",
+                      [this] { return double(dir_.probesSent()); });
+        reg.addCounter("vc.probe_lines_filtered", &probe_lines_filtered_);
     }
 
   private:

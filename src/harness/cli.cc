@@ -85,34 +85,16 @@ canonicalDesignSpelling(const std::string &name)
     return out;
 }
 
-const std::vector<std::pair<const char *, MmuDesign>> &
-designSpellings()
-{
-    static const std::vector<std::pair<const char *, MmuDesign>> map = {
-        {"ideal", MmuDesign::kIdeal},
-        {"baseline512", MmuDesign::kBaseline512},
-        {"baseline16k", MmuDesign::kBaseline16K},
-        {"baselinelargetlb", MmuDesign::kBaselineLargeTlb},
-        {"vc", MmuDesign::kVcNoOpt},
-        {"vcnoopt", MmuDesign::kVcNoOpt},
-        {"vcopt", MmuDesign::kVcOpt},
-        {"l1vc32", MmuDesign::kL1Vc32},
-        {"l1vc128", MmuDesign::kL1Vc128},
-        {"base2mb", MmuDesign::kBase2MB},
-        {"basecoalesced", MmuDesign::kBaseCoalesced},
-        {"basevictima", MmuDesign::kBaseVictima},
-    };
-    return map;
-}
-
 bool
 tryParseDesign(const std::string &name, MmuDesign &out)
 {
     const std::string canon = canonicalDesignSpelling(name);
-    for (const auto &[spelling, design] : designSpellings()) {
-        if (canon == spelling) {
-            out = design;
-            return true;
+    for (const DesignRow &row : kDesignRows) {
+        for (const char *spelling : row.spellings) {
+            if (spelling && canon == spelling) {
+                out = row.design;
+                return true;
+            }
         }
     }
     return false;

@@ -8,7 +8,8 @@
  *  - **Checked numeric parsing.**  parseU64/parseUnsigned/parseDouble
  *    fatal() with the offending flag and value instead of atoi()'s
  *    silent 0 or strtoull()'s unsigned wrap-around of "-4".
- *  - **Design-name parsing.**  One canonical spelling table accepting
+ *  - **Design-name parsing.**  Each design's row in kDesignRows
+ *    (mmu/designs.hh) lists its canonical spellings; parsing accepts
  *    the gvc_run hyphen forms (vc-opt) and the gvc_sweep underscore /
  *    concatenated forms (vc_opt, baseline512) case-insensitively.
  *  - **Raw-mode design-intent carry-over.**  Raw mode (`cfg.raw_soc`)
@@ -23,8 +24,6 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "harness/runner.hh"
 
@@ -45,9 +44,6 @@ double parseDouble(const char *flag, const std::string &text);
 
 /** Canonical design spelling: lowercase with '-'/'_' removed. */
 std::string canonicalDesignSpelling(const std::string &name);
-
-/** Accepted (canonical spelling, design) pairs, for --list output. */
-const std::vector<std::pair<const char *, MmuDesign>> &designSpellings();
 
 /**
  * Design-name lookup, case/'-'/'_'-insensitive ("vc-opt" == "vc_opt"

@@ -741,9 +741,7 @@ runResultToJson(const RunResult &r, const SocConfig *soc)
 Json
 resultRecordToJson(const ResultRecord &rec)
 {
-    const SocConfig effective =
-        rec.cfg.raw_soc ? rec.cfg.soc
-                        : configFor(rec.cfg.design, rec.cfg.soc);
+    const SocConfig effective = effectiveSoc(rec.cfg);
     Json one = runResultToJson(rec.result, &effective);
     one.set("workload_params", workloadParamsToJson(rec.cfg.workload));
     return one;

@@ -9,6 +9,12 @@
 namespace gvc
 {
 
+SocConfig
+effectiveSoc(const RunConfig &cfg)
+{
+    return cfg.raw_soc ? cfg.soc : configFor(cfg.design, cfg.soc);
+}
+
 RunResult
 runSource(trace::KernelSource &source, const RunConfig &cfg,
           const InspectFn &inspect, trace::Trace *capture,
@@ -20,8 +26,7 @@ runSource(trace::KernelSource &source, const RunConfig &cfg,
     PhysMem pm(cfg.soc.phys_mem_bytes);
     // The design's page policy must be live before setup() maps any
     // region, so the resolved SocConfig is needed ahead of the Vm.
-    const SocConfig soc =
-        cfg.raw_soc ? cfg.soc : configFor(cfg.design, cfg.soc);
+    const SocConfig soc = effectiveSoc(cfg);
     Vm vm(pm);
     vm.setPagePolicy(Vm::PagePolicy(soc.vm_page_policy));
 
@@ -38,7 +43,7 @@ runSource(trace::KernelSource &source, const RunConfig &cfg,
 
     Dram dram(ctx, cfg.soc.dram);
     SystemUnderTest sut(ctx, soc, vm, dram, cfg.design);
-    Gpu gpu(ctx, soc.gpu, sut.memIf());
+    Gpu gpu(ctx, soc.gpu, sut.system());
 
     auto launches = source.kernels();
     if (capture) {
@@ -82,7 +87,7 @@ runSource(trace::KernelSource &source, const RunConfig &cfg,
                 collectKernelStats(sut, gpu, dram, ctx);
             per_kernel.push_back(kernelDelta(snap, prev_snap));
             prev_snap = snap;
-            sut.applyBoundary(*policy);
+            sut.system().applyBoundary(*policy);
             gpu.resetIssueState();
             if (hooks && hooks->after_boundary)
                 hooks->after_boundary(next_bound, sut, gpu, dram, vm,
@@ -101,12 +106,12 @@ runSource(trace::KernelSource &source, const RunConfig &cfg,
     const Tick end = ctx.now();
     if (Iommu *io = sut.iommu())
         io->sampler().finish(end);
-    sut.flushLifetimes();
+    sut.system().flushLifetimes();
 
     RunResult r;
     // The shared counters come from the same snapshot the per-kernel
-    // deltas use; the design arms below only add what is specific to
-    // one hierarchy.
+    // deltas use; below, only the Baseline's breakdown and stash and the
+    // VC's FBT are specific to one hierarchy.
     const KernelStats totals = collectKernelStats(sut, gpu, dram, ctx);
     static_cast<RunCounters &>(r) = totals;
     const auto ratio = [](std::uint64_t num, std::uint64_t den) {
@@ -121,15 +126,17 @@ runSource(trace::KernelSource &source, const RunConfig &cfg,
     r.kernels = std::move(per_kernel);
     r.lines_per_mem_inst = gpu.meanLinesPerMemInst();
 
+    if (const PerCuTlbs *tlbs = sut.system().perCuTlbs()) {
+        r.tlb_reach_hits = tlbs->sum(&Tlb::reachHits);
+        r.tlb_reach_fills = tlbs->sum(&Tlb::reachFills);
+        r.tlb_merges = tlbs->sum(&Tlb::merges);
+        r.tlb_fill_bypasses = tlbs->sum(&Tlb::fillBypasses);
+        r.tlb_dead_first_evictions = tlbs->sum(&Tlb::deadFirstEvictions);
+        r.tlb_pred_true_pos = tlbs->sum(&Tlb::predTruePos);
+        r.tlb_pred_false_pos = tlbs->sum(&Tlb::predFalsePos);
+    }
     if (BaselineMmuSystem *b = sut.baseline()) {
         r.tlb_breakdown = b->breakdown();
-        r.tlb_reach_hits = b->tlbReachHits();
-        r.tlb_reach_fills = b->tlbReachFills();
-        r.tlb_merges = b->tlbMerges();
-        r.tlb_fill_bypasses = b->tlbFillBypasses();
-        r.tlb_dead_first_evictions = b->tlbDeadFirstEvictions();
-        r.tlb_pred_true_pos = b->tlbPredTruePos();
-        r.tlb_pred_false_pos = b->tlbPredFalsePos();
         r.victima_stashes = b->victimaStashes();
         r.victima_probes = b->victimaProbes();
         r.victima_hits = b->victimaHits();
@@ -138,17 +145,6 @@ runSource(trace::KernelSource &source, const RunConfig &cfg,
         r.fbt_purges = v->fbtPurges();
         r.fbt_valid_pages = v->fbt().validEntries();
         r.fbt_second_level_hit_ratio = v->fbt().ftHitRatio();
-    } else if (L1OnlyVcSystem *l = sut.l1vc()) {
-        for (unsigned cu = 0; cu < soc.gpu.num_cus; ++cu) {
-            const Tlb &t = l->perCuTlb(cu);
-            r.tlb_reach_hits += t.reachHits();
-            r.tlb_reach_fills += t.reachFills();
-            r.tlb_merges += t.merges();
-            r.tlb_fill_bypasses += t.fillBypasses();
-            r.tlb_dead_first_evictions += t.deadFirstEvictions();
-            r.tlb_pred_true_pos += t.predTruePos();
-            r.tlb_pred_false_pos += t.predFalsePos();
-        }
     }
 
     if (Iommu *io = sut.iommu()) {

@@ -44,6 +44,10 @@ struct RunConfig
     std::string trace_in;
 };
 
+/** The SocConfig a run simulates: `soc` as given in raw mode, else
+ *  configFor(design, soc). */
+SocConfig effectiveSoc(const RunConfig &cfg);
+
 /**
  * Results of one run: the cumulative RunCounters plus design-specific
  * counters, rates, and histograms.  Every scalar is exported through

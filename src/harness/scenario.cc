@@ -18,42 +18,21 @@ collectKernelStats(SystemUnderTest &sut, Gpu &gpu, Dram &dram,
         s.page_walks = io->walks();
     }
 
-    if (BaselineMmuSystem *b = sut.baseline()) {
-        s.tlb_accesses = b->tlbAccesses();
-        s.tlb_misses = b->tlbMisses();
-        for (unsigned cu = 0; cu < gpu.numCus(); ++cu) {
-            s.l1_accesses += b->caches().l1(cu).accesses();
-            s.l1_hits += b->caches().l1(cu).hits();
-        }
-        s.l2_accesses = b->caches().l2().accesses();
-        s.l2_hits = b->caches().l2().hits();
-    } else if (VirtualCacheSystem *v = sut.vc()) {
-        for (unsigned cu = 0; cu < gpu.numCus(); ++cu) {
-            s.l1_accesses += v->l1(cu).accesses();
-            s.l1_hits += v->l1(cu).hits();
-        }
-        s.l2_accesses = v->l2().accesses();
-        s.l2_hits = v->l2().hits();
-        s.fbt_lookups = v->fbt().btLookups() + v->fbt().ftLookups();
-        s.synonym_replays = v->synonymReplays();
-    } else if (L1OnlyVcSystem *l = sut.l1vc()) {
-        for (unsigned cu = 0; cu < gpu.numCus(); ++cu) {
-            s.l1_accesses += l->l1(cu).accesses();
-            s.l1_hits += l->l1(cu).hits();
-            s.tlb_accesses += l->perCuTlb(cu).accesses();
-            s.tlb_misses += l->perCuTlb(cu).misses();
-        }
-        s.l2_accesses = l->caches().l2().accesses();
-        s.l2_hits = l->caches().l2().hits();
-        s.synonym_replays = l->synonymReplays();
-    } else if (IdealMmuSystem *i = sut.ideal()) {
-        for (unsigned cu = 0; cu < gpu.numCus(); ++cu) {
-            s.l1_accesses += i->caches().l1(cu).accesses();
-            s.l1_hits += i->caches().l1(cu).hits();
-        }
-        s.l2_accesses = i->caches().l2().accesses();
-        s.l2_hits = i->caches().l2().hits();
+    MmuSystem &sys = sut.system();
+    if (const PerCuTlbs *tlbs = sys.perCuTlbs()) {
+        s.tlb_accesses = tlbs->sum(&Tlb::accesses);
+        s.tlb_misses = tlbs->sum(&Tlb::misses);
     }
+    for (unsigned cu = 0; cu < gpu.numCus(); ++cu) {
+        s.l1_accesses += sys.l1(cu).accesses();
+        s.l1_hits += sys.l1(cu).hits();
+    }
+    s.l2_accesses = sys.l2().accesses();
+    s.l2_hits = sys.l2().hits();
+    s.synonym_replays = sys.synonymReplays();
+    // The FBT is the one counter source only the full VC has.
+    if (VirtualCacheSystem *v = sut.vc())
+        s.fbt_lookups = v->fbt().btLookups() + v->fbt().ftLookups();
     return s;
 }
 

@@ -50,8 +50,7 @@ defaultJobs()
 std::string
 runConfigKey(const std::string &workload, const RunConfig &cfg)
 {
-    const SocConfig effective =
-        cfg.raw_soc ? cfg.soc : configFor(cfg.design, cfg.soc);
+    const SocConfig effective = effectiveSoc(cfg);
     Json key = Json::object();
     key.set("workload", workload);
     key.set("design", unsigned(cfg.design));

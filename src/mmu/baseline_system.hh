@@ -17,17 +17,16 @@
 #ifndef GVC_MMU_BASELINE_SYSTEM_HH
 #define GVC_MMU_BASELINE_SYSTEM_HH
 
-#include <memory>
 #include <unordered_map>
-#include <vector>
 
 #include "gpu/cu.hh"
 #include "mem/vm.hh"
 #include "mmu/boundary.hh"
 #include "mmu/injection.hh"
+#include "mmu/mmu_system.hh"
+#include "mmu/per_cu_tlbs.hh"
 #include "mmu/phys_caches.hh"
 #include "tlb/iommu.hh"
-#include "tlb/tlb.hh"
 
 namespace gvc
 {
@@ -47,7 +46,7 @@ struct TlbMissBreakdown
 };
 
 /** The baseline physical-cache MMU design. */
-class BaselineMmuSystem final : public GpuMemInterface
+class BaselineMmuSystem final : public MmuSystem
 {
   public:
     /**
@@ -60,32 +59,21 @@ class BaselineMmuSystem final : public GpuMemInterface
         : ctx_(ctx), cfg_(cfg), vm_(vm), caches_(ctx, cfg, dram, reqs_),
           iommu_(ctx, vm, dram, cfg.iommuParams()),
           injection_(ctx, cfg.gpu.num_cus, cfg.cu_injection_rate),
-          merge_tlb_misses_(merge_tlb_misses)
+          merge_tlb_misses_(merge_tlb_misses), tlbs_(cfg)
     {
-        tlbs_.reserve(cfg.gpu.num_cus);
-        for (unsigned i = 0; i < cfg.gpu.num_cus; ++i) {
-            tlbs_.push_back(std::make_unique<Tlb>(
-                TlbParams{cfg.percu_tlb_entries, cfg.percu_tlb_assoc,
-                          cfg.percu_tlb_infinite, cfg.track_lifetimes,
-                          cfg.translation_memo, cfg.tlb_max_reach,
-                          cfg.tlb_merge_on_insert,
-                          cfg.percu_tlb_fill_policy,
-                          cfg.tlb_replacement}));
-            if (cfg.victima_stash) {
-                tlbs_.back()->setEvictHook(
+        if (cfg.victima_stash) {
+            for (unsigned cu = 0; cu < tlbs_.size(); ++cu)
+                tlbs_[cu].setEvictHook(
                     [this](Asid asid, Vpn vpn, Ppn ppn, Perms perms) {
                         stashInsert(asid, vpn, ppn, perms);
                     });
-            }
         }
         vm.addPageShootdownListener([this](Asid asid, Vpn vpn) {
-            for (auto &tlb : tlbs_)
-                tlb->invalidatePage(asid, vpn, ctx_.now());
+            tlbs_.invalidatePage(asid, vpn, ctx_.now());
             stashInvalidatePage(asid, vpn);
         });
         vm.addFullShootdownListener([this](Asid asid) {
-            for (auto &tlb : tlbs_)
-                tlb->invalidateAsid(asid, ctx_.now());
+            tlbs_.invalidateAsid(asid, ctx_.now());
             stashInvalidateAsid(asid);
         });
     }
@@ -102,125 +90,16 @@ class BaselineMmuSystem final : public GpuMemInterface
         });
     }
 
-    /** Accesses issued and not yet completed. */
-    std::size_t requestsInFlight() const { return reqs_.inFlight(); }
+    std::size_t requestsInFlight() const override { return reqs_.inFlight(); }
 
-    Tlb &perCuTlb(unsigned cu) { return *tlbs_[cu]; }
-    const Tlb &perCuTlb(unsigned cu) const { return *tlbs_[cu]; }
-
-    /** Fold per-CU TLB entry reference counts into @p percu. */
-    void
-    collectTlbRefs(TlbRefHist &percu)
-    {
-        for (auto &tlb : tlbs_) {
-            tlb->flushResidentRefs();
-            percu.merge(tlb->refHist());
-        }
-    }
-
-    Iommu &iommu() { return iommu_; }
-    const Iommu &iommu() const { return iommu_; }
+    Iommu *iommu() override { return &iommu_; }
+    PerCuTlbs *perCuTlbs() override { return &tlbs_; }
+    CacheArray &l1(unsigned cu) override { return caches_.l1(cu); }
+    CacheArray &l2() override { return caches_.l2(); }
+    void flushLifetimes() override { caches_.flushLifetimes(); }
     PhysCaches &caches() { return caches_; }
     const PhysCaches &caches() const { return caches_; }
     const TlbMissBreakdown &breakdown() const { return breakdown_; }
-    const SocConfig &config() const { return cfg_; }
-
-    /** Aggregate per-CU TLB accesses across CUs. */
-    std::uint64_t
-    tlbAccesses() const
-    {
-        std::uint64_t n = 0;
-        for (const auto &t : tlbs_)
-            n += t->accesses();
-        return n;
-    }
-
-    /** Aggregate per-CU TLB misses across CUs. */
-    std::uint64_t
-    tlbMisses() const
-    {
-        std::uint64_t n = 0;
-        for (const auto &t : tlbs_)
-            n += t->misses();
-        return n;
-    }
-
-    double
-    tlbMissRatio() const
-    {
-        const auto acc = tlbAccesses();
-        return acc ? double(tlbMisses()) / double(acc) : 0.0;
-    }
-
-    /** Aggregate per-CU reach-entry (reach > 0) hits across CUs. */
-    std::uint64_t
-    tlbReachHits() const
-    {
-        std::uint64_t n = 0;
-        for (const auto &t : tlbs_)
-            n += t->reachHits();
-        return n;
-    }
-
-    /** Aggregate per-CU reach-entry fills across CUs. */
-    std::uint64_t
-    tlbReachFills() const
-    {
-        std::uint64_t n = 0;
-        for (const auto &t : tlbs_)
-            n += t->reachFills();
-        return n;
-    }
-
-    /** Aggregate per-CU buddy merges across CUs. */
-    std::uint64_t
-    tlbMerges() const
-    {
-        std::uint64_t n = 0;
-        for (const auto &t : tlbs_)
-            n += t->merges();
-        return n;
-    }
-
-    /** Aggregate per-CU predicted-dead fill bypasses across CUs. */
-    std::uint64_t
-    tlbFillBypasses() const
-    {
-        std::uint64_t n = 0;
-        for (const auto &t : tlbs_)
-            n += t->fillBypasses();
-        return n;
-    }
-
-    /** Aggregate per-CU dead-first evictions across CUs. */
-    std::uint64_t
-    tlbDeadFirstEvictions() const
-    {
-        std::uint64_t n = 0;
-        for (const auto &t : tlbs_)
-            n += t->deadFirstEvictions();
-        return n;
-    }
-
-    /** Aggregate per-CU predictor true positives across CUs. */
-    std::uint64_t
-    tlbPredTruePos() const
-    {
-        std::uint64_t n = 0;
-        for (const auto &t : tlbs_)
-            n += t->predTruePos();
-        return n;
-    }
-
-    /** Aggregate per-CU predictor false positives across CUs. */
-    std::uint64_t
-    tlbPredFalsePos() const
-    {
-        std::uint64_t n = 0;
-        for (const auto &t : tlbs_)
-            n += t->predFalsePos();
-        return n;
-    }
 
     std::uint64_t victimaStashes() const { return victima_stashes_.value; }
     std::uint64_t victimaProbes() const { return victima_probes_.value; }
@@ -234,18 +113,56 @@ class BaselineMmuSystem final : public GpuMemInterface
      * asymmetry versus the VC designs that fig_warm measures.
      */
     void
-    applyBoundary(const BoundaryPolicy &p)
+    applyBoundary(const BoundaryPolicy &p) override
     {
         caches_.boundaryFlush(p.flush_l1, p.flush_l2);
         if (p.flush_l2)
             stash_.clear(); // The array already dropped the lines.
         if (p.shootdown_tlbs) {
-            for (auto &tlb : tlbs_)
-                tlb->invalidateAll(ctx_.now());
+            tlbs_.invalidateAll(ctx_.now());
             iommu_.invalidateAll();
             iommu_.ptw().pwc().invalidateAll();
             // The stash is translation state and dies with the TLBs.
             dropStash();
+        }
+    }
+
+    void
+    registerStats(StatRegistry &reg) override
+    {
+        const PerCuTlbs *tlbs = &tlbs_;
+        const auto percu = [&](const char *name,
+                               std::uint64_t (Tlb::*counter)() const) {
+            reg.addScalar(name, [tlbs, counter] {
+                return double(tlbs->sum(counter));
+            });
+        };
+        percu("percu_tlb.accesses", &Tlb::accesses);
+        percu("percu_tlb.misses", &Tlb::misses);
+        reg.addScalar("l2.hit_ratio",
+                      [this] { return caches_.l2().hitRatio(); });
+        reg.addScalar("directory.probes", [this] {
+            return double(caches_.directory().probesSent());
+        });
+        // Reach/stash scalars appear only when the feature is on,
+        // keeping classic designs' stat dumps byte-identical.
+        if (cfg_.tlb_max_reach > 0) {
+            percu("percu_tlb.reach_hits", &Tlb::reachHits);
+            percu("percu_tlb.reach_fills", &Tlb::reachFills);
+            percu("percu_tlb.merges", &Tlb::merges);
+        }
+        if (cfg_.percu_tlb_fill_policy != kTlbFillLru)
+            percu("percu_tlb.fill_bypasses", &Tlb::fillBypasses);
+        if (cfg_.percu_tlb_fill_policy == kTlbFillBypassTrained) {
+            percu("percu_tlb.dead_first_evictions",
+                  &Tlb::deadFirstEvictions);
+            percu("percu_tlb.pred_true_pos", &Tlb::predTruePos);
+            percu("percu_tlb.pred_false_pos", &Tlb::predFalsePos);
+        }
+        if (cfg_.victima_stash) {
+            reg.addCounter("victima.stashes", &victima_stashes_);
+            reg.addCounter("victima.probes", &victima_probes_);
+            reg.addCounter("victima.hits", &victima_hits_);
         }
     }
 
@@ -256,7 +173,7 @@ class BaselineMmuSystem final : public GpuMemInterface
         const unsigned cu_id = req->cu;
         const Asid asid = req->asid;
         const Vpn vpn = req->vpn;
-        if (auto hit = tlbs_[cu_id]->lookup(asid, vpn, ctx_.now())) {
+        if (auto hit = tlbs_[cu_id].lookup(asid, vpn, ctx_.now())) {
             proceed(req, hit->ppn);
             return;
         }
@@ -286,7 +203,7 @@ class BaselineMmuSystem final : public GpuMemInterface
                     caches_.l2().invalidateLine(0, addr);
                     const Tick lat = 2 * cfg_.cu_to_l2 + cfg_.l2_latency;
                     ctx_.eq.scheduleIn(lat, [this, req] {
-                        tlbs_[req->cu]->insert(
+                        tlbs_[req->cu].insert(
                             req->asid, req->vpn,
                             TlbLookup{req->resp.ppn, req->resp.perms,
                                       false},
@@ -335,11 +252,11 @@ class BaselineMmuSystem final : public GpuMemInterface
         if (req->resp.fault)
             fatal("BaselineMmuSystem: unhandled GPU page fault");
         const IommuResponse &resp = req->resp;
-        tlbs_[req->cu]->insert(req->asid, req->vpn,
-                               TlbLookup{resp.ppn, resp.perms, resp.large,
-                                         resp.reach, resp.base_vpn,
-                                         resp.base_ppn},
-                               ctx_.now());
+        tlbs_[req->cu].insert(req->asid, req->vpn,
+                              TlbLookup{resp.ppn, resp.perms, resp.large,
+                                        resp.reach, resp.base_vpn,
+                                        resp.base_ppn},
+                              ctx_.now());
         if (!merge_tlb_misses_) {
             proceed(req, resp.ppn);
             return;
@@ -462,7 +379,7 @@ class BaselineMmuSystem final : public GpuMemInterface
     Iommu iommu_;
     CuInjectionPorts injection_;
     bool merge_tlb_misses_;
-    std::vector<std::unique_ptr<Tlb>> tlbs_;
+    PerCuTlbs tlbs_;
     std::unordered_map<std::uint64_t, XlateChain> pending_;
     TlbMissBreakdown breakdown_;
     /// Victima side map: stash line address -> stashed translation.

@@ -13,13 +13,14 @@
 #include "mem/vm.hh"
 #include "mmu/boundary.hh"
 #include "mmu/injection.hh"
+#include "mmu/mmu_system.hh"
 #include "mmu/phys_caches.hh"
 
 namespace gvc
 {
 
 /** Physical hierarchy with zero-cost address translation. */
-class IdealMmuSystem final : public GpuMemInterface
+class IdealMmuSystem final : public MmuSystem
 {
   public:
     IdealMmuSystem(SimContext &ctx, const SocConfig &cfg, Vm &vm,
@@ -43,18 +44,20 @@ class IdealMmuSystem final : public GpuMemInterface
         injection_.inject(cu_id, [this, req] { caches_.accessL1(req); });
     }
 
-    /** Accesses issued and not yet completed. */
-    std::size_t requestsInFlight() const { return reqs_.inFlight(); }
+    std::size_t requestsInFlight() const override { return reqs_.inFlight(); }
 
     PhysCaches &caches() { return caches_; }
     const PhysCaches &caches() const { return caches_; }
+    CacheArray &l1(unsigned cu) override { return caches_.l1(cu); }
+    CacheArray &l2() override { return caches_.l2(); }
+    void flushLifetimes() override { caches_.flushLifetimes(); }
 
     /**
      * Kernel boundary (§4).  Translation is free here, so only the cache
      * flags matter; a TLB shootdown is a no-op by construction.
      */
     void
-    applyBoundary(const BoundaryPolicy &p)
+    applyBoundary(const BoundaryPolicy &p) override
     {
         caches_.boundaryFlush(p.flush_l1, p.flush_l2);
     }

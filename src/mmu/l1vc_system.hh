@@ -25,9 +25,10 @@
 #include "mem/vm.hh"
 #include "mmu/boundary.hh"
 #include "mmu/injection.hh"
+#include "mmu/mmu_system.hh"
+#include "mmu/per_cu_tlbs.hh"
 #include "mmu/phys_caches.hh"
 #include "tlb/iommu.hh"
-#include "tlb/tlb.hh"
 
 namespace gvc
 {
@@ -92,7 +93,7 @@ class LineLeadingRegistry
 };
 
 /** The L1-only virtual cache design. */
-class L1OnlyVcSystem final : public GpuMemInterface
+class L1OnlyVcSystem final : public MmuSystem
 {
   public:
     L1OnlyVcSystem(SimContext &ctx, const SocConfig &cfg, Vm &vm,
@@ -100,7 +101,7 @@ class L1OnlyVcSystem final : public GpuMemInterface
         : ctx_(ctx), cfg_(cfg), vm_(vm),
           caches_(ctx, cfg, dram, reqs_,
                   [this](MemRequest *req) { l2Returned(req); }),
-          iommu_(ctx, vm, dram, cfg.iommuParams()),
+          iommu_(ctx, vm, dram, cfg.iommuParams()), tlbs_(cfg),
           injection_(ctx, cfg.gpu.num_cus, cfg.cu_injection_rate)
     {
         for (unsigned i = 0; i < cfg.gpu.num_cus; ++i) {
@@ -108,18 +109,11 @@ class L1OnlyVcSystem final : public GpuMemInterface
                 CacheParams{cfg.l1_size, cfg.l1_assoc, unsigned(kLineSize),
                             /*write_back=*/false, /*write_allocate=*/false,
                             cfg.track_lifetimes}));
-            tlbs_.push_back(std::make_unique<Tlb>(
-                TlbParams{cfg.percu_tlb_entries, cfg.percu_tlb_assoc,
-                          cfg.percu_tlb_infinite, cfg.track_lifetimes,
-                          cfg.translation_memo, cfg.tlb_max_reach,
-                          cfg.tlb_merge_on_insert,
-                          cfg.percu_tlb_fill_policy,
-                          cfg.tlb_replacement}));
         }
         vm.addPageShootdownListener([this](Asid asid, Vpn vpn) {
-            for (unsigned cu = 0; cu < l1s_.size(); ++cu) {
-                tlbs_[cu]->invalidatePage(asid, vpn, ctx_.now());
-                l1s_[cu]->invalidatePage(
+            tlbs_.invalidatePage(asid, vpn, ctx_.now());
+            for (auto &l1 : l1s_) {
+                l1->invalidatePage(
                     asid, pageBase(vpn), [this](const CacheLineInfo &info) {
                         registryEvict(info.asid, info.line_addr);
                     });
@@ -129,12 +123,11 @@ class L1OnlyVcSystem final : public GpuMemInterface
         // ASID's names, so they must drop whenever its translations do
         // (same rule as the per-page path above, whole address space).
         vm.addFullShootdownListener([this](Asid asid) {
-            for (unsigned cu = 0; cu < l1s_.size(); ++cu) {
-                tlbs_[cu]->invalidateAsid(asid, ctx_.now());
-                l1s_[cu]->invalidateAsid(
-                    asid, [this](const CacheLineInfo &info) {
-                        registryEvict(info.asid, info.line_addr);
-                    });
+            tlbs_.invalidateAsid(asid, ctx_.now());
+            for (auto &l1 : l1s_) {
+                l1->invalidateAsid(asid, [this](const CacheLineInfo &info) {
+                    registryEvict(info.asid, info.line_addr);
+                });
             }
         });
     }
@@ -146,27 +139,28 @@ class L1OnlyVcSystem final : public GpuMemInterface
         issue(reqs_.make(cu_id, asid, line_va, is_store, std::move(done)));
     }
 
-    /** Accesses issued and not yet completed. */
-    std::size_t requestsInFlight() const { return reqs_.inFlight(); }
+    std::size_t requestsInFlight() const override { return reqs_.inFlight(); }
 
-    Tlb &perCuTlb(unsigned cu) { return *tlbs_[cu]; }
-    CacheArray &l1(unsigned cu) { return *l1s_[cu]; }
+    Iommu *iommu() override { return &iommu_; }
+    PerCuTlbs *perCuTlbs() override { return &tlbs_; }
+    /** The virtual L1 of @p cu. */
+    CacheArray &l1(unsigned cu) override { return *l1s_[cu]; }
+    CacheArray &l2() override { return caches_.l2(); }
+    PhysCaches &caches() { return caches_; }
+    LineLeadingRegistry &registry() { return registry_; }
 
-    /** Fold per-CU TLB entry reference counts into @p percu. */
-    void
-    collectTlbRefs(TlbRefHist &percu)
+    std::uint64_t synonymReplays() const override
     {
-        for (auto &tlb : tlbs_) {
-            tlb->flushResidentRefs();
-            percu.merge(tlb->refHist());
-        }
+        return synonym_replays_.value;
     }
 
-    Iommu &iommu() { return iommu_; }
-    const Iommu &iommu() const { return iommu_; }
-    PhysCaches &caches() { return caches_; }
-    std::uint64_t synonymReplays() const { return synonym_replays_.value; }
-    LineLeadingRegistry &registry() { return registry_; }
+    void
+    flushLifetimes() override
+    {
+        for (auto &l1 : l1s_)
+            l1->flushLifetimes();
+        caches_.l2().flushLifetimes();
+    }
 
     /**
      * Kernel boundary (§4).  The virtual L1s must go whenever their
@@ -175,7 +169,7 @@ class L1OnlyVcSystem final : public GpuMemInterface
      * physical L2 follows the baseline rules and may survive.
      */
     void
-    applyBoundary(const BoundaryPolicy &p)
+    applyBoundary(const BoundaryPolicy &p) override
     {
         if (p.flush_l1 || p.shootdown_tlbs) {
             for (auto &l1 : l1s_)
@@ -184,11 +178,18 @@ class L1OnlyVcSystem final : public GpuMemInterface
         }
         caches_.boundaryFlush(false, p.flush_l2);
         if (p.shootdown_tlbs) {
-            for (auto &tlb : tlbs_)
-                tlb->invalidateAll(ctx_.now());
+            tlbs_.invalidateAll(ctx_.now());
             iommu_.invalidateAll();
             iommu_.ptw().pwc().invalidateAll();
         }
+    }
+
+    void
+    registerStats(StatRegistry &reg) override
+    {
+        reg.addCounter("l1vc.synonym_replays", &synonym_replays_);
+        reg.addScalar("l1vc.registry_lines",
+                      [this] { return double(registry_.size()); });
     }
 
   private:
@@ -227,7 +228,7 @@ class L1OnlyVcSystem final : public GpuMemInterface
     tlbStage(MemRequest *req)
     {
         if (auto hit =
-                tlbs_[req->cu]->lookup(req->asid, req->vpn, ctx_.now())) {
+                tlbs_[req->cu].lookup(req->asid, req->vpn, ctx_.now())) {
             req->resp.perms = hit->perms;
             translated(req, hit->ppn);
             return;
@@ -249,11 +250,11 @@ class L1OnlyVcSystem final : public GpuMemInterface
         const IommuResponse &resp = req->resp;
         if (resp.fault)
             fatal("L1OnlyVcSystem: unhandled GPU page fault");
-        tlbs_[req->cu]->insert(req->asid, req->vpn,
-                               TlbLookup{resp.ppn, resp.perms, resp.large,
-                                         resp.reach, resp.base_vpn,
-                                         resp.base_ppn},
-                               ctx_.now());
+        tlbs_[req->cu].insert(req->asid, req->vpn,
+                              TlbLookup{resp.ppn, resp.perms, resp.large,
+                                        resp.reach, resp.base_vpn,
+                                        resp.base_ppn},
+                              ctx_.now());
         translated(req, resp.ppn);
     }
 
@@ -324,7 +325,7 @@ class L1OnlyVcSystem final : public GpuMemInterface
     PhysCaches caches_;
     Iommu iommu_;
     std::vector<std::unique_ptr<CacheArray>> l1s_;
-    std::vector<std::unique_ptr<Tlb>> tlbs_;
+    PerCuTlbs tlbs_;
     LineLeadingRegistry registry_;
     CuInjectionPorts injection_;
     Counter synonym_replays_;

@@ -41,6 +41,8 @@ class BaselineTest : public ::testing::Test
         return at;
     }
 
+    Tlb &tlb(unsigned cu) { return (*sys_->perCuTlbs())[cu]; }
+
     SimContext ctx_;
     PhysMem pm_;
     Vm vm_;
@@ -54,9 +56,9 @@ class BaselineTest : public ::testing::Test
 TEST_F(BaselineTest, TlbMissGoesToIommuThenFills)
 {
     access(base_);
-    EXPECT_EQ(sys_->tlbMisses(), 1u);
-    EXPECT_EQ(sys_->iommu().accesses(), 1u);
-    EXPECT_TRUE(sys_->perCuTlb(0).present(asid_, pageOf(base_)));
+    EXPECT_EQ(sys_->perCuTlbs()->sum(&Tlb::misses), 1u);
+    EXPECT_EQ(sys_->iommu()->accesses(), 1u);
+    EXPECT_TRUE(tlb(0).present(asid_, pageOf(base_)));
     // Data landed in the physical caches.
     const auto pa = vm_.translate(asid_, base_)->ppn;
     EXPECT_TRUE(sys_->caches().l1(0).present(0, pageBase(pa)));
@@ -66,18 +68,18 @@ TEST_F(BaselineTest, TlbMissGoesToIommuThenFills)
 TEST_F(BaselineTest, TlbHitSkipsIommu)
 {
     access(base_);
-    const auto before = sys_->iommu().accesses();
+    const auto before = sys_->iommu()->accesses();
     access(base_ + kLineSize); // same page
-    EXPECT_EQ(sys_->iommu().accesses(), before);
-    EXPECT_EQ(sys_->tlbMisses(), 1u);
+    EXPECT_EQ(sys_->iommu()->accesses(), before);
+    EXPECT_EQ(sys_->perCuTlbs()->sum(&Tlb::misses), 1u);
 }
 
 TEST_F(BaselineTest, PerCuTlbsAreSeparate)
 {
     access(base_, false, 0);
-    const auto before = sys_->iommu().accesses();
+    const auto before = sys_->iommu()->accesses();
     access(base_, false, 1); // different CU: its own TLB misses
-    EXPECT_EQ(sys_->iommu().accesses(), before + 1);
+    EXPECT_EQ(sys_->iommu()->accesses(), before + 1);
 }
 
 TEST_F(BaselineTest, EveryMissIsAnIommuAccessWhenUnmerged)
@@ -90,7 +92,7 @@ TEST_F(BaselineTest, EveryMissIsAnIommuAccessWhenUnmerged)
                      [&] { ++done; });
     ctx_.eq.run();
     EXPECT_EQ(done, 4u);
-    EXPECT_EQ(sys_->iommu().accesses(), 4u);
+    EXPECT_EQ(sys_->iommu()->accesses(), 4u);
 }
 
 TEST_F(BaselineTest, MergedModeCoalescesConcurrentMisses)
@@ -103,7 +105,7 @@ TEST_F(BaselineTest, MergedModeCoalescesConcurrentMisses)
                       [&] { ++done; });
     ctx_.eq.run();
     EXPECT_EQ(done, 4u);
-    EXPECT_EQ(merged.iommu().accesses(), 1u);
+    EXPECT_EQ(merged.iommu()->accesses(), 1u);
 }
 
 TEST_F(BaselineTest, ClassificationBucketsAreConsistent)
@@ -113,7 +115,7 @@ TEST_F(BaselineTest, ClassificationBucketsAreConsistent)
     access(base_);
     for (int i = 1; i <= 64; ++i)
         access(base_ + std::uint64_t(i) * kPageSize);
-    EXPECT_FALSE(sys_->perCuTlb(0).present(asid_, pageOf(base_)));
+    EXPECT_FALSE(tlb(0).present(asid_, pageOf(base_)));
     const auto before = sys_->breakdown();
     access(base_);
     const auto after = sys_->breakdown();
@@ -128,8 +130,42 @@ TEST_F(BaselineTest, ShootdownDropsPerCuTlbEntries)
     access(base_, false, 0);
     access(base_, false, 1);
     vm_.protect(asid_, base_, kPageSize, kPermRead);
-    EXPECT_FALSE(sys_->perCuTlb(0).present(asid_, pageOf(base_)));
-    EXPECT_FALSE(sys_->perCuTlb(1).present(asid_, pageOf(base_)));
+    EXPECT_FALSE(tlb(0).present(asid_, pageOf(base_)));
+    EXPECT_FALSE(tlb(1).present(asid_, pageOf(base_)));
+}
+
+TEST_F(BaselineTest, ShootdownDropsVictimaStashedTranslation)
+{
+    cfg_.victima_stash = true;
+    cfg_.percu_tlb_entries = 2;
+    BaselineMmuSystem vic(ctx_, cfg_, vm_, dram_);
+    const auto touch = [&](unsigned page) {
+        bool done = false;
+        vic.access(0, asid_, base_ + std::uint64_t(page) * kPageSize,
+                   false, [&] { done = true; });
+        ctx_.eq.run();
+        EXPECT_TRUE(done);
+    };
+    // A 2-entry TLB: pages 2 and 3 evict pages 0 and 1 into the stash.
+    for (unsigned page = 0; page < 4; ++page)
+        touch(page);
+    ASSERT_EQ(vic.victimaStashes(), 2u);
+
+    // Control: page 1's stashed translation serves its next miss.
+    std::uint64_t iommu_before = vic.iommu()->accesses();
+    touch(1);
+    EXPECT_EQ(vic.victimaHits(), 1u);
+    EXPECT_EQ(vic.iommu()->accesses(), iommu_before);
+
+    // A shootdown of page 0 must drop its stash copy too: the next miss
+    // finds nothing to probe and pays the IOMMU round trip.
+    vm_.protect(asid_, base_, kPageSize, kPermRead);
+    const std::uint64_t probes_before = vic.victimaProbes();
+    iommu_before = vic.iommu()->accesses();
+    touch(0);
+    EXPECT_EQ(vic.victimaProbes(), probes_before);
+    EXPECT_EQ(vic.victimaHits(), 1u);
+    EXPECT_EQ(vic.iommu()->accesses(), iommu_before + 1);
 }
 
 TEST_F(BaselineTest, StoresWriteThroughL1)

@@ -1,12 +1,20 @@
 /**
  * @file
- * Tests for the design factory (Table 2 configurations) and the
- * SystemUnderTest wrapper, plus warp-scheduler policy behaviour.
+ * Tests for the design rows (Table 2 configurations, labels and CLI
+ * spellings), the SystemUnderTest wrapper and the statistics it
+ * registers, plus warp-scheduler policy behaviour.
  */
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "gpu/gpu.hh"
+#include "harness/cli.hh"
+#include "harness/runner.hh"
 #include "mmu/designs.hh"
 
 namespace gvc
@@ -44,15 +52,10 @@ TEST(Designs, ConfigForMatchesTable2)
 
 TEST(Designs, NamesAreDistinct)
 {
-    const MmuDesign all[] = {
-        MmuDesign::kIdeal,       MmuDesign::kBaseline512,
-        MmuDesign::kBaseline16K, MmuDesign::kBaselineLargeTlb,
-        MmuDesign::kVcNoOpt,     MmuDesign::kVcOpt,
-        MmuDesign::kL1Vc32,      MmuDesign::kL1Vc128};
-    for (const auto a : all) {
-        for (const auto b : all) {
-            if (a != b) {
-                EXPECT_STRNE(designName(a), designName(b));
+    for (const DesignRow &a : kDesignRows) {
+        for (const DesignRow &b : kDesignRows) {
+            if (a.design != b.design) {
+                EXPECT_STRNE(a.label, b.label);
             }
         }
     }
@@ -61,9 +64,27 @@ TEST(Designs, NamesAreDistinct)
 TEST(Designs, TableMentionsEveryPaperDesign)
 {
     const std::string t = designTable();
-    for (const char *row : {"IDEAL MMU", "Baseline 512", "Baseline 16K",
-                            "VC W/O OPT", "VC With OPT"})
-        EXPECT_NE(t.find(row), std::string::npos) << row;
+    for (const DesignRow &row : kDesignRows)
+        EXPECT_NE(t.find(row.label), std::string::npos) << row.label;
+}
+
+TEST(Designs, EverySpellingRoundTripsToItsLabel)
+{
+    for (const DesignRow &row : kDesignRows) {
+        EXPECT_EQ(designName(row.design), std::string(row.label));
+        MmuDesign from_label;
+        ASSERT_TRUE(designFromName(row.label, from_label)) << row.label;
+        EXPECT_EQ(from_label, row.design);
+        ASSERT_NE(row.spellings[0], nullptr) << row.label;
+        for (const char *spelling : row.spellings) {
+            if (!spelling)
+                continue;
+            MmuDesign parsed;
+            ASSERT_TRUE(tryParseDesign(spelling, parsed)) << spelling;
+            EXPECT_EQ(parsed, row.design) << spelling;
+            EXPECT_STREQ(designName(parsed), row.label) << spelling;
+        }
+    }
 }
 
 TEST(Designs, SystemUnderTestExposesTheRightConcreteSystem)
@@ -73,24 +94,111 @@ TEST(Designs, SystemUnderTestExposesTheRightConcreteSystem)
     Vm vm(pm);
     Dram dram(ctx, {});
 
-    {
-        SystemUnderTest sut(ctx, configFor(MmuDesign::kVcOpt), vm, dram,
-                            MmuDesign::kVcOpt);
-        EXPECT_NE(sut.vc(), nullptr);
-        EXPECT_EQ(sut.baseline(), nullptr);
-        EXPECT_NE(sut.iommu(), nullptr);
+    for (const DesignRow &row : kDesignRows) {
+        SystemUnderTest sut(ctx, configFor(row.design), vm, dram,
+                            row.design);
+        const Hierarchy h = row.hierarchy;
+        EXPECT_EQ(sut.ideal() != nullptr, h == Hierarchy::kIdeal)
+            << row.label;
+        EXPECT_EQ(sut.baseline() != nullptr, h == Hierarchy::kPhysical)
+            << row.label;
+        EXPECT_EQ(sut.vc() != nullptr, h == Hierarchy::kVirtual)
+            << row.label;
+        EXPECT_EQ(sut.l1vc() != nullptr, h == Hierarchy::kL1Virtual)
+            << row.label;
+        EXPECT_EQ(sut.iommu() == nullptr, h == Hierarchy::kIdeal)
+            << row.label;
+        const bool percu =
+            h == Hierarchy::kPhysical || h == Hierarchy::kL1Virtual;
+        EXPECT_EQ(sut.system().perCuTlbs() != nullptr, percu)
+            << row.label;
     }
+}
+
+/** Every "name = value" line of @p reg's dump, names in order. */
+std::vector<std::string>
+statPaths(const StatRegistry &reg)
+{
+    std::ostringstream os;
+    reg.dump(os);
+    std::istringstream in(os.str());
+    std::vector<std::string> paths;
+    for (std::string line; std::getline(in, line);)
+        paths.push_back(line.substr(0, line.find(" = ")));
+    return paths;
+}
+
+TEST(Designs, RegistryPathsAndValuesMatchTheRunResult)
+{
+    const std::vector<std::string> iommu = {
+        "iommu.accesses",       "iommu.walks",
+        "iommu.faults",         "iommu.serialization_cycles",
+        "iommu.tlb.hits",       "iommu.tlb.misses",
+        "iommu.pwc.hit_ratio",  "iommu.ptw.mean_latency"};
+    const auto with_iommu = [&](std::vector<std::string> tail) {
+        std::vector<std::string> all = iommu;
+        all.insert(all.end(), tail.begin(), tail.end());
+        return all;
+    };
+    const std::vector<std::string> baseline = {
+        "percu_tlb.accesses", "percu_tlb.misses", "l2.hit_ratio",
+        "directory.probes"};
+    std::vector<std::string> victima = baseline;
+    victima.insert(victima.end(),
+                   {"victima.stashes", "victima.probes", "victima.hits"});
+    const struct
     {
-        SystemUnderTest sut(ctx, configFor(MmuDesign::kIdeal), vm, dram,
-                            MmuDesign::kIdeal);
-        EXPECT_NE(sut.ideal(), nullptr);
-        EXPECT_EQ(sut.iommu(), nullptr);
-    }
-    {
-        SystemUnderTest sut(ctx, configFor(MmuDesign::kL1Vc32), vm,
-                            dram, MmuDesign::kL1Vc32);
-        EXPECT_NE(sut.l1vc(), nullptr);
-        EXPECT_NE(sut.iommu(), nullptr);
+        MmuDesign design;
+        std::vector<std::string> paths;
+    } cases[] = {
+        {MmuDesign::kIdeal, {}},
+        {MmuDesign::kBaseline512, with_iommu(baseline)},
+        {MmuDesign::kBaseVictima, with_iommu(victima)},
+        {MmuDesign::kVcOpt,
+         with_iommu({"fbt.bt_lookups", "fbt.ft_hit_ratio",
+                     "fbt.valid_pages", "fbt.capacity_evictions",
+                     "vc.synonym_replays", "vc.rw_faults",
+                     "vc.l1_flushes", "vc.translation_merges",
+                     "vc.l2.hit_ratio", "directory.probes",
+                     "vc.probe_lines_filtered"})},
+        {MmuDesign::kL1Vc32,
+         with_iommu({"l1vc.synonym_replays", "l1vc.registry_lines"})},
+    };
+    for (const auto &c : cases) {
+        RunConfig cfg;
+        cfg.design = c.design;
+        cfg.workload.scale = 0.05;
+        StatRegistry reg;
+        std::vector<std::string> paths;
+        std::map<std::string, double> value;
+        const RunResult r = runWorkload(
+            "bfs", cfg, [&](SystemUnderTest &sut, Gpu &, SimContext &) {
+                sut.registerStats(reg);
+                paths = statPaths(reg);
+                for (const auto &p : paths)
+                    value[p] = reg.lookup(p);
+            });
+        const char *label = designName(c.design);
+        EXPECT_EQ(paths, c.paths) << label;
+        const auto expect = [&](const char *path, double want) {
+            if (value.count(path)) {
+                EXPECT_DOUBLE_EQ(value[path], want) << label << " " << path;
+            }
+        };
+        expect("iommu.accesses", double(r.iommu_accesses));
+        expect("iommu.walks", double(r.page_walks));
+        expect("percu_tlb.accesses", double(r.tlb_accesses));
+        expect("percu_tlb.misses", double(r.tlb_misses));
+        expect("l2.hit_ratio", r.l2_hit_ratio);
+        expect("vc.l2.hit_ratio", r.l2_hit_ratio);
+        expect("victima.stashes", double(r.victima_stashes));
+        expect("victima.probes", double(r.victima_probes));
+        expect("victima.hits", double(r.victima_hits));
+        expect("fbt.valid_pages", double(r.fbt_valid_pages));
+        expect("fbt.ft_hit_ratio", r.fbt_second_level_hit_ratio);
+        expect("vc.synonym_replays", double(r.synonym_replays));
+        expect("vc.rw_faults", double(r.rw_faults));
+        expect("l1vc.synonym_replays", double(r.synonym_replays));
     }
 }
 

@@ -109,7 +109,7 @@ TEST_F(RemapHierarchyTest, SecondSynonymAccessIsRewrittenUpFront)
     EXPECT_EQ(vc_->synonymReplays(), 1u);
 
     // Subsequent accesses through the alias hit the L1 directly.
-    const auto iommu_before = vc_->iommu().accesses();
+    const auto iommu_before = vc_->iommu()->accesses();
     access(alias_);
     access(alias_ + kLineSize); // same page, L2 path under leading name
     EXPECT_EQ(vc_->synonymReplays(), 1u); // no further replays

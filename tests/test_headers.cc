@@ -34,6 +34,8 @@
 #include "mmu/injection.hh"
 #include "mmu/l1vc_system.hh"
 #include "mmu/mem_request.hh"
+#include "mmu/mmu_system.hh"
+#include "mmu/per_cu_tlbs.hh"
 #include "mmu/phys_caches.hh"
 #include "mmu/soc_config.hh"
 #include "sim/debug.hh"

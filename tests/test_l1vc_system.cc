@@ -51,6 +51,8 @@ class L1VcTest : public ::testing::Test
         EXPECT_TRUE(done);
     }
 
+    Tlb &tlb(unsigned cu) { return (*sys_->perCuTlbs())[cu]; }
+
     SimContext ctx_;
     PhysMem pm_;
     Vm vm_;
@@ -64,16 +66,16 @@ class L1VcTest : public ::testing::Test
 TEST_F(L1VcTest, L1HitSkipsTlbEntirely)
 {
     access(base_);
-    const auto tlb_acc = sys_->perCuTlb(0).accesses();
+    const auto tlb_acc = tlb(0).accesses();
     access(base_);
-    EXPECT_EQ(sys_->perCuTlb(0).accesses(), tlb_acc);
+    EXPECT_EQ(tlb(0).accesses(), tlb_acc);
 }
 
 TEST_F(L1VcTest, L1MissConsultsTlbBeforePhysicalL2)
 {
     access(base_);
-    EXPECT_EQ(sys_->perCuTlb(0).accesses(), 1u);
-    EXPECT_EQ(sys_->perCuTlb(0).misses(), 1u);
+    EXPECT_EQ(tlb(0).accesses(), 1u);
+    EXPECT_EQ(tlb(0).misses(), 1u);
     // Data cached virtually in the L1, physically in the L2.
     EXPECT_TRUE(sys_->l1(0).present(asid_, base_));
     const auto pa = pageBase(vm_.translate(asid_, base_)->ppn);
@@ -84,8 +86,8 @@ TEST_F(L1VcTest, SecondLineOfPageHitsTlb)
 {
     access(base_);
     access(base_ + kLineSize);
-    EXPECT_EQ(sys_->perCuTlb(0).misses(), 1u);
-    EXPECT_EQ(sys_->perCuTlb(0).hits(), 1u);
+    EXPECT_EQ(tlb(0).misses(), 1u);
+    EXPECT_EQ(tlb(0).hits(), 1u);
 }
 
 TEST_F(L1VcTest, SynonymReplaysWithLeadingName)
@@ -104,10 +106,23 @@ TEST_F(L1VcTest, ShootdownPurgesTlbAndL1)
 {
     access(base_);
     vm_.protect(asid_, base_, kPageSize, kPermRead);
-    EXPECT_FALSE(sys_->perCuTlb(0).present(asid_, pageOf(base_)));
+    EXPECT_FALSE(tlb(0).present(asid_, pageOf(base_)));
     EXPECT_FALSE(sys_->l1(0).present(asid_, base_));
     EXPECT_FALSE(sys_->registry().lookup(
         pageBase(vm_.translate(asid_, base_)->ppn)) .has_value());
+}
+
+TEST_F(L1VcTest, FlushLifetimesCoversTheVirtualL1s)
+{
+    cfg_.track_lifetimes = true;
+    L1OnlyVcSystem sys(ctx_, cfg_, vm_, dram_);
+    for (int i = 0; i < 2; ++i) {
+        sys.access(0, asid_, base_, false, [] {});
+        ctx_.eq.run();
+    }
+    sys.flushLifetimes();
+    // The line was filled, then hit again later: one live lifetime.
+    EXPECT_EQ(sys.l1(0).lifetimes().histogram().total(), 1u);
 }
 
 TEST_F(L1VcTest, StoresGoThroughToPhysicalL2)

@@ -59,8 +59,8 @@ TEST_P(RequestRecords, SystemBuiltFromATemporaryConfigServesLoadAndStore)
     const Vaddr buf = vm.mmapAnon(asid, 4 * kPageSize);
 
     unsigned loads = 0, stores = 0;
-    sut.memIf().access(0, asid, buf, false, [&] { ++loads; });
-    sut.memIf().access(1, asid, buf + kPageSize, true, [&] { ++stores; });
+    sut.system().access(0, asid, buf, false, [&] { ++loads; });
+    sut.system().access(1, asid, buf + kPageSize, true, [&] { ++stores; });
     ctx.eq.run();
     EXPECT_EQ(loads, 1u);
     EXPECT_EQ(stores, 1u);
@@ -117,10 +117,11 @@ TEST(RequestRecordPaths, MergedTlbMissesReturnEveryRecord)
         ctx.eq.run();
     }
     EXPECT_EQ(done, issued);
-    EXPECT_LT(sys.iommu().accesses(), sys.tlbMisses());
+    EXPECT_LT(sys.iommu()->accesses(),
+              sys.perCuTlbs()->sum(&Tlb::misses));
     EXPECT_EQ(sys.requestsInFlight(), 0u);
-    EXPECT_EQ(sys.iommu().requestsInFlight(), 0u);
-    EXPECT_EQ(sys.iommu().ptw().walksInFlight(), 0u);
+    EXPECT_EQ(sys.iommu()->requestsInFlight(), 0u);
+    EXPECT_EQ(sys.iommu()->ptw().walksInFlight(), 0u);
 }
 
 TEST(RequestRecordPaths, VictimaStashHitsReturnEveryRecord)
@@ -160,7 +161,7 @@ TEST(RequestRecordPaths, FaultFixerRetriesReturnEveryRecord)
         const Vaddr lazy = 0x7000'0000;
         unsigned done = 0;
         for (int i = 0; i < 4; ++i)
-            sut.memIf().access(unsigned(i), asid,
+            sut.system().access(unsigned(i), asid,
                                lazy + Vaddr(i) * kPageSize, i % 2 == 1,
                                [&done] { ++done; });
         ctx.eq.run();
@@ -190,7 +191,7 @@ TEST(RequestRecordPaths, SynonymReplaysReturnEveryRecord)
         for (int round = 0; round < 3; ++round) {
             for (const Vaddr base : {ro, alias}) {
                 for (unsigned p = 0; p < 8; ++p) {
-                    sut.memIf().access(p % 2, asid, base + p * kPageSize,
+                    sut.system().access(p % 2, asid, base + p * kPageSize,
                                        false, [&done] { ++done; });
                     ++issued;
                 }

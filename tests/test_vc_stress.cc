@@ -156,7 +156,7 @@ TEST(VcDemandPaging, FaultFixerEnablesLazyMappings)
 
     // CPU-style demand handler: map pages on first GPU touch.
     unsigned faults_fixed = 0;
-    vc.iommu().setFaultFixer([&](Asid a, Vpn vpn) {
+    vc.iommu()->setFaultFixer([&](Asid a, Vpn vpn) {
         vm.pageTable(a).map(vpn, pm.allocFrame(),
                             kPermRead | kPermWrite);
         ++faults_fixed;
@@ -173,7 +173,7 @@ TEST(VcDemandPaging, FaultFixerEnablesLazyMappings)
     EXPECT_EQ(done, 4u);
     EXPECT_EQ(faults_fixed, 4u);
     EXPECT_TRUE(vc.l2().present(asid, lazy));
-    EXPECT_EQ(vc.iommu().faults(), 4u);
+    EXPECT_EQ(vc.iommu()->faults(), 4u);
 }
 
 } // namespace

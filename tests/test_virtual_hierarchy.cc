@@ -59,26 +59,26 @@ TEST_F(VcTest, ColdMissFillsBothLevelsAndFbt)
     EXPECT_TRUE(vc_->l2().present(asid_, base_));
     EXPECT_TRUE(vc_->l1(0).present(asid_, base_));
     EXPECT_TRUE(vc_->fbt().hasLeading(asid_, pageOf(base_)));
-    EXPECT_EQ(vc_->iommu().accesses(), 1u);
+    EXPECT_EQ(vc_->iommu()->accesses(), 1u);
 }
 
 TEST_F(VcTest, L1HitNeedsNoTranslation)
 {
     access(base_);
-    const auto iommu_before = vc_->iommu().accesses();
+    const auto iommu_before = vc_->iommu()->accesses();
     const Tick t0 = ctx_.now();
     const Tick t1 = access(base_);
-    EXPECT_EQ(vc_->iommu().accesses(), iommu_before);
+    EXPECT_EQ(vc_->iommu()->accesses(), iommu_before);
     EXPECT_EQ(t1 - t0, cfg_.l1_latency);
 }
 
 TEST_F(VcTest, L2HitFiltersTranslationForOtherCus)
 {
     access(base_, false, /*cu=*/0);
-    const auto iommu_before = vc_->iommu().accesses();
+    const auto iommu_before = vc_->iommu()->accesses();
     access(base_, false, /*cu=*/1);
     // CU 1 missed its L1 but hit the shared virtual L2: filtered.
-    EXPECT_EQ(vc_->iommu().accesses(), iommu_before);
+    EXPECT_EQ(vc_->iommu()->accesses(), iommu_before);
     EXPECT_TRUE(vc_->l1(1).present(asid_, base_));
 }
 
@@ -91,7 +91,7 @@ TEST_F(VcTest, TranslationsAreCoalescedPerPage)
                     [&] { ++done; });
     ctx_.eq.run();
     EXPECT_EQ(done, 8u);
-    EXPECT_EQ(vc_->iommu().accesses(), 1u);
+    EXPECT_EQ(vc_->iommu()->accesses(), 1u);
     EXPECT_EQ(vc_->translationMerges(), 7u);
 }
 
@@ -270,9 +270,9 @@ TEST(VcLargePage, CounterModeCachesAndPurges)
     EXPECT_TRUE(vc.fbt().hasLeading(asid, pageOf(big) + 100));
 
     // L1 hits still need no translation.
-    const auto before = vc.iommu().accesses();
+    const auto before = vc.iommu()->accesses();
     access(big, false);
-    EXPECT_EQ(vc.iommu().accesses(), before);
+    EXPECT_EQ(vc.iommu()->accesses(), before);
 
     // Shootdown purges every cached line of the 2 MB page.
     vm.protect(asid, big, kLargePageSize, kPermRead);

@@ -238,9 +238,7 @@ main(int argc, char **argv)
                      (unsigned long long)trace::traceDigest(capture));
     }
     if (!opt.json_out.empty()) {
-        const SocConfig effective =
-            opt.cfg.raw_soc ? opt.cfg.soc
-                            : configFor(opt.cfg.design, opt.cfg.soc);
+        const SocConfig effective = effectiveSoc(opt.cfg);
         const std::string doc =
             runResultToJson(r, &effective).dump(2) + "\n";
         if (opt.json_out == "-") {

@@ -164,9 +164,10 @@ parse(int argc, char **argv)
             for (const auto &n : extraWorkloadNames())
                 std::printf("  %s (extra)\n", n.c_str());
             std::printf("designs:\n");
-            for (const auto &[spelling, design] : designSpellings())
-                std::printf("  %-18s %s\n", spelling,
-                            designName(design));
+            for (const DesignRow &row : kDesignRows)
+                for (const char *spelling : row.spellings)
+                    if (spelling)
+                        std::printf("  %-18s %s\n", spelling, row.label);
             std::exit(0);
         } else if (a == "-w" || a == "--workloads") {
             workloads_spec = need(i);

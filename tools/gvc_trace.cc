@@ -217,7 +217,7 @@ cmdReplay(int argc, char **argv)
                     (unsigned long long)r.page_walks);
     }
     if (!json_out.empty()) {
-        const SocConfig effective = configFor(cfg.design, cfg.soc);
+        const SocConfig effective = effectiveSoc(cfg);
         const std::string doc =
             runResultToJson(r, &effective).dump(2) + "\n";
         if (json_out == "-") {
