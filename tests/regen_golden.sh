@@ -6,6 +6,7 @@
 #   - tests/POLICY_SMOKE_*.json   (TLB policy-axis sweep goldens)
 #   - tests/TENANTS_SMOKE.json    (multi-tenant grid golden)
 #   - tests/DESIGNS_SMOKE.json    (every design, two graph workloads)
+#   - tests/RAW_SWEEP_SMOKE.json  (every design under SoC flags)
 #   - BENCH_PR<N>.json            (bench counter baseline gated in CI)
 #
 # Run after an intended behavior change, then commit the updated files
@@ -56,6 +57,14 @@ echo "regenerated $repo_root/tests/POLICY_SMOKE_{LRU,SRRIP,BYPASS}.json"
     --scale 0.1 --jobs 2 --quiet --no-table \
     --json "$repo_root/tests/DESIGNS_SMOKE.json"
 echo "regenerated $repo_root/tests/DESIGNS_SMOKE.json"
+
+# Every design under raw and non-raw SoC flags: the exact command the
+# gvc_raw_sweep_smoke ctest diffs against this file.
+"$sweep_bin" -w bfs -d all --scale 0.05 --percu-tlb 64 --iommu-tlb 512 \
+    --fbt-entries 8192 --iommu-bw 2 --tlb-fill-policy bypass-trained \
+    --cus 8 --jobs 2 --quiet --no-table \
+    --json "$repo_root/tests/RAW_SWEEP_SMOKE.json"
+echo "regenerated $repo_root/tests/RAW_SWEEP_SMOKE.json"
 
 # Multi-tenant grid golden: the exact command CI's multi-tenant step
 # diffs against this file.
