@@ -1,13 +1,17 @@
 /**
  * @file
  * Results import (resultsFromJson), shard merging (mergeResults), and
- * the shared CLI helpers in harness/cli.hh: checked numeric parsing,
- * shard-spec parsing, and the raw-mode design-intent carry-over that
- * fixes the gvc_sweep design-collapse bug.
+ * the shared CLI in harness/cli.hh: checked value parsing, the parse
+ * loop's usage errors and help, shard-spec parsing, the output writer,
+ * and "design preset, then ordered SoC overrides" (which fixes the
+ * gvc_sweep design-collapse bug).
  */
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <functional>
+#include <optional>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -17,6 +21,7 @@
 #include "harness/cli.hh"
 #include "harness/results_io.hh"
 #include "harness/runner.hh"
+#include "harness/sweep.hh"
 #include "legacy_schema.hh"
 
 using namespace gvc;
@@ -813,88 +818,101 @@ TEST(MergeResults, RejectsEmptyAndBrokenInputs)
 }
 
 // ---------------------------------------------------------------------
-// Raw-mode design-intent carry-over (the gvc_sweep collapse fix)
+// Design preset, then ordered SoC overrides (the design-collapse fix)
 // ---------------------------------------------------------------------
+
+namespace
+{
+
+/** The SoC overrides gvc_sweep's rows record for @p args. */
+SocOverrides
+socFlags(std::vector<std::string> args)
+{
+    SocOverrides soc;
+    std::vector<char *> argv{const_cast<char *>("gvc_test")};
+    for (std::string &a : args)
+        argv.push_back(a.data());
+    EXPECT_FALSE(parseCommandLine("gvc_test", "", socOptions(soc),
+                                  int(argv.size()), argv.data()));
+    return soc;
+}
+
+} // namespace
 
 TEST(RawDesignIntent, CarriesStructuralIdentityPerDesign)
 {
-    RawSocOverrides user;
-    user.percu_tlb_entries = true;
+    const SocOverrides user = socFlags({"--percu-tlb", "64"});
 
-    auto rawCfg = [&](MmuDesign d) {
-        RunConfig cfg;
-        cfg.design = d;
-        cfg.raw_soc = true;
-        cfg.soc.percu_tlb_entries = 64; // the user's --percu-tlb 64
-        applyRawDesignIntent(cfg, user);
-        return cfg;
-    };
+    const SocConfig ideal = resolveSoc(MmuDesign::kIdeal, user);
+    EXPECT_TRUE(ideal.percu_tlb_infinite);
+    EXPECT_TRUE(ideal.iommu.tlb_infinite);
+    EXPECT_TRUE(ideal.iommu.unlimited_bw);
 
-    const RunConfig ideal = rawCfg(MmuDesign::kIdeal);
-    EXPECT_TRUE(ideal.soc.percu_tlb_infinite);
-    EXPECT_TRUE(ideal.soc.iommu.tlb_infinite);
-    EXPECT_TRUE(ideal.soc.iommu.unlimited_bw);
+    const SocConfig base512 = resolveSoc(MmuDesign::kBaseline512, user);
+    EXPECT_EQ(base512.percu_tlb_entries, 64u); // user's, kept
+    EXPECT_EQ(base512.iommu.tlb_entries, 512u);
+    EXPECT_FALSE(base512.percu_tlb_infinite);
+    EXPECT_FALSE(base512.fbt_as_second_level_tlb);
 
-    const RunConfig base512 = rawCfg(MmuDesign::kBaseline512);
-    EXPECT_EQ(base512.soc.percu_tlb_entries, 64u); // user's, kept
-    EXPECT_EQ(base512.soc.iommu.tlb_entries, 512u);
-    EXPECT_FALSE(base512.soc.percu_tlb_infinite);
-    EXPECT_FALSE(base512.soc.fbt_as_second_level_tlb);
+    const SocConfig vcopt = resolveSoc(MmuDesign::kVcOpt, user);
+    EXPECT_TRUE(vcopt.fbt_as_second_level_tlb);
+    EXPECT_EQ(vcopt.iommu.tlb_entries, 512u);
 
-    const RunConfig vcopt = rawCfg(MmuDesign::kVcOpt);
-    EXPECT_TRUE(vcopt.soc.fbt_as_second_level_tlb);
-    EXPECT_EQ(vcopt.soc.iommu.tlb_entries, 512u);
-
-    const RunConfig large = rawCfg(MmuDesign::kBaselineLargeTlb);
-    EXPECT_EQ(large.soc.percu_tlb_entries, 64u); // user's, kept
-    EXPECT_EQ(large.soc.iommu.tlb_entries, 16u * 1024u);
+    const SocConfig large = resolveSoc(MmuDesign::kBaselineLargeTlb, user);
+    EXPECT_EQ(large.percu_tlb_entries, 64u); // user's, kept
+    EXPECT_EQ(large.iommu.tlb_entries, 16u * 1024u);
 }
 
 TEST(RawDesignIntent, ExplicitDefaultValuedFlagIsPreserved)
 {
     // The old sentinel comparison (value == struct default) silently
     // replaced an explicit `--iommu-tlb 512` with the design's size
-    // because 512 is also IommuParams's default.  Tracking "the user
-    // set this" fixes that.
-    RunConfig cfg;
-    cfg.design = MmuDesign::kBaseline16K;
-    cfg.raw_soc = true;
-    cfg.soc.iommu.tlb_entries = 512; // explicit, equals the default
-    RawSocOverrides user;
-    user.iommu_tlb_entries = true;
-    applyRawDesignIntent(cfg, user);
-    EXPECT_EQ(cfg.soc.iommu.tlb_entries, 512u);
+    // because 512 is also IommuParams's default.  An override applied
+    // after the preset cannot lose that way.
+    const SocConfig cfg = resolveSoc(MmuDesign::kBaseline16K,
+                                     socFlags({"--iommu-tlb", "512"}));
+    EXPECT_EQ(cfg.iommu.tlb_entries, 512u);
 
     // Without the explicit flag the design's size wins.
-    RunConfig cfg2;
-    cfg2.design = MmuDesign::kBaseline16K;
-    cfg2.raw_soc = true;
-    cfg2.soc.fbt.entries = 8192;
-    RawSocOverrides user2;
-    user2.fbt_entries = true;
-    applyRawDesignIntent(cfg2, user2);
-    EXPECT_EQ(cfg2.soc.iommu.tlb_entries, 16u * 1024u);
-    EXPECT_EQ(cfg2.soc.fbt.entries, 8192u);
+    const SocConfig cfg2 = resolveSoc(MmuDesign::kBaseline16K,
+                                      socFlags({"--fbt-entries", "8192"}));
+    EXPECT_EQ(cfg2.iommu.tlb_entries, 16u * 1024u);
+    EXPECT_EQ(cfg2.fbt.entries, 8192u);
 
     // baseline-large-tlb gets its 128-entry per-CU TLB when the user
     // did not override it (the old carry-over never touched it).
-    RunConfig cfg3;
-    cfg3.design = MmuDesign::kBaselineLargeTlb;
-    cfg3.raw_soc = true;
-    applyRawDesignIntent(cfg3, RawSocOverrides{});
-    EXPECT_EQ(cfg3.soc.percu_tlb_entries, 128u);
+    const SocConfig cfg3 = resolveSoc(MmuDesign::kBaselineLargeTlb, {});
+    EXPECT_EQ(cfg3.percu_tlb_entries, 128u);
 }
 
 TEST(RawDesignIntent, NoOpOutsideRawMode)
 {
-    RunConfig cfg;
-    cfg.design = MmuDesign::kIdeal;
-    cfg.soc.percu_tlb_entries = 64;
-    RawSocOverrides user;
-    user.percu_tlb_entries = true;
-    applyRawDesignIntent(cfg, user);
-    EXPECT_FALSE(cfg.soc.percu_tlb_infinite);
-    EXPECT_EQ(cfg.soc.percu_tlb_entries, 64u);
+    // With no SoC flag a run's SoC is exactly the design's preset, the
+    // config a plain (non-raw) RunConfig resolves to.
+    for (const DesignRow &row : kDesignRows) {
+        RunConfig plain;
+        plain.design = row.design;
+        const RunConfig cfg = runConfigFor(row.design, {}, {});
+        EXPECT_EQ(socConfigToJson(cfg.soc).dump(),
+                  socConfigToJson(effectiveSoc(plain)).dump())
+            << row.label;
+        EXPECT_EQ(runConfigKey("bfs", cfg), runConfigKey("bfs", plain))
+            << row.label;
+    }
+}
+
+TEST(RawDesignIntent, OverridesApplyInArgvOrder)
+{
+    // The last of two flags setting one field wins, and flags that
+    // touch different fields compose.
+    const SocConfig cfg = resolveSoc(
+        MmuDesign::kBaseline512,
+        socFlags({"--percu-tlb", "64", "--cus", "4", "--percu-tlb", "16",
+                  "--tlb-replacement", "srrip"}));
+    EXPECT_EQ(cfg.percu_tlb_entries, 16u);
+    EXPECT_EQ(cfg.gpu.num_cus, 4u);
+    EXPECT_EQ(cfg.tlb_replacement, unsigned(kTlbReplSrrip));
+    EXPECT_EQ(cfg.iommu.tlb_entries, 512u);
 }
 
 /**
@@ -904,20 +922,17 @@ TEST(RawDesignIntent, NoOpOutsideRawMode)
  */
 TEST(RawDesignIntent, RawSweepStillDistinguishesDesigns)
 {
-    RawSocOverrides user;
-    user.percu_tlb_entries = true;
+    const SocOverrides user = socFlags({"--percu-tlb", "64"});
+    WorkloadParams params;
+    params.scale = 0.05;
 
     std::vector<Tick> ticks;
     for (const MmuDesign d :
          {MmuDesign::kIdeal, MmuDesign::kBaseline512,
           MmuDesign::kVcOpt}) {
-        RunConfig cfg;
-        cfg.design = d;
-        cfg.raw_soc = true;
-        cfg.soc.percu_tlb_entries = 64;
-        cfg.workload.scale = 0.05;
-        applyRawDesignIntent(cfg, user);
-        ticks.push_back(runWorkload("hotspot", cfg).exec_ticks);
+        ticks.push_back(
+            runWorkload("hotspot", runConfigFor(d, params, user))
+                .exec_ticks);
     }
     EXPECT_NE(ticks[0], ticks[1]);
     EXPECT_NE(ticks[0], ticks[2]);
@@ -930,48 +945,187 @@ TEST(RawDesignIntent, RawSweepStillDistinguishesDesigns)
 
 TEST(CliParse, AcceptsWellFormedNumbers)
 {
-    EXPECT_EQ(parseU64("--seed", "0"), 0u);
-    EXPECT_EQ(parseU64("--seed", "18446744073709551615"),
-              0xffffffffffffffffull);
-    EXPECT_EQ(parseUnsigned("--cus", "16"), 16u);
-    EXPECT_EQ(parseUnsigned("--cus", "4294967295"), 0xffffffffu);
-    EXPECT_DOUBLE_EQ(parseDouble("--scale", "0.5"), 0.5);
-    EXPECT_DOUBLE_EQ(parseDouble("--scale", "2e-3"), 0.002);
+    std::uint64_t u64 = 1;
+    EXPECT_EQ(parseValue("--seed", "0", u64), "");
+    EXPECT_EQ(u64, 0u);
+    EXPECT_EQ(parseValue("--seed", "18446744073709551615", u64), "");
+    EXPECT_EQ(u64, 0xffffffffffffffffull);
+    unsigned u = 0;
+    EXPECT_EQ(parseValue("--cus", "16", u), "");
+    EXPECT_EQ(u, 16u);
+    EXPECT_EQ(parseValue("--cus", "4294967295", u), "");
+    EXPECT_EQ(u, 0xffffffffu);
+    double d = 0.0;
+    EXPECT_EQ(parseValue("--scale", "0.5", d), "");
+    EXPECT_DOUBLE_EQ(d, 0.5);
+    EXPECT_EQ(parseValue("--scale", "2e-3", d), "");
+    EXPECT_DOUBLE_EQ(d, 0.002);
 }
 
-using CliParseDeath = ::testing::Test;
-
-TEST(CliParseDeath, RejectsMalformedNumbers)
+namespace
 {
-    EXPECT_DEATH(parseU64("--seed", "12ab"), "--seed");
-    EXPECT_DEATH(parseU64("--seed", "-1"), "--seed");
-    EXPECT_DEATH(parseU64("--seed", ""), "--seed");
-    EXPECT_DEATH(parseU64("--seed", "18446744073709551616"), "--seed");
-    EXPECT_DEATH(parseUnsigned("--cus", "-4"), "--cus");
-    EXPECT_DEATH(parseUnsigned("--cus", "4294967296"), "out of range");
-    EXPECT_DEATH(parseDouble("--scale", "fast"), "--scale");
-    EXPECT_DEATH(parseDouble("--scale", ""), "--scale");
-    EXPECT_DEATH(parseDouble("--scale", "1.5x"), "--scale");
-    EXPECT_DEATH(parseDouble("--scale", "inf"), "--scale");
+
+/** Success when @p err contains @p needle. */
+::testing::AssertionResult
+errorNames(const CliError &err, const std::string &needle)
+{
+    if (err.find(needle) != std::string::npos)
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+           << "error '" << err << "' does not name '" << needle << "'";
+}
+
+} // namespace
+
+TEST(CliParse, RejectsMalformedNumbers)
+{
+    std::uint64_t u64 = 7;
+    EXPECT_TRUE(errorNames(parseValue("--seed", "12ab", u64), "--seed"));
+    EXPECT_TRUE(errorNames(parseValue("--seed", "-1", u64), "--seed"));
+    EXPECT_TRUE(errorNames(parseValue("--seed", "", u64), "--seed"));
+    EXPECT_TRUE(errorNames(
+        parseValue("--seed", "18446744073709551616", u64), "--seed"));
+    EXPECT_EQ(u64, 7u); // a rejected value leaves the target alone
+    unsigned u = 0;
+    EXPECT_TRUE(errorNames(parseValue("--cus", "-4", u), "--cus"));
+    EXPECT_TRUE(
+        errorNames(parseValue("--cus", "4294967296", u), "out of range"));
+    double d = 0.0;
+    EXPECT_TRUE(errorNames(parseValue("--scale", "fast", d), "--scale"));
+    EXPECT_TRUE(errorNames(parseValue("--scale", "", d), "--scale"));
+    EXPECT_TRUE(errorNames(parseValue("--scale", "1.5x", d), "--scale"));
+    EXPECT_TRUE(errorNames(parseValue("--scale", "inf", d), "--scale"));
+}
+
+namespace
+{
+
+/** Run the parse loop over @p table; returns its status and stderr. */
+std::optional<int>
+parseArgs(const OptionTable &table, std::vector<std::string> args,
+          std::string &err)
+{
+    std::vector<char *> argv{const_cast<char *>("gvc_test")};
+    for (std::string &a : args)
+        argv.push_back(a.data());
+    ::testing::internal::CaptureStderr();
+    const auto rc = parseCommandLine("gvc_test", "[options]", table,
+                                     int(argv.size()), argv.data());
+    err = ::testing::internal::GetCapturedStderr();
+    return rc;
+}
+
+} // namespace
+
+TEST(CliParse, UsageErrorsNameTheFlagAndExitTwo)
+{
+    GridAxes grid;
+    WorkloadParams params;
+    SocOverrides soc;
+    const OptionTable table = concat(
+        {{workloadsOption(grid, "all"), designsOption(grid, "ideal"),
+          jobsOption(grid)},
+         workloadParamOptions(params), socOptions(soc)});
+    std::string err;
+
+    // Each case: one stderr line that names the offending flag or
+    // argument, and exit status 2.
+    const std::vector<std::pair<std::vector<std::string>, std::string>>
+        cases = {
+            {{"--scale"}, "--scale: missing value"},
+            {{"--seed", "1", "--jobs"}, "--jobs: missing value"},
+            {{"--bogus"}, "unknown option '--bogus'"},
+            {{"stray"}, "unexpected argument 'stray'"},
+            {{"-d", "vc,warp-drive"}, "--designs: unknown design"},
+            {{"--tlb-fill-policy", "mru"},
+             "--tlb-fill-policy: unknown value 'mru'"},
+            {{"--tlb-replacement", "fifo"}, "--tlb-replacement"},
+            {{"--cus", "-4"}, "--cus"},
+            {{"-w", ","}, "--workloads: no workloads selected"},
+        };
+    for (const auto &[args, want] : cases) {
+        EXPECT_EQ(parseArgs(table, args, err), 2) << want;
+        EXPECT_TRUE(errorNames(err, want));
+        EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << err;
+    }
+
+    // A well-formed line parses, and later flags override earlier ones.
+    EXPECT_EQ(parseArgs(table,
+                        {"-w", "bfs,mis", "-d", "all", "-j", "3",
+                         "--scale", "0.25", "-d", "vc-opt,ideal"},
+                        err),
+              std::nullopt)
+        << err;
+    EXPECT_EQ(grid.workloads, (std::vector<std::string>{"bfs", "mis"}));
+    EXPECT_EQ(grid.designs,
+              (std::vector<MmuDesign>{MmuDesign::kVcOpt, MmuDesign::kIdeal}));
+    EXPECT_EQ(grid.design_labels,
+              (std::vector<std::string>{"vc-opt", "ideal"}));
+    EXPECT_EQ(grid.jobs, 3u);
+    EXPECT_DOUBLE_EQ(params.scale, 0.25);
+}
+
+TEST(CliParse, HelpListsEveryRowAndDesign)
+{
+    GridAxes grid;
+    SocOverrides soc;
+    const OptionTable table = concat(
+        {{workloadsOption(grid, "all"), designsOption(grid, "ideal")},
+         socOptions(soc)});
+    std::vector<std::string> args{"gvc_test", "--help"};
+    std::vector<char *> argv{args[0].data(), args[1].data()};
+    ::testing::internal::CaptureStdout();
+    EXPECT_EQ(parseCommandLine("gvc_test", "[options]", table, 2,
+                               argv.data()),
+              0);
+    const std::string help = ::testing::internal::GetCapturedStdout();
+    for (const Option &row : table)
+        EXPECT_NE(help.find(row.name), std::string::npos) << row.name;
+    for (const DesignRow &row : kDesignRows)
+        EXPECT_NE(help.find(row.spellings[0]), std::string::npos)
+            << row.label;
+}
+
+TEST(CliParse, AllDesignsExpandInDesignOrder)
+{
+    GridAxes grid;
+    ASSERT_EQ(expandDesigns("--designs", "all", grid), "");
+    ASSERT_EQ(grid.designs.size(), std::size(kDesignRows));
+    for (std::size_t i = 0; i < grid.designs.size(); ++i)
+        EXPECT_EQ(grid.designs[i], kDesignRows[i].design);
+    EXPECT_EQ(grid.design_labels.front(), "ideal");
+    EXPECT_EQ(grid.design_labels[3], "baseline_large_tlb");
+}
+
+TEST(CliParse, WriteOutputReportsFailure)
+{
+    ::testing::internal::CaptureStderr();
+    EXPECT_FALSE(writeOutput("gvc_test", "/nonexistent-dir/out.json", "{}"));
+    EXPECT_TRUE(errorNames(::testing::internal::GetCapturedStderr(),
+                           "gvc_test: cannot write '/nonexistent-dir"));
+    if (FILE *probe = std::fopen("/dev/full", "wb")) {
+        std::fclose(probe);
+        ::testing::internal::CaptureStderr();
+        EXPECT_FALSE(writeOutput("gvc_test", "/dev/full", "{}"));
+        EXPECT_TRUE(errorNames(::testing::internal::GetCapturedStderr(),
+                               "cannot write '/dev/full'"));
+    }
 }
 
 TEST(CliParse, ShardSpecs)
 {
     ShardSpec s;
-    std::string err;
-    ASSERT_TRUE(parseShardSpec("0/1", s, &err)) << err;
+    ASSERT_EQ(parseShardSpec("0/1", s), "");
     EXPECT_EQ(s.index, 0u);
     EXPECT_EQ(s.count, 1u);
-    ASSERT_TRUE(parseShardSpec("3/4", s, &err)) << err;
+    ASSERT_EQ(parseShardSpec("3/4", s), "");
     EXPECT_EQ(s.index, 3u);
     EXPECT_EQ(s.count, 4u);
 
     for (const char *bad :
          {"", "1", "/2", "1/", "2/2", "4/3", "1/0", "a/b", "-1/2",
           "1/2/3", "0x1/2"}) {
-        EXPECT_FALSE(parseShardSpec(bad, s, &err))
-            << "accepted '" << bad << "'";
-        EXPECT_FALSE(err.empty());
+        EXPECT_NE(parseShardSpec(bad, s), "") << "accepted '" << bad << "'";
     }
 }
 

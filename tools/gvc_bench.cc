@@ -14,9 +14,6 @@
  */
 
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "harness/bench.hh"
@@ -31,103 +28,38 @@ namespace
 struct Options
 {
     BenchOptions bench;
+    WorkloadParams params; ///< --scale/--seed, copied into bench.
     std::string out;   ///< Write the report JSON here ("-" = stdout).
     std::string check; ///< Compare counters against this baseline file.
 };
 
-[[noreturn]] void
-usage(int code)
+OptionTable
+options(Options &opt)
 {
-    std::printf(
-        "usage: gvc_bench [options]\n"
-        "      --out PATH        write the bench report JSON (- = stdout)\n"
-        "      --check PATH      compare counters field-exactly against a\n"
-        "                        checked-in baseline; exit 1 on any drift\n"
-        "      --quick           1 trial, no warmup (same matrix/scale, so\n"
-        "                        counters still match full runs)\n"
-        "      --trials N        timed trials per config (default 3)\n"
-        "      --warmup N        untimed warmup runs per config (default 1)\n"
-        "      --scale F         workload scale for every cell (default 1)\n"
-        "      --seed N          workload RNG seed\n"
-        "      --rounds N        warm-scenario kernels per run (default 3)\n"
-        "      --quiet           no per-config progress on stderr\n"
-        "  -h, --help            this text\n");
-    std::exit(code);
-}
-
-Options
-parseArgs(int argc, char **argv)
-{
-    Options opt;
-    auto need = [&](int i) -> std::string {
-        if (i + 1 >= argc) {
-            std::fprintf(stderr, "gvc_bench: %s needs a value\n", argv[i]);
-            usage(2);
-        }
-        return argv[i + 1];
+    opt.params.scale = opt.bench.scale;
+    opt.params.seed = opt.bench.seed;
+    const OptionTable own = {
+        {"--out", nullptr, "PATH", "write the report JSON ('-' = stdout)",
+         store(opt.out)},
+        {"--check", nullptr, "PATH",
+         "exit 1 unless every counter matches this baseline",
+         store(opt.check)},
+        {"--quick", nullptr, nullptr, "1 trial, no warmup (same counters)",
+         [&opt](const char *, const std::string &) {
+             opt.bench.trials = 1;
+             opt.bench.warmup = 0;
+             return CliError();
+         }},
+        {"--trials", nullptr, "N", "timed trials per config (default 3)",
+         store(opt.bench.trials)},
+        {"--warmup", nullptr, "N", "untimed warmup runs (default 1)",
+         store(opt.bench.warmup)},
+        {"--rounds", nullptr, "N", "warm-scenario kernels (default 3)",
+         store(opt.bench.scenario_rounds)},
+        {"--quiet", nullptr, nullptr, "no per-config progress on stderr",
+         storeConstant(opt.bench.progress, false)},
     };
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--out") {
-            opt.out = need(i);
-            ++i;
-        } else if (arg == "--check") {
-            opt.check = need(i);
-            ++i;
-        } else if (arg == "--quick") {
-            opt.bench.trials = 1;
-            opt.bench.warmup = 0;
-        } else if (arg == "--trials") {
-            opt.bench.trials = parseUnsigned("--trials", need(i));
-            ++i;
-        } else if (arg == "--warmup") {
-            opt.bench.warmup = parseUnsigned("--warmup", need(i));
-            ++i;
-        } else if (arg == "--scale") {
-            opt.bench.scale = parseDouble("--scale", need(i));
-            ++i;
-        } else if (arg == "--seed") {
-            opt.bench.seed = parseU64("--seed", need(i));
-            ++i;
-        } else if (arg == "--rounds") {
-            opt.bench.scenario_rounds =
-                parseUnsigned("--rounds", need(i));
-            ++i;
-        } else if (arg == "--quiet") {
-            opt.bench.progress = false;
-        } else if (arg == "-h" || arg == "--help") {
-            usage(0);
-        } else {
-            std::fprintf(stderr, "gvc_bench: unknown option '%s'\n",
-                         argv[i]);
-            usage(2);
-        }
-    }
-    if (opt.out.empty() && opt.check.empty()) {
-        std::fprintf(stderr,
-                     "gvc_bench: nothing to do — pass --out and/or "
-                     "--check\n");
-        usage(2);
-    }
-    return opt;
-}
-
-BenchReport
-loadBaseline(const std::string &path)
-{
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        fatal("gvc_bench: cannot open baseline '" + path + "'");
-    std::ostringstream ss;
-    ss << is.rdbuf();
-    std::string err;
-    const Json doc = Json::parse(ss.str(), &err);
-    if (doc.isNull())
-        fatal("gvc_bench: baseline '" + path + "': " + err);
-    BenchReport baseline;
-    if (!benchReportFromJson(doc, baseline, &err))
-        fatal("gvc_bench: baseline '" + path + "': " + err);
-    return baseline;
+    return concat({own, workloadParamOptions(opt.params)});
 }
 
 } // namespace
@@ -135,30 +67,33 @@ loadBaseline(const std::string &path)
 int
 main(int argc, char **argv)
 {
-    const Options opt = parseArgs(argc, argv);
+    Options opt;
+    if (const auto rc = parseCommandLine("gvc_bench", "[options]",
+                                         options(opt), argc, argv))
+        return *rc;
+    if (opt.out.empty() && opt.check.empty())
+        return usageError("gvc_bench",
+                          "nothing to do — pass --out and/or --check");
+    opt.bench.scale = opt.params.scale;
+    opt.bench.seed = opt.params.seed;
 
     // Loading the baseline up front makes a malformed file fail before
     // the (minutes-long) measurement, not after.
     BenchReport baseline;
-    if (!opt.check.empty())
-        baseline = loadBaseline(opt.check);
+    if (!opt.check.empty()) {
+        std::string text, err;
+        if (!readInput("gvc_bench", opt.check, text))
+            return 1;
+        const Json doc = Json::parse(text, &err);
+        if (doc.isNull() || !benchReportFromJson(doc, baseline, &err))
+            fatal("gvc_bench: baseline '" + opt.check + "': " + err);
+    }
 
     const BenchReport report = runBench(opt.bench);
     const std::string text = benchReportToJson(report).dump(2) + "\n";
 
-    if (!opt.out.empty()) {
-        if (opt.out == "-") {
-            std::fputs(text.c_str(), stdout);
-        } else {
-            std::FILE *f = std::fopen(opt.out.c_str(), "wb");
-            if (!f)
-                fatal("gvc_bench: cannot write '" + opt.out + "'");
-            std::fwrite(text.data(), 1, text.size(), f);
-            std::fclose(f);
-            std::fprintf(stderr, "[gvc_bench] wrote %s\n",
-                         opt.out.c_str());
-        }
-    }
+    if (!opt.out.empty() && !writeOutput("gvc_bench", opt.out, text))
+        return 1;
 
     if (!opt.check.empty()) {
         std::string diff;

@@ -14,78 +14,38 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "harness/cli.hh"
 #include "harness/results_io.hh"
 #include "sim/logging.hh"
 
 using namespace gvc;
-
-namespace
-{
-
-[[noreturn]] void
-usage(int code)
-{
-    std::printf(
-        "usage: gvc_merge [options] SHARD.json [SHARD.json ...]\n"
-        "  -o, --out PATH          merged JSON output (default: '-',\n"
-        "                          stdout)\n"
-        "      --help              this text\n");
-    std::exit(code);
-}
-
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        fatal("cannot open shard file '" + path + "'");
-    std::ostringstream os;
-    os << is.rdbuf();
-    if (!is.good() && !is.eof())
-        fatal("failed reading shard file '" + path + "'");
-    return os.str();
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
 {
     std::vector<std::string> inputs;
     std::string out_path = "-";
-
-    auto need = [&](int &i) -> const char * {
-        if (i + 1 >= argc)
-            usage(1);
-        return argv[++i];
+    const OptionTable table = {
+        {"--out", "-o", "PATH", "merged JSON ('-' = stdout, the default)",
+         store(out_path)},
     };
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        if (a == "--help" || a == "-h")
-            usage(0);
-        else if (a == "-o" || a == "--out")
-            out_path = need(i);
-        else if (!a.empty() && a[0] == '-' && a != "-") {
-            std::fprintf(stderr, "unknown option '%s'\n", a.c_str());
-            usage(1);
-        } else {
-            inputs.push_back(a);
-        }
-    }
+    if (const auto rc = parseCommandLine(
+            "gvc_merge", "[options] SHARD.json [SHARD.json ...]", table,
+            argc, argv, 1, &inputs))
+        return *rc;
     if (inputs.empty())
-        fatal("no shard files given (try --help)");
+        return usageError("gvc_merge", "no shard files given (try --help)");
 
     std::vector<Json> shards;
     shards.reserve(inputs.size());
     for (const std::string &path : inputs) {
-        std::string err;
-        Json doc = Json::parse(readFile(path), &err);
+        std::string text, err;
+        if (!readInput("gvc_merge", path, text))
+            return 1;
+        Json doc = Json::parse(text, &err);
         if (!err.empty())
             fatal("'" + path + "': invalid JSON: " + err);
         shards.push_back(std::move(doc));
@@ -96,18 +56,8 @@ main(int argc, char **argv)
     if (!mergeResults(shards, merged, &err))
         fatal(err);
 
-    const std::string doc = merged.dump(2) + "\n";
-    if (out_path == "-") {
-        std::fwrite(doc.data(), 1, doc.size(), stdout);
-    } else {
-        std::ofstream os(out_path, std::ios::binary);
-        if (!os)
-            fatal("cannot open output file '" + out_path + "'");
-        os << doc;
-        if (!os)
-            fatal("failed writing merged results to '" + out_path +
-                  "'");
-    }
+    if (!writeOutput("gvc_merge", out_path, merged.dump(2) + "\n"))
+        return 1;
     std::fprintf(stderr,
                  "[gvc_merge] merged %zu shard%s, %zu cells -> %s\n",
                  shards.size(), shards.size() == 1 ? "" : "s",

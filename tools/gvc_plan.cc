@@ -20,8 +20,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -36,55 +34,12 @@ using namespace gvc;
 namespace
 {
 
-[[noreturn]] void
-usage(int code)
-{
-    std::printf(
-        "usage: gvc_plan journal FILE.gvcj\n"
-        "       gvc_plan shards [options]\n"
-        "journal: validate a sweep checkpoint journal and list its\n"
-        "         cells (the same strict reader --resume uses)\n"
-        "shards options:\n"
-        "  -w, --workloads LIST    comma-separated workloads, or\n"
-        "                          'all' / 'high-bw' (default: all)\n"
-        "  -d, --designs LIST      comma-separated designs, or 'all'\n"
-        "                          (default: ideal,baseline512,vc_opt)\n"
-        "      --shard-count N     shards to plan for (default 1)\n"
-        "      --cost-model FILE   gvc_bench report, .gvcj journal, or\n"
-        "                          sweep results JSON (default:\n"
-        "                          uniform costs)\n"
-        "      --modulo            preview idx %% N striping instead\n"
-        "                          of LPT cost balancing\n"
-        "      --help              this text\n");
-    std::exit(code);
-}
-
-std::vector<std::string>
-splitList(const std::string &spec)
-{
-    std::vector<std::string> out;
-    std::stringstream ss(spec);
-    std::string item;
-    while (std::getline(ss, item, ','))
-        if (!item.empty())
-            out.push_back(item);
-    return out;
-}
-
-std::string
-fmtDouble(double v, int decimals)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.*f", decimals, v);
-    return buf;
-}
-
 int
 cmdJournal(int argc, char **argv)
 {
-    if (argc != 1)
-        usage(1);
-    const std::string path = argv[0];
+    if (argc != 3)
+        return usageError("gvc_plan journal", "expected one FILE.gvcj");
+    const std::string path = argv[2];
     ExportMeta meta;
     std::vector<JournalEntry> entries;
     std::string err;
@@ -123,63 +78,29 @@ cmdJournal(int argc, char **argv)
 int
 cmdShards(int argc, char **argv)
 {
-    std::string workloads_spec = "all";
-    std::string designs_spec = "ideal,baseline512,vc_opt";
+    GridAxes grid;
     std::string cost_model_path;
     unsigned shard_count = 1;
     bool modulo = false;
-
-    auto need = [&](int &i) -> const char * {
-        if (i + 1 >= argc)
-            usage(1);
-        return argv[++i];
+    const OptionTable table = {
+        workloadsOption(grid, "all"),
+        designsOption(grid, "ideal,baseline512,vc_opt"),
+        {"--shard-count", nullptr, "N", "shards to plan for (default 1)",
+         [&](const char *flag, const std::string &value) {
+             CliError err = parseValue(flag, value, shard_count);
+             if (err.empty() && shard_count == 0)
+                 err = std::string(flag) + ": must be positive";
+             return err;
+         }},
+        {"--cost-model", nullptr, "FILE",
+         "bench report, journal or results JSON (default: uniform)",
+         store(cost_model_path)},
+        {"--modulo", nullptr, nullptr, "preview modulo, not LPT, shards",
+         storeConstant(modulo)},
     };
-    for (int i = 0; i < argc; ++i) {
-        const std::string a = argv[i];
-        if (a == "--help" || a == "-h")
-            usage(0);
-        else if (a == "-w" || a == "--workloads")
-            workloads_spec = need(i);
-        else if (a == "-d" || a == "--designs")
-            designs_spec = need(i);
-        else if (a == "--shard-count")
-            shard_count = parseUnsigned("--shard-count", need(i));
-        else if (a == "--cost-model")
-            cost_model_path = need(i);
-        else if (a == "--modulo")
-            modulo = true;
-        else {
-            std::fprintf(stderr, "unknown option '%s'\n", a.c_str());
-            usage(1);
-        }
-    }
-    if (shard_count == 0)
-        fatal("--shard-count must be positive");
-
-    std::vector<std::string> workloads;
-    if (workloads_spec == "all")
-        workloads = allWorkloadNames();
-    else if (workloads_spec == "high-bw")
-        workloads = highBandwidthWorkloadNames();
-    else
-        workloads = splitList(workloads_spec);
-    if (workloads.empty())
-        fatal("no workloads selected");
-
-    std::vector<std::string> design_names;
-    if (designs_spec == "all") {
-        design_names = {"ideal",   "baseline512", "baseline16k",
-                        "baseline_large_tlb", "vc", "vc_opt",
-                        "l1vc32",  "l1vc128", "base2mb",
-                        "basecoalesced", "basevictima"};
-    } else {
-        design_names = splitList(designs_spec);
-    }
-    std::vector<MmuDesign> designs;
-    for (const auto &name : design_names)
-        designs.push_back(parseDesign(name));
-    if (designs.empty())
-        fatal("no designs selected");
+    if (const auto rc = parseCommandLine("gvc_plan shards", "[options]",
+                                         table, argc, argv, 2))
+        return *rc;
 
     CostModel model = CostModel::uniform();
     if (!cost_model_path.empty()) {
@@ -194,34 +115,18 @@ cmdShards(int argc, char **argv)
         std::printf("cost model: uniform (every cell 1.0)\n");
     }
 
-    // Canonical grid order (workload-major, design-minor), exactly as
-    // gvc_sweep expands it.
-    std::vector<double> costs;
-    std::vector<std::string> cell_names;
-    for (const auto &w : workloads) {
-        for (const MmuDesign d : designs) {
-            costs.push_back(model.costFor(w, designName(d)));
-            cell_names.push_back(w + " x " + designName(d));
-        }
-    }
-
-    std::vector<double> loads(shard_count, 0.0);
-    std::vector<unsigned> assignment;
-    if (modulo) {
-        assignment.resize(costs.size());
-        for (std::size_t i = 0; i < costs.size(); ++i) {
-            assignment[i] = unsigned(i % shard_count);
-            loads[assignment[i]] += costs[i];
-        }
-    } else {
-        assignment = planShards(costs, shard_count, &loads);
-    }
-
+    std::vector<double> costs, loads;
+    const std::vector<unsigned> assignment =
+        assignShards(grid, model, shard_count, !modulo, &costs, &loads);
     TextTable cells({"#", "cell", "cost", "shard"});
-    for (std::size_t i = 0; i < costs.size(); ++i) {
-        cells.addRow({std::to_string(i), cell_names[i],
-                      fmtDouble(costs[i], 2),
-                      std::to_string(assignment[i])});
+    std::size_t i = 0;
+    for (const auto &w : grid.workloads) {
+        for (const MmuDesign d : grid.designs) {
+            cells.addRow({std::to_string(i), w + " x " + designName(d),
+                          TextTable::fmt(costs[i], 2),
+                          std::to_string(assignment[i])});
+            ++i;
+        }
     }
     cells.print();
 
@@ -240,14 +145,14 @@ cmdShards(int argc, char **argv)
         for (const unsigned a : assignment)
             n += a == s;
         shards.addRow({std::to_string(s), std::to_string(n),
-                       fmtDouble(loads[s], 2),
-                       fmtDouble(ideal > 0.0 ? loads[s] / ideal : 1.0,
+                       TextTable::fmt(loads[s], 2),
+                       TextTable::fmt(ideal > 0.0 ? loads[s] / ideal : 1.0,
                                  3)});
     }
     shards.print();
     std::printf("\nmakespan %s (ideal %s, %.1f%% over)\n",
-                fmtDouble(max_load, 2).c_str(),
-                fmtDouble(ideal, 2).c_str(),
+                TextTable::fmt(max_load, 2).c_str(),
+                TextTable::fmt(ideal, 2).c_str(),
                 ideal > 0.0 ? (max_load / ideal - 1.0) * 100.0 : 0.0);
     return 0;
 }
@@ -257,15 +162,14 @@ cmdShards(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    if (argc < 2)
-        usage(1);
-    const std::string cmd = argv[1];
-    if (cmd == "--help" || cmd == "-h")
-        usage(0);
-    if (cmd == "journal")
-        return cmdJournal(argc - 2, argv + 2);
-    if (cmd == "shards")
-        return cmdShards(argc - 2, argv + 2);
-    std::fprintf(stderr, "unknown command '%s'\n", cmd.c_str());
-    usage(1);
+    return dispatchSubcommand(
+        "gvc_plan",
+        {{"journal",
+          "FILE.gvcj: validate a sweep checkpoint journal and list its "
+          "cells (the same strict reader --resume uses)",
+          cmdJournal},
+         {"shards",
+          "preview the shard assignment gvc_sweep --shard would use",
+          cmdShards}},
+        argc, argv);
 }

@@ -11,8 +11,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <sstream>
 #include <string>
 
@@ -30,159 +28,54 @@ namespace
 struct Options
 {
     std::string workload = "pagerank";
-    std::string design = "vc-opt";
-    RunConfig cfg;
-    RawSocOverrides raw_set; ///< Raw fields set explicitly by the user.
+    MmuDesign design = MmuDesign::kVcOpt;
+    WorkloadParams params;
+    SocOverrides soc;
+    std::string trace_in;  ///< Replay this trace file instead.
     std::string trace_out; ///< Capture the run into this trace file.
     std::string json_out;  ///< Emit the RunResult as JSON (path or -).
     bool dump_stats = false;
+    bool list = false;
     /** Multi-kernel scenario: rounds of the workload plus the policy. */
     ScenarioSpec scenario;
 };
 
-[[noreturn]] void
-usage(int code)
+OptionTable
+options(Options &opt)
 {
-    std::printf(
-        "usage: gvc_run [options]\n"
-        "  -w, --workload NAME     workload (see --list)\n"
-        "  -d, --design NAME       ideal | baseline-512 | baseline-16k |\n"
-        "                          baseline-large-tlb | vc | vc-opt |\n"
-        "                          l1vc-32 | l1vc-128 | base-2mb |\n"
-        "                          base-coalesced | base-victima\n"
-        "      --scale F           workload scale factor (default 0.5)\n"
-        "      --seed N            workload RNG seed\n"
-        "      --percu-tlb N       per-CU TLB entries (raw mode)\n"
-        "      --iommu-tlb N       shared IOMMU TLB entries (raw mode)\n"
-        "      --iommu-bw F        shared TLB accesses/cycle\n"
-        "      --iommu-banks N     shared TLB banks\n"
-        "      --fbt-entries N     FBT entries (raw mode)\n"
-        "      --remap-entries N   synonym remap table entries\n"
-        "      --tlb-fill-policy P per-CU TLB fill policy: lru |\n"
-        "                          bypass-dead (static next-line) |\n"
-        "                          bypass-trained (trained predictor +\n"
-        "                          dead-first victim selection)\n"
-        "      --iommu-tlb-fill-policy P\n"
-        "                          same policies for the shared IOMMU TLB\n"
-        "      --tlb-replacement R TLB replacement, both levels: lru |\n"
-        "                          srrip | brrip | drrip\n"
-        "      --cus N             number of compute units\n"
-        "      --kernels N         run the workload N times back-to-back\n"
-        "                          on one warm memory system (scenario)\n"
-        "      --boundary NAME     policy between kernels: keep-all |\n"
-        "                          flush-l1 | flush-all | shootdown\n"
-        "      --trace-out PATH    capture the workload into a trace file\n"
-        "      --trace-in PATH     replay a trace file (ignores -w/--scale/\n"
-        "                          --seed; metadata comes from the trace);\n"
-        "                          a scenario trace (.gvct v2) replays its\n"
-        "                          kernel boundaries automatically\n"
-        "      --json PATH|-       write the RunResult as JSON\n"
-        "      --stats             dump the full statistics registry\n"
-        "      --list              list workloads and exit\n"
-        "      --help              this text\n");
-    std::exit(code);
-}
-
-Options
-parse(int argc, char **argv)
-{
-    Options opt;
-    opt.cfg.workload.scale = 0.5;
-    auto need = [&](int &i) -> const char * {
-        if (i + 1 >= argc)
-            usage(1);
-        return argv[++i];
+    const OptionTable rest = {
+        {"--iommu-banks", nullptr, "N", "shared TLB banks",
+         storeSoc(opt.soc,
+                  [](SocConfig &c) { return store(c.iommu.banks); })},
+        {"--remap-entries", nullptr, "N", "synonym remap table entries",
+         storeSoc(opt.soc, [](SocConfig &c) {
+             return store(c.synonym_remap_entries);
+         })},
+        {"--kernels", nullptr, "N", "run N kernels on one warm system",
+         [&opt](const char *flag, const std::string &value) {
+             CliError err = parseValue(flag, value, opt.scenario.rounds);
+             if (err.empty() && opt.scenario.rounds == 0)
+                 err = std::string(flag) + ": must be >= 1";
+             return err;
+         }},
+        {"--boundary", nullptr, "NAME",
+         "keep-all | flush-l1 | flush-all | shootdown between kernels",
+         storeNamed(opt.scenario.boundary, boundaryPolicyFromName,
+                    "keep-all | flush-l1 | flush-all | shootdown")},
+        {"--trace-out", nullptr, "PATH", "capture the run into a trace",
+         store(opt.trace_out)},
+        {"--trace-in", nullptr, "PATH",
+         "replay a trace (its metadata replaces -w/--scale/--seed)",
+         store(opt.trace_in)},
+        jsonOption(opt.json_out),
+        {"--stats", nullptr, nullptr, "dump the full statistics registry",
+         storeConstant(opt.dump_stats)},
+        {"--list", nullptr, nullptr, "list workloads and exit",
+         storeConstant(opt.list)},
     };
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        if (a == "--help" || a == "-h") {
-            usage(0);
-        } else if (a == "--stats") {
-            opt.dump_stats = true;
-        } else if (a == "--list") {
-            for (const auto &n : allWorkloadNames())
-                std::printf("%s\n", n.c_str());
-            for (const auto &n : extraWorkloadNames())
-                std::printf("%s (extra)\n", n.c_str());
-            std::exit(0);
-        } else if (a == "-w" || a == "--workload") {
-            opt.workload = need(i);
-        } else if (a == "-d" || a == "--design") {
-            opt.design = need(i);
-        } else if (a == "--scale") {
-            opt.cfg.workload.scale = parseDouble("--scale", need(i));
-        } else if (a == "--seed") {
-            opt.cfg.workload.seed = parseU64("--seed", need(i));
-        } else if (a == "--percu-tlb") {
-            opt.cfg.soc.percu_tlb_entries =
-                parseUnsigned("--percu-tlb", need(i));
-            opt.raw_set.percu_tlb_entries = true;
-            opt.cfg.raw_soc = true;
-        } else if (a == "--iommu-tlb") {
-            opt.cfg.soc.iommu.tlb_entries =
-                parseUnsigned("--iommu-tlb", need(i));
-            opt.raw_set.iommu_tlb_entries = true;
-            opt.cfg.raw_soc = true;
-        } else if (a == "--iommu-bw") {
-            opt.cfg.soc.iommu.accesses_per_cycle =
-                parseDouble("--iommu-bw", need(i));
-        } else if (a == "--iommu-banks") {
-            opt.cfg.soc.iommu.banks =
-                parseUnsigned("--iommu-banks", need(i));
-        } else if (a == "--fbt-entries") {
-            opt.cfg.soc.fbt.entries =
-                parseUnsigned("--fbt-entries", need(i));
-            opt.raw_set.fbt_entries = true;
-            opt.cfg.raw_soc = true;
-        } else if (a == "--remap-entries") {
-            opt.cfg.soc.synonym_remap_entries =
-                parseUnsigned("--remap-entries", need(i));
-        } else if (a == "--tlb-fill-policy") {
-            const std::string name = need(i);
-            if (!tlbFillPolicyFromName(
-                    name, opt.cfg.soc.percu_tlb_fill_policy)) {
-                fatal("--tlb-fill-policy: unknown policy '" + name +
-                      "' (lru | bypass-dead | bypass-trained)");
-            }
-        } else if (a == "--iommu-tlb-fill-policy") {
-            const std::string name = need(i);
-            if (!tlbFillPolicyFromName(
-                    name, opt.cfg.soc.iommu_tlb_fill_policy)) {
-                fatal("--iommu-tlb-fill-policy: unknown policy '" +
-                      name + "' (lru | bypass-dead | bypass-trained)");
-            }
-        } else if (a == "--tlb-replacement") {
-            const std::string name = need(i);
-            if (!tlbReplacementFromName(name,
-                                        opt.cfg.soc.tlb_replacement)) {
-                fatal("--tlb-replacement: unknown policy '" + name +
-                      "' (lru | srrip | brrip | drrip)");
-            }
-        } else if (a == "--cus") {
-            opt.cfg.soc.gpu.num_cus = parseUnsigned("--cus", need(i));
-        } else if (a == "--kernels") {
-            opt.scenario.rounds = parseUnsigned("--kernels", need(i));
-            if (opt.scenario.rounds == 0)
-                fatal("--kernels: must be >= 1");
-        } else if (a == "--boundary") {
-            const std::string name = need(i);
-            if (!boundaryPolicyFromName(name, opt.scenario.boundary))
-                fatal("--boundary: unknown policy '" + name +
-                      "' (keep-all | flush-l1 | flush-all | shootdown)");
-        } else if (a == "--trace-out") {
-            opt.trace_out = need(i);
-        } else if (a == "--trace-in") {
-            opt.cfg.trace_in = need(i);
-        } else if (a == "--json") {
-            opt.json_out = need(i);
-        } else {
-            std::fprintf(stderr, "unknown option '%s'\n", a.c_str());
-            usage(1);
-        }
-    }
-    opt.cfg.design = parseDesign(opt.design);
-    applyRawDesignIntent(opt.cfg, opt.raw_set);
-    return opt;
+    return concat({{workloadOption(opt.workload), designOption(opt.design)},
+                   workloadParamOptions(opt.params),
+                   socOptions(opt.soc), rest});
 }
 
 } // namespace
@@ -190,17 +83,30 @@ parse(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    const Options opt = parse(argc, argv);
+    Options opt;
+    opt.params.scale = 0.5;
+    if (const auto rc = parseCommandLine("gvc_run", "[options]",
+                                         options(opt), argc, argv))
+        return *rc;
+    if (opt.list) {
+        for (const auto &n : allWorkloadNames())
+            std::printf("%s\n", n.c_str());
+        for (const auto &n : extraWorkloadNames())
+            std::printf("%s (extra)\n", n.c_str());
+        return 0;
+    }
+    RunConfig cfg = runConfigFor(opt.design, opt.params, opt.soc);
+    cfg.trace_in = opt.trace_in;
     const bool scenario = opt.scenario.rounds > 1;
-    if (opt.cfg.trace_in.empty()) {
+    if (cfg.trace_in.empty()) {
         std::printf("gvc_run: %s under %s (scale %.2f, seed %llu)\n",
-                    opt.workload.c_str(), designName(opt.cfg.design),
-                    opt.cfg.workload.scale,
-                    (unsigned long long)opt.cfg.workload.seed);
+                    opt.workload.c_str(), designName(cfg.design),
+                    cfg.workload.scale,
+                    (unsigned long long)cfg.workload.seed);
     } else {
         std::printf("gvc_run: replaying '%s' under %s\n",
-                    opt.cfg.trace_in.c_str(),
-                    designName(opt.cfg.design));
+                    cfg.trace_in.c_str(),
+                    designName(cfg.design));
     }
     if (scenario) {
         std::printf("scenario: %u kernels, boundary %s\n",
@@ -222,9 +128,9 @@ main(int argc, char **argv)
             stats_dump = os.str();
         };
     const RunResult r =
-        scenario ? runScenario(opt.workload, opt.cfg, opt.scenario,
+        scenario ? runScenario(opt.workload, cfg, opt.scenario,
                                inspect, cap)
-                 : runWorkload(opt.workload, opt.cfg, inspect, cap);
+                 : runWorkload(opt.workload, cfg, inspect, cap);
     if (cap) {
         std::string err;
         if (!trace::TraceWriter::writeFile(opt.trace_out, capture, &err))
@@ -237,20 +143,11 @@ main(int argc, char **argv)
                      (unsigned long long)capture.totalInstructions(),
                      (unsigned long long)trace::traceDigest(capture));
     }
-    if (!opt.json_out.empty()) {
-        const SocConfig effective = effectiveSoc(opt.cfg);
-        const std::string doc =
-            runResultToJson(r, &effective).dump(2) + "\n";
-        if (opt.json_out == "-") {
-            std::fputs(doc.c_str(), stdout);
-        } else {
-            std::FILE *f = std::fopen(opt.json_out.c_str(), "wb");
-            if (!f)
-                fatal("gvc_run: cannot open '" + opt.json_out + "'");
-            std::fwrite(doc.data(), 1, doc.size(), f);
-            std::fclose(f);
-        }
-    }
+    // cfg.soc is the resolved SoC the run simulated.
+    if (!opt.json_out.empty() &&
+        !writeOutput("gvc_run", opt.json_out,
+                     runResultToJson(r, &cfg.soc).dump(2) + "\n"))
+        return 1;
     const EnergyEstimate e = estimateEnergy(r);
 
     std::printf("execution\n");

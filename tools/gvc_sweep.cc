@@ -33,10 +33,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -55,250 +51,72 @@ namespace
 
 struct Options
 {
-    std::vector<std::string> workloads;
-    std::vector<MmuDesign> designs;
-    std::vector<std::string> design_labels;
-    RunConfig base;
-    RawSocOverrides raw_set; ///< Raw fields the user set explicitly.
+    GridAxes grid;
+    WorkloadParams params;
+    SocOverrides soc;
+    OutputOptions out;
     ShardSpec shard;
-    unsigned jobs = 0; ///< 0 = defaultJobs().
-    std::string json_path;
-    std::string csv_path;
     std::string journal_path; ///< --journal: start a fresh checkpoint.
     std::string resume_path;  ///< --resume: continue a prior journal.
     std::string cost_model_path; ///< --cost-model (implies --balance).
     bool balance = false;     ///< LPT shard assignment instead of modulo.
-    std::size_t max_cells = 0; ///< Cap unique simulations (0 = all).
-    bool quiet = false;
-    bool print_table = true;
+    std::uint64_t max_cells = 0; ///< Cap unique simulations (0 = all).
     bool live = false; ///< Regenerate per cell instead of trace replay.
+    bool list = false;
 };
 
-[[noreturn]] void
-usage(int code)
+OptionTable
+options(Options &opt)
 {
-    std::printf(
-        "usage: gvc_sweep [options]\n"
-        "  -w, --workloads LIST    comma-separated workloads, or\n"
-        "                          'all' / 'high-bw' (default: all)\n"
-        "  -d, --designs LIST      comma-separated designs, or 'all'\n"
-        "                          (default: ideal,baseline512,vc_opt)\n"
-        "      --scale F           workload scale factor (default 0.5)\n"
-        "      --seed N            workload RNG seed\n"
-        "  -j, --jobs N            worker threads (default: GVC_JOBS or\n"
-        "                          hardware concurrency)\n"
-        "      --shard I/N         run grid cells with index %% N == I\n"
-        "                          (0 <= I < N); merge the per-shard\n"
-        "                          JSON exports with gvc_merge\n"
-        "      --balance           assign cells to shards by LPT cost\n"
-        "                          balancing instead of modulo striping\n"
-        "                          (same flags on every shard)\n"
-        "      --cost-model FILE   per-cell costs for --balance: a\n"
-        "                          gvc_bench report, .gvcj journal, or\n"
-        "                          sweep results JSON (default: uniform;\n"
-        "                          implies --balance)\n"
-        "      --journal FILE      checkpoint each completed cell into\n"
-        "                          FILE (.gvcj), overwriting it\n"
-        "      --resume FILE       skip cells already in FILE, append\n"
-        "                          the rest (same grid flags required)\n"
-        "      --max-cells N       stop after N unique simulations and\n"
-        "                          skip export (test/CI interruption)\n"
-        "      --json PATH         write JSON results ('-' = stdout)\n"
-        "      --csv PATH          write CSV results ('-' = stdout)\n"
-        "      --iommu-bw F        shared TLB accesses/cycle override\n"
-        "      --iommu-tlb N       shared TLB entries (raw mode)\n"
-        "      --percu-tlb N       per-CU TLB entries (raw mode)\n"
-        "      --fbt-entries N     FBT entries (raw mode)\n"
-        "      --tlb-fill-policy P per-CU TLB fill policy: lru |\n"
-        "                          bypass-dead (static next-line) |\n"
-        "                          bypass-trained (trained predictor +\n"
-        "                          dead-first victim selection)\n"
-        "      --iommu-tlb-fill-policy P\n"
-        "                          same policies for the shared IOMMU TLB\n"
-        "      --tlb-replacement R TLB replacement, both levels: lru |\n"
-        "                          srrip | brrip | drrip\n"
-        "      --cus N             number of compute units\n"
-        "      --live              regenerate each workload per cell\n"
-        "                          instead of capture-once/replay\n"
-        "                          (also: GVC_SWEEP_LIVE=1)\n"
-        "      --no-table          skip the summary table on stdout\n"
-        "  -q, --quiet             no progress output on stderr\n"
-        "      --list              list workloads and designs, exit\n"
-        "      --help              this text\n");
-    std::exit(code);
-}
-
-std::vector<std::string>
-splitList(const std::string &spec)
-{
-    std::vector<std::string> out;
-    std::stringstream ss(spec);
-    std::string item;
-    while (std::getline(ss, item, ','))
-        if (!item.empty())
-            out.push_back(item);
-    return out;
-}
-
-Options
-parse(int argc, char **argv)
-{
-    Options opt;
-    opt.base.workload.scale = 0.5;
-    std::string workloads_spec = "all";
-    std::string designs_spec = "ideal,baseline512,vc_opt";
-
-    auto need = [&](int &i) -> const char * {
-        if (i + 1 >= argc)
-            usage(1);
-        return argv[++i];
+    const OptionTable own = {
+        {"--shard", nullptr, "I/N", "run shard I of N; combine with gvc_merge",
+         [&opt](const char *flag, const std::string &value) {
+             const CliError err = parseShardSpec(value, opt.shard);
+             return err.empty() ? err : std::string(flag) + ": " + err;
+         }},
+        {"--balance", nullptr, nullptr,
+         "assign shards by LPT cost balancing, not modulo",
+         storeConstant(opt.balance)},
+        {"--cost-model", nullptr, "FILE",
+         "bench report, journal or results JSON; implies --balance",
+         [&opt](const char *, const std::string &value) {
+             opt.cost_model_path = value;
+             opt.balance = true;
+             return CliError();
+         }},
+        {"--journal", nullptr, "FILE", "checkpoint each finished cell to FILE",
+         store(opt.journal_path)},
+        {"--resume", nullptr, "FILE",
+         "skip the cells FILE holds, append the rest",
+         store(opt.resume_path)},
+        {"--max-cells", nullptr, "N",
+         "stop after N simulations, skip export", store(opt.max_cells)},
+        {"--live", nullptr, nullptr,
+         "regenerate workloads per cell (GVC_SWEEP_LIVE=1)",
+         storeConstant(opt.live)},
+        {"--list", nullptr, nullptr, "list workloads and designs, exit",
+         storeConstant(opt.list)},
     };
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        if (a == "--help" || a == "-h") {
-            usage(0);
-        } else if (a == "--list") {
-            std::printf("workloads:\n");
-            for (const auto &n : allWorkloadNames())
-                std::printf("  %s\n", n.c_str());
-            for (const auto &n : extraWorkloadNames())
-                std::printf("  %s (extra)\n", n.c_str());
-            std::printf("designs:\n");
-            for (const DesignRow &row : kDesignRows)
-                for (const char *spelling : row.spellings)
-                    if (spelling)
-                        std::printf("  %-18s %s\n", spelling, row.label);
-            std::exit(0);
-        } else if (a == "-w" || a == "--workloads") {
-            workloads_spec = need(i);
-        } else if (a == "-d" || a == "--designs") {
-            designs_spec = need(i);
-        } else if (a == "--scale") {
-            opt.base.workload.scale = parseDouble("--scale", need(i));
-        } else if (a == "--seed") {
-            opt.base.workload.seed = parseU64("--seed", need(i));
-        } else if (a == "-j" || a == "--jobs") {
-            opt.jobs = parseUnsigned("--jobs", need(i));
-        } else if (a == "--shard") {
-            std::string err;
-            if (!parseShardSpec(need(i), opt.shard, &err))
-                fatal("--shard: " + err);
-        } else if (a == "--balance") {
-            opt.balance = true;
-        } else if (a == "--cost-model") {
-            opt.cost_model_path = need(i);
-            opt.balance = true;
-        } else if (a == "--journal") {
-            opt.journal_path = need(i);
-        } else if (a == "--resume") {
-            opt.resume_path = need(i);
-        } else if (a == "--max-cells") {
-            opt.max_cells = parseU64("--max-cells", need(i));
-        } else if (a == "--json") {
-            opt.json_path = need(i);
-        } else if (a == "--csv") {
-            opt.csv_path = need(i);
-        } else if (a == "--iommu-bw") {
-            opt.base.soc.iommu.accesses_per_cycle =
-                parseDouble("--iommu-bw", need(i));
-        } else if (a == "--iommu-tlb") {
-            opt.base.soc.iommu.tlb_entries =
-                parseUnsigned("--iommu-tlb", need(i));
-            opt.raw_set.iommu_tlb_entries = true;
-            opt.base.raw_soc = true;
-        } else if (a == "--percu-tlb") {
-            opt.base.soc.percu_tlb_entries =
-                parseUnsigned("--percu-tlb", need(i));
-            opt.raw_set.percu_tlb_entries = true;
-            opt.base.raw_soc = true;
-        } else if (a == "--fbt-entries") {
-            opt.base.soc.fbt.entries =
-                parseUnsigned("--fbt-entries", need(i));
-            opt.raw_set.fbt_entries = true;
-            opt.base.raw_soc = true;
-        } else if (a == "--tlb-fill-policy") {
-            const std::string name = need(i);
-            if (!tlbFillPolicyFromName(
-                    name, opt.base.soc.percu_tlb_fill_policy)) {
-                fatal("--tlb-fill-policy: unknown policy '" + name +
-                      "' (lru | bypass-dead | bypass-trained)");
-            }
-        } else if (a == "--iommu-tlb-fill-policy") {
-            const std::string name = need(i);
-            if (!tlbFillPolicyFromName(
-                    name, opt.base.soc.iommu_tlb_fill_policy)) {
-                fatal("--iommu-tlb-fill-policy: unknown policy '" +
-                      name + "' (lru | bypass-dead | bypass-trained)");
-            }
-        } else if (a == "--tlb-replacement") {
-            const std::string name = need(i);
-            if (!tlbReplacementFromName(
-                    name, opt.base.soc.tlb_replacement)) {
-                fatal("--tlb-replacement: unknown policy '" + name +
-                      "' (lru | srrip | brrip | drrip)");
-            }
-        } else if (a == "--cus") {
-            opt.base.soc.gpu.num_cus = parseUnsigned("--cus", need(i));
-        } else if (a == "--live") {
-            opt.live = true;
-        } else if (a == "--no-table") {
-            opt.print_table = false;
-        } else if (a == "-q" || a == "--quiet") {
-            opt.quiet = true;
-        } else {
-            std::fprintf(stderr, "unknown option '%s'\n", a.c_str());
-            usage(1);
-        }
-    }
-
-    if (workloads_spec == "all")
-        opt.workloads = allWorkloadNames();
-    else if (workloads_spec == "high-bw")
-        opt.workloads = highBandwidthWorkloadNames();
-    else
-        opt.workloads = splitList(workloads_spec);
-    if (opt.workloads.empty())
-        fatal("no workloads selected");
-
-    std::vector<std::string> design_names;
-    if (designs_spec == "all") {
-        design_names = {"ideal",   "baseline512", "baseline16k",
-                        "baseline_large_tlb", "vc", "vc_opt",
-                        "l1vc32",  "l1vc128", "base2mb",
-                        "basecoalesced", "basevictima"};
-    } else {
-        design_names = splitList(designs_spec);
-    }
-    for (const auto &name : design_names) {
-        opt.designs.push_back(parseDesign(name));
-        opt.design_labels.push_back(name);
-    }
-    if (opt.designs.empty())
-        fatal("no designs selected");
-    if (!opt.journal_path.empty() && !opt.resume_path.empty())
-        fatal("--journal starts a fresh checkpoint and --resume "
-              "continues one; pass exactly one of them");
-    return opt;
+    return concat({{workloadsOption(opt.grid, "all"),
+                    designsOption(opt.grid, "ideal,baseline512,vc_opt"),
+                    jobsOption(opt.grid)},
+                   workloadParamOptions(opt.params), socOptions(opt.soc),
+                   own, outputOptions(opt.out)});
 }
 
 void
-writeOut(const std::string &path, const std::string &content,
-         const char *what)
+printList()
 {
-    if (path == "-") {
-        std::fwrite(content.data(), 1, content.size(), stdout);
-        return;
-    }
-    std::ofstream os(path, std::ios::binary);
-    if (!os)
-        fatal(std::string("cannot open ") + what + " output file '" +
-              path + "'");
-    os << content;
-    if (!os)
-        fatal(std::string("failed writing ") + what + " to '" + path +
-              "'");
-    std::fprintf(stderr, "[gvc_sweep] wrote %s (%zu bytes)\n",
-                 path.c_str(), content.size());
+    std::printf("workloads:\n");
+    for (const auto &n : allWorkloadNames())
+        std::printf("  %s\n", n.c_str());
+    for (const auto &n : extraWorkloadNames())
+        std::printf("  %s (extra)\n", n.c_str());
+    std::printf("designs:\n");
+    for (const DesignRow &row : kDesignRows)
+        for (const char *spelling : row.spellings)
+            if (spelling)
+                std::printf("  %-18s %s\n", spelling, row.label);
 }
 
 } // namespace
@@ -306,35 +124,27 @@ writeOut(const std::string &path, const std::string &content,
 int
 main(int argc, char **argv)
 {
-    const Options opt = parse(argc, argv);
+    Options opt;
+    opt.params.scale = 0.5;
+    if (const auto rc = parseCommandLine("gvc_sweep", "[options]",
+                                         options(opt), argc, argv))
+        return *rc;
+    if (opt.list) {
+        printList();
+        return 0;
+    }
+    if (!opt.journal_path.empty() && !opt.resume_path.empty())
+        return usageError("gvc_sweep",
+                          "--journal starts a fresh checkpoint and "
+                          "--resume continues one; pass exactly one of "
+                          "them");
 
-    Sweep sweep(opt.jobs);
-    if (opt.quiet)
+    Sweep sweep(opt.grid.jobs);
+    if (opt.out.quiet)
         sweep.setProgress(false);
     if (opt.live)
         sweep.setCapture(false);
-    if (opt.max_cells)
-        sweep.setCellLimit(opt.max_cells);
-
-    // Expand the full grid in canonical order (workload-major,
-    // design-minor), carrying each design's structural intent into
-    // raw-mode cells.  Every invocation sees the whole grid so shard
-    // assignment and journal keys are invocation-independent.
-    struct GridCell
-    {
-        std::string workload;
-        RunConfig cfg;
-        std::string key;
-    };
-    std::vector<GridCell> grid;
-    for (const auto &w : opt.workloads) {
-        for (const MmuDesign d : opt.designs) {
-            RunConfig cfg = opt.base;
-            cfg.design = d;
-            applyRawDesignIntent(cfg, opt.raw_set);
-            grid.push_back({w, cfg, runConfigKey(w, cfg)});
-        }
-    }
+    sweep.setCellLimit(opt.max_cells);
 
     // Shard assignment: cost-balanced LPT when requested, else the
     // classic modulo stripe.
@@ -343,32 +153,21 @@ main(int argc, char **argv)
         std::string err;
         if (!cost_model.load(opt.cost_model_path, &err))
             fatal(err);
-        if (!opt.quiet) {
+        if (!opt.out.quiet)
             std::fprintf(stderr,
                          "[gvc_sweep] cost model '%s': %zu measured "
                          "cells\n",
                          opt.cost_model_path.c_str(),
                          cost_model.measuredCells());
-        }
     }
-    std::vector<unsigned> assignment(grid.size(), 0);
-    if (opt.balance) {
-        std::vector<double> costs;
-        costs.reserve(grid.size());
-        for (const GridCell &c : grid)
-            costs.push_back(cost_model.costFor(c.workload,
-                                               designName(c.cfg.design)));
-        assignment = planShards(costs, opt.shard.count);
-    } else {
-        for (std::size_t i = 0; i < grid.size(); ++i)
-            assignment[i] = unsigned(i % opt.shard.count);
-    }
+    const std::vector<unsigned> assignment = assignShards(
+        opt.grid, cost_model, opt.shard.count, opt.balance);
 
     ExportMeta meta;
-    meta.workloads = opt.workloads;
-    meta.designs = opt.design_labels;
-    meta.scale = opt.base.workload.scale;
-    meta.seed = opt.base.workload.seed;
+    meta.workloads = opt.grid.workloads;
+    meta.designs = opt.grid.design_labels;
+    meta.scale = opt.params.scale;
+    meta.seed = opt.params.seed;
     meta.jobs = sweep.jobs();
     meta.shard_index = opt.shard.index;
     meta.shard_count = opt.shard.count;
@@ -376,17 +175,29 @@ main(int argc, char **argv)
         meta.shard_assignment = "lpt";
         meta.shard_cost_digest = cost_model.digest();
     }
-    meta.tlb_policy = tlbPolicyStamp(opt.base.soc);
+    // Design rows set no policy field, so every cell shares one stamp.
+    meta.tlb_policy =
+        tlbPolicyStamp(resolveSoc(opt.grid.designs.front(), opt.soc));
 
-    // This shard's cells, in canonical order; mine[i] is the grid
-    // cell behind the sweep's cell i (its key names it in the
-    // journal, its cfg rides along in journaled records).
-    std::vector<const GridCell *> mine;
-    for (std::size_t i = 0; i < grid.size(); ++i) {
-        if (assignment[i] != opt.shard.index)
-            continue;
-        sweep.add(grid[i].workload, grid[i].cfg);
-        mine.push_back(&grid[i]);
+    // This shard's cells in canonical (workload-major, design-minor)
+    // order, each SoC the design's preset plus the user's SoC flags.
+    // The whole grid is numbered on every invocation, so shard
+    // assignment and journal keys do not depend on the invocation.
+    struct Cell
+    {
+        RunConfig cfg;
+        std::string key; ///< Names the cell in the journal.
+    };
+    std::vector<Cell> mine;
+    std::size_t cell = 0;
+    for (const auto &w : opt.grid.workloads) {
+        for (const MmuDesign d : opt.grid.designs) {
+            if (assignment[cell++] != opt.shard.index)
+                continue;
+            const RunConfig cfg = runConfigFor(d, opt.params, opt.soc);
+            sweep.add(w, cfg);
+            mine.push_back({cfg, runConfigKey(w, cfg)});
+        }
     }
 
     // Checkpoint journal: seed already-completed cells on resume, then
@@ -397,28 +208,26 @@ main(int argc, char **argv)
         std::string err;
         ExportMeta jmeta;
         std::vector<JournalEntry> entries;
-        if (!readJournal(opt.resume_path, jmeta, entries, &err))
-            fatal(err);
-        if (!journalMatchesGrid(jmeta, meta, &err))
+        if (!readJournal(opt.resume_path, jmeta, entries, &err) ||
+            !journalMatchesGrid(jmeta, meta, &err))
             fatal(err);
         std::unordered_map<std::string, const JournalEntry *> by_key;
         for (const JournalEntry &e : entries)
             by_key[e.key] = &e;
         std::size_t seeded = 0;
         for (std::size_t i = 0; i < mine.size(); ++i) {
-            const auto it = by_key.find(mine[i]->key);
+            const auto it = by_key.find(mine[i].key);
             if (it == by_key.end())
                 continue;
             sweep.seedResult(i, it->second->record.result);
-            journaled.insert(mine[i]->key);
+            journaled.insert(mine[i].key);
             ++seeded;
         }
-        if (!opt.quiet) {
+        if (!opt.out.quiet)
             std::fprintf(stderr,
                          "[gvc_sweep] resume '%s': %zu of %zu cells "
                          "already done\n",
                          opt.resume_path.c_str(), seeded, mine.size());
-        }
         if (!journal.openAppend(opt.resume_path, &err))
             fatal(err);
     } else if (!opt.journal_path.empty()) {
@@ -430,11 +239,11 @@ main(int argc, char **argv)
         sweep.setCellHook([&](std::size_t idx, const RunResult &result) {
             // Duplicate cells share a key; journal each key once (the
             // hook is already serialized by the sweep).
-            if (!journaled.insert(mine[idx]->key).second)
+            if (!journaled.insert(mine[idx].key).second)
                 return;
             std::string err;
-            if (!journal.append(mine[idx]->key,
-                                ResultRecord{mine[idx]->cfg, result},
+            if (!journal.append(mine[idx].key,
+                                ResultRecord{mine[idx].cfg, result},
                                 &err))
                 fatal(err);
         });
@@ -456,7 +265,7 @@ main(int argc, char **argv)
         return 0;
     }
 
-    if (opt.print_table) {
+    if (opt.out.print_table) {
         TextTable table({"workload", "design", "exec cycles",
                          "IOMMU acc", "page walks", "L2 hit"});
         for (std::size_t i = 0; i < sweep.size(); ++i) {
@@ -472,22 +281,11 @@ main(int argc, char **argv)
                     "worker threads\n",
                     sweep.size(), sweep.uniqueRuns(),
                     sweep.size() - sweep.uniqueRuns(), sweep.jobs());
-        if (opt.shard.count > 1) {
+        if (opt.shard.count > 1)
             std::printf("shard %u/%u (%s) of a %zu-cell grid\n",
                         opt.shard.index, opt.shard.count,
-                        opt.balance ? "lpt" : "modulo", grid.size());
-        }
+                        opt.balance ? "lpt" : "modulo", assignment.size());
     }
 
-    if (!opt.json_path.empty() || !opt.csv_path.empty()) {
-        const std::vector<ResultRecord> records = sweep.records();
-        if (!opt.json_path.empty()) {
-            writeOut(opt.json_path,
-                     resultsToJson(meta, records).dump(2) + "\n",
-                     "JSON");
-        }
-        if (!opt.csv_path.empty())
-            writeOut(opt.csv_path, resultsToCsv(records), "CSV");
-    }
-    return 0;
+    return writeResults("gvc_sweep", opt.out, meta, sweep.records()) ? 0 : 1;
 }

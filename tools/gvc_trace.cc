@@ -13,10 +13,9 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <memory>
+#include <iterator>
 #include <string>
+#include <vector>
 
 #include "harness/cli.hh"
 #include "harness/results_io.hh"
@@ -28,56 +27,18 @@ using namespace gvc;
 namespace
 {
 
-[[noreturn]] void
-usage(int code)
-{
-    std::printf(
-        "usage: gvc_trace <command> [options]\n"
-        "\n"
-        "commands:\n"
-        "  record   capture a workload into a trace file\n"
-        "    -w, --workload NAME   workload (see gvc_run --list)\n"
-        "    -o, --out PATH        output trace file (required)\n"
-        "        --scale F         workload scale factor (default 0.5)\n"
-        "        --seed N          workload RNG seed\n"
-        "        --grid-warps N    warps per kernel launch\n"
-        "        --graph KIND      rmat | uniform | grid\n"
-        "  info     print a trace file's metadata and stream stats\n"
-        "    gvc_trace info PATH\n"
-        "  replay   simulate a trace under an MMU design\n"
-        "    gvc_trace replay PATH\n"
-        "    -d, --design NAME     ideal | baseline-512 | baseline-16k |\n"
-        "                          baseline-large-tlb | vc | vc-opt |\n"
-        "                          l1vc-32 | l1vc-128 (default vc-opt)\n"
-        "        --json PATH|-     write the RunResult as JSON\n"
-        "        --quiet           suppress the text report\n");
-    std::exit(code);
-}
+/** GraphKind spellings, in enum order. */
+constexpr const char *kGraphNames[] = {"rmat", "uniform", "grid"};
 
-GraphKind
-parseGraph(const std::string &name)
+bool
+graphFromName(const std::string &name, GraphKind &out)
 {
-    if (name == "rmat")
-        return GraphKind::kRmat;
-    if (name == "uniform")
-        return GraphKind::kUniform;
-    if (name == "grid")
-        return GraphKind::kGrid;
-    fatal("unknown graph kind '" + name + "' (rmat|uniform|grid)");
-}
-
-const char *
-graphName(GraphKind g)
-{
-    switch (g) {
-      case GraphKind::kRmat:
-        return "rmat";
-      case GraphKind::kUniform:
-        return "uniform";
-      case GraphKind::kGrid:
-        return "grid";
-    }
-    return "?";
+    for (std::size_t g = 0; g < std::size(kGraphNames); ++g)
+        if (name == kGraphNames[g]) {
+            out = GraphKind(g);
+            return true;
+        }
+    return false;
 }
 
 int
@@ -87,33 +48,22 @@ cmdRecord(int argc, char **argv)
     std::string out;
     WorkloadParams params;
     params.scale = 0.5;
-
-    auto need = [&](int &i) -> const char * {
-        if (i + 1 >= argc)
-            usage(1);
-        return argv[++i];
-    };
-    for (int i = 2; i < argc; ++i) {
-        const std::string a = argv[i];
-        if (a == "-w" || a == "--workload")
-            workload = need(i);
-        else if (a == "-o" || a == "--out")
-            out = need(i);
-        else if (a == "--scale")
-            params.scale = parseDouble("--scale", need(i));
-        else if (a == "--seed")
-            params.seed = parseU64("--seed", need(i));
-        else if (a == "--grid-warps")
-            params.grid_warps = parseUnsigned("--grid-warps", need(i));
-        else if (a == "--graph")
-            params.graph = parseGraph(need(i));
-        else if (a == "--help" || a == "-h")
-            usage(0);
-        else
-            fatal("record: unknown option '" + a + "'");
-    }
+    const OptionTable table = concat(
+        {{workloadOption(workload),
+          {"--out", "-o", "PATH", "output trace file (required)",
+           store(out)}},
+         workloadParamOptions(params),
+         {{"--grid-warps", nullptr, "N", "warps per kernel launch",
+           store(params.grid_warps)},
+          {"--graph", nullptr, "KIND", "rmat | uniform | grid",
+           storeNamed(params.graph, graphFromName,
+                      "rmat | uniform | grid")}}});
+    if (const auto rc = parseCommandLine("gvc_trace record", "[options]",
+                                         table, argc, argv, 2))
+        return *rc;
     if (workload.empty() || out.empty())
-        fatal("record: both -w WORKLOAD and -o PATH are required");
+        return usageError("gvc_trace record",
+                          "both -w WORKLOAD and -o PATH are required");
 
     const trace::Trace t = trace::captureWorkloadTrace(workload, params);
     std::string err;
@@ -135,7 +85,7 @@ int
 cmdInfo(int argc, char **argv)
 {
     if (argc < 3)
-        usage(1);
+        return usageError("gvc_trace info", "missing PATH");
     const std::string path = argv[2];
     trace::Trace t;
     std::string err;
@@ -149,7 +99,8 @@ cmdInfo(int argc, char **argv)
     std::printf("  seed           : %llu\n",
                 (unsigned long long)t.params.seed);
     std::printf("  grid warps     : %u\n", t.params.grid_warps);
-    std::printf("  graph          : %s\n", graphName(t.params.graph));
+    std::printf("  graph          : %s\n",
+                kGraphNames[unsigned(t.params.graph)]);
     std::printf("  vm ops         : %zu\n", t.vm_ops.size());
     std::printf("  kernels        : %zu\n", t.kernels.size());
     if (!t.boundaries.empty()) {
@@ -173,41 +124,26 @@ cmdInfo(int argc, char **argv)
 int
 cmdReplay(int argc, char **argv)
 {
-    std::string path;
-    std::string design = "vc-opt";
+    MmuDesign design = MmuDesign::kVcOpt;
     std::string json_out;
     bool quiet = false;
+    std::vector<std::string> paths;
+    const OptionTable table = {designOption(design), jsonOption(json_out),
+                               quietOption(quiet)};
+    if (const auto rc = parseCommandLine("gvc_trace replay",
+                                         "PATH [options]", table, argc,
+                                         argv, 2, &paths))
+        return *rc;
+    if (paths.empty())
+        return usageError("gvc_trace replay",
+                          "a trace file path is required");
 
-    auto need = [&](int &i) -> const char * {
-        if (i + 1 >= argc)
-            usage(1);
-        return argv[++i];
-    };
-    for (int i = 2; i < argc; ++i) {
-        const std::string a = argv[i];
-        if (a == "-d" || a == "--design")
-            design = need(i);
-        else if (a == "--json")
-            json_out = need(i);
-        else if (a == "--quiet" || a == "-q")
-            quiet = true;
-        else if (a == "--help" || a == "-h")
-            usage(0);
-        else if (!a.empty() && a[0] == '-')
-            fatal("replay: unknown option '" + a + "'");
-        else
-            path = a;
-    }
-    if (path.empty())
-        fatal("replay: a trace file path is required");
-
-    RunConfig cfg;
-    cfg.design = parseDesign(design);
-    cfg.trace_in = path;
+    RunConfig cfg = runConfigFor(design, {}, {});
+    cfg.trace_in = paths.back();
     const RunResult r = runWorkload("", cfg);
 
     if (!quiet) {
-        std::printf("replayed %s (%s) under %s\n", path.c_str(),
+        std::printf("replayed %s (%s) under %s\n", cfg.trace_in.c_str(),
                     r.workload.c_str(), designName(r.design));
         std::printf("  cycles %llu, instructions %llu, IOMMU accesses "
                     "%llu, page walks %llu\n",
@@ -216,21 +152,11 @@ cmdReplay(int argc, char **argv)
                     (unsigned long long)r.iommu_accesses,
                     (unsigned long long)r.page_walks);
     }
-    if (!json_out.empty()) {
-        const SocConfig effective = effectiveSoc(cfg);
-        const std::string doc =
-            runResultToJson(r, &effective).dump(2) + "\n";
-        if (json_out == "-") {
-            std::fputs(doc.c_str(), stdout);
-        } else {
-            std::FILE *f = std::fopen(json_out.c_str(), "wb");
-            if (!f)
-                fatal("replay: cannot open '" + json_out + "'");
-            std::fwrite(doc.data(), 1, doc.size(), f);
-            std::fclose(f);
-        }
-    }
-    return 0;
+    // cfg.soc is the resolved SoC the replay simulated.
+    const bool ok = json_out.empty() ||
+                    writeOutput("gvc_trace", json_out,
+                                runResultToJson(r, &cfg.soc).dump(2) + "\n");
+    return ok ? 0 : 1;
 }
 
 } // namespace
@@ -238,17 +164,12 @@ cmdReplay(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    if (argc < 2)
-        usage(1);
-    const std::string cmd = argv[1];
-    if (cmd == "--help" || cmd == "-h")
-        usage(0);
-    if (cmd == "record")
-        return cmdRecord(argc, argv);
-    if (cmd == "info")
-        return cmdInfo(argc, argv);
-    if (cmd == "replay")
-        return cmdReplay(argc, argv);
-    std::fprintf(stderr, "unknown command '%s'\n", cmd.c_str());
-    usage(1);
+    return dispatchSubcommand(
+        "gvc_trace",
+        {{"record", "capture a workload into a trace file", cmdRecord},
+         {"info", "PATH: print a trace file's metadata and stream stats",
+          cmdInfo},
+         {"replay", "PATH: simulate a trace under an MMU design",
+          cmdReplay}},
+        argc, argv);
 }
