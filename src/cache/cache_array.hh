@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "sim/logging.hh"
+#include "sim/set_index.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -47,27 +48,50 @@ struct CacheLineInfo
     bool dirty = false;
 };
 
+/** Outcome of CacheArray::insertIfAbsent(). */
+struct CacheFill
+{
+    bool inserted = false; ///< False: the line was already resident.
+    std::optional<CacheLineInfo> victim; ///< Displaced line, if any.
+};
+
 /**
  * The array.  Addresses are line-aligned by callers' convention but the
  * array aligns defensively.  ASID participates in tag match only (not in
  * indexing), which is what the paper's ASID-extended virtual tags do.
+ *
+ * Every operation on one line scans its set once.  A caller that must
+ * decide on the line's permissions before counting the access (the
+ * virtual caches) probes with lookup() and then books the outcome with
+ * recordHit() or recordMiss(); access() is that pair in one call.
  */
 class CacheArray
 {
   public:
+    /** A resident line found by lookup(); stale once the array changes. */
+    struct Way
+    {
+        std::size_t slot; ///< Index into the flat way storage.
+        Perms perms;
+    };
+
     explicit CacheArray(const CacheParams &params)
         : params_(params)
     {
-        const std::uint64_t lines = params.size_bytes / params.line_bytes;
+        const unsigned lb = params.line_bytes;
+        if (lb == 0 || (lb & (lb - 1)) != 0)
+            fatal("CacheArray: line size must be a power of two");
+        line_shift_ = unsigned(__builtin_ctz(lb));
+        const std::uint64_t lines = params.size_bytes >> line_shift_;
         if (lines == 0)
             fatal("CacheArray: size smaller than one line");
         unsigned assoc = params.assoc ? params.assoc : 1;
         if (assoc > lines)
             assoc = unsigned(lines);
-        num_sets_ = std::size_t(lines / assoc);
-        assoc_ = unsigned(lines / num_sets_);
-        lines_.resize(num_sets_ * assoc_);
-        set_len_.assign(num_sets_, 0);
+        const std::uint64_t num_sets = lines / assoc;
+        sets_ = SetIndex(num_sets);
+        assoc_ = unsigned(lines / num_sets);
+        lines_.resize(num_sets * assoc_);
     }
 
     /**
@@ -78,52 +102,68 @@ class CacheArray
     bool
     access(Asid asid, std::uint64_t addr, bool is_write, Tick now)
     {
+        if (const auto way = lookup(asid, addr)) {
+            recordHit(*way, is_write, now);
+            return true;
+        }
+        recordMiss(is_write);
+        return false;
+    }
+
+    /** The way holding (asid, addr), if resident.  Counts nothing. */
+    std::optional<Way>
+    lookup(Asid asid, std::uint64_t addr) const
+    {
+        const std::size_t slot = find(asid, lineKey(addr));
+        if (slot == kNoWay)
+            return std::nullopt;
+        return Way{slot, lines_[slot].perms};
+    }
+
+    /** Book a hit on @p way found by lookup(): access() without the scan. */
+    void
+    recordHit(const Way &way, bool is_write, Tick now)
+    {
         ++accesses_;
         if (is_write)
             ++writes_;
-        Line *line = find(asid, lineKey(addr));
-        if (!line) {
-            ++misses_;
-            return false;
-        }
         ++hits_;
-        line->last_used = now;
-        line->lru = ++lru_clock_;
+        Line &l = lines_[way.slot];
+        l.last_used = now;
+        l.lru = ++lru_clock_;
         if (is_write && params_.write_back)
-            line->dirty = true;
-        return true;
+            l.dirty = true;
+    }
+
+    /** Book a miss: access() of a line lookup() did not find. */
+    void
+    recordMiss(bool is_write)
+    {
+        ++accesses_;
+        if (is_write)
+            ++writes_;
+        ++misses_;
     }
 
     /** Side-effect-free presence probe (Figure 2 classification). */
     bool
     present(Asid asid, std::uint64_t addr) const
     {
-        const std::uint64_t key = lineKey(addr);
-        const std::size_t set = setIndex(key);
-        const Line *base = setBase(set);
-        for (unsigned i = 0; i < set_len_[set]; ++i)
-            if (base[i].valid && base[i].asid == asid &&
-                base[i].key == key)
-                return true;
-        return false;
+        return lookup(asid, addr).has_value();
     }
 
     /** Permissions of a resident line (virtual caches check these). */
     std::optional<Perms>
     linePerms(Asid asid, std::uint64_t addr) const
     {
-        const std::uint64_t key = lineKey(addr);
-        const std::size_t set = setIndex(key);
-        const Line *base = setBase(set);
-        for (unsigned i = 0; i < set_len_[set]; ++i)
-            if (base[i].valid && base[i].asid == asid &&
-                base[i].key == key)
-                return base[i].perms;
+        if (const auto way = lookup(asid, addr))
+            return way->perms;
         return std::nullopt;
     }
 
     /**
-     * Install a line, evicting the LRU way if needed.
+     * Install a line, evicting the LRU way if needed.  A resident line
+     * takes the new permissions and recency instead.
      * @return metadata of the displaced line, if any (for writebacks and
      *         FBT bit-vector maintenance).
      */
@@ -131,75 +171,37 @@ class CacheArray
     insert(Asid asid, std::uint64_t addr, Perms perms, bool dirty,
            Tick now)
     {
-        ++fills_;
-        const std::uint64_t key = lineKey(addr);
-        const std::size_t set = setIndex(key);
-        Line *base = setBase(set);
-        const unsigned len = set_len_[set];
-        // Single pass: the hit scan also notes the first invalid way so
-        // the miss path below needs no second walk.
-        unsigned free_way = len;
-        for (unsigned i = 0; i < len; ++i) {
-            Line &l = base[i];
-            if (!l.valid) {
-                if (free_way == len)
-                    free_way = i;
-                continue;
-            }
-            if (l.asid == asid && l.key == key) {
-                l.perms = perms;
-                l.dirty = l.dirty || dirty;
-                l.lru = ++lru_clock_;
-                l.last_used = now;
-                return std::nullopt;
-            }
-        }
-        Line fresh;
-        fresh.valid = true;
-        fresh.asid = asid;
-        fresh.key = key;
-        fresh.perms = perms;
-        fresh.dirty = dirty;
-        fresh.inserted = now;
-        fresh.last_used = now;
-        fresh.lru = ++lru_clock_;
+        return fill(asid, addr, perms, dirty, now, /*refresh=*/true).victim;
+    }
 
-        // Reuse a way freed by invalidation before displacing anyone.
-        if (free_way < len) {
-            base[free_way] = fresh;
-            return std::nullopt;
-        }
-        if (len < assoc_) {
-            base[len] = fresh;
-            ++set_len_[set];
-            return std::nullopt;
-        }
-        unsigned victim = 0;
-        for (unsigned i = 1; i < len; ++i)
-            if (base[i].lru < base[victim].lru)
-                victim = i;
-        const auto evicted = retire(base[victim]);
-        base[victim] = fresh;
-        ++evictions_;
-        return evicted;
+    /**
+     * Install a line unless it is already resident, in which case
+     * nothing changes and no fill is counted (a racing fill landed
+     * first).  One set scan, where present() then insert() takes two.
+     */
+    CacheFill
+    insertIfAbsent(Asid asid, std::uint64_t addr, Perms perms, bool dirty,
+                   Tick now)
+    {
+        return fill(asid, addr, perms, dirty, now, /*refresh=*/false);
+    }
+
+    /** Invalidate the line lookup() found.  @return its metadata. */
+    CacheLineInfo
+    invalidate(const Way &way)
+    {
+        const CacheLineInfo info = retire(lines_[way.slot]);
+        lines_[way.slot].valid = false;
+        ++invalidations_;
+        return info;
     }
 
     /** Invalidate one line.  @return its metadata if it was present. */
     std::optional<CacheLineInfo>
     invalidateLine(Asid asid, std::uint64_t addr)
     {
-        const std::uint64_t key = lineKey(addr);
-        const std::size_t set = setIndex(key);
-        Line *base = setBase(set);
-        for (unsigned i = 0; i < set_len_[set]; ++i) {
-            Line &l = base[i];
-            if (l.valid && l.asid == asid && l.key == key) {
-                const auto info = retire(l);
-                l.valid = false;
-                ++invalidations_;
-                return info;
-            }
-        }
+        if (const auto way = lookup(asid, addr))
+            return invalidate(*way);
         return std::nullopt;
     }
 
@@ -237,19 +239,13 @@ class CacheArray
                        &on_evict = {})
     {
         unsigned count = 0;
-        for (std::size_t set = 0; set < num_sets_; ++set) {
-            Line *base = setBase(set);
-            for (unsigned i = 0; i < set_len_[set]; ++i) {
-                Line &l = base[i];
-                if (!l.valid || l.asid != asid)
-                    continue;
-                const auto info = retire(l);
-                l.valid = false;
-                ++invalidations_;
-                ++count;
-                if (on_evict && info)
-                    on_evict(*info);
-            }
+        for (std::size_t slot = 0; slot < lines_.size(); ++slot) {
+            if (!lines_[slot].valid || lines_[slot].asid != asid)
+                continue;
+            const CacheLineInfo info = invalidate(Way{slot, kPermNone});
+            ++count;
+            if (on_evict)
+                on_evict(info);
         }
         return count;
     }
@@ -259,19 +255,12 @@ class CacheArray
     invalidateAll(const std::function<void(const CacheLineInfo &)>
                       &on_evict = {})
     {
-        for (std::size_t set = 0; set < num_sets_; ++set) {
-            Line *base = setBase(set);
-            for (unsigned i = 0; i < set_len_[set]; ++i) {
-                Line &l = base[i];
-                if (!l.valid)
-                    continue;
-                const auto info = retire(l);
-                l.valid = false;
-                ++invalidations_;
-                if (on_evict && info)
-                    on_evict(*info);
-            }
-            set_len_[set] = 0;
+        for (std::size_t slot = 0; slot < lines_.size(); ++slot) {
+            if (!lines_[slot].valid)
+                continue;
+            const CacheLineInfo info = invalidate(Way{slot, kPermNone});
+            if (on_evict)
+                on_evict(info);
         }
     }
 
@@ -279,15 +268,9 @@ class CacheArray
     void
     forEachLine(const std::function<void(const CacheLineInfo &)> &fn) const
     {
-        for (std::size_t set = 0; set < num_sets_; ++set) {
-            const Line *base = setBase(set);
-            for (unsigned i = 0; i < set_len_[set]; ++i) {
-                const Line &l = base[i];
-                if (l.valid)
-                    fn(CacheLineInfo{l.asid, unKey(l.key), l.perms,
-                                     l.dirty});
-            }
-        }
+        for (const Line &l : lines_)
+            if (l.valid)
+                fn(lineInfo(l));
     }
 
     /** Record lifetimes of still-resident lines (simulation end). */
@@ -296,13 +279,9 @@ class CacheArray
     {
         if (!params_.track_lifetimes)
             return;
-        for (std::size_t set = 0; set < num_sets_; ++set) {
-            const Line *base = setBase(set);
-            for (unsigned i = 0; i < set_len_[set]; ++i)
-                if (base[i].valid && base[i].last_used > base[i].inserted)
-                    lifetimes_.record(base[i].last_used -
-                                      base[i].inserted);
-        }
+        for (const Line &l : lines_)
+            if (l.valid && l.last_used > l.inserted)
+                lifetimes_.record(l.last_used - l.inserted);
     }
 
     std::uint64_t accesses() const { return accesses_.value; }
@@ -321,7 +300,7 @@ class CacheArray
     }
 
     const LifetimeRecorder &lifetimes() const { return lifetimes_; }
-    std::size_t numSets() const { return num_sets_; }
+    std::size_t numSets() const { return std::size_t(sets_.size()); }
     unsigned assoc() const { return assoc_; }
     unsigned lineBytes() const { return params_.line_bytes; }
 
@@ -329,15 +308,14 @@ class CacheArray
     residentLines() const
     {
         std::size_t n = 0;
-        for (std::size_t set = 0; set < num_sets_; ++set) {
-            const Line *base = setBase(set);
-            for (unsigned i = 0; i < set_len_[set]; ++i)
-                n += base[i].valid ? 1 : 0;
-        }
+        for (const Line &l : lines_)
+            n += l.valid ? 1 : 0;
         return n;
     }
 
   private:
+    static constexpr std::size_t kNoWay = ~std::size_t{0};
+
     struct Line
     {
         bool valid = false;
@@ -350,57 +328,102 @@ class CacheArray
         std::uint64_t lru = 0;
     };
 
-    std::uint64_t
-    lineKey(std::uint64_t addr) const
+    std::uint64_t lineKey(std::uint64_t addr) const
     {
-        return addr / params_.line_bytes;
+        return addr >> line_shift_;
     }
 
-    std::uint64_t
-    unKey(std::uint64_t key) const
+    std::uint64_t unKey(std::uint64_t key) const
     {
-        return key * params_.line_bytes;
+        return key << line_shift_;
     }
 
-    std::size_t setIndex(std::uint64_t key) const { return key % num_sets_; }
-
-    Line *setBase(std::size_t set) { return lines_.data() + set * assoc_; }
-    const Line *
-    setBase(std::size_t set) const
+    std::size_t setBase(std::uint64_t key) const
     {
-        return lines_.data() + set * assoc_;
+        return sets_(key) * assoc_;
     }
 
-    Line *
-    find(Asid asid, std::uint64_t key)
+    std::size_t
+    find(Asid asid, std::uint64_t key) const
     {
-        const std::size_t set = setIndex(key);
-        Line *base = setBase(set);
-        for (unsigned i = 0; i < set_len_[set]; ++i)
-            if (base[i].valid && base[i].asid == asid &&
-                base[i].key == key)
-                return &base[i];
-        return nullptr;
+        const std::size_t base = setBase(key);
+        for (std::size_t slot = base; slot < base + assoc_; ++slot) {
+            const Line &l = lines_[slot];
+            if (l.valid && l.asid == asid && l.key == key)
+                return slot;
+        }
+        return kNoWay;
+    }
+
+    /**
+     * insert() (@p refresh: a resident line takes the new permissions
+     * and recency, and counts as a fill) and insertIfAbsent() (a
+     * resident line is left alone).  One set scan finds the line or
+     * notes the first invalid way, which a miss fills before it
+     * displaces the true-LRU way.
+     */
+    CacheFill
+    fill(Asid asid, std::uint64_t addr, Perms perms, bool dirty, Tick now,
+         bool refresh)
+    {
+        const std::uint64_t key = lineKey(addr);
+        Line *const base = lines_.data() + setBase(key);
+        unsigned free_way = assoc_;
+        for (unsigned i = 0; i < assoc_; ++i) {
+            Line &l = base[i];
+            if (!l.valid) {
+                if (free_way == assoc_)
+                    free_way = i;
+            } else if (l.asid == asid && l.key == key) {
+                if (refresh) {
+                    ++fills_;
+                    l.perms = perms;
+                    l.dirty = l.dirty || dirty;
+                    l.lru = ++lru_clock_;
+                    l.last_used = now;
+                }
+                return CacheFill{};
+            }
+        }
+        ++fills_;
+        const Line fresh{true, asid, key, perms, dirty, now, now,
+                         ++lru_clock_};
+        if (free_way < assoc_) {
+            base[free_way] = fresh;
+            return CacheFill{true, std::nullopt};
+        }
+        unsigned victim = 0;
+        for (unsigned i = 1; i < assoc_; ++i)
+            if (base[i].lru < base[victim].lru)
+                victim = i;
+        CacheFill out{true, retire(base[victim])};
+        base[victim] = fresh;
+        ++evictions_;
+        return out;
+    }
+
+    CacheLineInfo
+    lineInfo(const Line &l) const
+    {
+        return CacheLineInfo{l.asid, unKey(l.key), l.perms, l.dirty};
     }
 
     /** Common retirement bookkeeping; returns the line's metadata. */
-    std::optional<CacheLineInfo>
+    CacheLineInfo
     retire(const Line &l)
     {
         if (params_.track_lifetimes && l.last_used > l.inserted)
             lifetimes_.record(l.last_used - l.inserted);
-        return CacheLineInfo{l.asid, unKey(l.key), l.perms, l.dirty};
+        return lineInfo(l);
     }
 
     CacheParams params_;
-    std::size_t num_sets_ = 1;
+    unsigned line_shift_ = 0;
+    SetIndex sets_;
     unsigned assoc_ = 1;
-    /// Flat num_sets x assoc way storage: one contiguous block instead
-    /// of a heap vector per set, so a set scan is a single cache-friendly
-    /// stride.  set_len_ mirrors the old per-set vector's growth: ways
-    /// [0, set_len_) have been populated at least once.
+    /// Flat num_sets x assoc way storage, set-major: a set scan is one
+    /// contiguous stride.  Invalid ways are free; a fill takes the first.
     std::vector<Line> lines_;
-    std::vector<std::uint16_t> set_len_;
     std::uint64_t lru_clock_ = 0;
 
     Counter accesses_;

@@ -34,6 +34,7 @@
 
 #include "sim/debug.hh"
 #include "sim/logging.hh"
+#include "sim/set_index.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 #include "tlb/tlb.hh"
@@ -103,12 +104,8 @@ class Fbt
     {
         if (params_.entries == 0)
             fatal("Fbt: entries must be nonzero");
-        bt_sets_ = params_.entries / params_.bt_assoc;
-        if (bt_sets_ == 0)
-            bt_sets_ = 1;
-        ft_sets_ = params_.entries / params_.ft_assoc;
-        if (ft_sets_ == 0)
-            ft_sets_ = 1;
+        bt_set_of_ = SetIndex(params_.entries / params_.bt_assoc);
+        ft_set_of_ = SetIndex(params_.entries / params_.ft_assoc);
         bt_.resize(params_.entries);
         ft_.resize(params_.entries);
     }
@@ -463,7 +460,7 @@ class Fbt
 
     // --- BT set management (indexed by PPN) ---
 
-    std::size_t btSet(Ppn ppn) const { return ppn % bt_sets_; }
+    std::size_t btSet(Ppn ppn) const { return bt_set_of_(ppn); }
 
     BtEntry *
     findBt(Ppn ppn)
@@ -488,7 +485,7 @@ class Fbt
         h ^= h >> 23;
         h *= 0x2127599bf4325c37ull;
         h ^= h >> 47;
-        return std::size_t(h % ft_sets_);
+        return ft_set_of_(h);
     }
 
     const FtEntry *
@@ -610,8 +607,8 @@ class Fbt
     }
 
     FbtParams params_;
-    std::size_t bt_sets_ = 1;
-    std::size_t ft_sets_ = 1;
+    SetIndex bt_set_of_;
+    SetIndex ft_set_of_;
     std::vector<BtEntry> bt_;
     std::vector<FtEntry> ft_;
     std::uint64_t lru_clock_ = 0;

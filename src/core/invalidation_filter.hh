@@ -19,9 +19,11 @@
 #ifndef GVC_CORE_INVALIDATION_FILTER_HH
 #define GVC_CORE_INVALIDATION_FILTER_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
+#include "sim/set_index.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -38,37 +40,36 @@ class InvalidationFilter
      * @param assoc    Set associativity.
      */
     explicit InvalidationFilter(unsigned entries = 256, unsigned assoc = 8)
-        : assoc_(assoc)
+        : assoc_(assoc), set_of_(entries / assoc)
     {
-        num_sets_ = entries / assoc;
-        if (num_sets_ == 0)
-            num_sets_ = 1;
-        sets_.resize(num_sets_);
+        entries_.resize(set_of_.size() * assoc_);
+        overflowed_.assign(set_of_.size(), 0);
     }
 
     /** The L1 filled a line of (asid, vpn). */
     void
     lineFilled(Asid asid, Vpn vpn)
     {
-        auto &set = sets_[setIndex(asid, vpn)];
-        for (auto &e : set.entries) {
-            if (e.valid && e.asid == asid && e.vpn == vpn) {
-                ++e.count;
+        const std::size_t set = setIndex(asid, vpn);
+        Entry *const base = &entries_[set * assoc_];
+        // One pass: a match wins, else the first free entry takes the
+        // page; the set overflows only when every entry is live.
+        Entry *free = nullptr;
+        for (Entry *e = base; e != base + assoc_; ++e) {
+            if (e->count == 0) {
+                if (!free)
+                    free = e;
+            } else if (e->asid == asid && e->vpn == vpn) {
+                ++e->count;
                 return;
             }
         }
-        for (auto &e : set.entries) {
-            if (!e.valid || e.count == 0) {
-                e = Entry{true, asid, vpn, 1};
-                return;
-            }
-        }
-        if (set.entries.size() < assoc_) {
-            set.entries.push_back(Entry{true, asid, vpn, 1});
+        if (free) {
+            *free = Entry{vpn, asid, 1};
             return;
         }
         // Would displace live inclusion info: go conservative instead.
-        set.overflowed = true;
+        overflowed_[set] = 1;
         ++overflows_;
     }
 
@@ -76,16 +77,9 @@ class InvalidationFilter
     void
     lineEvicted(Asid asid, Vpn vpn)
     {
-        auto &set = sets_[setIndex(asid, vpn)];
-        for (auto &e : set.entries) {
-            if (e.valid && e.asid == asid && e.vpn == vpn) {
-                if (e.count > 0)
-                    --e.count;
-                if (e.count == 0)
-                    e.valid = false;
-                return;
-            }
-        }
+        const std::size_t i = find(setIndex(asid, vpn), asid, vpn);
+        if (i != kNone)
+            --entries_[i].count;
         // Untracked eviction is only legal once the set overflowed.
     }
 
@@ -96,13 +90,8 @@ class InvalidationFilter
     bool
     maybePresent(Asid asid, Vpn vpn) const
     {
-        const auto &set = sets_[setIndex(asid, vpn)];
-        if (set.overflowed)
-            return true;
-        for (const auto &e : set.entries)
-            if (e.valid && e.asid == asid && e.vpn == vpn && e.count > 0)
-                return true;
-        return false;
+        const std::size_t set = setIndex(asid, vpn);
+        return overflowed_[set] || find(set, asid, vpn) != kNone;
     }
 
     /** Process an invalidation; counts filtered vs. flush outcomes. */
@@ -122,10 +111,8 @@ class InvalidationFilter
     void
     reset()
     {
-        for (auto &set : sets_) {
-            set.entries.clear();
-            set.overflowed = false;
-        }
+        std::fill(entries_.begin(), entries_.end(), Entry{});
+        std::fill(overflowed_.begin(), overflowed_.end(), 0);
     }
 
     std::uint64_t invalidationsSeen() const { return invalidations_.value; }
@@ -134,30 +121,39 @@ class InvalidationFilter
     std::uint64_t overflowEvents() const { return overflows_.value; }
 
   private:
+    /** A tracked page; count 0 marks a free entry. */
     struct Entry
     {
-        bool valid = false;
-        Asid asid = 0;
         Vpn vpn = kInvalidVpn;
-        std::uint32_t count = 0;
-    };
-
-    struct Set
-    {
-        std::vector<Entry> entries;
-        bool overflowed = false;
+        Asid asid = 0;
+        std::uint32_t count = 0; ///< Resident L1 lines of the page.
     };
 
     std::size_t
     setIndex(Asid asid, Vpn vpn) const
     {
-        return std::size_t((vpn ^ (std::uint64_t(asid) << 20)) %
-                           num_sets_);
+        return set_of_(vpn ^ (std::uint64_t(asid) << 20));
+    }
+
+    static constexpr std::size_t kNone = ~std::size_t{0};
+
+    /** Index of the live entry of (asid, vpn) in @p set, or kNone. */
+    std::size_t
+    find(std::size_t set, Asid asid, Vpn vpn) const
+    {
+        for (std::size_t i = set * assoc_; i < (set + 1) * assoc_; ++i) {
+            const Entry &e = entries_[i];
+            if (e.count != 0 && e.asid == asid && e.vpn == vpn)
+                return i;
+        }
+        return kNone;
     }
 
     unsigned assoc_;
-    std::size_t num_sets_ = 1;
-    std::vector<Set> sets_;
+    SetIndex set_of_;
+    /// Flat sets x assoc entries, set-major.
+    std::vector<Entry> entries_;
+    std::vector<std::uint8_t> overflowed_; ///< Per set.
     Counter invalidations_;
     Counter filtered_;
     Counter flushes_;

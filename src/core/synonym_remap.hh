@@ -21,6 +21,7 @@
 #include <optional>
 #include <vector>
 
+#include "sim/set_index.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -44,10 +45,8 @@ class SynonymRemapTable
     {
         if (entries == 0)
             return;
-        num_sets_ = entries / assoc_;
-        if (num_sets_ == 0)
-            num_sets_ = 1;
-        sets_.resize(num_sets_);
+        set_of_ = SetIndex(entries / assoc_);
+        sets_.resize(set_of_.size());
     }
 
     bool enabled() const { return !sets_.empty(); }
@@ -172,12 +171,11 @@ class SynonymRemapTable
     std::size_t
     setIndex(Asid asid, Vpn vpn) const
     {
-        return std::size_t((vpn ^ (std::uint64_t(asid) << 16)) %
-                           num_sets_);
+        return set_of_(vpn ^ (std::uint64_t(asid) << 16));
     }
 
     unsigned assoc_;
-    std::size_t num_sets_ = 0;
+    SetIndex set_of_;
     std::vector<std::vector<Entry>> sets_;
     std::uint64_t lru_clock_ = 0;
     Counter lookups_;

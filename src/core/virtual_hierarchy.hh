@@ -34,6 +34,7 @@
 #include "mem/dram.hh"
 #include "mem/vm.hh"
 #include "sim/debug.hh"
+#include "sim/set_index.hh"
 #include "mmu/boundary.hh"
 #include "mmu/injection.hh"
 #include "mmu/mem_request.hh"
@@ -86,6 +87,7 @@ class VirtualCacheSystem final : public MmuSystem
         banks_.reserve(cfg.l2_banks);
         for (unsigned i = 0; i < cfg.l2_banks; ++i)
             banks_.emplace_back(1.0);
+        l2_bank_ = SetIndex(cfg.l2_banks);
 
         if (cfg.fbt_as_second_level_tlb) {
             iommu_.setSecondLevel([this](Asid asid, Vpn vpn) {
@@ -287,28 +289,24 @@ class VirtualCacheSystem final : public MmuSystem
     void
     l1Access(MemRequest *req)
     {
-        const unsigned cu_id = req->cu;
-        const Asid asid = req->asid;
-        const Vaddr line_va = req->line_va;
-        const auto perms = l1s_[cu_id]->linePerms(asid, line_va);
-        const bool usable =
-            perms && (!req->is_store || permsAllow(*perms, kPermWrite));
-        if (usable) {
-            l1s_[cu_id]->access(asid, line_va, req->is_store, ctx_.now());
+        CacheArray &l1 = *l1s_[req->cu];
+        const auto way = l1.lookup(req->asid, req->line_va);
+        if (way &&
+            (!req->is_store || permsAllow(way->perms, kPermWrite))) {
+            l1.recordHit(*way, req->is_store, ctx_.now());
             if (!req->is_store) {
                 reqs_.finish(req);
                 return;
             }
             // Store hit still writes through to the L2.
-        } else if (!perms) {
-            l1s_[cu_id]->access(asid, line_va, false, ctx_.now());
-        } else if (perms && req->is_store) {
+        } else if (!way) {
+            l1.recordMiss(false);
+        } else {
             // Write to a read-only line: drop the stale copy; the miss
             // path below re-checks permissions at translation time.
-            if (auto info = l1s_[cu_id]->invalidateLine(asid, line_va)) {
-                filters_[cu_id]->lineEvicted(info->asid,
-                                             pageOf(info->line_addr));
-            }
+            const CacheLineInfo info = l1.invalidate(*way);
+            filters_[req->cu]->lineEvicted(info.asid,
+                                           pageOf(info.line_addr));
         }
         sendToL2(req);
     }
@@ -319,9 +317,9 @@ class VirtualCacheSystem final : public MmuSystem
     sendToL2(MemRequest *req)
     {
         ctx_.eq.scheduleIn(cfg_.cu_to_l2, [this, req] {
-            const unsigned bank =
-                unsigned((req->line_va >> kLineShift) % cfg_.l2_banks);
-            const Tick start = banks_[bank].acquire(ctx_.now());
+            const Tick start =
+                banks_[l2_bank_(req->line_va >> kLineShift)].acquire(
+                    ctx_.now());
             ctx_.eq.schedule(start + cfg_.l2_latency,
                              [this, req] { l2Access(req); });
         });
@@ -332,21 +330,20 @@ class VirtualCacheSystem final : public MmuSystem
     {
         const Asid asid = req->asid;
         const Vaddr line_va = req->line_va;
-        const auto perms = l2_.linePerms(asid, line_va);
-        const bool usable =
-            perms && (!req->is_store || permsAllow(*perms, kPermWrite));
-        if (usable) {
-            l2_.access(asid, line_va, req->is_store, ctx_.now());
+        const auto way = l2_.lookup(asid, line_va);
+        if (way &&
+            (!req->is_store || permsAllow(way->perms, kPermWrite))) {
+            l2_.recordHit(*way, req->is_store, ctx_.now());
             if (req->is_store)
                 fbt_.markWritten(asid, pageOf(line_va));
             else
-                l1Fill(req->cu, asid, line_va, *perms);
+                l1Fill(req->cu, asid, line_va, way->perms);
             ctx_.eq.scheduleIn(cfg_.cu_to_l2,
                                [this, req] { reqs_.finish(req); });
             return;
         }
-        if (!perms)
-            l2_.access(asid, line_va, false, ctx_.now()); // count miss
+        if (!way)
+            l2_.recordMiss(false);
 
         // Virtual L2 miss: translation required (the only point where
         // the IOMMU is consulted in this design).
@@ -539,14 +536,14 @@ class VirtualCacheSystem final : public MmuSystem
     void
     l1Fill(unsigned cu_id, Asid asid, Vaddr line_va, Perms perms)
     {
-        if (l1s_[cu_id]->present(asid, line_va))
+        const CacheFill fill = l1s_[cu_id]->insertIfAbsent(
+            asid, line_va, perms, false, ctx_.now());
+        if (!fill.inserted)
             return; // a racing fill landed first; filter already counted
-        const auto victim =
-            l1s_[cu_id]->insert(asid, line_va, perms, false, ctx_.now());
         filters_[cu_id]->lineFilled(asid, pageOf(line_va));
-        if (victim) {
-            filters_[cu_id]->lineEvicted(victim->asid,
-                                         pageOf(victim->line_addr));
+        if (fill.victim) {
+            filters_[cu_id]->lineEvicted(fill.victim->asid,
+                                         pageOf(fill.victim->line_addr));
         }
     }
 
@@ -636,6 +633,7 @@ class VirtualCacheSystem final : public MmuSystem
     std::vector<std::unique_ptr<InvalidationFilter>> filters_;
     CacheArray l2_;
     std::vector<BankPort> banks_;
+    SetIndex l2_bank_;
     RequestPool reqs_;
     MshrTable<MemRequest> mshrs_;
     /// Primary misses waiting on one translation, keyed by xlateKey().

@@ -18,11 +18,13 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "gpu/coalescer.hh"
 #include "sim/callback.hh"
 #include "gpu/warp_inst.hh"
+#include "sim/logging.hh"
 #include "sim/sim_context.hh"
 
 namespace gvc
@@ -33,6 +35,28 @@ enum class WarpSchedPolicy : std::uint8_t {
     kRoundRobin,       ///< Fair rotation among ready warps.
     kGreedyThenOldest, ///< Stay on the current warp until it stalls.
 };
+
+/**
+ * Round-robin warp pick over a ready mask: the first slot at or after
+ * @p start, wrapping, whose bit is set in @p ready and that @p due
+ * accepts.  This visits slots in the order of a linear scan over
+ * (start + i) % n, skipping every slot that is not ready.
+ * @return the slot index, or ~0u when no slot qualifies.
+ */
+template <class Due>
+unsigned
+pickRoundRobin(std::uint64_t ready, unsigned start, Due &&due)
+{
+    const std::uint64_t from_start = ready & (~std::uint64_t{0} << start);
+    for (std::uint64_t part : {from_start, ready & ~from_start}) {
+        for (; part; part &= part - 1) {
+            const unsigned idx = unsigned(__builtin_ctzll(part));
+            if (due(idx))
+                return idx;
+        }
+    }
+    return ~0u;
+}
 
 /** GPU-wide configuration (Table 1 defaults). */
 struct GpuParams
@@ -72,11 +96,19 @@ class GpuMemInterface
 class ComputeUnit
 {
   public:
+    /** Warp slots one CU can hold: one bit each in the ready mask. */
+    static constexpr unsigned kMaxResidentWarps = 64;
+
     ComputeUnit(SimContext &ctx, unsigned id, const GpuParams &params,
                 GpuMemInterface &mem)
         : ctx_(ctx), id_(id), params_(params), mem_(mem),
           slots_(params.max_resident_warps)
     {
+        if (params.max_resident_warps > kMaxResidentWarps)
+            fatal("ComputeUnit: max_resident_warps " +
+                  std::to_string(params.max_resident_warps) +
+                  " exceeds the supported " +
+                  std::to_string(kMaxResidentWarps));
     }
 
     /** Queue a warp for execution in address space @p asid. */
@@ -172,7 +204,7 @@ class ComputeUnit
             s.stream = std::move(pending_.front().stream);
             s.asid = pending_.front().asid;
             pending_.pop_front();
-            s.st = Slot::St::kReady;
+            setState(s, Slot::St::kReady);
             s.ready_at = ctx_.now();
             s.outstanding_loads = 0;
             s.outstanding_stores = 0;
@@ -219,15 +251,14 @@ class ComputeUnit
             }
             return oldest;
         }
-        for (unsigned i = 0; i < n; ++i) {
-            const unsigned idx = (rr_next_ + i) % n;
-            Slot &s = slots_[idx];
-            if (s.st == Slot::St::kReady && s.ready_at <= now) {
-                rr_next_ = (idx + 1) % n;
-                return &s;
-            }
-        }
-        return nullptr;
+        const unsigned idx =
+            pickRoundRobin(ready_mask_, rr_next_, [&](unsigned i) {
+                return slots_[i].ready_at <= now;
+            });
+        if (idx == ~0u)
+            return nullptr;
+        rr_next_ = idx + 1 == n ? 0 : idx + 1;
+        return &slots_[idx];
     }
 
     void
@@ -246,22 +277,30 @@ class ComputeUnit
         // Nothing issuable now: arm a timer for the nearest compute
         // completion; memory completions wake us on their own.
         Tick next = ~Tick{0};
-        for (const auto &s : slots_)
-            if (s.st == Slot::St::kReady && s.ready_at > now)
-                next = std::min(next, s.ready_at);
+        for (std::uint64_t m = ready_mask_; m; m &= m - 1) {
+            const Tick at = slots_[unsigned(__builtin_ctzll(m))].ready_at;
+            if (at > now)
+                next = std::min(next, at);
+        }
         if (next != ~Tick{0})
             ctx_.eq.schedule(next, [this] { wake(); });
         else
             maybeReportDone();
     }
 
-    bool
-    anyIssuableSoon() const
+    bool anyIssuableSoon() const { return ready_mask_ != 0; }
+
+    /** The one place a slot changes state; keeps ready_mask_ in step. */
+    void
+    setState(Slot &s, Slot::St st)
     {
-        for (const auto &s : slots_)
-            if (s.st == Slot::St::kReady)
-                return true;
-        return false;
+        s.st = st;
+        const std::uint64_t bit = std::uint64_t{1}
+                                  << unsigned(&s - slots_.data());
+        if (st == Slot::St::kReady)
+            ready_mask_ |= bit;
+        else
+            ready_mask_ &= ~bit;
     }
 
     bool
@@ -292,7 +331,7 @@ class ComputeUnit
             s.ready_at = ctx_.now() + params_.scratchpad_latency;
             break;
           case WarpOp::kBarrier:
-            s.st = Slot::St::kAtBarrier;
+            setState(s, Slot::St::kAtBarrier);
             ++barrier_waiters_;
             checkBarrierRelease();
             return;
@@ -329,7 +368,7 @@ class ComputeUnit
             }
             s.ready_at = ctx_.now() + 1; // stores do not block the warp
         } else {
-            s.st = Slot::St::kWaitMem;
+            setState(s, Slot::St::kWaitMem);
             s.outstanding_loads += unsigned(lines.size());
             Slot *slot = &s;
             for (const Vaddr line : lines) {
@@ -345,7 +384,7 @@ class ComputeUnit
     {
         if (--s.outstanding_loads == 0) {
             if (s.st == Slot::St::kWaitMem) {
-                s.st = Slot::St::kReady;
+                setState(s, Slot::St::kReady);
                 s.ready_at = ctx_.now() + 1;
             } else if (s.st == Slot::St::kDraining) {
                 finishDrainIfIdle(s);
@@ -367,7 +406,7 @@ class ComputeUnit
     void
     beginDrain(Slot &s)
     {
-        s.st = Slot::St::kDraining;
+        setState(s, Slot::St::kDraining);
         finishDrainIfIdle(s);
         checkBarrierRelease();
     }
@@ -376,7 +415,7 @@ class ComputeUnit
     finishDrainIfIdle(Slot &s)
     {
         if (s.outstanding_loads == 0 && s.outstanding_stores == 0) {
-            s.st = Slot::St::kEmpty;
+            setState(s, Slot::St::kEmpty);
             s.stream.reset();
             fillSlots();
             checkBarrierRelease();
@@ -398,7 +437,7 @@ class ComputeUnit
             return;
         for (auto &s : slots_) {
             if (s.st == Slot::St::kAtBarrier) {
-                s.st = Slot::St::kReady;
+                setState(s, Slot::St::kReady);
                 s.ready_at = ctx_.now() + 1;
             }
         }
@@ -423,6 +462,8 @@ class ComputeUnit
 
     std::vector<Slot> slots_;
     std::deque<PendingWarp> pending_;
+    /// Bit i set <=> slots_[i].st == kReady; written only by setState().
+    std::uint64_t ready_mask_ = 0;
     unsigned rr_next_ = 0;
     unsigned greedy_current_ = 0;
     std::uint64_t assign_counter_ = 0;

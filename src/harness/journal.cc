@@ -4,6 +4,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <limits>
 
 namespace gvc
@@ -293,8 +294,8 @@ JournalWriter::append(const std::string &key, const ResultRecord &record,
 std::vector<std::uint8_t>
 journalHeader(const ExportMeta &meta)
 {
-    std::vector<std::uint8_t> out;
-    out.insert(out.end(), kJournalMagic, kJournalMagic + 4);
+    std::vector<std::uint8_t> out(std::begin(kJournalMagic),
+                                  std::end(kJournalMagic));
     putU32(out, kJournalVersion);
     const std::string payload = metaToJson(meta).dump();
     const auto *bytes =

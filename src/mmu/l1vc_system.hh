@@ -206,19 +206,18 @@ class L1OnlyVcSystem final : public MmuSystem
     l1Access(MemRequest *req)
     {
         CacheArray &l1 = *l1s_[req->cu];
-        const auto perms = l1.linePerms(req->asid, req->line_va);
-        const bool usable =
-            perms && (!req->is_store || permsAllow(*perms, kPermWrite));
-        if (usable) {
-            l1.access(req->asid, req->line_va, req->is_store, ctx_.now());
+        const auto way = l1.lookup(req->asid, req->line_va);
+        if (way &&
+            (!req->is_store || permsAllow(way->perms, kPermWrite))) {
+            l1.recordHit(*way, req->is_store, ctx_.now());
             if (!req->is_store) {
                 reqs_.finish(req);
                 return;
             }
             // Store hit: write through; translation still needed for
             // the physical L2.
-        } else if (!perms) {
-            l1.access(req->asid, req->line_va, false, ctx_.now());
+        } else if (!way) {
+            l1.recordMiss(false);
         }
         ctx_.eq.scheduleIn(cfg_.percu_tlb_latency,
                            [this, req] { tlbStage(req); });
@@ -297,13 +296,13 @@ class L1OnlyVcSystem final : public MmuSystem
     fillL1(unsigned cu_id, Asid asid, Vaddr line_va, Paddr line_pa,
            Perms perms)
     {
-        if (l1s_[cu_id]->present(asid, line_va))
+        const CacheFill fill = l1s_[cu_id]->insertIfAbsent(
+            asid, line_va, perms, false, ctx_.now());
+        if (!fill.inserted)
             return; // a racing fill landed first; refs already counted
-        const auto victim =
-            l1s_[cu_id]->insert(asid, line_va, perms, false, ctx_.now());
         registry_.fill(line_pa, asid, line_va);
-        if (victim)
-            registryEvict(victim->asid, victim->line_addr);
+        if (fill.victim)
+            registryEvict(fill.victim->asid, fill.victim->line_addr);
     }
 
     /** Translate a victim's virtual name to drop its registry ref. */

@@ -20,6 +20,7 @@
 #include "mem/dram.hh"
 #include "mmu/mem_request.hh"
 #include "mmu/soc_config.hh"
+#include "sim/set_index.hh"
 #include "sim/sim_context.hh"
 
 namespace gvc
@@ -76,6 +77,7 @@ class PhysCaches
         banks_.reserve(cfg.l2_banks);
         for (unsigned i = 0; i < cfg.l2_banks; ++i)
             banks_.emplace_back(1.0);
+        l2_bank_ = SetIndex(cfg.l2_banks);
     }
 
     /**
@@ -152,7 +154,7 @@ class PhysCaches
     unsigned
     bankOf(Paddr line) const
     {
-        return unsigned((line >> kLineShift) % cfg_.l2_banks);
+        return unsigned(l2_bank_(line >> kLineShift));
     }
 
     void
@@ -220,6 +222,7 @@ class PhysCaches
     std::vector<std::unique_ptr<CacheArray>> l1s_;
     CacheArray l2_;
     std::vector<BankPort> banks_;
+    SetIndex l2_bank_;
     MshrTable<MemRequest> mshrs_;
 };
 

@@ -23,6 +23,7 @@
 #include "sim/callback.hh"
 #include "mem/vm.hh"
 #include "sim/debug.hh"
+#include "sim/set_index.hh"
 #include "sim/sim_context.hh"
 #include "sim/slab_pool.hh"
 #include "tlb/ptw.hh"
@@ -126,7 +127,8 @@ class Iommu
                                   ? 0
                                   : std::uint64_t(double(kFpScale) /
                                                   params.accesses_per_cycle)),
-          port_free_fp_(params.banks ? params.banks : 1, 0)
+          port_free_fp_(params.banks ? params.banks : 1, 0),
+          bank_of_(params.banks)
     {
         vm.addPageShootdownListener(
             [this](Asid asid, Vpn vpn) { invalidatePage(asid, vpn); });
@@ -144,10 +146,8 @@ class Iommu
         // Arbitrate for the shared TLB port (per bank when banked).
         Tick start = ctx_.now();
         if (!params_.unlimited_bw) {
-            const std::size_t bank =
-                (vpn >> params_.bank_select_shift) %
-                port_free_fp_.size();
-            std::uint64_t &free_fp = port_free_fp_[bank];
+            std::uint64_t &free_fp =
+                port_free_fp_[bank_of_(vpn >> params_.bank_select_shift)];
             const std::uint64_t now_fp = ctx_.now() * kFpScale;
             const std::uint64_t start_fp =
                 free_fp > now_fp ? free_fp : now_fp;
@@ -379,6 +379,7 @@ class Iommu
 
     std::uint64_t port_fp_per_access_;
     std::vector<std::uint64_t> port_free_fp_;
+    SetIndex bank_of_;
 
     SecondLevelFn second_level_;
     FaultFixFn fault_fixer_;

@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "sim/set_index.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -43,11 +44,9 @@ class PageWalkCache
                            unsigned assoc = 8)
     {
         const std::uint64_t lines = capacity_bytes / kPtLineBytes;
-        num_sets_ = unsigned(lines / assoc);
-        if (num_sets_ == 0)
-            num_sets_ = 1;
-        assoc_ = unsigned(lines / num_sets_);
-        sets_.resize(num_sets_);
+        set_of_ = SetIndex(lines / assoc);
+        assoc_ = unsigned(lines / set_of_.size());
+        sets_.resize(set_of_.size());
     }
 
     /** Look up the line containing @p pte_addr; true on hit. */
@@ -56,7 +55,7 @@ class PageWalkCache
     {
         ++accesses_;
         const std::uint64_t tag = lineTag(pte_addr);
-        auto &set = sets_[tag % num_sets_];
+        auto &set = sets_[set_of_(tag)];
         for (auto &e : set) {
             if (e.tag == tag) {
                 ++hits_;
@@ -73,7 +72,7 @@ class PageWalkCache
     insert(Paddr pte_addr)
     {
         const std::uint64_t tag = lineTag(pte_addr);
-        auto &set = sets_[tag % num_sets_];
+        auto &set = sets_[set_of_(tag)];
         for (auto &e : set)
             if (e.tag == tag)
                 return;
@@ -123,7 +122,7 @@ class PageWalkCache
         return pte_addr / kPtLineBytes;
     }
 
-    unsigned num_sets_ = 1;
+    SetIndex set_of_;
     unsigned assoc_ = 8;
     std::vector<std::vector<Entry>> sets_;
     std::uint64_t lru_clock_ = 0;

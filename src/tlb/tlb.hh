@@ -32,6 +32,7 @@
 #include "mem/page_table.hh"
 #include "sim/callback.hh"
 #include "sim/logging.hh"
+#include "sim/set_index.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 #include "tlb/dead_pred.hh"
@@ -302,11 +303,9 @@ class Tlb
                                             : params_.assoc;
         if (assoc > params_.entries)
             assoc = params_.entries;
-        num_sets_ = params_.entries / assoc;
-        if (num_sets_ == 0)
-            num_sets_ = 1;
-        assoc_ = params_.entries / num_sets_;
-        sets_.resize(num_sets_);
+        set_of_ = SetIndex(params_.entries / assoc);
+        assoc_ = unsigned(params_.entries / set_of_.size());
+        sets_.resize(set_of_.size());
         for (auto &set : sets_)
             set.reserve(assoc_);
     }
@@ -594,7 +593,7 @@ class Tlb
                 ref_hist_.record(e.refs);
     }
 
-    unsigned numSets() const { return num_sets_; }
+    unsigned numSets() const { return unsigned(set_of_.size()); }
     unsigned assoc() const { return assoc_; }
 
   private:
@@ -636,7 +635,7 @@ class Tlb
     std::size_t
     setIndex(Vpn base, unsigned r) const
     {
-        return (base >> r) % num_sets_;
+        return set_of_(base >> r);
     }
 
     TlbLookup
@@ -845,7 +844,7 @@ class Tlb
     }
 
     TlbParams params_;
-    unsigned num_sets_ = 1;
+    SetIndex set_of_;
     unsigned assoc_ = 1;
     std::vector<std::vector<Entry>> sets_;
     std::unordered_map<std::uint64_t, InfEntry> inf_;

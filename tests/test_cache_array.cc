@@ -162,6 +162,63 @@ TEST(CacheArray, FlushLifetimesCoversResidents)
     EXPECT_EQ(c.lifetimes().distribution().count(), 1u);
 }
 
+TEST(CacheArray, LookupCountsNothingUntilTheOutcomeIsBooked)
+{
+    CacheArray c(smallCache(/*write_back=*/true));
+    c.insert(3, 0x1000, kPermRead | kPermWrite, false, 0);
+    const auto way = c.lookup(3, 0x1000);
+    ASSERT_TRUE(way.has_value());
+    EXPECT_EQ(way->perms, kPermRead | kPermWrite);
+    EXPECT_FALSE(c.lookup(4, 0x1000).has_value()); // other ASID
+    EXPECT_EQ(c.accesses(), 0u);
+    c.recordHit(*way, /*is_write=*/true, 5);
+    c.recordMiss(/*is_write=*/false);
+    EXPECT_EQ(c.accesses(), 2u);
+    EXPECT_EQ(c.hits(), 1u);
+    EXPECT_EQ(c.misses(), 1u);
+    const CacheLineInfo info = c.invalidate(*way);
+    EXPECT_TRUE(info.dirty); // write-back write hit
+    EXPECT_EQ(info.asid, 3u);
+    EXPECT_EQ(info.line_addr, 0x1000u);
+    EXPECT_FALSE(c.present(3, 0x1000));
+    EXPECT_EQ(c.invalidations(), 1u);
+}
+
+TEST(CacheArray, InsertIfAbsentLeavesAResidentLineAlone)
+{
+    CacheArray c(smallCache());
+    EXPECT_TRUE(c.insertIfAbsent(0, 0x1000, kPermRead, false, 0).inserted);
+    const CacheFill again =
+        c.insertIfAbsent(0, 0x1000, kPermRead | kPermWrite, true, 1);
+    EXPECT_FALSE(again.inserted);
+    EXPECT_FALSE(again.victim.has_value());
+    EXPECT_EQ(c.fills(), 1u);
+    EXPECT_EQ(c.linePerms(0, 0x1000), kPermRead); // not updated
+}
+
+TEST(CacheArray, NonPowerOfTwoSetCountIndexesByModulo)
+{
+    CacheParams p = smallCache();
+    p.size_bytes = 12 * 1024; // 96 lines, 4-way: 24 sets
+    CacheArray c(p);
+    ASSERT_EQ(c.numSets(), 24u);
+    // Lines 24 apart share a set: the fifth one evicts the first.
+    for (std::uint64_t i = 0; i < 4; ++i)
+        EXPECT_FALSE(c.insert(0, 5 * kLineSize + i * 24 * kLineSize,
+                              kPermRead, false, Tick(i)));
+    const auto victim =
+        c.insert(0, 5 * kLineSize + 4 * 24 * kLineSize, kPermRead, false, 4);
+    ASSERT_TRUE(victim.has_value());
+    EXPECT_EQ(victim->line_addr, 5 * kLineSize);
+}
+
+TEST(CacheArrayDeath, RejectsLineSizeThatIsNotAPowerOfTwo)
+{
+    CacheParams p = smallCache();
+    p.line_bytes = 96;
+    EXPECT_DEATH(CacheArray{p}, "line size must be a power of two");
+}
+
 /** Parameterized property: residency never exceeds capacity, and the
  *  most recently inserted line is always resident. */
 class CacheGeometry
@@ -191,7 +248,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::make_tuple(4u, 2u), std::make_tuple(8u, 4u),
                       std::make_tuple(32u, 8u),
                       std::make_tuple(64u, 16u),
-                      std::make_tuple(16u, 1u)));
+                      std::make_tuple(16u, 1u),
+                      // 24 and 48 sets: not powers of two.
+                      std::make_tuple(12u, 4u),
+                      std::make_tuple(48u, 8u)));
 
 } // namespace
 } // namespace gvc

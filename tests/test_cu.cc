@@ -10,6 +10,7 @@
 #include <memory>
 
 #include "gpu/gpu.hh"
+#include "sim/rng.hh"
 
 namespace gvc
 {
@@ -300,6 +301,166 @@ TEST_F(CuTest, PerAsidRequestsCarryAsid)
     run(std::move(k));
     ASSERT_EQ(mem_.requests.size(), 1u);
     EXPECT_EQ(mem_.requests[0].asid, 7u);
+}
+
+/**
+ * The round-robin pick as a linear scan over (start + i) % n, the way
+ * the CU found it before it kept a ready mask: the reference for
+ * pickRoundRobin().
+ */
+unsigned
+linearRoundRobin(const std::vector<bool> &ready,
+                 const std::vector<Tick> &ready_at, unsigned start,
+                 Tick now)
+{
+    const unsigned n = unsigned(ready.size());
+    for (unsigned i = 0; i < n; ++i) {
+        const unsigned idx = (start + i) % n;
+        if (ready[idx] && ready_at[idx] <= now)
+            return idx;
+    }
+    return ~0u;
+}
+
+TEST(WarpPick, MaskPickEqualsLinearScan)
+{
+    Rng rng(2024);
+    for (const unsigned n : {1u, 24u, ComputeUnit::kMaxResidentWarps}) {
+        for (int trial = 0; trial < 5000; ++trial) {
+            // Each slot is ready with probability 1/5, 1/2 or 4/5 (of
+            // the five slot states, only kReady sets a mask bit).
+            const double p_ready = trial % 3 == 0 ? 0.2
+                                 : trial % 3 == 1 ? 0.5
+                                                  : 0.8;
+            std::vector<bool> ready(n);
+            std::vector<Tick> ready_at(n);
+            std::uint64_t mask = 0;
+            for (unsigned i = 0; i < n; ++i) {
+                ready[i] = rng.chance(p_ready);
+                ready_at[i] = rng.below(40);
+                if (ready[i])
+                    mask |= std::uint64_t{1} << i;
+            }
+            const unsigned start = unsigned(rng.below(n));
+            const Tick now = rng.below(40);
+            const unsigned picked =
+                pickRoundRobin(mask, start, [&](unsigned i) {
+                    return ready_at[i] <= now;
+                });
+            ASSERT_EQ(picked, linearRoundRobin(ready, ready_at, start, now))
+                << "n=" << n << " trial=" << trial;
+        }
+    }
+}
+
+/** Memory with a per-request pseudo-random latency, logging each request. */
+class JitterMem final : public GpuMemInterface
+{
+  public:
+    explicit JitterMem(SimContext &ctx) : ctx_(ctx), rng_(99) {}
+
+    void
+    access(unsigned, Asid, Vaddr line_va, bool is_store,
+           Callback done) override
+    {
+        mix(line_va);
+        mix(ctx_.now());
+        mix(is_store);
+        ctx_.eq.scheduleIn(1 + rng_.below(200), std::move(done));
+    }
+
+    void
+    mix(std::uint64_t v)
+    {
+        for (int b = 0; b < 8; ++b) {
+            digest ^= (v >> (8 * b)) & 0xff;
+            digest *= 0x100000001b3ull;
+        }
+    }
+
+    std::uint64_t digest = 0xcbf29ce484222325ull;
+
+  private:
+    SimContext &ctx_;
+    Rng rng_;
+};
+
+/**
+ * Run one random kernel (compute, scratch, loads, stores and one
+ * barrier per warp; three warps per slot) on a single CU and digest the
+ * order and tick of every memory request plus the end tick.
+ */
+std::uint64_t
+issueOrderDigest(WarpSchedPolicy sched, unsigned slots)
+{
+    GpuParams p;
+    p.num_cus = 1;
+    p.max_resident_warps = slots;
+    p.sched = sched;
+    SimContext ctx;
+    JitterMem mem(ctx);
+    Gpu gpu(ctx, p, mem);
+    Rng rng(slots * 7 + unsigned(sched));
+    KernelLaunch k;
+    for (unsigned w = 0; w < 3 * slots; ++w) {
+        std::vector<WarpInst> insts;
+        for (int i = 0; i < 24; ++i) {
+            if (i == 12)
+                insts.push_back(WarpInst::barrier());
+            const auto op = rng.below(8);
+            const Vaddr line = (w * 64 + rng.below(64)) * kLineSize;
+            if (op < 3)
+                insts.push_back(WarpInst::compute(1 + rng.below(12)));
+            else if (op < 4)
+                insts.push_back(WarpInst::scratch(rng.chance(0.5)));
+            else if (op < 6)
+                insts.push_back(WarpInst::load(
+                    {line, line + kLineSize * rng.below(3)}));
+            else
+                insts.push_back(WarpInst::store({line}));
+        }
+        k.warps.push_back(
+            std::make_unique<VectorWarpStream>(std::move(insts)));
+    }
+    bool done = false;
+    gpu.launch(std::move(k), [&] { done = true; });
+    ctx.eq.run();
+    mem.mix(done);
+    mem.mix(ctx.now());
+    return mem.digest;
+}
+
+// Digests recorded with the linear-scan scheduler the ready mask
+// replaced: both policies must issue in exactly the same order.
+TEST(WarpPick, IssueOrderMatchesTheLinearScanScheduler)
+{
+    using P = WarpSchedPolicy;
+    EXPECT_EQ(issueOrderDigest(P::kRoundRobin, 1), 0x217e8dfcbc22b86bull);
+    EXPECT_EQ(issueOrderDigest(P::kRoundRobin, 24), 0xf785a25027087d8dull);
+    EXPECT_EQ(issueOrderDigest(P::kRoundRobin, 64), 0x4a89de8e5210a5feull);
+    EXPECT_EQ(issueOrderDigest(P::kGreedyThenOldest, 1),
+              0x97aa343abf8f8eebull);
+    EXPECT_EQ(issueOrderDigest(P::kGreedyThenOldest, 24),
+              0x27afaa9df2c82860ull);
+    EXPECT_EQ(issueOrderDigest(P::kGreedyThenOldest, 64),
+              0x58c22a8c138fa7acull);
+}
+
+TEST(WarpPickDeath, MoreSlotsThanTheReadyMaskHoldsAreRefused)
+{
+    GpuParams p;
+    p.num_cus = 1;
+    p.max_resident_warps = ComputeUnit::kMaxResidentWarps + 1;
+    SimContext ctx;
+    FakeMem mem(ctx);
+    EXPECT_DEATH(
+        {
+            Gpu gpu(ctx, p, mem);
+            gpu.launch(KernelLaunch{}, [] {});
+            ctx.eq.run();
+        },
+        "max_resident_warps 65 exceeds the supported 64");
+    EXPECT_EQ(ctx.now(), 0u); // nothing ran in this process either
 }
 
 } // namespace

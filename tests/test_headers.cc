@@ -42,6 +42,7 @@
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
+#include "sim/set_index.hh"
 #include "sim/sim_context.hh"
 #include "sim/slab_pool.hh"
 #include "sim/stats.hh"
