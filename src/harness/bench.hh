@@ -1,28 +1,26 @@
 /**
  * @file
- * Continuous performance tracking: a fixed benchmark matrix of
- * representative simulator configurations (cold run, trace replay, warm
- * multi-kernel scenario, small sweep) timed with warmup and repeated
- * trials, reporting median wall time, throughput (warp instructions and
- * simulated cycles per wall second), and peak RSS.
+ * The counter gate: a fixed benchmark matrix of representative
+ * simulator configurations (cold run, trace replay, warm multi-kernel
+ * scenario, multi-tenant run, small sweep, reach designs, TLB
+ * policies), each run once for its deterministic counters.
  *
  * Reports serialize as a versioned JSON document (`BENCH_PR<N>.json`)
- * through the results_io Json layer.  The document carries two kinds of
- * fields with different contracts:
+ * through the harness Json layer.  Counters (exec_ticks, instructions,
+ * ...) are bit-deterministic per (matrix, scale, seed); CI compares
+ * them field-exactly against the checked-in baseline, so any drift is
+ * a simulator behavior change that must be acknowledged by
+ * regenerating the file.  Host speed is not measured here: gvc_perf
+ * (see docs/BENCHMARKING.md) is the speed instrument.
  *
- *  - **Counters** (exec_ticks, instructions, ...) are bit-deterministic
- *    per (matrix, scale, seed).  CI compares them field-exactly against
- *    the checked-in baseline — any drift is a simulator behavior change
- *    that must be acknowledged by regenerating the file.
- *  - **Wall times / throughput / RSS** are machine-dependent.  They are
- *    never gated on, only recorded, so the checked-in per-PR documents
- *    form an inspectable performance trajectory.
+ * Schema v2 holds counters only.  Version 1 documents also carried
+ * per-trial wall times, throughput, and RSS; the reader accepts them
+ * and ignores those fields.
  */
 
 #ifndef GVC_HARNESS_BENCH_HH
 #define GVC_HARNESS_BENCH_HH
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -42,40 +40,29 @@ using BenchCounters = RunCounters;
 /** Identity of one benchmark configuration. */
 struct BenchConfig
 {
-    std::string mode;     ///< "cold" | "replay" | "warm" | "sweep".
-    std::string workload; ///< Workload name, or "grid" for sweeps.
+    std::string mode;     ///< cold, replay, warm, tenants, sweep, policy-*.
+    std::string workload; ///< Workload name, "a+b" tenants, or "grid".
     std::string design;   ///< designName(), or "3x3" for sweeps.
 
     /** Stable key: "<mode>/<workload>/<design>". */
     std::string name() const;
 };
 
-/** One configuration's measurements across all trials. */
+/** One configuration and its counters. */
 struct BenchMeasurement
 {
     BenchConfig cfg;
-    BenchCounters counters; ///< Identical across trials (verified).
-    std::vector<double> wall_ms; ///< One entry per timed trial.
-    double median_wall_ms = 0.0;
-    /** Warp instructions retired per wall-clock second (median trial). */
-    double warp_inst_per_sec = 0.0;
-    /** Simulated cycles advanced per wall-clock second (median trial). */
-    double sim_cycles_per_sec = 0.0;
-    /** Process peak RSS after this configuration's trials, KiB. */
-    std::uint64_t peak_rss_kb = 0;
+    BenchCounters counters;
 };
 
 /** How to run the benchmark matrix. */
 struct BenchOptions
 {
-    double scale = 1.0;      ///< Workload scale for every cell.
-    std::uint64_t seed;      ///< Workload seed (default: WorkloadParams').
-    unsigned trials = 3;     ///< Timed trials per configuration.
-    unsigned warmup = 1;     ///< Untimed warmup runs per configuration.
+    WorkloadParams workload;      ///< Every cell's; scale defaults to 1.
     unsigned scenario_rounds = 3; ///< Kernels per warm-scenario config.
-    bool progress = true;    ///< Per-configuration progress on stderr.
+    bool progress = true;         ///< Per-configuration progress on stderr.
 
-    BenchOptions();
+    BenchOptions() { workload.scale = 1.0; }
 };
 
 /** A complete benchmark run. */
@@ -86,33 +73,26 @@ struct BenchReport
 };
 
 /** Schema version stamped into bench JSON documents. */
-inline constexpr int kBenchSchemaVersion = 1;
+inline constexpr int kBenchSchemaVersion = 2;
 
-/** The fixed benchmark matrix for the given options. */
+/** The fixed benchmark matrix. */
 std::vector<BenchConfig> benchMatrix();
 
-/**
- * Execute one configuration once and return its counters (no timing,
- * no warmup).  This is the exact simulation a timed trial runs, exposed
- * so tests can cross-check bench counters against the plain runner.
- */
-BenchCounters runBenchConfigOnce(const BenchConfig &cfg,
-                                 const BenchOptions &opts);
+/** Run one configuration and return its counters. */
+BenchCounters runBenchConfig(const BenchConfig &cfg,
+                             const BenchOptions &opts);
 
-/**
- * Run the full matrix with warmup + trials per configuration.  Counters
- * are required to be identical across trials (fatal otherwise — the
- * simulator must be deterministic).
- */
+/** Run every configuration of the matrix once. */
 BenchReport runBench(const BenchOptions &opts);
 
 /** Serialize a report (schema version kBenchSchemaVersion). */
 Json benchReportToJson(const BenchReport &report);
 
 /**
- * Parse a bench JSON document.  Field-exact on the schema: unknown
- * schema versions and missing/mistyped fields are rejected.  Returns
- * false and stores a message in @p err on any defect.
+ * Parse a bench JSON document of version 1 or 2.  Field-exact on the
+ * counters: unknown schema versions and missing or mistyped fields are
+ * rejected.  Returns false and stores a message in @p err on any
+ * defect.
  */
 bool benchReportFromJson(const Json &doc, BenchReport &out,
                          std::string *err = nullptr);
@@ -120,15 +100,11 @@ bool benchReportFromJson(const Json &doc, BenchReport &out,
 /**
  * Compare the deterministic identity of two reports: scale, seed,
  * scenario rounds, configuration set, and every counter field must
- * match exactly.  Wall times, throughput, and RSS are ignored.
- * Returns true when identical; otherwise false with a human-readable
- * description of every drifted field in @p diff.
+ * match exactly.  Returns true when identical; otherwise false with a
+ * human-readable description of every drifted field in @p diff.
  */
 bool benchCountersMatch(const BenchReport &baseline,
                         const BenchReport &current, std::string &diff);
-
-/** Current process peak RSS in KiB (getrusage). */
-std::uint64_t peakRssKb();
 
 } // namespace gvc
 

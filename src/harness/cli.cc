@@ -9,6 +9,8 @@
 #include <iterator>
 #include <sstream>
 
+#include "sim/bytes.hh"
+
 namespace gvc
 {
 
@@ -541,20 +543,11 @@ writeResults(const char *tool, const OutputOptions &out,
 bool
 readInput(const char *tool, const std::string &path, std::string &out)
 {
-    errno = 0;
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    char buf[1 << 16];
-    out.clear();
-    for (std::size_t n; f && (n = std::fread(buf, 1, sizeof(buf), f)) > 0;)
-        out.append(buf, n);
-    const bool ok = f && !std::ferror(f);
-    const int error = errno;
-    if (f)
-        std::fclose(f);
-    if (!ok)
-        std::fprintf(stderr, "%s: cannot read '%s': %s\n", tool,
-                     path.c_str(), std::strerror(error));
-    return ok;
+    std::string err;
+    if (readFileBytes(path, out, &err))
+        return true;
+    std::fprintf(stderr, "%s: %s\n", tool, err.c_str());
+    return false;
 }
 
 } // namespace gvc

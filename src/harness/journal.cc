@@ -1,29 +1,17 @@
 #include "harness/journal.hh"
 
 #include <algorithm>
-#include <cinttypes>
 #include <cstdio>
 #include <cstring>
 #include <iterator>
-#include <limits>
+
+#include "sim/bytes.hh"
 
 namespace gvc
 {
 
 namespace
 {
-
-/// Same FNV-1a-64 as the `.gvct` trace format.
-std::uint64_t
-fnv1a(const std::uint8_t *data, std::size_t size)
-{
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (std::size_t i = 0; i < size; ++i) {
-        h ^= data[i];
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
 
 void
 putU32(std::vector<std::uint8_t> &out, std::uint32_t v)
@@ -55,34 +43,6 @@ getU64(const std::uint8_t *p)
     for (int i = 0; i < 8; ++i)
         v |= std::uint64_t(p[i]) << (8 * i);
     return v;
-}
-
-std::string
-hexU64(std::uint64_t v)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016" PRIx64, v);
-    return std::string(buf);
-}
-
-bool
-parseHexU64(const std::string &s, std::uint64_t &out)
-{
-    if (s.size() != 16)
-        return false;
-    std::uint64_t v = 0;
-    for (char c : s) {
-        int digit;
-        if (c >= '0' && c <= '9')
-            digit = c - '0';
-        else if (c >= 'a' && c <= 'f')
-            digit = c - 'a' + 10;
-        else
-            return false;
-        v = (v << 4) | std::uint64_t(digit);
-    }
-    out = v;
-    return true;
 }
 
 /// Append one [size u32][digest u64][payload] frame for @p payload.
@@ -126,89 +86,27 @@ bool
 metaFromJson(const Json &j, ExportMeta &meta, std::string &err)
 {
     meta = ExportMeta{};
-    if (!j.isObject()) {
-        err = "journal meta: expected a JSON object";
-        return false;
-    }
-    const auto getString = [&](const char *key, std::string &out) {
-        const Json *v = j.find(key);
-        if (!v || !v->isString()) {
-            err = std::string("journal meta.") + key +
-                  ": expected a string";
-            return false;
-        }
-        out = v->asString();
-        return true;
-    };
-    const auto getNumber = [&](const char *key, double &out) {
-        const Json *v = j.find(key);
-        if (!v || !v->isNumber()) {
-            err = std::string("journal meta.") + key +
-                  ": expected a number";
-            return false;
-        }
-        out = v->asNumber();
-        return true;
-    };
-    const auto getLabels = [&](const char *key,
-                               std::vector<std::string> &out) {
-        const Json *v = j.find(key);
-        if (!v || !v->isArray()) {
-            err = std::string("journal meta.") + key +
-                  ": expected an array";
-            return false;
-        }
-        for (std::size_t i = 0; i < v->size(); ++i) {
-            if (!v->at(i).isString()) {
-                err = std::string("journal meta.") + key +
-                      ": expected an array of strings";
-                return false;
-            }
-            out.push_back(v->at(i).asString());
-        }
-        return true;
-    };
-    const auto getInteger = [&](const char *key, std::uint64_t max,
-                                auto &out) {
-        const Json *v = j.find(key);
-        std::uint64_t u = 0;
-        if (!v || !v->toU64(u, max)) {
-            err = std::string("journal meta.") + key +
-                  ": expected a non-negative decimal integer no larger "
-                  "than " +
-                  std::to_string(max);
-            return false;
-        }
-        out = u;
-        return true;
-    };
-    const std::uint64_t u32 = std::numeric_limits<unsigned>::max();
-    if (!getString("generator", meta.generator) ||
-        !getLabels("workloads", meta.workloads) ||
-        !getLabels("designs", meta.designs) ||
-        !getNumber("scale", meta.scale) ||
-        !getInteger("seed", ~std::uint64_t(0), meta.seed) ||
-        !getInteger("jobs", u32, meta.jobs) ||
-        !getInteger("shard_index", u32, meta.shard_index) ||
-        !getInteger("shard_count", u32, meta.shard_count))
-        return false;
+    JsonReader r;
+    const std::string ctx = "journal meta";
     std::string digest;
-    if (!getString("assignment", meta.shard_assignment) ||
-        !getString("cost_digest", digest))
-        return false;
-    if (!parseHexU64(digest, meta.shard_cost_digest)) {
-        err = "journal meta.cost_digest: expected 16 lowercase hex digits";
-        return false;
-    }
+    bool ok = (j.isObject() || r.fail(ctx + ": expected a JSON object")) &&
+              r.getString(j, "generator", ctx, meta.generator) &&
+              r.getStrings(j, "workloads", ctx, meta.workloads) &&
+              r.getStrings(j, "designs", ctx, meta.designs) &&
+              r.read(j, "scale", ctx, meta.scale) &&
+              r.read(j, "seed", ctx, meta.seed) &&
+              r.read(j, "jobs", ctx, meta.jobs) &&
+              r.read(j, "shard_index", ctx, meta.shard_index) &&
+              r.read(j, "shard_count", ctx, meta.shard_count) &&
+              r.getString(j, "assignment", ctx, meta.shard_assignment) &&
+              r.getString(j, "cost_digest", ctx, digest);
+    if (ok && !parseHexU64(digest, meta.shard_cost_digest))
+        ok = r.fail(ctx + ".cost_digest: expected 16 lowercase hex digits");
     // Absent in pre-policy-axis journals; those ran the defaults.
-    if (const Json *tp = j.find("tlb_policy")) {
-        if (!tp->isString()) {
-            err = "journal meta.tlb_policy: expected a string";
-            return false;
-        }
-        meta.tlb_policy = tp->asString();
-    }
-    return true;
+    if (ok && j.find("tlb_policy"))
+        ok = r.getString(j, "tlb_policy", ctx, meta.tlb_policy);
+    err = r.err;
+    return ok;
 }
 
 void
@@ -422,23 +320,13 @@ bool
 readJournal(const std::string &path, ExportMeta &meta,
             std::vector<JournalEntry> &entries, std::string *err)
 {
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f) {
-        setErr(err, "journal: cannot open '" + path + "'");
+    std::string data, rerr;
+    if (!readFileBytes(path, data, &rerr)) {
+        setErr(err, "journal: " + rerr);
         return false;
     }
-    std::vector<std::uint8_t> data;
-    std::uint8_t buf[1 << 16];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        data.insert(data.end(), buf, buf + n);
-    const bool read_ok = !std::ferror(f);
-    std::fclose(f);
-    if (!read_ok) {
-        setErr(err, "journal: read failed on '" + path + "'");
-        return false;
-    }
-    return parseJournal(data.data(), data.size(), meta, entries, err);
+    return parseJournal(reinterpret_cast<const std::uint8_t *>(data.data()),
+                        data.size(), meta, entries, err);
 }
 
 bool

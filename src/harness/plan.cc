@@ -1,7 +1,6 @@
 #include "harness/plan.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 #include <numeric>
 
@@ -9,47 +8,10 @@
 #include "harness/journal.hh"
 #include "harness/results_io.hh"
 #include "mmu/designs.hh"
+#include "sim/bytes.hh"
 
 namespace gvc
 {
-
-namespace
-{
-
-/// Same FNV-1a-64 as the `.gvct`/`.gvcj` formats, over the file bytes.
-std::uint64_t
-fnv1a(const std::uint8_t *data, std::size_t size)
-{
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (std::size_t i = 0; i < size; ++i) {
-        h ^= data[i];
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
-
-bool
-readFile(const std::string &path, std::vector<std::uint8_t> &data,
-         std::string *err)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f) {
-        if (err)
-            *err = "cost model: cannot open '" + path + "'";
-        return false;
-    }
-    std::uint8_t buf[1 << 16];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        data.insert(data.end(), buf, buf + n);
-    const bool ok = !std::ferror(f);
-    std::fclose(f);
-    if (!ok && err)
-        *err = "cost model: read failed on '" + path + "'";
-    return ok;
-}
-
-} // namespace
 
 void
 CostModel::addSample(const std::string &workload, const std::string &design,
@@ -69,25 +31,27 @@ bool
 CostModel::load(const std::string &path, std::string *err)
 {
     *this = CostModel{};
-    std::vector<std::uint8_t> data;
-    if (!readFile(path, data, err))
+    std::string data, rerr;
+    if (!readFileBytes(path, data, &rerr)) {
+        if (err)
+            *err = "cost model: " + rerr;
         return false;
+    }
 
     if (data.size() >= 4 &&
         std::memcmp(data.data(), kJournalMagic, 4) == 0) {
         ExportMeta meta;
         std::vector<JournalEntry> entries;
-        if (!parseJournal(data.data(), data.size(), meta, entries, err))
+        if (!parseJournal(reinterpret_cast<const std::uint8_t *>(data.data()),
+                          data.size(), meta, entries, err))
             return false;
         for (const auto &e : entries)
             addSample(e.record.result.workload,
                       designName(e.record.result.design),
                       double(e.record.result.exec_ticks));
     } else {
-        const std::string text(reinterpret_cast<const char *>(data.data()),
-                               data.size());
         std::string perr;
-        const Json doc = Json::parse(text, &perr);
+        const Json doc = Json::parse(data, &perr);
         if (doc.isNull()) {
             if (err)
                 *err = "cost model: '" + path + "' is neither a .gvcj "
@@ -99,7 +63,8 @@ CostModel::load(const std::string &path, std::string *err)
             if (!benchReportFromJson(doc, report, err))
                 return false;
             for (const auto &m : report.configs)
-                addSample(m.cfg.workload, m.cfg.design, m.median_wall_ms);
+                addSample(m.cfg.workload, m.cfg.design,
+                          double(m.counters.exec_ticks));
         } else if (doc.isObject() && doc.find("schema_version")) {
             ExportMeta meta;
             std::vector<ResultRecord> records;

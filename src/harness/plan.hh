@@ -49,10 +49,11 @@ class CostModel
 
     /**
      * Load measurements from @p path, auto-detected by content:
-     * `.gvcj` journal (cost = exec_ticks per journaled cell),
-     * `gvc_bench` report (cost = median_wall_ms per config), or sweep
-     * results JSON (cost = exec_ticks per record).  Returns false
-     * with a named error in @p err on unreadable/unrecognized files.
+     * `.gvcj` journal (exec_ticks per journaled cell), `gvc_bench`
+     * report (counters.exec_ticks per config), or sweep results JSON
+     * (exec_ticks per record), so every cost is in simulated ticks.
+     * Returns false with a named error in @p err on
+     * unreadable/unrecognized files.
      */
     bool load(const std::string &path, std::string *err = nullptr);
 

@@ -1,501 +1,15 @@
 #include "harness/results_io.hh"
 
 #include <algorithm>
-#include <cctype>
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <limits>
 #include <optional>
 #include <string_view>
 #include <type_traits>
 #include <utility>
 
 #include "harness/cli.hh"
-#include "sim/logging.hh"
 
 namespace gvc
 {
-
-// ---------------------------------------------------------------------
-// Json value
-// ---------------------------------------------------------------------
-
-namespace
-{
-
-/** Shortest "%g" form of @p v that parses back to exactly @p v. */
-std::string
-doubleLexeme(double v)
-{
-    char buf[40];
-    for (int prec = 1; prec <= 17; ++prec) {
-        std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
-        if (std::strtod(buf, nullptr) == v)
-            break;
-    }
-    // JSON has no inf/nan; clamp to null-ish zero (results never
-    // produce them, but a panic in an export path helps nobody).
-    if (!std::isfinite(v))
-        return "0";
-    return buf;
-}
-
-} // namespace
-
-Json::Json(double v) : type_(Type::kNumber), num_(v), str_(doubleLexeme(v))
-{
-}
-
-Json::Json(std::uint64_t v) : type_(Type::kNumber), num_(double(v))
-{
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "%llu", (unsigned long long)v);
-    str_ = buf;
-}
-
-bool
-Json::toU64(std::uint64_t &out, std::uint64_t max) const
-{
-    if (type_ != Type::kNumber || str_.empty())
-        return false;
-    std::uint64_t v = 0;
-    for (const char c : str_) {
-        if (c < '0' || c > '9')
-            return false;
-        const std::uint64_t digit = std::uint64_t(c - '0');
-        if (digit > max || v > (max - digit) / 10)
-            return false;
-        v = v * 10 + digit;
-    }
-    out = v;
-    return true;
-}
-
-std::uint64_t
-Json::asU64() const
-{
-    std::uint64_t v = 0;
-    return toU64(v) ? v : 0;
-}
-
-void
-Json::push(Json v)
-{
-    panicIfNot(type_ == Type::kArray, "Json::push on non-array");
-    elems_.push_back(std::move(v));
-}
-
-void
-Json::set(std::string key, Json v)
-{
-    panicIfNot(type_ == Type::kObject, "Json::set on non-object");
-    for (auto &[k, old] : members_) {
-        if (k == key) {
-            old = std::move(v);
-            return;
-        }
-    }
-    members_.emplace_back(std::move(key), std::move(v));
-}
-
-Json *
-Json::find(std::string_view key)
-{
-    return const_cast<Json *>(std::as_const(*this).find(key));
-}
-
-const Json *
-Json::find(std::string_view key) const
-{
-    if (type_ != Type::kObject)
-        return nullptr;
-    for (const auto &[k, v] : members_)
-        if (k == key)
-            return &v;
-    return nullptr;
-}
-
-std::size_t
-Json::size() const
-{
-    if (type_ == Type::kArray)
-        return elems_.size();
-    if (type_ == Type::kObject)
-        return members_.size();
-    return 0;
-}
-
-const Json &
-Json::at(std::size_t i) const
-{
-    panicIfNot(type_ == Type::kArray && i < elems_.size(),
-               "Json::at out of range");
-    return elems_[i];
-}
-
-namespace
-{
-
-void
-escapeTo(std::string &out, const std::string &s)
-{
-    out += '"';
-    for (const char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\b': out += "\\b"; break;
-          case '\f': out += "\\f"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    out += '"';
-}
-
-} // namespace
-
-void
-Json::dumpTo(std::string &out, int indent, int depth) const
-{
-    const std::string pad =
-        indent > 0 ? std::string(std::size_t(indent) * (depth + 1), ' ')
-                   : std::string();
-    const std::string close_pad =
-        indent > 0 ? std::string(std::size_t(indent) * depth, ' ')
-                   : std::string();
-    const char *nl = indent > 0 ? "\n" : "";
-    const char *colon = indent > 0 ? ": " : ":";
-
-    switch (type_) {
-      case Type::kNull:
-        out += "null";
-        break;
-      case Type::kBool:
-        out += bool_ ? "true" : "false";
-        break;
-      case Type::kNumber:
-        out += str_;
-        break;
-      case Type::kString:
-        escapeTo(out, str_);
-        break;
-      case Type::kArray:
-        if (elems_.empty()) {
-            out += "[]";
-            break;
-        }
-        out += '[';
-        out += nl;
-        for (std::size_t i = 0; i < elems_.size(); ++i) {
-            out += pad;
-            elems_[i].dumpTo(out, indent, depth + 1);
-            if (i + 1 < elems_.size())
-                out += ',';
-            out += nl;
-        }
-        out += close_pad;
-        out += ']';
-        break;
-      case Type::kObject:
-        if (members_.empty()) {
-            out += "{}";
-            break;
-        }
-        out += '{';
-        out += nl;
-        for (std::size_t i = 0; i < members_.size(); ++i) {
-            out += pad;
-            escapeTo(out, members_[i].first);
-            out += colon;
-            members_[i].second.dumpTo(out, indent, depth + 1);
-            if (i + 1 < members_.size())
-                out += ',';
-            out += nl;
-        }
-        out += close_pad;
-        out += '}';
-        break;
-    }
-}
-
-std::string
-Json::dump(int indent) const
-{
-    std::string out;
-    dumpTo(out, indent, 0);
-    return out;
-}
-
-// ---------------------------------------------------------------------
-// Parser
-// ---------------------------------------------------------------------
-
-struct Json::Parser
-{
-    const char *p;
-    const char *end;
-    const char *begin;
-    std::string err;
-
-    bool
-    fail(const std::string &what)
-    {
-        if (err.empty()) {
-            err = what + " at offset " + std::to_string(p - begin);
-        }
-        return false;
-    }
-
-    void
-    skipWs()
-    {
-        while (p < end &&
-               (*p == ' ' || *p == '\t' || *p == '\n' || *p == '\r'))
-            ++p;
-    }
-
-    bool
-    literal(const char *text)
-    {
-        const std::size_t n = std::strlen(text);
-        if (std::size_t(end - p) < n || std::strncmp(p, text, n) != 0)
-            return fail(std::string("expected '") + text + "'");
-        p += n;
-        return true;
-    }
-
-    bool
-    parseString(std::string &out)
-    {
-        if (p >= end || *p != '"')
-            return fail("expected string");
-        ++p;
-        while (p < end && *p != '"') {
-            if (*p == '\\') {
-                if (p + 1 >= end)
-                    return fail("bad escape");
-                ++p;
-                switch (*p) {
-                  case '"': out += '"'; break;
-                  case '\\': out += '\\'; break;
-                  case '/': out += '/'; break;
-                  case 'b': out += '\b'; break;
-                  case 'f': out += '\f'; break;
-                  case 'n': out += '\n'; break;
-                  case 'r': out += '\r'; break;
-                  case 't': out += '\t'; break;
-                  case 'u': {
-                    if (p + 4 >= end)
-                        return fail("bad \\u escape");
-                    unsigned cp = 0;
-                    for (int i = 1; i <= 4; ++i) {
-                        const char c = p[i];
-                        cp <<= 4;
-                        if (c >= '0' && c <= '9')
-                            cp |= unsigned(c - '0');
-                        else if (c >= 'a' && c <= 'f')
-                            cp |= unsigned(c - 'a' + 10);
-                        else if (c >= 'A' && c <= 'F')
-                            cp |= unsigned(c - 'A' + 10);
-                        else
-                            return fail("bad \\u escape");
-                    }
-                    p += 4;
-                    // Encode the code point as UTF-8 (no surrogate
-                    // pairing: exported documents never need it).
-                    if (cp < 0x80) {
-                        out += char(cp);
-                    } else if (cp < 0x800) {
-                        out += char(0xc0 | (cp >> 6));
-                        out += char(0x80 | (cp & 0x3f));
-                    } else {
-                        out += char(0xe0 | (cp >> 12));
-                        out += char(0x80 | ((cp >> 6) & 0x3f));
-                        out += char(0x80 | (cp & 0x3f));
-                    }
-                    break;
-                  }
-                  default:
-                    return fail("bad escape");
-                }
-                ++p;
-            } else if (static_cast<unsigned char>(*p) < 0x20) {
-                return fail("raw control character in string");
-            } else {
-                out += *p++;
-            }
-        }
-        if (p >= end)
-            return fail("unterminated string");
-        ++p; // closing quote
-        return true;
-    }
-
-    bool
-    parseValue(Json &out, int depth)
-    {
-        if (depth > 64)
-            return fail("nesting too deep");
-        skipWs();
-        if (p >= end)
-            return fail("unexpected end of input");
-        switch (*p) {
-          case '{': {
-            ++p;
-            out = Json::object();
-            skipWs();
-            if (p < end && *p == '}') {
-                ++p;
-                return true;
-            }
-            for (;;) {
-                skipWs();
-                std::string key;
-                if (!parseString(key))
-                    return false;
-                skipWs();
-                if (p >= end || *p != ':')
-                    return fail("expected ':'");
-                ++p;
-                Json v;
-                if (!parseValue(v, depth + 1))
-                    return false;
-                out.set(std::move(key), std::move(v));
-                skipWs();
-                if (p < end && *p == ',') {
-                    ++p;
-                    continue;
-                }
-                if (p < end && *p == '}') {
-                    ++p;
-                    return true;
-                }
-                return fail("expected ',' or '}'");
-            }
-          }
-          case '[': {
-            ++p;
-            out = Json::array();
-            skipWs();
-            if (p < end && *p == ']') {
-                ++p;
-                return true;
-            }
-            for (;;) {
-                Json v;
-                if (!parseValue(v, depth + 1))
-                    return false;
-                out.push(std::move(v));
-                skipWs();
-                if (p < end && *p == ',') {
-                    ++p;
-                    continue;
-                }
-                if (p < end && *p == ']') {
-                    ++p;
-                    return true;
-                }
-                return fail("expected ',' or ']'");
-            }
-          }
-          case '"': {
-            std::string s;
-            if (!parseString(s))
-                return false;
-            out = Json(std::move(s));
-            return true;
-          }
-          case 't':
-            if (!literal("true"))
-                return false;
-            out = Json(true);
-            return true;
-          case 'f':
-            if (!literal("false"))
-                return false;
-            out = Json(false);
-            return true;
-          case 'n':
-            if (!literal("null"))
-                return false;
-            out = Json();
-            return true;
-          default: {
-            // JSON number grammar:
-            //   -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
-            // The lexeme is kept verbatim, so integers round-trip
-            // exactly even beyond 2^53 and toU64() can tell a plain
-            // decimal from a fraction or an exponent.
-            const char *start = p;
-            const auto digits = [this] {
-                const char *first = p;
-                while (p < end &&
-                       std::isdigit(static_cast<unsigned char>(*p)))
-                    ++p;
-                return p > first;
-            };
-            if (p < end && *p == '-')
-                ++p;
-            if (p < end && *p == '0')
-                ++p;
-            else if (!digits())
-                return fail("unexpected character");
-            if (p < end && *p == '.') {
-                ++p;
-                if (!digits())
-                    return fail("bad number");
-            }
-            if (p < end && (*p == 'e' || *p == 'E')) {
-                ++p;
-                if (p < end && (*p == '+' || *p == '-'))
-                    ++p;
-                if (!digits())
-                    return fail("bad number");
-            }
-            out = Json();
-            out.type_ = Type::kNumber;
-            out.str_.assign(start, p);
-            out.num_ = std::strtod(out.str_.c_str(), nullptr);
-            return true;
-          }
-        }
-    }
-};
-
-Json
-Json::parse(const std::string &text, std::string *err)
-{
-    Parser parser{text.data(), text.data() + text.size(), text.data(),
-                  {}};
-    Json out;
-    if (!parser.parseValue(out, 0)) {
-        if (err)
-            *err = parser.err;
-        return Json();
-    }
-    parser.skipWs();
-    if (parser.p != parser.end) {
-        parser.fail("trailing garbage");
-        if (err)
-            *err = parser.err;
-        return Json();
-    }
-    if (err)
-        err->clear();
-    return out;
-}
 
 // ---------------------------------------------------------------------
 // Field tables and serialization
@@ -644,34 +158,6 @@ tlbRefHistToJson(const TlbRefHist &h)
     return j;
 }
 
-std::string
-hexU64(std::uint64_t v)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(v));
-    return buf;
-}
-
-/** Inverse of hexU64(): exactly 16 lowercase hex digits. */
-bool
-parseHexU64(const std::string &s, std::uint64_t &out)
-{
-    if (s.size() != 16)
-        return false;
-    out = 0;
-    for (const char c : s) {
-        out <<= 4;
-        if (c >= '0' && c <= '9')
-            out |= std::uint64_t(c - '0');
-        else if (c >= 'a' && c <= 'f')
-            out |= std::uint64_t(c - 'a' + 10);
-        else
-            return false;
-    }
-    return true;
-}
-
 } // namespace
 
 std::string
@@ -790,115 +276,13 @@ resultsToJson(const ExportMeta &meta,
 namespace
 {
 
-/** The error suffix for an integer field holding anything else. */
-std::string
-notAnInteger(std::uint64_t max)
+/** The failure for a tenant field in a pre-v3 document. */
+bool
+tenantFieldTooOld(JsonReader &imp, const std::string &where)
 {
-    return ": expected a non-negative decimal integer no larger than " +
-           std::to_string(max);
-}
-
-/**
- * Strict field extraction with dotted-path error messages.  Every
- * getter requires presence and the right type; the first failure wins
- * so the reported error names the innermost offending field.
- */
-struct Importer
-{
-    std::string err;
-
-    bool
-    fail(const std::string &what)
-    {
-        if (err.empty())
-            err = what;
-        return false;
-    }
-
-    const Json *
-    get(const Json &obj, std::string_view key, const std::string &ctx)
-    {
-        const Json *v = obj.find(key);
-        if (!v)
-            fail(ctx + ": missing field '" + std::string(key) + "'");
-        return v;
-    }
-
-    const Json *
-    getObject(const Json &obj, std::string_view key,
-              const std::string &ctx)
-    {
-        const Json *v = get(obj, key, ctx);
-        if (v && !v->isObject()) {
-            fail(ctx + "." + std::string(key) + ": expected an object");
-            return nullptr;
-        }
-        return v;
-    }
-
-    bool
-    getString(const Json &obj, std::string_view key,
-              const std::string &ctx, std::string &out)
-    {
-        const Json *v = get(obj, key, ctx);
-        if (!v)
-            return false;
-        if (!v->isString())
-            return fail(ctx + "." + std::string(key) +
-                        ": expected a string");
-        out = v->asString();
-        return true;
-    }
-
-    /**
-     * Read table row @p path of @p obj ("a.b" descends into object
-     * "a") into @p out, by the field's type: bools, numbers, and
-     * unsigned integers or enums within the field's range.
-     */
-    template <class T>
-    bool
-    read(const Json &obj, std::string_view path, const std::string &ctx,
-         T &out)
-    {
-        const std::size_t dot = path.find('.');
-        if (dot != std::string_view::npos) {
-            const std::string_view key = path.substr(0, dot);
-            const Json *child = getObject(obj, key, ctx);
-            return child && read(*child, path.substr(dot + 1),
-                                 ctx + "." + std::string(key), out);
-        }
-        const Json *v = get(obj, path, ctx);
-        if (!v)
-            return false;
-        const auto where = [&] { return ctx + "." + std::string(path); };
-        if constexpr (std::is_same_v<T, bool>) {
-            if (v->type() != Json::Type::kBool)
-                return fail(where() + ": expected a bool");
-            out = v->asBool();
-        } else if constexpr (std::is_floating_point_v<T>) {
-            if (!v->isNumber())
-                return fail(where() + ": expected a number");
-            out = v->asNumber();
-        } else {
-            using U = typename std::conditional_t<
-                std::is_enum_v<T>, std::underlying_type<T>,
-                std::type_identity<T>>::type;
-            const std::uint64_t max = std::numeric_limits<U>::max();
-            std::uint64_t u = 0;
-            if (!v->toU64(u, max))
-                return fail(where() + notAnInteger(max));
-            out = T(u);
-        }
-        return true;
-    }
-
-    bool
-    tenantFieldTooOld(const std::string &where)
-    {
-        return fail(where + ": tenant stats require schema_version " +
+    return imp.fail(where + ": tenant stats require schema_version " +
                     std::to_string(kResultsSchemaVersionTenants));
-    }
-};
+}
 
 /**
  * A table visitor reading each row of @p j into one object under the
@@ -908,7 +292,7 @@ struct Importer
  */
 struct RowReader
 {
-    Importer &imp;
+    JsonReader &imp;
     const Json &j;
     const std::string &ctx;
     int version;
@@ -924,7 +308,7 @@ struct RowReader
             if ((flags & kFieldTenant) &&
                 version < kResultsSchemaVersionTenants) {
                 ok = !j.find(name) ||
-                     imp.tenantFieldTooOld(ctx + "." + name);
+                     tenantFieldTooOld(imp, ctx + "." + name);
                 return;
             }
             if ((flags & kFieldLegacyOptional) && !j.find(name))
@@ -935,7 +319,7 @@ struct RowReader
 };
 
 bool
-kernelStatsFromJson(Importer &imp, const Json &j, const std::string &ctx,
+kernelStatsFromJson(JsonReader &imp, const Json &j, const std::string &ctx,
                     KernelStats &out)
 {
     if (!j.isObject())
@@ -950,7 +334,7 @@ kernelStatsFromJson(Importer &imp, const Json &j, const std::string &ctx,
 }
 
 bool
-tenantStatsFromJson(Importer &imp, const Json &j, const std::string &ctx,
+tenantStatsFromJson(JsonReader &imp, const Json &j, const std::string &ctx,
                     TenantStats &out)
 {
     if (!j.isObject())
@@ -964,7 +348,7 @@ tenantStatsFromJson(Importer &imp, const Json &j, const std::string &ctx,
 }
 
 bool
-tlbRefHistFromJson(Importer &imp, const Json &j, const char *key,
+tlbRefHistFromJson(JsonReader &imp, const Json &j, const char *key,
                    const std::string &ctx, TlbRefHist &out)
 {
     const Json *h = imp.getObject(j, key, ctx);
@@ -978,9 +362,11 @@ tlbRefHistFromJson(Importer &imp, const Json &j, const char *key,
                         std::to_string(TlbRefHist::kBuckets) +
                         " numbers");
     for (std::size_t b = 0; b < buckets->size(); ++b) {
-        if (!buckets->at(b).toU64(out.buckets[b]))
-            return imp.fail(hctx + ".buckets[" + std::to_string(b) + "]" +
-                            notAnInteger(~std::uint64_t(0)));
+        const auto where = [&] {
+            return hctx + ".buckets[" + std::to_string(b) + "]";
+        };
+        if (!imp.readValue(buckets->at(b), where, out.buckets[b]))
+            return false;
     }
     return imp.read(*h, "retired", hctx, out.retired) &&
            imp.read(*h, "dead", hctx, out.dead);
@@ -992,7 +378,7 @@ tlbRefHistFromJson(Importer &imp, const Json &j, const char *key,
  */
 template <class T, class Fn>
 bool
-arrayFromJson(Importer &imp, const Json &j, const char *key,
+arrayFromJson(JsonReader &imp, const Json &j, const char *key,
               const std::string &ctx, bool non_empty, std::vector<T> &out,
               Fn one)
 {
@@ -1012,7 +398,7 @@ arrayFromJson(Importer &imp, const Json &j, const char *key,
 }
 
 bool
-resultRecordFromJson(Importer &imp, const Json &j,
+resultRecordFromJson(JsonReader &imp, const Json &j,
                      const std::string &ctx, int version,
                      ResultRecord &rec)
 {
@@ -1047,7 +433,7 @@ resultRecordFromJson(Importer &imp, const Json &j,
         for (const char *key :
              {"tenants", "percu_tlb_refs", "iommu_tlb_refs"})
             if (j.find(key))
-                return imp.tenantFieldTooOld(ctx + "." + key);
+                return tenantFieldTooOld(imp, ctx + "." + key);
     } else if (!arrayFromJson(imp, j, "tenants", ctx, legacy,
                               rec.result.tenants, tenantStatsFromJson)) {
         return false;
@@ -1085,26 +471,13 @@ resultRecordFromJson(Importer &imp, const Json &j,
     return param_rows.ok;
 }
 
-bool
-stringList(Importer &imp, const Json &arr, const std::string &ctx,
-           std::vector<std::string> &out)
-{
-    for (std::size_t i = 0; i < arr.size(); ++i) {
-        if (!arr.at(i).isString())
-            return imp.fail(ctx + "[" + std::to_string(i) +
-                            "]: expected a string");
-        out.push_back(arr.at(i).asString());
-    }
-    return true;
-}
-
 } // namespace
 
 bool
 resultRecordFromJson(const Json &j, ResultRecord &rec, std::string *err,
                      int version)
 {
-    Importer imp;
+    JsonReader imp;
     rec = ResultRecord{};
     const bool ok = j.isObject()
                         ? resultRecordFromJson(imp, j, "record", version,
@@ -1119,7 +492,7 @@ bool
 resultsFromJson(const Json &doc, ExportMeta &meta,
                 std::vector<ResultRecord> &records, std::string *err)
 {
-    Importer imp;
+    JsonReader imp;
     meta = ExportMeta{};
     records.clear();
     const auto done = [&](bool ok) {
@@ -1147,17 +520,9 @@ resultsFromJson(const Json &doc, ExportMeta &meta,
     const Json *grid = imp.getObject(doc, "grid", "document");
     if (!grid)
         return done(false);
-    const Json *workloads = grid->find("workloads");
-    const Json *designs = grid->find("designs");
-    if (!workloads || !workloads->isArray())
-        return done(imp.fail("grid.workloads: expected an array"));
-    if (!designs || !designs->isArray())
-        return done(imp.fail("grid.designs: expected an array"));
-    if (!stringList(imp, *workloads, "grid.workloads",
-                    meta.workloads) ||
-        !stringList(imp, *designs, "grid.designs", meta.designs))
-        return done(false);
-    if (!imp.read(*grid, "scale", "grid", meta.scale) ||
+    if (!imp.getStrings(*grid, "workloads", "grid", meta.workloads) ||
+        !imp.getStrings(*grid, "designs", "grid", meta.designs) ||
+        !imp.read(*grid, "scale", "grid", meta.scale) ||
         !imp.read(*grid, "seed", "grid", meta.seed) ||
         !imp.read(*grid, "jobs", "grid", meta.jobs))
         return done(false);
@@ -1204,9 +569,9 @@ resultsFromJson(const Json &doc, ExportMeta &meta,
         }
     }
 
-    const Json *results = doc.find("results");
-    if (!results || !results->isArray())
-        return done(imp.fail("document.results: expected an array"));
+    const Json *results = imp.getArray(doc, "results", "document");
+    if (!results)
+        return done(false);
     records.reserve(results->size());
     for (std::size_t i = 0; i < results->size(); ++i) {
         const std::string ctx = "results[" + std::to_string(i) + "]";
@@ -1410,8 +775,10 @@ resultsCsvRow(const RunResult &r)
     std::string row = r.workload + "," + designName(r.design);
     forEachResultField(
         [&](const char *, unsigned flags, const auto &v) {
-            if (!(flags & kFieldTenant))
-                row += "," + fieldToJson(v).dump();
+            if (!(flags & kFieldTenant)) {
+                row += ',';
+                row += fieldToJson(v).dump();
+            }
         },
         r);
     return row;

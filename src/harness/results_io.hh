@@ -2,13 +2,8 @@
  * @file
  * Structured results export: versioned JSON and CSV serialization of
  * sweep results (RunResult grids plus the SocConfig and WorkloadParams
- * that produced them), with no external dependencies.
- *
- * The JSON layer is a small ordered value tree (`Json`) with a writer
- * and a strict recursive-descent parser, so tools can both emit results
- * and read them back (round-trip tested).  Integers are preserved
- * losslessly: a Json number keeps its exact lexeme, so a 64-bit tick
- * count survives write -> parse -> write byte-identically.
+ * that produced them), with no external dependencies.  The JSON value
+ * type, its parser, and the strict field reader live in harness/json.hh.
  *
  * Schema (version 4) — every record has the same shape, and the writer
  * emits nothing conditionally:
@@ -57,100 +52,13 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
-#include <utility>
 #include <vector>
 
+#include "harness/json.hh"
 #include "harness/runner.hh"
 
 namespace gvc
 {
-
-/**
- * An ordered JSON value: null, bool, number, string, array, or object.
- * Object keys keep insertion order so emitted documents are stable.
- */
-class Json
-{
-  public:
-    enum class Type {
-        kNull,
-        kBool,
-        kNumber,
-        kString,
-        kArray,
-        kObject,
-    };
-
-    Json() = default;
-    Json(bool b) : type_(Type::kBool), bool_(b) {}
-    Json(double v);
-    Json(std::uint64_t v);
-    Json(int v) : Json(double(v)) {}
-    Json(unsigned v) : Json(std::uint64_t(v)) {}
-    Json(const char *s) : type_(Type::kString), str_(s) {}
-    Json(std::string s) : type_(Type::kString), str_(std::move(s)) {}
-
-    static Json array() { Json j; j.type_ = Type::kArray; return j; }
-    static Json object() { Json j; j.type_ = Type::kObject; return j; }
-
-    Type type() const { return type_; }
-    bool isNull() const { return type_ == Type::kNull; }
-    bool isNumber() const { return type_ == Type::kNumber; }
-    bool isString() const { return type_ == Type::kString; }
-    bool isArray() const { return type_ == Type::kArray; }
-    bool isObject() const { return type_ == Type::kObject; }
-
-    bool asBool() const { return bool_; }
-    double asNumber() const { return num_; }
-    /**
-     * Strict unsigned read: true, with @p out set, only when this is a
-     * number whose lexeme is a plain non-negative decimal (no sign,
-     * fraction, or exponent) no larger than @p max.
-     */
-    bool toU64(std::uint64_t &out,
-               std::uint64_t max = ~std::uint64_t(0)) const;
-    /** toU64()'s value, or 0 when it fails. */
-    std::uint64_t asU64() const;
-    const std::string &asString() const { return str_; }
-
-    /** Append to an array. */
-    void push(Json v);
-    /** Insert/overwrite an object member (insertion-ordered). */
-    void set(std::string key, Json v);
-    /** Object member lookup; nullptr when absent or not an object. */
-    const Json *find(std::string_view key) const;
-    Json *find(std::string_view key);
-    /** Array element / object member count. */
-    std::size_t size() const;
-    /** Array element access (kArray only). */
-    const Json &at(std::size_t i) const;
-    const std::vector<std::pair<std::string, Json>> &members() const
-    {
-        return members_;
-    }
-
-    /** Serialize; @p indent > 0 pretty-prints with that step. */
-    std::string dump(int indent = 0) const;
-
-    /**
-     * Strict JSON parse of @p text.  On failure returns null and, when
-     * @p err is non-null, stores a message with the failing offset.
-     */
-    static Json parse(const std::string &text, std::string *err = nullptr);
-
-  private:
-    struct Parser;
-
-    void dumpTo(std::string &out, int indent, int depth) const;
-
-    Type type_ = Type::kNull;
-    bool bool_ = false;
-    double num_ = 0.0;
-    std::string str_;    ///< String payload, or number lexeme.
-    std::vector<Json> elems_;
-    std::vector<std::pair<std::string, Json>> members_;
-};
 
 /** One (config, result) pair of a sweep, ready for export. */
 struct ResultRecord

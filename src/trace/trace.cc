@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "mmu/boundary.hh"
+#include "sim/bytes.hh"
 
 namespace gvc::trace
 {
@@ -47,17 +48,6 @@ std::int64_t
 unzigzag(std::uint64_t v)
 {
     return std::int64_t(v >> 1) ^ -std::int64_t(v & 1);
-}
-
-std::uint64_t
-fnv1a(const std::uint8_t *data, std::size_t size)
-{
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (std::size_t i = 0; i < size; ++i) {
-        h ^= data[i];
-        h *= 0x100000001b3ull;
-    }
-    return h;
 }
 
 /** Bounds-checked little-endian / varint cursor over a byte buffer. */
@@ -529,23 +519,10 @@ bool
 TraceReader::readFile(const std::string &path, Trace &out,
                       std::string *err)
 {
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f) {
-        setErr(err, "cannot open '" + path + "'");
-        return false;
-    }
-    std::vector<std::uint8_t> bytes;
-    std::uint8_t buf[1 << 16];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        bytes.insert(bytes.end(), buf, buf + n);
-    const bool read_ok = !std::ferror(f);
-    std::fclose(f);
-    if (!read_ok) {
-        setErr(err, "read error on '" + path + "'");
-        return false;
-    }
-    return parse(bytes.data(), bytes.size(), out, err);
+    std::string bytes;
+    return readFileBytes(path, bytes, err) &&
+           parse(reinterpret_cast<const std::uint8_t *>(bytes.data()),
+                 bytes.size(), out, err);
 }
 
 } // namespace gvc::trace

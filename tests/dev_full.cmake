@@ -36,7 +36,7 @@ set(cases
     "gvc_tenants -w hotspot -d ideal --rounds 1 --storm 0 ${small} --json /dev/full"
     "gvc_tenants -w hotspot -d ideal --rounds 1 --storm 0 ${small} --csv /dev/full"
     "gvc_merge ${w}/full_shard.json -o /dev/full"
-    "gvc_bench --quick --scale 0.02 --quiet --out /dev/full")
+    "gvc_bench --scale 0.02 --quiet --out /dev/full")
 set(failed 0)
 foreach(c IN LISTS cases)
     separate_arguments(args UNIX_COMMAND "${c}")

@@ -4,15 +4,18 @@
  * runner reports for the same configuration (the bench-vs-run
  * cross-check that anchors the CI gate), the JSON document must
  * round-trip losslessly, and the drift comparator must catch every kind
- * of mismatch it is relied on to catch.
+ * of mismatch it is relied on to catch.  The checked-in v1 baseline
+ * (with its timing fields) must still load and re-emit as v2.
  */
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 
 #include "harness/bench.hh"
 #include "harness/runner.hh"
+#include "sim/bytes.hh"
 
 namespace gvc
 {
@@ -23,9 +26,7 @@ BenchOptions
 smallOptions()
 {
     BenchOptions opts;
-    opts.scale = 0.05;
-    opts.trials = 1;
-    opts.warmup = 0;
+    opts.workload.scale = 0.05;
     opts.progress = false;
     return opts;
 }
@@ -59,12 +60,11 @@ TEST(Bench, ColdCountersMatchPlainRunner)
 
     RunConfig rc;
     rc.design = MmuDesign::kVcOpt;
-    rc.workload.scale = opts.scale;
-    rc.workload.seed = opts.seed;
+    rc.workload = opts.workload;
     const BenchCounters direct =
         BenchCounters(runWorkload("bfs", rc));
 
-    EXPECT_EQ(runBenchConfigOnce(cfg, opts), direct);
+    EXPECT_EQ(runBenchConfig(cfg, opts), direct);
 }
 
 TEST(Bench, ReplayCountersMatchLiveRun)
@@ -77,12 +77,11 @@ TEST(Bench, ReplayCountersMatchLiveRun)
 
     RunConfig rc;
     rc.design = MmuDesign::kBaseline512;
-    rc.workload.scale = opts.scale;
-    rc.workload.seed = opts.seed;
+    rc.workload = opts.workload;
     const BenchCounters live =
         BenchCounters(runWorkload("hotspot", rc));
 
-    EXPECT_EQ(runBenchConfigOnce(cfg, opts), live);
+    EXPECT_EQ(runBenchConfig(cfg, opts), live);
 }
 
 TEST(Bench, WarmCountersMatchScenarioRunner)
@@ -92,23 +91,29 @@ TEST(Bench, WarmCountersMatchScenarioRunner)
 
     RunConfig rc;
     rc.design = MmuDesign::kL1Vc32;
-    rc.workload.scale = opts.scale;
-    rc.workload.seed = opts.seed;
+    rc.workload = opts.workload;
     ScenarioSpec spec;
     spec.rounds = opts.scenario_rounds;
     spec.boundary = BoundaryPolicy::keepAll();
     const BenchCounters direct =
         BenchCounters(runScenario("bfs", rc, spec));
 
-    EXPECT_EQ(runBenchConfigOnce(cfg, opts), direct);
+    EXPECT_EQ(runBenchConfig(cfg, opts), direct);
 }
 
 TEST(Bench, ConfigRunsAreDeterministic)
 {
+    // One cell of every mode, run twice: the gate compares one run per
+    // cell against the baseline, so each mode must be repeatable.
     const BenchOptions opts = smallOptions();
-    BenchConfig cfg{"cold", "hotspot", designName(MmuDesign::kVcOpt)};
-    EXPECT_EQ(runBenchConfigOnce(cfg, opts),
-              runBenchConfigOnce(cfg, opts));
+    std::set<std::string> modes;
+    for (const BenchConfig &cfg : benchMatrix()) {
+        if (!modes.insert(cfg.mode).second)
+            continue;
+        EXPECT_EQ(runBenchConfig(cfg, opts), runBenchConfig(cfg, opts))
+            << cfg.name();
+    }
+    EXPECT_EQ(modes.size(), 8u);
 }
 
 TEST(Bench, ReportJsonRoundTrips)
@@ -119,11 +124,6 @@ TEST(Bench, ReportJsonRoundTrips)
     m.cfg = BenchConfig{"cold", "bfs", "VC With OPT"};
     m.counters.exec_ticks = 123456789012345ull;
     m.counters.instructions = 42;
-    m.wall_ms = {1.25, 2.5, 0.75};
-    m.median_wall_ms = 1.25;
-    m.warp_inst_per_sec = 33600.0;
-    m.sim_cycles_per_sec = 1e9;
-    m.peak_rss_kb = 98765;
     report.configs.push_back(m);
 
     const Json doc = benchReportToJson(report);
@@ -136,10 +136,8 @@ TEST(Bench, ReportJsonRoundTrips)
     ASSERT_EQ(back.configs.size(), 1u);
     EXPECT_EQ(back.configs[0].counters, report.configs[0].counters);
     EXPECT_EQ(back.configs[0].cfg.name(), m.cfg.name());
-    EXPECT_EQ(back.configs[0].wall_ms, m.wall_ms);
-    EXPECT_EQ(back.configs[0].peak_rss_kb, m.peak_rss_kb);
-    EXPECT_EQ(back.opts.scale, report.opts.scale);
-    EXPECT_EQ(back.opts.seed, report.opts.seed);
+    EXPECT_EQ(back.opts.workload.scale, report.opts.workload.scale);
+    EXPECT_EQ(back.opts.workload.seed, report.opts.workload.seed);
 
     std::string diff;
     EXPECT_TRUE(benchCountersMatch(report, back, diff)) << diff;
@@ -164,12 +162,6 @@ TEST(Bench, CountersMatchFlagsEveryDriftKind)
     EXPECT_FALSE(benchCountersMatch(a, b, diff));
     EXPECT_NE(diff.find("exec_ticks"), std::string::npos);
 
-    // Wall-time changes do NOT fail the match (trajectory, not gate).
-    BenchReport c = a;
-    c.configs[0].median_wall_ms = 9999.0;
-    c.configs[0].wall_ms = {9999.0};
-    EXPECT_TRUE(benchCountersMatch(a, c, diff)) << diff;
-
     // A missing config fails.
     BenchReport d = a;
     d.configs.clear();
@@ -184,7 +176,7 @@ TEST(Bench, CountersMatchFlagsEveryDriftKind)
 
     // A different scale fails (counters are only comparable per scale).
     BenchReport f = a;
-    f.opts.scale = 0.5;
+    f.opts.workload.scale = 0.5;
     EXPECT_FALSE(benchCountersMatch(a, f, diff));
 }
 
@@ -201,19 +193,53 @@ TEST(Bench, RejectsMalformedJson)
     Json doc = benchReportToJson(report);
     doc.set("bench_schema_version", 999);
     EXPECT_FALSE(benchReportFromJson(doc, out, &err));
+
+    // A missing counter is rejected by its dotted path.
+    BenchMeasurement m;
+    m.cfg = BenchConfig{"cold", "bfs", "VC With OPT"};
+    report.configs.push_back(m);
+    std::string text = benchReportToJson(report).dump();
+    const std::string field = "\"exec_ticks\":0,";
+    ASSERT_NE(text.find(field), std::string::npos);
+    text.erase(text.find(field), field.size());
+    EXPECT_FALSE(benchReportFromJson(Json::parse(text), out, &err));
+    EXPECT_EQ(err, "bench.configs[0].counters: missing field 'exec_ticks'");
 }
 
-TEST(Bench, PeakRssIsInKilobytesOnEveryHost)
+TEST(Bench, LoadsCheckedInV1Baseline)
 {
-    // ru_maxrss is KB on Linux/BSD but *bytes* on macOS; peakRssKb()
-    // normalizes.  A C++ test process with gtest loaded occupies at
-    // least ~1 MB and (sanity) under 8 GB — a unit mix-up on either
-    // side lands orders of magnitude outside this band (a 10 MB
-    // process would read as 10 GB if bytes leaked through, or 10 KB
-    // if a spurious divide were added on Linux).
-    const std::uint64_t kb = peakRssKb();
-    EXPECT_GE(kb, 1024u);
-    EXPECT_LE(kb, 8u * 1024u * 1024u);
+    // BENCH_PR10.json is a v1 report with per-trial timing fields.  It
+    // must load (the CI gate reads it), and re-emitting it as v2 must
+    // keep every counter and drop every timing field.
+    std::string text, err;
+    ASSERT_TRUE(readFileBytes(std::string(GVC_TEST_DATA_DIR) +
+                                  "/../BENCH_PR10.json",
+                              text, &err))
+        << err;
+    BenchReport v1;
+    ASSERT_TRUE(benchReportFromJson(Json::parse(text), v1, &err)) << err;
+    ASSERT_EQ(v1.configs.size(), 36u);
+    EXPECT_EQ(v1.opts.workload.scale, 1.0);
+
+    const std::string v2_text = benchReportToJson(v1).dump(2);
+    for (const char *timing :
+         {"wall_ms", "warp_inst_per_sec", "sim_cycles_per_sec",
+          "peak_rss_kb", "trials", "warmup"})
+        EXPECT_EQ(v2_text.find(timing), std::string::npos) << timing;
+    BenchReport v2;
+    ASSERT_TRUE(benchReportFromJson(Json::parse(v2_text), v2, &err))
+        << err;
+    ASSERT_EQ(v2.configs.size(), v1.configs.size());
+    for (std::size_t i = 0; i < v1.configs.size(); ++i) {
+        EXPECT_EQ(v2.configs[i].cfg.name(), v1.configs[i].cfg.name());
+        EXPECT_EQ(v2.configs[i].counters, v1.configs[i].counters);
+    }
+    std::string diff;
+    EXPECT_TRUE(benchCountersMatch(v1, v2, diff)) << diff;
+    // The baseline's configurations are exactly today's matrix.
+    const std::vector<BenchConfig> matrix = benchMatrix();
+    for (std::size_t i = 0; i < v1.configs.size(); ++i)
+        EXPECT_EQ(v1.configs[i].cfg.name(), matrix[i].name());
 }
 
 } // namespace

@@ -20,6 +20,7 @@
 #include "gpu/gpu.hh"
 #include "gpu/warp_inst.hh"
 #include "harness/energy.hh"
+#include "harness/json.hh"
 #include "harness/runner.hh"
 #include "harness/scenario.hh"
 #include "harness/table.hh"
@@ -38,6 +39,7 @@
 #include "mmu/per_cu_tlbs.hh"
 #include "mmu/phys_caches.hh"
 #include "mmu/soc_config.hh"
+#include "sim/bytes.hh"
 #include "sim/debug.hh"
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"

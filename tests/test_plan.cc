@@ -133,19 +133,13 @@ TEST(CostModel, UniformModelCostsOneEverywhere)
 
 TEST(CostModel, LoadsBenchReports)
 {
-    BenchOptions opts;
-    opts.trials = 1;
-    opts.warmup = 0;
     BenchReport report;
-    report.opts = opts;
     BenchMeasurement m;
     m.cfg = {"cold", "bfs", "IDEAL MMU"};
-    m.wall_ms = {12.5};
-    m.median_wall_ms = 12.5;
+    m.counters.exec_ticks = 125;
     report.configs.push_back(m);
     m.cfg = {"cold", "bfs", "VC With OPT"};
-    m.wall_ms = {50.0};
-    m.median_wall_ms = 50.0;
+    m.counters.exec_ticks = 500;
     report.configs.push_back(m);
 
     const std::string path = tempPath("cost_bench.json");
@@ -158,8 +152,8 @@ TEST(CostModel, LoadsBenchReports)
     EXPECT_NE(model.digest(), 0u);
     EXPECT_EQ(model.source(), path);
     EXPECT_EQ(model.measuredCells(), 2u);
-    EXPECT_DOUBLE_EQ(model.costFor("bfs", "IDEAL MMU"), 12.5);
-    EXPECT_DOUBLE_EQ(model.costFor("bfs", "VC With OPT"), 50.0);
+    EXPECT_DOUBLE_EQ(model.costFor("bfs", "IDEAL MMU"), 125.0);
+    EXPECT_DOUBLE_EQ(model.costFor("bfs", "VC With OPT"), 500.0);
 }
 
 TEST(CostModel, LoadsSweepResultsJson)
@@ -220,16 +214,14 @@ TEST(CostModel, FallbackChainCellWorkloadOverall)
 {
     // Measurements: bfs x ideal = 10, bfs x vc = 30, pagerank x vc = 80.
     BenchReport report;
-    report.opts = BenchOptions{};
-    for (const auto &[wl, d, ms] :
-         {std::tuple<const char *, const char *, double>{
-              "bfs", "IDEAL MMU", 10.0},
-          {"bfs", "VC With OPT", 30.0},
-          {"pagerank", "VC With OPT", 80.0}}) {
+    for (const auto &[wl, d, ticks] :
+         {std::tuple<const char *, const char *, std::uint64_t>{
+              "bfs", "IDEAL MMU", 10},
+          {"bfs", "VC With OPT", 30},
+          {"pagerank", "VC With OPT", 80}}) {
         BenchMeasurement m;
         m.cfg = {"cold", wl, d};
-        m.wall_ms = {ms};
-        m.median_wall_ms = ms;
+        m.counters.exec_ticks = ticks;
         report.configs.push_back(m);
     }
     const std::string path = tempPath("cost_fallback.json");
@@ -253,12 +245,10 @@ TEST(CostModel, RepeatedSamplesAverage)
     // Two bench modes measure the same (workload, design): the model
     // must average them, independent of file order.
     BenchReport report;
-    report.opts = BenchOptions{};
-    for (const double ms : {10.0, 30.0}) {
+    for (const std::uint64_t ticks : {10u, 30u}) {
         BenchMeasurement m;
-        m.cfg = {ms < 20.0 ? "cold" : "replay", "bfs", "IDEAL MMU"};
-        m.wall_ms = {ms};
-        m.median_wall_ms = ms;
+        m.cfg = {ticks < 20 ? "cold" : "replay", "bfs", "IDEAL MMU"};
+        m.counters.exec_ticks = ticks;
         report.configs.push_back(m);
     }
     const std::string path = tempPath("cost_avg.json");

@@ -1,16 +1,15 @@
 /**
  * @file
- * gvc_bench — continuous performance tracking driver: times the fixed
- * benchmark matrix (cold run, trace replay, warm scenario, small sweep
- * over 3 workloads x 3 designs) and emits/validates versioned
- * BENCH_PR<N>.json documents.
+ * gvc_bench — the counter gate: runs the fixed benchmark matrix (cold
+ * run, trace replay, warm scenario, tenants, small sweep over 3
+ * workloads x 3 designs, reach designs, TLB policies) once and
+ * emits/validates versioned BENCH_PR<N>.json documents.
  *
- *   gvc_bench --out BENCH_PR6.json          full run, write the report
- *   gvc_bench --quick --check BENCH_PR6.json  CI gate: counters only
- *   gvc_bench --quick --out /tmp/b.json     fast local measurement
+ *   gvc_bench --out BENCH_PR<N>.json        run, write the report
+ *   gvc_bench --check BENCH_PR10.json       CI gate: counters only
  *
- * Counters in the JSON are deterministic and gated field-exactly by
- * --check; wall times / throughput / RSS are recorded but never gated.
+ * --check compares every counter field-exactly and exits 1 on drift.
+ * Host speed is gvc_perf's job (docs/BENCHMARKING.md).
  */
 
 #include <cstdio>
@@ -18,7 +17,6 @@
 
 #include "harness/bench.hh"
 #include "harness/cli.hh"
-#include "sim/logging.hh"
 
 using namespace gvc;
 
@@ -28,7 +26,6 @@ namespace
 struct Options
 {
     BenchOptions bench;
-    WorkloadParams params; ///< --scale/--seed, copied into bench.
     std::string out;   ///< Write the report JSON here ("-" = stdout).
     std::string check; ///< Compare counters against this baseline file.
 };
@@ -36,30 +33,18 @@ struct Options
 OptionTable
 options(Options &opt)
 {
-    opt.params.scale = opt.bench.scale;
-    opt.params.seed = opt.bench.seed;
     const OptionTable own = {
         {"--out", nullptr, "PATH", "write the report JSON ('-' = stdout)",
          store(opt.out)},
         {"--check", nullptr, "PATH",
          "exit 1 unless every counter matches this baseline",
          store(opt.check)},
-        {"--quick", nullptr, nullptr, "1 trial, no warmup (same counters)",
-         [&opt](const char *, const std::string &) {
-             opt.bench.trials = 1;
-             opt.bench.warmup = 0;
-             return CliError();
-         }},
-        {"--trials", nullptr, "N", "timed trials per config (default 3)",
-         store(opt.bench.trials)},
-        {"--warmup", nullptr, "N", "untimed warmup runs (default 1)",
-         store(opt.bench.warmup)},
         {"--rounds", nullptr, "N", "warm-scenario kernels (default 3)",
          store(opt.bench.scenario_rounds)},
         {"--quiet", nullptr, nullptr, "no per-config progress on stderr",
          storeConstant(opt.bench.progress, false)},
     };
-    return concat({own, workloadParamOptions(opt.params)});
+    return concat({own, workloadParamOptions(opt.bench.workload)});
 }
 
 } // namespace
@@ -74,19 +59,20 @@ main(int argc, char **argv)
     if (opt.out.empty() && opt.check.empty())
         return usageError("gvc_bench",
                           "nothing to do — pass --out and/or --check");
-    opt.bench.scale = opt.params.scale;
-    opt.bench.seed = opt.params.seed;
 
     // Loading the baseline up front makes a malformed file fail before
-    // the (minutes-long) measurement, not after.
+    // the (minutes-long) run, not after.
     BenchReport baseline;
     if (!opt.check.empty()) {
         std::string text, err;
         if (!readInput("gvc_bench", opt.check, text))
             return 1;
         const Json doc = Json::parse(text, &err);
-        if (doc.isNull() || !benchReportFromJson(doc, baseline, &err))
-            fatal("gvc_bench: baseline '" + opt.check + "': " + err);
+        if (doc.isNull() || !benchReportFromJson(doc, baseline, &err)) {
+            std::fprintf(stderr, "gvc_bench: baseline '%s': %s\n",
+                         opt.check.c_str(), err.c_str());
+            return 1;
+        }
     }
 
     const BenchReport report = runBench(opt.bench);
