@@ -3,7 +3,7 @@
  * Component-level microbenchmarks (google-benchmark): throughput of the
  * structures on the simulator's hot paths — FBT lookups and synonym
  * checks, TLB lookups across geometries, cache array accesses, the
- * coalescer, MSHRs, and the event queue itself.
+ * coalescer, MSHRs, the event queue itself, and request trains.
  */
 
 #include <benchmark/benchmark.h>
@@ -13,6 +13,7 @@
 #include "core/fbt.hh"
 #include "gpu/coalescer.hh"
 #include "gpu/warp_inst.hh"
+#include "mmu/mem_request.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
 #include "tlb/tlb.hh"
@@ -36,6 +37,60 @@ BM_EventQueueScheduleRun(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 64);
 }
 BENCHMARK(BM_EventQueueScheduleRun);
+
+void
+BM_EventQueueSpread(benchmark::State &state)
+{
+    // Events spread over about 1000 ticks, like an IOMMU backlog: most
+    // cells hold one entry, so filing and popping dominate.
+    constexpr std::uint64_t kEvents = 1024;
+    EventQueue eq;
+    std::uint64_t sink = 0;
+    for (auto _ : state) {
+        for (std::uint64_t i = 0; i < kEvents; ++i)
+            eq.scheduleIn(1 + (i * 7919) % 1000, [&sink] { ++sink; });
+        eq.run();
+    }
+    benchmark::DoNotOptimize(sink);
+    state.SetItemsProcessed(state.iterations() * kEvents);
+}
+BENCHMARK(BM_EventQueueSpread);
+
+/** The owner of one Hop, for BM_RequestTrain. */
+struct TrainBench
+{
+    EventQueue eq;
+    std::uint64_t sink = 0;
+
+    void hit(MemRequest *r) { sink += r->cu; }
+
+    Hop<TrainBench, &TrainBench::hit> hop{eq, *this};
+};
+
+void
+BM_RequestTrain(benchmark::State &state)
+{
+    // One divergent memory instruction's 13 line requests crossing one
+    // fixed-delay hop: through a Hop (train:1) or as one event each.
+    constexpr unsigned kRequests = 13;
+    const bool trains = state.range(0) != 0;
+    TrainBench b;
+    std::vector<MemRequest> reqs(kRequests);
+    for (unsigned i = 0; i < kRequests; ++i)
+        reqs[i].cu = i;
+    for (auto _ : state) {
+        for (MemRequest &r : reqs) {
+            if (trains)
+                b.hop.in(4, &r);
+            else
+                b.eq.scheduleIn(4, [&b, req = &r] { b.hit(req); });
+        }
+        b.eq.run();
+    }
+    benchmark::DoNotOptimize(b.sink);
+    state.SetItemsProcessed(state.iterations() * kRequests);
+}
+BENCHMARK(BM_RequestTrain)->ArgName("train")->Arg(0)->Arg(1);
 
 void
 BM_TlbLookupHit(benchmark::State &state)

@@ -124,8 +124,7 @@ class VirtualCacheSystem final : public MmuSystem
         MemRequest *req =
             reqs_.make(cu_id, asid, line_va, is_store, std::move(done));
         injection_.inject(cu_id, [this, req] {
-            ctx_.eq.scheduleIn(cfg_.l1_latency,
-                               [this, req] { l1Access(req); });
+            l1_hop_.in(cfg_.l1_latency, req);
         });
     }
 
@@ -313,16 +312,15 @@ class VirtualCacheSystem final : public MmuSystem
 
     // --- L2 stage (virtual, banked, write-back write-allocate) ---
 
+    void sendToL2(MemRequest *req) { to_l2_hop_.in(cfg_.cu_to_l2, req); }
+
+    /** The request reached its L2 bank: wait for the bank's port. */
     void
-    sendToL2(MemRequest *req)
+    l2Arrive(MemRequest *req)
     {
-        ctx_.eq.scheduleIn(cfg_.cu_to_l2, [this, req] {
-            const Tick start =
-                banks_[l2_bank_(req->line_va >> kLineShift)].acquire(
-                    ctx_.now());
-            ctx_.eq.schedule(start + cfg_.l2_latency,
-                             [this, req] { l2Access(req); });
-        });
+        const Tick start =
+            banks_[l2_bank_(req->line_va >> kLineShift)].acquire(ctx_.now());
+        l2_hop_.at(start + cfg_.l2_latency, req);
     }
 
     void
@@ -338,8 +336,7 @@ class VirtualCacheSystem final : public MmuSystem
                 fbt_.markWritten(asid, pageOf(line_va));
             else
                 l1Fill(req->cu, asid, line_va, way->perms);
-            ctx_.eq.scheduleIn(cfg_.cu_to_l2,
-                               [this, req] { reqs_.finish(req); });
+            return_hop_.in(cfg_.cu_to_l2, req);
             return;
         }
         if (!way)
@@ -526,8 +523,7 @@ class VirtualCacheSystem final : public MmuSystem
                 if (auto p = l2_.linePerms(w->asid, w->line_va))
                     l1Fill(w->cu, w->asid, w->line_va, *p);
             }
-            ctx_.eq.scheduleIn(cfg_.cu_to_l2,
-                               [this, w] { reqs_.finish(w); });
+            return_hop_.in(cfg_.cu_to_l2, w);
         });
     }
 
@@ -651,6 +647,12 @@ class VirtualCacheSystem final : public MmuSystem
     Counter l1_flushes_;
     Counter dropped_fills_;
     Counter probe_lines_filtered_;
+    using Self = VirtualCacheSystem;
+    Hop<Self, &Self::l1Access> l1_hop_{ctx_.eq, *this};
+    Hop<Self, &Self::l2Arrive> to_l2_hop_{ctx_.eq, *this};
+    Hop<Self, &Self::l2Access> l2_hop_{ctx_.eq, *this};
+    /// The trip back to the CU, where the request finishes.
+    Hop<RequestPool, &RequestPool::finish> return_hop_{ctx_.eq, reqs_};
 };
 
 } // namespace gvc

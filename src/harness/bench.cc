@@ -228,6 +228,24 @@ benchReportFromJson(const Json &doc, BenchReport &out, std::string *err)
     return true;
 }
 
+std::vector<std::string>
+benchOptionMismatches(const BenchOptions &baseline,
+                      const BenchOptions &current)
+{
+    std::vector<std::string> out;
+    const auto check = [&out](const char *what, auto base, auto cur) {
+        if (base != cur)
+            out.push_back(std::string(what) + ": baseline " +
+                          std::to_string(base) + ", current " +
+                          std::to_string(cur));
+    };
+    check("scale", baseline.workload.scale, current.workload.scale);
+    check("seed", baseline.workload.seed, current.workload.seed);
+    check("scenario_rounds", baseline.scenario_rounds,
+          current.scenario_rounds);
+    return out;
+}
+
 bool
 benchCountersMatch(const BenchReport &baseline, const BenchReport &current,
                    std::string &diff)
@@ -239,16 +257,9 @@ benchCountersMatch(const BenchReport &baseline, const BenchReport &current,
         diff += "  " + what + ": baseline " + base + ", current " + cur +
                 "\n";
     };
-    if (baseline.opts.workload.scale != current.opts.workload.scale)
-        mismatch("scale", std::to_string(baseline.opts.workload.scale),
-                 std::to_string(current.opts.workload.scale));
-    if (baseline.opts.workload.seed != current.opts.workload.seed)
-        mismatch("seed", std::to_string(baseline.opts.workload.seed),
-                 std::to_string(current.opts.workload.seed));
-    if (baseline.opts.scenario_rounds != current.opts.scenario_rounds)
-        mismatch("scenario_rounds",
-                 std::to_string(baseline.opts.scenario_rounds),
-                 std::to_string(current.opts.scenario_rounds));
+    for (const std::string &m :
+         benchOptionMismatches(baseline.opts, current.opts))
+        diff += "  " + m + "\n";
 
     const auto find = [](const BenchReport &r, const std::string &name) {
         const BenchMeasurement *found = nullptr;

@@ -98,6 +98,14 @@ bool benchReportFromJson(const Json &doc, BenchReport &out,
                          std::string *err = nullptr);
 
 /**
+ * The run options (scale, seed, scenario rounds) in which @p current
+ * differs from @p baseline, one "name: baseline X, current Y" entry
+ * each; empty when they agree.  Known before any cell runs.
+ */
+std::vector<std::string> benchOptionMismatches(const BenchOptions &baseline,
+                                               const BenchOptions &current);
+
+/**
  * Compare the deterministic identity of two reports: scale, seed,
  * scenario rounds, configuration set, and every counter field must
  * match exactly.  Returns true when identical; otherwise false with a

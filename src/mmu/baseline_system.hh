@@ -85,8 +85,7 @@ class BaselineMmuSystem final : public MmuSystem
         MemRequest *req =
             reqs_.make(cu_id, asid, line_va, is_store, std::move(done));
         injection_.inject(cu_id, [this, req] {
-            ctx_.eq.scheduleIn(cfg_.percu_tlb_latency,
-                               [this, req] { afterTlb(req); });
+            tlb_hop_.in(cfg_.percu_tlb_latency, req);
         });
     }
 
@@ -230,15 +229,18 @@ class BaselineMmuSystem final : public MmuSystem
         }
 
         // Unmerged: each miss is one IOMMU request (paper accounting).
-        ctx_.eq.scheduleIn(cfg_.cu_to_iommu, [this, req] {
-            iommu_.translate(
-                req->asid, req->vpn,
-                [this, req](const IommuResponse &resp) {
-                    req->resp = resp;
-                    ctx_.eq.scheduleIn(cfg_.cu_to_iommu,
-                                       [this, req] { onTranslation(req); });
-                });
-        });
+        to_iommu_hop_.in(cfg_.cu_to_iommu, req);
+    }
+
+    /** @p req reached the IOMMU; its answer travels back to the CU. */
+    void
+    atIommu(MemRequest *req)
+    {
+        iommu_.translate(req->asid, req->vpn,
+                         [this, req](const IommuResponse &resp) {
+                             req->resp = resp;
+                             from_iommu_hop_.in(cfg_.cu_to_iommu, req);
+                         });
     }
 
     /**
@@ -387,6 +389,10 @@ class BaselineMmuSystem final : public MmuSystem
     Counter victima_stashes_;
     Counter victima_probes_;
     Counter victima_hits_;
+    using Self = BaselineMmuSystem;
+    Hop<Self, &Self::afterTlb> tlb_hop_{ctx_.eq, *this};
+    Hop<Self, &Self::atIommu> to_iommu_hop_{ctx_.eq, *this};
+    Hop<Self, &Self::onTranslation> from_iommu_hop_{ctx_.eq, *this};
 };
 
 } // namespace gvc

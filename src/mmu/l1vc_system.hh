@@ -197,8 +197,7 @@ class L1OnlyVcSystem final : public MmuSystem
     issue(MemRequest *req)
     {
         injection_.inject(req->cu, [this, req] {
-            ctx_.eq.scheduleIn(cfg_.l1_latency,
-                               [this, req] { l1Access(req); });
+            l1_hop_.in(cfg_.l1_latency, req);
         });
     }
 
@@ -219,8 +218,7 @@ class L1OnlyVcSystem final : public MmuSystem
         } else if (!way) {
             l1.recordMiss(false);
         }
-        ctx_.eq.scheduleIn(cfg_.percu_tlb_latency,
-                           [this, req] { tlbStage(req); });
+        tlb_hop_.in(cfg_.percu_tlb_latency, req);
     }
 
     void
@@ -232,15 +230,18 @@ class L1OnlyVcSystem final : public MmuSystem
             translated(req, hit->ppn);
             return;
         }
-        ctx_.eq.scheduleIn(cfg_.cu_to_iommu, [this, req] {
-            iommu_.translate(
-                req->asid, req->vpn,
-                [this, req](const IommuResponse &resp) {
-                    req->resp = resp;
-                    ctx_.eq.scheduleIn(cfg_.cu_to_iommu,
-                                       [this, req] { onTranslation(req); });
-                });
-        });
+        to_iommu_hop_.in(cfg_.cu_to_iommu, req);
+    }
+
+    /** @p req reached the IOMMU; its answer travels back to the CU. */
+    void
+    atIommu(MemRequest *req)
+    {
+        iommu_.translate(req->asid, req->vpn,
+                         [this, req](const IommuResponse &resp) {
+                             req->resp = resp;
+                             from_iommu_hop_.in(cfg_.cu_to_iommu, req);
+                         });
     }
 
     void
@@ -328,6 +329,11 @@ class L1OnlyVcSystem final : public MmuSystem
     LineLeadingRegistry registry_;
     CuInjectionPorts injection_;
     Counter synonym_replays_;
+    using Self = L1OnlyVcSystem;
+    Hop<Self, &Self::l1Access> l1_hop_{ctx_.eq, *this};
+    Hop<Self, &Self::tlbStage> tlb_hop_{ctx_.eq, *this};
+    Hop<Self, &Self::atIommu> to_iommu_hop_{ctx_.eq, *this};
+    Hop<Self, &Self::onTranslation> from_iommu_hop_{ctx_.eq, *this};
 };
 
 } // namespace gvc

@@ -85,19 +85,7 @@ class PhysCaches
      * the L1 line is updated on hit but never allocated, and the store
      * always proceeds to the L2.
      */
-    void
-    accessL1(MemRequest *req)
-    {
-        ctx_.eq.scheduleIn(cfg_.l1_latency, [this, req] {
-            const bool hit = l1s_[req->cu]->access(0, req->line_pa,
-                                                   req->is_store,
-                                                   ctx_.now());
-            if (hit && !req->is_store)
-                reqs_.finish(req);
-            else
-                accessL2(req);
-        });
-    }
+    void accessL1(MemRequest *req) { l1_hop_.in(cfg_.l1_latency, req); }
 
     /**
      * Access the shared L2 directly (the L1-only-VC design lands here
@@ -105,16 +93,7 @@ class PhysCaches
      * port arbitration.  A load fills the CU's L1 on return when
      * @p req->fill_l1 is set.
      */
-    void
-    accessL2(MemRequest *req)
-    {
-        ctx_.eq.scheduleIn(cfg_.cu_to_l2, [this, req] {
-            const Tick start =
-                banks_[bankOf(req->line_pa)].acquire(ctx_.now());
-            ctx_.eq.schedule(start + cfg_.l2_latency,
-                             [this, req] { l2Access(req); });
-        });
-    }
+    void accessL2(MemRequest *req) { to_l2_hop_.in(cfg_.cu_to_l2, req); }
 
     CacheArray &l1(unsigned cu) { return *l1s_[cu]; }
     const CacheArray &l1(unsigned cu) const { return *l1s_[cu]; }
@@ -158,6 +137,25 @@ class PhysCaches
     }
 
     void
+    l1Access(MemRequest *req)
+    {
+        const bool hit = l1s_[req->cu]->access(0, req->line_pa,
+                                               req->is_store, ctx_.now());
+        if (hit && !req->is_store)
+            reqs_.finish(req);
+        else
+            accessL2(req);
+    }
+
+    /** The request reached its L2 bank: wait for the bank's port. */
+    void
+    l2Arrive(MemRequest *req)
+    {
+        const Tick start = banks_[bankOf(req->line_pa)].acquire(ctx_.now());
+        l2_hop_.at(start + cfg_.l2_latency, req);
+    }
+
+    void
     l2Access(MemRequest *req)
     {
         if (l2_.access(0, req->line_pa, req->is_store, ctx_.now())) {
@@ -186,12 +184,17 @@ class PhysCaches
     {
         if (!req->is_store && req->fill_l1)
             fillL1(req->cu, req->line_pa);
-        ctx_.eq.scheduleIn(cfg_.cu_to_l2, [this, req] {
-            if (on_return_)
-                on_return_(req);
-            else
-                reqs_.finish(req);
-        });
+        return_hop_.in(cfg_.cu_to_l2, req);
+    }
+
+    /** @p req's data is back at the CU. */
+    void
+    returned(MemRequest *req)
+    {
+        if (on_return_)
+            on_return_(req);
+        else
+            reqs_.finish(req);
     }
 
     void
@@ -224,6 +227,10 @@ class PhysCaches
     std::vector<BankPort> banks_;
     SetIndex l2_bank_;
     MshrTable<MemRequest> mshrs_;
+    Hop<PhysCaches, &PhysCaches::l1Access> l1_hop_{ctx_.eq, *this};
+    Hop<PhysCaches, &PhysCaches::l2Arrive> to_l2_hop_{ctx_.eq, *this};
+    Hop<PhysCaches, &PhysCaches::l2Access> l2_hop_{ctx_.eq, *this};
+    Hop<PhysCaches, &PhysCaches::returned> return_hop_{ctx_.eq, *this};
 };
 
 } // namespace gvc

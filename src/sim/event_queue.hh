@@ -15,12 +15,20 @@
  * drain loop are O(1) appends and pops instead of binary-heap sifts.
  * Events beyond the horizon (page-fault service, deep DRAM backlog)
  * go to a small overflow heap and migrate into the wheel when their
- * tick enters the window.  Callbacks live in a slot pool of fixed-size
- * chunks (slot index -> chunk by shift, position by mask) recycled
- * through a free list; wheel cells and heap entries hold indices, and
- * a chunk never moves once allocated, so no container operation moves
- * a callback object and a running callback stays put while it
- * schedules more events.
+ * tick enters the window.
+ *
+ * Events live in a slot pool of fixed-size chunks (slot index -> chunk
+ * by shift, position by mask).  A slot holds the callback and one
+ * @c next link beside it: a wheel cell is a {head, tail} pair of slot
+ * indices whose entries are linked through @c next, and the free list
+ * reuses the same link.  Filing, popping and recycling an event are a
+ * few index writes in the chunk the callback already occupies; no
+ * per-cell vector grows or is cleared.  A chunk never moves once
+ * allocated, so a running callback stays put while it schedules more
+ * events.  schedule() returns the slot, and isTail() tells whether that
+ * event is still the last one filed under its tick — the test a
+ * request train (mmu/mem_request.hh) makes before it lets a request
+ * ride on an already-scheduled event.
  *
  * Order equivalence with a (tick, insertion-seq) priority queue:
  *  - A cell's append order is global insertion order for that tick:
@@ -29,10 +37,11 @@
  *  - Overflow entries for tick T were necessarily scheduled while T was
  *    outside the window (at some now0 <= T - kWheelSize), i.e. before
  *    any direct append to T (which requires now > T - kWheelSize).
- *    They migrate — in (when, seq) heap order — at the moment now
- *    first advances past T - kWheelSize, which precedes execution of
- *    any event that could append to T directly.  Hence migrated
- *    entries land ahead of all direct appends, completing the order.
+ *    They migrate — in (when, seq) heap order, each appended at the
+ *    cell's tail — at the moment now first advances past
+ *    T - kWheelSize, which precedes execution of any event that could
+ *    append to T directly.  Hence migrated entries land ahead of all
+ *    direct appends, completing the order.
  */
 
 #ifndef GVC_SIM_EVENT_QUEUE_HH
@@ -79,21 +88,23 @@ class EventQueue
     /**
      * Schedule @p cb to run at absolute tick @p when.
      * Scheduling in the past is a simulator bug.
+     * @return the event's slot, for isTail().
      */
-    void
+    std::uint32_t
     schedule(Tick when, Callback cb)
     {
         checkNotPast(when);
         const std::uint32_t slot = allocSlot();
-        slotRef(slot) = std::move(cb);
+        slotRef(slot).cb = std::move(cb);
         enqueue(when, slot);
+        return slot;
     }
 
     /** Schedule @p cb to run @p delay ticks from now. */
-    void
+    std::uint32_t
     scheduleIn(Tick delay, Callback cb)
     {
-        schedule(now_ + delay, std::move(cb));
+        return schedule(now_ + delay, std::move(cb));
     }
 
     /**
@@ -104,7 +115,7 @@ class EventQueue
      */
     template <typename F>
         requires(!std::is_same_v<std::decay_t<F>, Callback>)
-    void
+    std::uint32_t
     schedule(Tick when, F &&f)
     {
         static_assert(Callback::storesInline<F>(),
@@ -113,17 +124,33 @@ class EventQueue
                       "Callback(...) explicitly");
         checkNotPast(when);
         const std::uint32_t slot = allocSlot();
-        slotRef(slot).emplace(std::forward<F>(f));
+        slotRef(slot).cb.emplace(std::forward<F>(f));
         enqueue(when, slot);
+        return slot;
     }
 
     /** Schedule closure @p f to run @p delay ticks from now. */
     template <typename F>
         requires(!std::is_same_v<std::decay_t<F>, Callback>)
-    void
+    std::uint32_t
     scheduleIn(Tick delay, F &&f)
     {
-        schedule(now_ + delay, std::forward<F>(f));
+        return schedule(now_ + delay, std::forward<F>(f));
+    }
+
+    /**
+     * True when the event in @p slot, scheduled for tick @p when, is
+     * still the last event filed under that tick: nothing was scheduled
+     * for @p when after it and it has not been popped.  Always false for
+     * an event still beyond the wheel horizon.  A slot is recycled once
+     * its event has run, so the caller must know that the event has not
+     * run yet.
+     */
+    bool
+    isTail(Tick when, std::uint32_t slot) const
+    {
+        return when - now_ < kWheelSize &&
+               wheel_[std::size_t(when & kWheelMask)].tail == slot;
     }
 
     /**
@@ -156,18 +183,19 @@ class EventQueue
         }
     }
 
-    /** Drop all pending events and rewind time to zero. */
+    /**
+     * Drop all pending events and rewind time to zero.  Slots are handed
+     * out afresh, so an isTail() caller must forget the slots it holds.
+     */
     void
     reset()
     {
-        for (auto &cell : wheel_)
-            cell.clear();
+        wheel_.assign(std::size_t(kWheelSize), Cell{});
         wheel_count_ = 0;
-        cur_head_ = 0;
         overflow_ = {};
         chunks_.clear();
         slot_count_ = 0;
-        free_slots_.clear();
+        free_head_ = kNoSlot;
         now_ = 0;
         next_seq_ = 0;
         executed_ = 0;
@@ -180,6 +208,23 @@ class EventQueue
     static constexpr unsigned kWheelBits = 12;
     static constexpr Tick kWheelSize = Tick{1} << kWheelBits;
     static constexpr Tick kWheelMask = kWheelSize - 1;
+
+    /// The end of a cell's list or of the free list.
+    static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
+    /** One event: its callback and the link to the next in its list. */
+    struct Slot
+    {
+        Callback cb;
+        std::uint32_t next = kNoSlot;
+    };
+
+    /** One tick's FIFO of slots, linked through Slot::next. */
+    struct Cell
+    {
+        std::uint32_t head = kNoSlot;
+        std::uint32_t tail = kNoSlot;
+    };
 
     struct FarEntry
     {
@@ -194,7 +239,7 @@ class EventQueue
         }
     };
 
-    Callback &
+    Slot &
     slotRef(std::uint32_t slot)
     {
         return chunks_[slot >> kSlotChunkBits][slot & (kSlotChunk - 1)];
@@ -211,27 +256,39 @@ class EventQueue
     std::uint32_t
     allocSlot()
     {
-        if (free_slots_.empty()) {
+        if (free_head_ == kNoSlot) {
             const std::uint32_t slot = slot_count_++;
             if ((slot & (kSlotChunk - 1)) == 0)
-                chunks_.push_back(std::make_unique<Callback[]>(kSlotChunk));
+                chunks_.push_back(std::make_unique<Slot[]>(kSlotChunk));
             return slot;
         }
-        const std::uint32_t slot = free_slots_.back();
-        free_slots_.pop_back();
+        const std::uint32_t slot = free_head_;
+        free_head_ = slotRef(slot).next;
         return slot;
+    }
+
+    /** Link @p slot at the tail of tick @p when's cell. */
+    void
+    append(Tick when, std::uint32_t slot)
+    {
+        Cell &cell = wheel_[std::size_t(when & kWheelMask)];
+        slotRef(slot).next = kNoSlot;
+        if (cell.tail == kNoSlot)
+            cell.head = slot;
+        else
+            slotRef(cell.tail).next = slot;
+        cell.tail = slot;
+        ++wheel_count_;
     }
 
     /** File @p slot under tick @p when. */
     void
     enqueue(Tick when, std::uint32_t slot)
     {
-        if (when - now_ < kWheelSize) {
-            wheel_[std::size_t(when & kWheelMask)].push_back(slot);
-            ++wheel_count_;
-        } else {
+        if (when - now_ < kWheelSize)
+            append(when, slot);
+        else
             overflow_.push(FarEntry{when, next_seq_++, slot});
-        }
     }
 
     /** Pull every far event whose tick has entered the wheel window. */
@@ -242,8 +299,7 @@ class EventQueue
                overflow_.top().when - now_ < kWheelSize) {
             const FarEntry e = overflow_.top();
             overflow_.pop();
-            wheel_[std::size_t(e.when & kWheelMask)].push_back(e.slot);
-            ++wheel_count_;
+            append(e.when, e.slot);
         }
     }
 
@@ -254,17 +310,8 @@ class EventQueue
     bool
     advance(Tick limit)
     {
-        {
-            auto &cur = wheel_[std::size_t(now_ & kWheelMask)];
-            if (cur_head_ < cur.size())
-                return true;
-            if (cur_head_) {
-                // Tick fully drained; free the cell before its index is
-                // reused for now_ + kWheelSize.
-                cur.clear();
-                cur_head_ = 0;
-            }
-        }
+        if (wheel_[std::size_t(now_ & kWheelMask)].head != kNoSlot)
+            return true;
         while (true) {
             if (wheel_count_ == 0) {
                 if (overflow_.empty() || overflow_.top().when > limit)
@@ -276,38 +323,42 @@ class EventQueue
                 ++now_;
             }
             migrate();
-            if (!wheel_[std::size_t(now_ & kWheelMask)].empty())
+            if (wheel_[std::size_t(now_ & kWheelMask)].head != kNoSlot)
                 return true;
         }
     }
 
-    /** Pop and run the next entry of the current tick's cell. */
+    /** Pop and run the head of the current tick's cell. */
     void
     execOne()
     {
-        auto &cur = wheel_[std::size_t(now_ & kWheelMask)];
-        const std::uint32_t slot = cur[cur_head_++];
+        Cell &cell = wheel_[std::size_t(now_ & kWheelMask)];
+        const std::uint32_t slot = cell.head;
+        // Unlink before the call: the callback may append to this cell,
+        // and isTail() must be false for a popped event.
+        Slot &s = slotRef(slot);
+        cell.head = s.next;
+        if (cell.head == kNoSlot)
+            cell.tail = kNoSlot;
         --wheel_count_;
         ++executed_;
         // Invoke in place: chunks never move, so the reference stays
         // valid when the callback schedules further events (which may
         // add chunks).  The slot is recycled only after the call, so no
         // new event can overwrite the running callback.
-        Callback &cb = slotRef(slot);
-        cb();
-        cb = nullptr;
-        free_slots_.push_back(slot);
+        s.cb();
+        s.cb = nullptr;
+        s.next = free_head_;
+        free_head_ = slot;
     }
 
-    std::vector<std::vector<std::uint32_t>> wheel_{
-        std::size_t(kWheelSize)};
-    std::size_t cur_head_ = 0;      ///< Drain index into now_'s cell.
+    std::vector<Cell> wheel_{std::size_t(kWheelSize)};
     std::uint64_t wheel_count_ = 0; ///< Pending entries across all cells.
     std::priority_queue<FarEntry, std::vector<FarEntry>, std::greater<>>
         overflow_;
-    std::vector<std::unique_ptr<Callback[]>> chunks_;
-    std::uint32_t slot_count_ = 0; ///< Slots ever handed out.
-    std::vector<std::uint32_t> free_slots_;
+    std::vector<std::unique_ptr<Slot[]>> chunks_;
+    std::uint32_t slot_count_ = 0;       ///< Slots ever handed out.
+    std::uint32_t free_head_ = kNoSlot;  ///< Free list, through Slot::next.
     Tick now_ = 0;
     std::uint64_t next_seq_ = 0;
     std::uint64_t executed_ = 0;

@@ -151,6 +151,89 @@ TEST(EventQueue, RecycledSlotsKeepFifoAcrossChunks)
         ASSERT_EQ(order[i], i);
 }
 
+TEST(EventQueue, IsTailRightAfterAPush)
+{
+    EventQueue eq;
+    const std::uint32_t slot = eq.schedule(5, [] {});
+    EXPECT_TRUE(eq.isTail(5, slot));
+    EXPECT_FALSE(eq.isTail(6, slot));
+}
+
+TEST(EventQueue, IsTailFalseAfterAnotherPushToTheSameTick)
+{
+    EventQueue eq;
+    const std::uint32_t first = eq.schedule(5, [] {});
+    const std::uint32_t second = eq.schedule(5, [] {});
+    EXPECT_FALSE(eq.isTail(5, first));
+    EXPECT_TRUE(eq.isTail(5, second));
+    // A push to another tick leaves tick 5's tail alone.
+    eq.schedule(6, [] {});
+    EXPECT_TRUE(eq.isTail(5, second));
+}
+
+TEST(EventQueue, IsTailFalseOncePopped)
+{
+    EventQueue eq;
+    std::uint32_t slot = 0;
+    bool tail_while_running = true;
+    slot = eq.schedule(3, [&] { tail_while_running = eq.isTail(3, slot); });
+    eq.run();
+    EXPECT_FALSE(tail_while_running);
+    EXPECT_FALSE(eq.isTail(3, slot));
+
+    // Popping the head of a longer list leaves the tail in place.
+    const std::uint32_t a = eq.schedule(7, [] {});
+    const std::uint32_t b = eq.schedule(7, [] {});
+    EXPECT_EQ(eq.run(1), 1u);
+    EXPECT_FALSE(eq.isTail(7, a));
+    EXPECT_TRUE(eq.isTail(7, b));
+    eq.run();
+    EXPECT_FALSE(eq.isTail(7, b));
+}
+
+TEST(EventQueue, IsTailFalseBeyondTheHorizon)
+{
+    EventQueue eq;
+    const Tick far = 100000;
+    const std::uint32_t slot = eq.schedule(far, [] {});
+    EXPECT_FALSE(eq.isTail(far, slot));
+    // Once the tick enters the wheel the migrated entry is its tail.
+    eq.runUntil(far - 1);
+    EXPECT_TRUE(eq.isTail(far, slot));
+}
+
+TEST(EventQueue, OverflowEntriesRunAheadOfDirectAppends)
+{
+    // Entries filed beyond the horizon for tick T migrate into T's cell
+    // before anything can append to it directly, so they run first even
+    // though the cell is a linked list filled at its tail.
+    EventQueue eq;
+    const Tick t = 3 * 4096 + 17;
+    std::vector<int> order;
+    eq.schedule(t, [&] { order.push_back(0); });
+    eq.schedule(t, [&] { order.push_back(1); });
+    eq.schedule(t - 4000, [&] {
+        eq.schedule(t, [&] { order.push_back(2); });
+        eq.schedule(t, [&] { order.push_back(3); });
+    });
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(EventQueue, SameTickPushesFromARunningEventRunBehindTheTick)
+{
+    EventQueue eq;
+    std::vector<int> order;
+    eq.schedule(2, [&] {
+        order.push_back(0);
+        eq.scheduleIn(0, [&] { order.push_back(2); });
+    });
+    eq.schedule(2, [&] { order.push_back(1); });
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+    EXPECT_EQ(eq.executed(), 3u);
+}
+
 TEST(EventQueueDeathTest, SchedulingInThePastPanics)
 {
     EventQueue eq;

@@ -9,6 +9,8 @@
  *   gvc_bench --check BENCH_PR10.json       CI gate: counters only
  *
  * --check compares every counter field-exactly and exits 1 on drift.
+ * A baseline run at another scale, seed or round count is refused
+ * before the first cell.
  * Host speed is gvc_perf's job (docs/BENCHMARKING.md).
  */
 
@@ -71,6 +73,20 @@ main(int argc, char **argv)
         if (doc.isNull() || !benchReportFromJson(doc, baseline, &err)) {
             std::fprintf(stderr, "gvc_bench: baseline '%s': %s\n",
                          opt.check.c_str(), err.c_str());
+            return 1;
+        }
+        // A baseline of other run options cannot match: say so now
+        // instead of after the whole matrix.
+        const auto mismatches = benchOptionMismatches(baseline.opts,
+                                                      opt.bench);
+        if (!mismatches.empty()) {
+            std::string line;
+            for (const std::string &m : mismatches)
+                line += (line.empty() ? "" : "; ") + m;
+            std::fprintf(stderr,
+                         "gvc_bench: baseline '%s' was run with other "
+                         "options: %s\n",
+                         opt.check.c_str(), line.c_str());
             return 1;
         }
     }
