@@ -291,12 +291,11 @@ class CacheArray
     std::uint64_t evictions() const { return evictions_.value; }
     std::uint64_t invalidations() const { return invalidations_.value; }
 
-    double
-    hitRatio() const
+    void
+    stats(StatSink &s) const
     {
-        return accesses_.value
-            ? double(hits_.value) / double(accesses_.value)
-            : 0.0;
+        s("accesses", accesses_);
+        s("hits", hits_);
     }
 
     const LifetimeRecorder &lifetimes() const { return lifetimes_; }

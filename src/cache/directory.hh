@@ -23,6 +23,7 @@
 #include "sim/callback.hh"
 #include "sim/debug.hh"
 #include "sim/sim_context.hh"
+#include "sim/stats.hh"
 #include "sim/types.hh"
 
 namespace gvc
@@ -106,6 +107,8 @@ class Directory
         return probe_writebacks_.value;
     }
     std::uint64_t writebacks() const { return writebacks_.value; }
+
+    void stats(StatSink &s) const { s("probes", probes_sent_); }
 
     /** Lines with directory state (tests). */
     std::size_t trackedLines() const { return entries_.size(); }

@@ -390,9 +390,6 @@ class Fbt
         return bt_valid == ft_valid;
     }
 
-    std::uint64_t btLookups() const { return bt_lookups_.value; }
-    std::uint64_t ftLookups() const { return ft_lookups_.value; }
-    std::uint64_t ftHits() const { return ft_hits_.value; }
     std::uint64_t synonymAccesses() const { return synonym_accesses_.value; }
     std::uint64_t rwFaults() const { return rw_faults_.value; }
     std::uint64_t reverseLookups() const { return reverse_lookups_.value; }
@@ -403,18 +400,15 @@ class Fbt
         return shootdowns_filtered_.value;
     }
     std::uint64_t allocations() const { return allocations_.value; }
-    std::uint64_t capacityEvictions() const
-    {
-        return capacity_evictions_.value;
-    }
 
-    /** Second-level TLB hit ratio (paper: ~74%). */
-    double
-    ftHitRatio() const
+    void
+    stats(StatSink &s) const
     {
-        return ft_lookups_.value
-            ? double(ft_hits_.value) / double(ft_lookups_.value)
-            : 0.0;
+        s("bt_lookups", bt_lookups_);
+        s("ft_lookups", ft_lookups_);
+        s("ft_hits", ft_hits_);
+        s("capacity_evictions", capacity_evictions_);
+        s("valid_pages", validEntries());
     }
 
     const FbtParams &params() const { return params_; }
@@ -614,8 +608,8 @@ class Fbt
     std::uint64_t lru_clock_ = 0;
 
     Counter bt_lookups_;
-    Counter ft_lookups_;
-    Counter ft_hits_;
+    Counter ft_lookups_; ///< Lookups as the second-level TLB ...
+    Counter ft_hits_;    ///< ... and their hits (paper: ~74%).
     Counter synonym_accesses_;
     Counter rw_faults_;
     Counter reverse_lookups_;

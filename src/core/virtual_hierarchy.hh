@@ -202,17 +202,15 @@ class VirtualCacheSystem final : public MmuSystem
     SynonymRemapTable &remapTable() { return remap_; }
     const SynonymRemapTable &remapTable() const { return remap_; }
 
-    std::uint64_t synonymReplays() const override
+    std::uint64_t synonymReplays() const
     {
         return synonym_replays_.value;
     }
-    std::uint64_t translationMerges() const { return xlate_merges_.value; }
     std::uint64_t rwFaults() const { return rw_faults_.value; }
     std::uint64_t protectionFaults() const
     {
         return protection_faults_.value;
     }
-    std::uint64_t fbtPurges() const { return fbt_purges_.value; }
     std::uint64_t l1Flushes() const { return l1_flushes_.value; }
     std::uint64_t probeLinesFiltered() const
     {
@@ -260,26 +258,20 @@ class VirtualCacheSystem final : public MmuSystem
     }
 
     void
-    registerStats(StatRegistry &reg) override
+    stats(StatSink &s) const override
     {
-        reg.addScalar("fbt.bt_lookups",
-                      [this] { return double(fbt_.btLookups()); });
-        reg.addScalar("fbt.ft_hit_ratio",
-                      [this] { return fbt_.ftHitRatio(); });
-        reg.addScalar("fbt.valid_pages",
-                      [this] { return double(fbt_.validEntries()); });
-        reg.addScalar("fbt.capacity_evictions", [this] {
-            return double(fbt_.capacityEvictions());
-        });
-        reg.addCounter("vc.synonym_replays", &synonym_replays_);
-        reg.addCounter("vc.rw_faults", &rw_faults_);
-        reg.addCounter("vc.l1_flushes", &l1_flushes_);
-        reg.addCounter("vc.translation_merges", &xlate_merges_);
-        reg.addScalar("vc.l2.hit_ratio",
-                      [this] { return l2_.hitRatio(); });
-        reg.addScalar("directory.probes",
-                      [this] { return double(dir_.probesSent()); });
-        reg.addCounter("vc.probe_lines_filtered", &probe_lines_filtered_);
+        for (const auto &l1 : l1s_)
+            s.scope("l1", *l1);
+        s.scope("l2", l2_);
+        s.scope("directory", dir_);
+        s.scope("fbt", fbt_);
+        s.scope("iommu", iommu_);
+        s("synonym.replays", synonym_replays_);
+        s("vc.rw_faults", rw_faults_);
+        s("vc.fbt_purges", fbt_purges_);
+        s("vc.l1_flushes", l1_flushes_);
+        s("vc.translation_merges", xlate_merges_);
+        s("vc.probe_lines_filtered", probe_lines_filtered_);
     }
 
   private:

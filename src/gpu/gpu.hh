@@ -16,6 +16,7 @@
 
 #include "gpu/cu.hh"
 #include "sim/sim_context.hh"
+#include "sim/stats.hh"
 
 namespace gvc
 {
@@ -94,22 +95,14 @@ class Gpu
     const ComputeUnit &cu(unsigned i) const { return *cus_[i]; }
     std::uint64_t kernelsLaunched() const { return kernels_launched_.value; }
 
-    std::uint64_t
-    totalInstructions() const
+    /** Every CU lists the same paths, so they read summed. */
+    void
+    stats(StatSink &s) const
     {
-        std::uint64_t n = 0;
-        for (const auto &cu : cus_)
-            n += cu->instructionsIssued();
-        return n;
-    }
-
-    std::uint64_t
-    totalMemInstructions() const
-    {
-        std::uint64_t n = 0;
-        for (const auto &cu : cus_)
-            n += cu->memInstructions();
-        return n;
+        for (const auto &cu : cus_) {
+            s("instructions", cu->instructionsIssued());
+            s("mem_instructions", cu->memInstructions());
+        }
     }
 
     /** Mean coalesced lines per memory instruction across CUs. */

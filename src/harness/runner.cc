@@ -84,7 +84,7 @@ runSource(trace::KernelSource &source, const RunConfig &cfg,
             if (!policy)
                 fatal("runSource: invalid boundary policy byte");
             const KernelStats snap =
-                collectKernelStats(sut, gpu, dram, ctx);
+                collectKernelStats(sut, gpu, ctx);
             per_kernel.push_back(kernelDelta(snap, prev_snap));
             prev_snap = snap;
             sut.system().applyBoundary(*policy);
@@ -97,7 +97,7 @@ runSource(trace::KernelSource &source, const RunConfig &cfg,
     }
 
     if (!bounds.empty()) {
-        const KernelStats snap = collectKernelStats(sut, gpu, dram, ctx);
+        const KernelStats snap = collectKernelStats(sut, gpu, ctx);
         per_kernel.push_back(kernelDelta(snap, prev_snap));
     }
     if (hooks && hooks->at_end)
@@ -109,65 +109,39 @@ runSource(trace::KernelSource &source, const RunConfig &cfg,
     sut.system().flushLifetimes();
 
     RunResult r;
-    // The shared counters come from the same snapshot the per-kernel
-    // deltas use; below, only the Baseline's breakdown and stash and the
-    // VC's FBT are specific to one hierarchy.
-    const KernelStats totals = collectKernelStats(sut, gpu, dram, ctx);
-    static_cast<RunCounters &>(r) = totals;
-    const auto ratio = [](std::uint64_t num, std::uint64_t den) {
-        return den ? double(num) / double(den) : 0.0;
+    const StatSnapshot totals = snapshotStats(sut, gpu, ctx);
+    forEachResultField(
+        [&totals](const char *name, unsigned, auto &v) {
+            readCounter(totals, name, v);
+        },
+        r);
+    const auto ratio = [&totals](const char *num, const char *den) {
+        const std::uint64_t d = totals.get(den);
+        return d ? double(totals.get(num)) / double(d) : 0.0;
     };
-    r.tlb_miss_ratio = ratio(totals.tlb_misses, totals.tlb_accesses);
-    r.l1_hit_ratio = ratio(totals.l1_hits, totals.l1_accesses);
-    r.l2_hit_ratio = ratio(totals.l2_hits, totals.l2_accesses);
+    r.tlb_miss_ratio = ratio("percu_tlb.misses", "percu_tlb.accesses");
+    r.l1_hit_ratio = ratio("l1.hits", "l1.accesses");
+    r.l2_hit_ratio = ratio("l2.hits", "l2.accesses");
+    r.iommu_serialization_mean =
+        ratio("iommu.serialization_cycles", "iommu.accesses");
+    // The FBT's forward table when the design has one, else the
+    // IOMMU's second-level lookups.
+    r.fbt_second_level_hit_ratio = ratio("fbt.ft_hits", "fbt.ft_lookups");
+    if (r.fbt_second_level_hit_ratio == 0.0) {
+        r.fbt_second_level_hit_ratio = ratio(
+            "iommu.second_level_hits", "iommu.second_level_lookups");
+    }
     sut.collectTlbRefs(r.percu_tlb_refs, r.iommu_tlb_refs);
     r.workload = source.name();
     r.design = cfg.design;
     r.kernels = std::move(per_kernel);
     r.lines_per_mem_inst = gpu.meanLinesPerMemInst();
-
-    if (const PerCuTlbs *tlbs = sut.system().perCuTlbs()) {
-        r.tlb_reach_hits = tlbs->sum(&Tlb::reachHits);
-        r.tlb_reach_fills = tlbs->sum(&Tlb::reachFills);
-        r.tlb_merges = tlbs->sum(&Tlb::merges);
-        r.tlb_fill_bypasses = tlbs->sum(&Tlb::fillBypasses);
-        r.tlb_dead_first_evictions = tlbs->sum(&Tlb::deadFirstEvictions);
-        r.tlb_pred_true_pos = tlbs->sum(&Tlb::predTruePos);
-        r.tlb_pred_false_pos = tlbs->sum(&Tlb::predFalsePos);
-    }
-    if (BaselineMmuSystem *b = sut.baseline()) {
-        r.tlb_breakdown = b->breakdown();
-        r.victima_stashes = b->victimaStashes();
-        r.victima_probes = b->victimaProbes();
-        r.victima_hits = b->victimaHits();
-    } else if (VirtualCacheSystem *v = sut.vc()) {
-        r.rw_faults = v->rwFaults();
-        r.fbt_purges = v->fbtPurges();
-        r.fbt_valid_pages = v->fbt().validEntries();
-        r.fbt_second_level_hit_ratio = v->fbt().ftHitRatio();
-    }
-
     if (Iommu *io = sut.iommu()) {
         r.iommu_apc_mean = io->sampler().meanPerCycle();
         r.iommu_apc_stdev = io->sampler().stdevPerCycle();
         r.iommu_apc_max = io->sampler().maxPerCycle();
         r.iommu_frac_windows_over_1 =
             io->sampler().fractionAboveThreshold();
-        r.iommu_serialization_mean = io->meanSerializationDelay();
-        r.iommu_reach_hits = io->tlb().reachHits();
-        r.iommu_reach_fills = io->tlb().reachFills();
-        r.iommu_coalesced_fills = io->coalescedFills();
-        r.large_page_walks = io->ptw().largeWalks();
-        r.iommu_fill_bypasses = io->tlb().fillBypasses();
-        r.iommu_dead_first_evictions = io->tlb().deadFirstEvictions();
-        r.iommu_pred_true_pos = io->tlb().predTruePos();
-        r.iommu_pred_false_pos = io->tlb().predFalsePos();
-        if (r.fbt_second_level_hit_ratio == 0.0 &&
-            io->secondLevelLookups() > 0) {
-            r.fbt_second_level_hit_ratio =
-                double(io->secondLevelHits()) /
-                double(io->secondLevelLookups());
-        }
     }
 
     if (inspect)

@@ -13,6 +13,9 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <type_traits>
+#include <utility>
 
 #include "gpu/gpu.hh"
 #include "mem/dram.hh"
@@ -120,8 +123,79 @@ struct ScenarioSpec
     BoundaryPolicy boundary = BoundaryPolicy::keepAll();
 };
 
-/** Cumulative counters of the system as it stands right now. */
-KernelStats collectKernelStats(SystemUnderTest &sut, Gpu &gpu, Dram &dram,
+/**
+ * Where each count field of KernelStats and RunResult is read in a
+ * StatSnapshot, as (field, path) rows; a field named by two rows reads
+ * the sum of both paths.  A new results counter is one row here plus
+ * one row in its owner's stats() list.
+ */
+inline constexpr std::pair<std::string_view, std::string_view>
+    kCounterPaths[] = {
+        {"exec_ticks", "sim.ticks"},
+        {"instructions", "gpu.instructions"},
+        {"mem_instructions", "gpu.mem_instructions"},
+        {"tlb_accesses", "percu_tlb.accesses"},
+        {"tlb_misses", "percu_tlb.misses"},
+        {"iommu_accesses", "iommu.accesses"},
+        {"page_walks", "iommu.walks"},
+        {"l1_accesses", "l1.accesses"},
+        {"l2_accesses", "l2.accesses"},
+        {"dram_accesses", "dram.accesses"},
+        {"dram_bytes", "dram.bytes"},
+        {"fbt_lookups", "fbt.bt_lookups"},
+        {"fbt_lookups", "fbt.ft_lookups"},
+        {"synonym_replays", "synonym.replays"},
+        {"l1_hits", "l1.hits"},
+        {"l2_hits", "l2.hits"},
+        {"rw_faults", "vc.rw_faults"},
+        {"fbt_purges", "vc.fbt_purges"},
+        {"fbt_valid_pages", "fbt.valid_pages"},
+        {"tlb_reach_hits", "percu_tlb.reach_hits"},
+        {"tlb_reach_fills", "percu_tlb.reach_fills"},
+        {"tlb_merges", "percu_tlb.merges"},
+        {"tlb_fill_bypasses", "percu_tlb.fill_bypasses"},
+        {"iommu_reach_hits", "iommu.tlb.reach_hits"},
+        {"iommu_reach_fills", "iommu.tlb.reach_fills"},
+        {"iommu_coalesced_fills", "iommu.coalesced_fills"},
+        {"large_page_walks", "iommu.ptw.large_walks"},
+        {"victima_stashes", "victima.stashes"},
+        {"victima_probes", "victima.probes"},
+        {"victima_hits", "victima.hits"},
+        {"tlb_dead_first_evictions", "percu_tlb.dead_first_evictions"},
+        {"tlb_pred_true_pos", "percu_tlb.pred_true_pos"},
+        {"tlb_pred_false_pos", "percu_tlb.pred_false_pos"},
+        {"iommu_fill_bypasses", "iommu.tlb.fill_bypasses"},
+        {"iommu_dead_first_evictions", "iommu.tlb.dead_first_evictions"},
+        {"iommu_pred_true_pos", "iommu.tlb.pred_true_pos"},
+        {"iommu_pred_false_pos", "iommu.tlb.pred_false_pos"},
+        {"tlb_breakdown.miss_l1_hit", "tlb_breakdown.miss_l1_hit"},
+        {"tlb_breakdown.miss_l2_hit", "tlb_breakdown.miss_l2_hit"},
+        {"tlb_breakdown.miss_l2_miss", "tlb_breakdown.miss_l2_miss"},
+};
+
+/**
+ * Add to @p out the counts kCounterPaths reads for the field named
+ * @p field; fields that are not counts (the rates) are left alone.
+ */
+template <class T>
+void
+readCounter(const StatSnapshot &snap, std::string_view field, T &out)
+{
+    if constexpr (std::is_same_v<T, std::uint64_t>)
+        for (const auto &[name, path] : kCounterPaths)
+            if (name == field)
+                out += snap.get(path);
+}
+
+/**
+ * Every counter of the system as it stands right now: the elapsed
+ * ticks, the GPU's, the DRAM's and the hierarchy's lists.
+ */
+StatSnapshot snapshotStats(SystemUnderTest &sut, Gpu &gpu,
+                           SimContext &ctx);
+
+/** The KernelStats of snapshotStats() right now. */
+KernelStats collectKernelStats(SystemUnderTest &sut, Gpu &gpu,
                                SimContext &ctx);
 
 /** Field-wise @p cur - @p prev (both cumulative snapshots). */

@@ -305,9 +305,9 @@ runTenants(const TenantsSpec &spec, const RunConfig &cfg)
         return kernel_arrival[i];
     };
     hooks.after_boundary = [&](std::size_t b, SystemUnderTest &sut,
-                               Gpu &gpu, Dram &dram, Vm &vm,
+                               Gpu &gpu, Dram &, Vm &vm,
                                SimContext &ctx) {
-        const KernelStats snap = collectKernelStats(sut, gpu, dram, ctx);
+        const KernelStats snap = collectKernelStats(sut, gpu, ctx);
         const unsigned out_t = slot_tenant[b];
         per_tenant[out_t] = kernelSum(per_tenant[out_t],
                                       kernelDelta(snap, prev));
@@ -342,9 +342,9 @@ runTenants(const TenantsSpec &spec, const RunConfig &cfg)
             }
         }
     };
-    hooks.at_end = [&](SystemUnderTest &sut, Gpu &gpu, Dram &dram, Vm &,
+    hooks.at_end = [&](SystemUnderTest &sut, Gpu &gpu, Dram &, Vm &,
                        SimContext &ctx) {
-        const KernelStats snap = collectKernelStats(sut, gpu, dram, ctx);
+        const KernelStats snap = collectKernelStats(sut, gpu, ctx);
         const unsigned last = slot_tenant.back();
         per_tenant[last] = kernelSum(per_tenant[last],
                                      kernelDelta(snap, prev));

@@ -14,6 +14,7 @@
 
 #include "sim/callback.hh"
 #include "sim/sim_context.hh"
+#include "sim/stats.hh"
 #include "sim/types.hh"
 
 namespace gvc
@@ -59,15 +60,13 @@ class Dram
     }
 
     std::uint64_t accesses() const { return accesses_.value; }
-    std::uint64_t bytesMoved() const { return bytes_moved_.value; }
 
-    /** Average cycles an access waited for the channel. */
-    double
-    meanQueueDelay() const
+    void
+    stats(StatSink &s) const
     {
-        return accesses_.value
-            ? double(queue_delay_.value) / double(accesses_.value)
-            : 0.0;
+        s("accesses", accesses_);
+        s("bytes", bytes_moved_);
+        s("queue_delay", queue_delay_);
     }
 
   private:
@@ -79,7 +78,7 @@ class Dram
     std::uint64_t next_free_fp_ = 0;
     Counter accesses_;
     Counter bytes_moved_;
-    Counter queue_delay_;
+    Counter queue_delay_; ///< Cycles accesses waited for the channel.
 };
 
 } // namespace gvc

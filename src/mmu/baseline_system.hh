@@ -98,11 +98,6 @@ class BaselineMmuSystem final : public MmuSystem
     void flushLifetimes() override { caches_.flushLifetimes(); }
     PhysCaches &caches() { return caches_; }
     const PhysCaches &caches() const { return caches_; }
-    const TlbMissBreakdown &breakdown() const { return breakdown_; }
-
-    std::uint64_t victimaStashes() const { return victima_stashes_.value; }
-    std::uint64_t victimaProbes() const { return victima_probes_.value; }
-    std::uint64_t victimaHits() const { return victima_hits_.value; }
 
     /**
      * Kernel boundary (§4).  A shootdown invalidates the translation
@@ -127,42 +122,17 @@ class BaselineMmuSystem final : public MmuSystem
     }
 
     void
-    registerStats(StatRegistry &reg) override
+    stats(StatSink &s) const override
     {
-        const PerCuTlbs *tlbs = &tlbs_;
-        const auto percu = [&](const char *name,
-                               std::uint64_t (Tlb::*counter)() const) {
-            reg.addScalar(name, [tlbs, counter] {
-                return double(tlbs->sum(counter));
-            });
-        };
-        percu("percu_tlb.accesses", &Tlb::accesses);
-        percu("percu_tlb.misses", &Tlb::misses);
-        reg.addScalar("l2.hit_ratio",
-                      [this] { return caches_.l2().hitRatio(); });
-        reg.addScalar("directory.probes", [this] {
-            return double(caches_.directory().probesSent());
-        });
-        // Reach/stash scalars appear only when the feature is on,
-        // keeping classic designs' stat dumps byte-identical.
-        if (cfg_.tlb_max_reach > 0) {
-            percu("percu_tlb.reach_hits", &Tlb::reachHits);
-            percu("percu_tlb.reach_fills", &Tlb::reachFills);
-            percu("percu_tlb.merges", &Tlb::merges);
-        }
-        if (cfg_.percu_tlb_fill_policy != kTlbFillLru)
-            percu("percu_tlb.fill_bypasses", &Tlb::fillBypasses);
-        if (cfg_.percu_tlb_fill_policy == kTlbFillBypassTrained) {
-            percu("percu_tlb.dead_first_evictions",
-                  &Tlb::deadFirstEvictions);
-            percu("percu_tlb.pred_true_pos", &Tlb::predTruePos);
-            percu("percu_tlb.pred_false_pos", &Tlb::predFalsePos);
-        }
-        if (cfg_.victima_stash) {
-            reg.addCounter("victima.stashes", &victima_stashes_);
-            reg.addCounter("victima.probes", &victima_probes_);
-            reg.addCounter("victima.hits", &victima_hits_);
-        }
+        caches_.stats(s);
+        s.scope("iommu", iommu_);
+        s.scope("percu_tlb", tlbs_);
+        s("victima.stashes", victima_stashes_);
+        s("victima.probes", victima_probes_);
+        s("victima.hits", victima_hits_);
+        s("tlb_breakdown.miss_l1_hit", breakdown_.miss_l1_hit);
+        s("tlb_breakdown.miss_l2_hit", breakdown_.miss_l2_hit);
+        s("tlb_breakdown.miss_l2_miss", breakdown_.miss_l2_miss);
     }
 
   private:

@@ -253,7 +253,7 @@ class SystemUnderTest
   public:
     SystemUnderTest(SimContext &ctx, const SocConfig &cfg, Vm &vm,
                     Dram &dram, MmuDesign design)
-        : design_(design),
+        : design_(design), dram_(dram),
           sys_(buildHierarchy(designRow(design).hierarchy, ctx, cfg, vm,
                               dram))
     {
@@ -261,6 +261,9 @@ class SystemUnderTest
 
     MmuDesign design() const { return design_; }
     MmuSystem &system() { return *sys_; }
+
+    /** The DRAM the hierarchy was built over. */
+    Dram &dram() { return dram_; }
 
     /** The shared IOMMU, when the design has one. */
     Iommu *iommu() { return sys_->iommu(); }
@@ -301,36 +304,6 @@ class SystemUnderTest
         }
     }
 
-    /** Register this system's statistics under dotted names. */
-    void
-    registerStats(StatRegistry &reg)
-    {
-        if (Iommu *io = iommu()) {
-            reg.addScalar("iommu.accesses",
-                          [io] { return double(io->accesses()); });
-            reg.addScalar("iommu.walks",
-                          [io] { return double(io->walks()); });
-            reg.addScalar("iommu.faults",
-                          [io] { return double(io->faults()); });
-            reg.addScalar("iommu.serialization_cycles", [io] {
-                return double(io->serializationDelay());
-            });
-            reg.addScalar("iommu.tlb.hits", [io] {
-                return double(io->tlb().hits());
-            });
-            reg.addScalar("iommu.tlb.misses", [io] {
-                return double(io->tlb().misses());
-            });
-            reg.addScalar("iommu.pwc.hit_ratio", [io] {
-                return io->ptw().pwc().hitRatio();
-            });
-            reg.addScalar("iommu.ptw.mean_latency", [io] {
-                return io->ptw().meanLatency();
-            });
-        }
-        sys_->registerStats(reg);
-    }
-
   private:
     template <class System>
     System *
@@ -340,6 +313,7 @@ class SystemUnderTest
     }
 
     MmuDesign design_;
+    Dram &dram_;
     std::unique_ptr<MmuSystem> sys_;
 };
 

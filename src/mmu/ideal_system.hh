@@ -51,6 +51,7 @@ class IdealMmuSystem final : public MmuSystem
     CacheArray &l1(unsigned cu) override { return caches_.l1(cu); }
     CacheArray &l2() override { return caches_.l2(); }
     void flushLifetimes() override { caches_.flushLifetimes(); }
+    void stats(StatSink &s) const override { caches_.stats(s); }
 
     /**
      * Kernel boundary (§4).  Translation is free here, so only the cache

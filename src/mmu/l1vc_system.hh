@@ -149,11 +149,6 @@ class L1OnlyVcSystem final : public MmuSystem
     PhysCaches &caches() { return caches_; }
     LineLeadingRegistry &registry() { return registry_; }
 
-    std::uint64_t synonymReplays() const override
-    {
-        return synonym_replays_.value;
-    }
-
     void
     flushLifetimes() override
     {
@@ -185,11 +180,16 @@ class L1OnlyVcSystem final : public MmuSystem
     }
 
     void
-    registerStats(StatRegistry &reg) override
+    stats(StatSink &s) const override
     {
-        reg.addCounter("l1vc.synonym_replays", &synonym_replays_);
-        reg.addScalar("l1vc.registry_lines",
-                      [this] { return double(registry_.size()); });
+        for (const auto &l1 : l1s_)
+            s.scope("l1", *l1);
+        s.scope("l2", caches_.l2());
+        s.scope("directory", caches_.directory());
+        s.scope("iommu", iommu_);
+        s.scope("percu_tlb", tlbs_);
+        s("synonym.replays", synonym_replays_);
+        s("l1vc.registry_lines", registry_.size());
     }
 
   private:

@@ -9,7 +9,6 @@
 #define GVC_MMU_MMU_SYSTEM_HH
 
 #include <cstddef>
-#include <cstdint>
 
 #include "gpu/cu.hh"
 #include "mmu/boundary.hh"
@@ -20,7 +19,7 @@ namespace gvc
 class CacheArray;
 class Iommu;
 class PerCuTlbs;
-class StatRegistry;
+class StatSink;
 
 /** One of the four hierarchies, as the harness sees it. */
 class MmuSystem : public GpuMemInterface
@@ -41,9 +40,6 @@ class MmuSystem : public GpuMemInterface
     /** Accesses issued and not yet completed. */
     virtual std::size_t requestsInFlight() const = 0;
 
-    /** Accesses replayed under a synonym's leading name. */
-    virtual std::uint64_t synonymReplays() const { return 0; }
-
     /** Fold still-live cache lines into the lifetime histograms. */
     virtual void flushLifetimes() = 0;
 
@@ -51,10 +47,12 @@ class MmuSystem : public GpuMemInterface
     virtual void applyBoundary(const BoundaryPolicy &p) = 0;
 
     /**
-     * Register the statistics that belong to this hierarchy under
-     * dotted names; the shared IOMMU's are registered by the caller.
+     * List every counter of the hierarchy: each component under its
+     * scope ("l1", "l2", "directory", "iommu", "percu_tlb", "fbt") and
+     * the hierarchy's own rows, zeros included.  Accesses replayed
+     * under a synonym's leading name read as "synonym.replays".
      */
-    virtual void registerStats(StatRegistry &) {}
+    virtual void stats(StatSink &s) const = 0;
 };
 
 } // namespace gvc

@@ -75,14 +75,12 @@ class PerCuTlbs
         }
     }
 
-    /** One Tlb counter summed across CUs, e.g. sum(&Tlb::misses). */
-    std::uint64_t
-    sum(std::uint64_t (Tlb::*counter)() const) const
+    /** Every CU's TLB lists the same paths, so they read summed. */
+    void
+    stats(StatSink &s) const
     {
-        std::uint64_t n = 0;
         for (const auto &tlb : tlbs_)
-            n += (*tlb.*counter)();
-        return n;
+            tlb->stats(s);
     }
 
   private:

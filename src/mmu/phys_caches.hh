@@ -101,6 +101,16 @@ class PhysCaches
     const CacheArray &l2() const { return l2_; }
     MshrTable<MemRequest> &mshrs() { return mshrs_; }
     Directory &directory() { return dir_; }
+    const Directory &directory() const { return dir_; }
+
+    void
+    stats(StatSink &s) const
+    {
+        for (const auto &l1 : l1s_)
+            s.scope("l1", *l1);
+        s.scope("l2", l2_);
+        s.scope("directory", dir_);
+    }
 
     /**
      * Kernel-boundary invalidation: drop the selected levels without

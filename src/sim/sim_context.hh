@@ -1,7 +1,10 @@
 /**
  * @file
  * SimContext bundles the shared per-simulation services (event queue,
- * statistics registry, RNG) so components take a single dependency.
+ * RNG) so components take a single dependency.  Counters are not a
+ * shared service: each component owns its own and lists them in a
+ * stats() member, and StatSink (sim/stats.hh) collects those lists
+ * into one snapshot at kernel boundaries and at run end.
  */
 
 #ifndef GVC_SIM_SIM_CONTEXT_HH
@@ -11,7 +14,6 @@
 
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
-#include "sim/stats.hh"
 
 namespace gvc
 {
@@ -22,7 +24,6 @@ struct SimContext
     explicit SimContext(std::uint64_t seed = 1) : rng(seed) {}
 
     EventQueue eq;
-    StatRegistry stats;
     Rng rng;
 
     Tick now() const { return eq.now(); }

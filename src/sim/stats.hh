@@ -3,7 +3,8 @@
  * Statistics primitives: counters, running distributions, linear
  * histograms (for CDFs), interval samplers (events per fixed time window,
  * as used by the paper's Figures 3 and 8), and lifetime recorders (Figure
- * 12).  A StatRegistry collects named readouts for dumping.
+ * 12).  Components list their counters into a StatSink, which
+ * snapshots them as one sorted (path, count) list.
  */
 
 #ifndef GVC_SIM_STATS_HH
@@ -12,10 +13,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <limits>
-#include <ostream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -213,7 +213,6 @@ class IntervalSampler
         // simulated time or events.
         if (end % window_ != 0 || current_count_ > 0)
             closeCurrent();
-        finished_ = true;
     }
 
     /** Mean events per cycle across windows. */
@@ -266,7 +265,6 @@ class IntervalSampler
     std::uint64_t current_count_ = 0;
     std::uint64_t above_threshold_ = 0;
     Distribution rates_;
-    bool finished_ = false;
 };
 
 /**
@@ -299,64 +297,90 @@ class LifetimeRecorder
 };
 
 /**
- * A flat registry of named scalar readouts.  Components register either
- * counters (by pointer) or arbitrary functions; the registry can dump
- * everything or answer point queries by name.
+ * Every counter of a simulation at one instant, as (dotted path, count)
+ * rows sorted by path: the one readout of the simulator's counters.
+ * Only counts are kept; a ratio or mean is read as its numerator and
+ * denominator rows.
  */
-class StatRegistry
+struct StatSnapshot
+{
+    using Row = std::pair<std::string, std::uint64_t>;
+    std::vector<Row> rows; ///< Sorted by path, one row per path.
+
+    /** The count at @p path; 0 when no component emitted it. */
+    std::uint64_t
+    get(std::string_view path) const
+    {
+        const auto it = std::lower_bound(
+            rows.begin(), rows.end(), path,
+            [](const Row &r, std::string_view p) { return r.first < p; });
+        return it != rows.end() && it->first == path ? it->second : 0;
+    }
+};
+
+/**
+ * Collects counter lists into a StatSnapshot.  A component lists the
+ * counters it owns once, in a `void stats(StatSink &s) const` member
+ * that calls `s("name", counter)` per row; scope() runs another
+ * component's list under "<prefix>.".  A path emitted more than once
+ * is summed, so sixteen per-CU L1s read as one "l1.accesses".
+ */
+class StatSink
 {
   public:
     void
-    addCounter(std::string name, const Counter *c)
+    operator()(std::string_view name, std::uint64_t value)
     {
-        entries_.emplace_back(std::move(name),
-                              [c] { return double(c->value); });
+        rows_.emplace_back(prefix_, value);
+        rows_.back().first += name;
     }
 
     void
-    addScalar(std::string name, std::function<double()> fn)
+    operator()(std::string_view name, const Counter &c)
     {
-        entries_.emplace_back(std::move(name), std::move(fn));
+        (*this)(name, c.value);
     }
 
-    /** Value of the stat named @p name; NaN when absent. */
-    double
-    lookup(const std::string &name) const
-    {
-        for (const auto &[n, fn] : entries_)
-            if (n == name)
-                return fn();
-        return std::nan("");
-    }
-
+    template <class Component>
     void
-    dump(std::ostream &os) const
+    scope(std::string_view prefix, const Component &c)
     {
-        for (const auto &[n, fn] : entries_) {
-            os << n << " = " << fn() << '\n';
+        const std::size_t outer = prefix_.size();
+        prefix_ += prefix;
+        prefix_ += '.';
+        c.stats(*this);
+        prefix_.resize(outer);
+    }
+
+    /** The rows emitted so far, sorted, repeated paths summed. */
+    StatSnapshot
+    snapshot() &&
+    {
+        std::sort(rows_.begin(), rows_.end());
+        StatSnapshot out;
+        for (auto &row : rows_) {
+            if (!out.rows.empty() && out.rows.back().first == row.first)
+                out.rows.back().second += row.second;
+            else
+                out.rows.push_back(std::move(row));
         }
-    }
-
-    /**
-     * Evaluate every registered stat right now, in registration order.
-     * Scenario runs snapshot the registry at each kernel boundary and
-     * difference consecutive snapshots into per-kernel deltas.
-     */
-    std::vector<std::pair<std::string, double>>
-    snapshot() const
-    {
-        std::vector<std::pair<std::string, double>> out;
-        out.reserve(entries_.size());
-        for (const auto &[n, fn] : entries_)
-            out.emplace_back(n, fn());
         return out;
     }
 
-    std::size_t size() const { return entries_.size(); }
-
   private:
-    std::vector<std::pair<std::string, std::function<double()>>> entries_;
+    std::string prefix_;
+    std::vector<StatSnapshot::Row> rows_;
 };
+
+/** The snapshot of @p c's own list, paths relative to @p c. */
+template <class Component>
+StatSnapshot
+snapshotOf(const Component &c)
+{
+    StatSink s;
+    c.stats(s);
+    return std::move(s).snapshot();
+}
 
 } // namespace gvc
 

@@ -26,6 +26,7 @@
 #include "sim/set_index.hh"
 #include "sim/sim_context.hh"
 #include "sim/slab_pool.hh"
+#include "sim/stats.hh"
 #include "tlb/ptw.hh"
 #include "tlb/tlb.hh"
 
@@ -193,33 +194,29 @@ class Iommu
     const IntervalSampler &sampler() const { return sampler_; }
 
     std::uint64_t accesses() const { return accesses_.value; }
-    std::uint64_t secondLevelHits() const { return sl_hits_.value; }
-    std::uint64_t secondLevelLookups() const { return sl_lookups_.value; }
     std::uint64_t walks() const { return walks_.value; }
     std::uint64_t faults() const { return faults_.value; }
-    /** Walk completions filled as one multi-page coalesced entry. */
-    std::uint64_t coalescedFills() const { return coalesced_fills_.value; }
 
     /** Translations requested and not yet answered. */
     std::size_t requestsInFlight() const { return reqs_.inUse(); }
 
-    /** Total cycles requests spent waiting for the shared TLB port. */
-    std::uint64_t
-    serializationDelay() const
-    {
-        return serialization_delay_.value;
-    }
-
-    double
-    meanSerializationDelay() const
-    {
-        return accesses_.value
-            ? double(serialization_delay_.value) / double(accesses_.value)
-            : 0.0;
-    }
-
     /** Accesses that found their bank busy (banked configurations). */
     std::uint64_t bankConflicts() const { return bank_conflicts_.value; }
+
+    void
+    stats(StatSink &s) const
+    {
+        s("accesses", accesses_);
+        s("walks", walks_);
+        s("faults", faults_);
+        s("serialization_cycles", serialization_delay_);
+        s("second_level_lookups", sl_lookups_);
+        s("second_level_hits", sl_hits_);
+        s("coalesced_fills", coalesced_fills_);
+        s.scope("tlb", tlb_);
+        s.scope("ptw", ptw_);
+        s.scope("pwc", ptw_.pwc());
+    }
 
   private:
     static constexpr std::uint64_t kFpScale = 1024;
@@ -390,8 +387,10 @@ class Iommu
     Counter sl_hits_;
     Counter walks_;
     Counter faults_;
+    /// Cycles requests spent waiting for the shared TLB port.
     Counter serialization_delay_;
     Counter bank_conflicts_;
+    /// Walk completions filled as one multi-page coalesced entry.
     Counter coalesced_fills_;
 };
 

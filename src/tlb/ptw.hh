@@ -19,6 +19,7 @@
 #include "mem/vm.hh"
 #include "sim/sim_context.hh"
 #include "sim/slab_pool.hh"
+#include "sim/stats.hh"
 #include "tlb/pwc.hh"
 
 namespace gvc
@@ -68,20 +69,16 @@ class PageTableWalker
     const PageWalkCache &pwc() const { return pwc_; }
 
     std::uint64_t requests() const { return requests_.value; }
-    std::uint64_t completed() const { return completed_.value; }
-    /** Walks that ended at a 2 MB leaf (3-level paths). */
-    std::uint64_t largeWalks() const { return large_walks_.value; }
     unsigned active() const { return active_; }
     /** Walks requested and not yet completed (queued or running). */
     std::size_t walksInFlight() const { return states_.inUse(); }
 
-    /** Mean cycles from walk() to completion (includes queueing). */
-    double
-    meanLatency() const
+    void
+    stats(StatSink &s) const
     {
-        return completed_.value
-            ? double(latency_sum_.value) / double(completed_.value)
-            : 0.0;
+        s("completed", completed_);
+        s("latency_sum", latency_sum_);
+        s("large_walks", large_walks_);
     }
 
   private:
@@ -171,7 +168,8 @@ class PageTableWalker
     unsigned active_ = 0;
     Counter requests_;
     Counter completed_;
-    Counter large_walks_;
+    Counter large_walks_; ///< Walks that ended at a 2 MB leaf.
+    /// Cycles from walk() to completion, queueing included.
     Counter latency_sum_;
 };
 

@@ -98,12 +98,11 @@ class PageWalkCache
     std::uint64_t accesses() const { return accesses_.value; }
     std::uint64_t hits() const { return hits_.value; }
 
-    double
-    hitRatio() const
+    void
+    stats(StatSink &s) const
     {
-        return accesses_.value
-            ? double(hits_.value) / double(accesses_.value)
-            : 0.0;
+        s("accesses", accesses_);
+        s("hits", hits_);
     }
 
   private:

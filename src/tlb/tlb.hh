@@ -542,31 +542,20 @@ class Tlb
     std::uint64_t hits() const { return hits_.value; }
     std::uint64_t misses() const { return misses_.value; }
     std::uint64_t fills() const { return fills_.value; }
-    /** Hits served by reach > 0 entries. */
-    std::uint64_t reachHits() const { return reach_hits_.value; }
-    /** Fills installed with reach > 0. */
-    std::uint64_t reachFills() const { return reach_fills_.value; }
-    /** Buddy merges performed at insertion time. */
-    std::uint64_t merges() const { return merges_.value; }
-    /** Fills bypassed by the dead-on-arrival predictor. */
-    std::uint64_t fillBypasses() const { return fill_bypasses_.value; }
-    /** Evictions that chose a predicted-dead zero-ref resident first. */
-    std::uint64_t
-    deadFirstEvictions() const
-    {
-        return dead_first_evictions_.value;
-    }
-    /** Sampled predicted-dead installs that retired with zero refs. */
-    std::uint64_t predTruePos() const { return pred_true_pos_.value; }
-    /** Sampled predicted-dead installs that were re-referenced. */
-    std::uint64_t predFalsePos() const { return pred_false_pos_.value; }
 
-    double
-    missRatio() const
+    void
+    stats(StatSink &s) const
     {
-        return accesses_.value
-            ? double(misses_.value) / double(accesses_.value)
-            : 0.0;
+        s("accesses", accesses_);
+        s("hits", hits_);
+        s("misses", misses_);
+        s("reach_hits", reach_hits_);
+        s("reach_fills", reach_fills_);
+        s("merges", merges_);
+        s("fill_bypasses", fill_bypasses_);
+        s("dead_first_evictions", dead_first_evictions_);
+        s("pred_true_pos", pred_true_pos_);
+        s("pred_false_pos", pred_false_pos_);
     }
 
     const LifetimeRecorder &lifetimes() const { return lifetimes_; }
@@ -883,13 +872,15 @@ class Tlb
     Counter misses_;
     Counter fills_;
     Counter shootdowns_;
-    Counter reach_hits_;
-    Counter reach_fills_;
-    Counter merges_;
-    Counter fill_bypasses_;
+    Counter reach_hits_;    ///< Hits served by reach > 0 entries.
+    Counter reach_fills_;   ///< Fills installed with reach > 0.
+    Counter merges_;        ///< Buddy merges at insertion time.
+    Counter fill_bypasses_; ///< Fills the dead-on-arrival predictor skipped.
+    /// Evictions that chose a predicted-dead zero-ref resident first.
     Counter dead_first_evictions_;
+    /// Sampled predicted-dead installs that retired with zero refs ...
     Counter pred_true_pos_;
-    Counter pred_false_pos_;
+    Counter pred_false_pos_; ///< ... and that were re-referenced.
     LifetimeRecorder lifetimes_;
     TlbRefHist ref_hist_;
     bool refs_flushed_ = false;

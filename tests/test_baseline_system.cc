@@ -43,6 +43,13 @@ class BaselineTest : public ::testing::Test
 
     Tlb &tlb(unsigned cu) { return (*sys_->perCuTlbs())[cu]; }
 
+    /** Per-CU TLB misses, summed over the CUs by the stats snapshot. */
+    std::uint64_t
+    tlbMisses() const
+    {
+        return snapshotOf(*sys_).get("percu_tlb.misses");
+    }
+
     SimContext ctx_;
     PhysMem pm_;
     Vm vm_;
@@ -56,7 +63,7 @@ class BaselineTest : public ::testing::Test
 TEST_F(BaselineTest, TlbMissGoesToIommuThenFills)
 {
     access(base_);
-    EXPECT_EQ(sys_->perCuTlbs()->sum(&Tlb::misses), 1u);
+    EXPECT_EQ(tlbMisses(), 1u);
     EXPECT_EQ(sys_->iommu()->accesses(), 1u);
     EXPECT_TRUE(tlb(0).present(asid_, pageOf(base_)));
     // Data landed in the physical caches.
@@ -71,7 +78,7 @@ TEST_F(BaselineTest, TlbHitSkipsIommu)
     const auto before = sys_->iommu()->accesses();
     access(base_ + kLineSize); // same page
     EXPECT_EQ(sys_->iommu()->accesses(), before);
-    EXPECT_EQ(sys_->perCuTlbs()->sum(&Tlb::misses), 1u);
+    EXPECT_EQ(tlbMisses(), 1u);
 }
 
 TEST_F(BaselineTest, PerCuTlbsAreSeparate)
@@ -116,13 +123,17 @@ TEST_F(BaselineTest, ClassificationBucketsAreConsistent)
     for (int i = 1; i <= 64; ++i)
         access(base_ + std::uint64_t(i) * kPageSize);
     EXPECT_FALSE(tlb(0).present(asid_, pageOf(base_)));
-    const auto before = sys_->breakdown();
+    const StatSnapshot before = snapshotOf(*sys_);
     access(base_);
-    const auto after = sys_->breakdown();
-    EXPECT_EQ(after.total(), before.total() + 1);
+    const StatSnapshot after = snapshotOf(*sys_);
+    const auto cached = [](const StatSnapshot &s) {
+        return s.get("tlb_breakdown.miss_l1_hit") +
+               s.get("tlb_breakdown.miss_l2_hit");
+    };
     // The line is still in the 2 MB L2 (64 pages of lines fit easily).
-    EXPECT_EQ(after.miss_l1_hit + after.miss_l2_hit,
-              before.miss_l1_hit + before.miss_l2_hit + 1);
+    EXPECT_EQ(cached(after), cached(before) + 1);
+    EXPECT_EQ(after.get("tlb_breakdown.miss_l2_miss"),
+              before.get("tlb_breakdown.miss_l2_miss"));
 }
 
 TEST_F(BaselineTest, ShootdownDropsPerCuTlbEntries)
@@ -149,22 +160,22 @@ TEST_F(BaselineTest, ShootdownDropsVictimaStashedTranslation)
     // A 2-entry TLB: pages 2 and 3 evict pages 0 and 1 into the stash.
     for (unsigned page = 0; page < 4; ++page)
         touch(page);
-    ASSERT_EQ(vic.victimaStashes(), 2u);
+    ASSERT_EQ(snapshotOf(vic).get("victima.stashes"), 2u);
 
     // Control: page 1's stashed translation serves its next miss.
     std::uint64_t iommu_before = vic.iommu()->accesses();
     touch(1);
-    EXPECT_EQ(vic.victimaHits(), 1u);
+    EXPECT_EQ(snapshotOf(vic).get("victima.hits"), 1u);
     EXPECT_EQ(vic.iommu()->accesses(), iommu_before);
 
     // A shootdown of page 0 must drop its stash copy too: the next miss
     // finds nothing to probe and pays the IOMMU round trip.
     vm_.protect(asid_, base_, kPageSize, kPermRead);
-    const std::uint64_t probes_before = vic.victimaProbes();
+    const std::uint64_t probes_before = snapshotOf(vic).get("victima.probes");
     iommu_before = vic.iommu()->accesses();
     touch(0);
-    EXPECT_EQ(vic.victimaProbes(), probes_before);
-    EXPECT_EQ(vic.victimaHits(), 1u);
+    EXPECT_EQ(snapshotOf(vic).get("victima.probes"), probes_before);
+    EXPECT_EQ(snapshotOf(vic).get("victima.hits"), 1u);
     EXPECT_EQ(vic.iommu()->accesses(), iommu_before + 1);
 }
 

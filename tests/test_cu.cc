@@ -252,7 +252,7 @@ TEST_F(CuTest, MoreWarpsThanSlotsDrainsEventually)
     }
     run(std::move(k));
     EXPECT_EQ(mem_.requests.size(), 20u);
-    EXPECT_EQ(gpu_.totalMemInstructions(), 20u);
+    EXPECT_EQ(snapshotOf(gpu_).get("mem_instructions"), 20u);
 }
 
 TEST_F(CuTest, StoreQueueCapStallsIssue)

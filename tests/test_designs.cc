@@ -1,15 +1,16 @@
 /**
  * @file
  * Tests for the design rows (Table 2 configurations, labels and CLI
- * spellings), the SystemUnderTest wrapper and the statistics it
- * registers, plus warp-scheduler policy behaviour.
+ * spellings), the SystemUnderTest wrapper and the counter paths of
+ * its stats snapshot, plus warp-scheduler policy behaviour.
  */
 
 #include <gtest/gtest.h>
 
-#include <map>
-#include <sstream>
+#include <algorithm>
+#include <set>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "gpu/gpu.hh"
@@ -115,91 +116,115 @@ TEST(Designs, SystemUnderTestExposesTheRightConcreteSystem)
     }
 }
 
-/** Every "name = value" line of @p reg's dump, names in order. */
+/** The snapshot paths of @p design after bfs at scale 0.05. */
 std::vector<std::string>
-statPaths(const StatRegistry &reg)
+snapshotPaths(MmuDesign design)
 {
-    std::ostringstream os;
-    reg.dump(os);
-    std::istringstream in(os.str());
+    RunConfig cfg;
+    cfg.design = design;
+    cfg.workload.scale = 0.05;
+    StatSnapshot snap;
+    runWorkload("bfs", cfg,
+                [&](SystemUnderTest &sut, Gpu &gpu, SimContext &ctx) {
+                    snap = snapshotStats(sut, gpu, ctx);
+                });
     std::vector<std::string> paths;
-    for (std::string line; std::getline(in, line);)
-        paths.push_back(line.substr(0, line.find(" = ")));
+    for (const auto &row : snap.rows)
+        paths.push_back(row.first);
     return paths;
 }
 
-TEST(Designs, RegistryPathsAndValuesMatchTheRunResult)
+TEST(Designs, SnapshotPathsPerHierarchy)
 {
-    const std::vector<std::string> iommu = {
-        "iommu.accesses",       "iommu.walks",
-        "iommu.faults",         "iommu.serialization_cycles",
-        "iommu.tlb.hits",       "iommu.tlb.misses",
-        "iommu.pwc.hit_ratio",  "iommu.ptw.mean_latency"};
-    const auto with_iommu = [&](std::vector<std::string> tail) {
-        std::vector<std::string> all = iommu;
-        all.insert(all.end(), tail.begin(), tail.end());
-        return all;
-    };
-    const std::vector<std::string> baseline = {
-        "percu_tlb.accesses", "percu_tlb.misses", "l2.hit_ratio",
-        "directory.probes"};
-    std::vector<std::string> victima = baseline;
-    victima.insert(victima.end(),
-                   {"victima.stashes", "victima.probes", "victima.hits"});
-    const struct
-    {
-        MmuDesign design;
-        std::vector<std::string> paths;
-    } cases[] = {
-        {MmuDesign::kIdeal, {}},
-        {MmuDesign::kBaseline512, with_iommu(baseline)},
-        {MmuDesign::kBaseVictima, with_iommu(victima)},
-        {MmuDesign::kVcOpt,
-         with_iommu({"fbt.bt_lookups", "fbt.ft_hit_ratio",
-                     "fbt.valid_pages", "fbt.capacity_evictions",
-                     "vc.synonym_replays", "vc.rw_faults",
-                     "vc.l1_flushes", "vc.translation_merges",
-                     "vc.l2.hit_ratio", "directory.probes",
-                     "vc.probe_lines_filtered"})},
-        {MmuDesign::kL1Vc32,
-         with_iommu({"l1vc.synonym_replays", "l1vc.registry_lines"})},
-    };
-    for (const auto &c : cases) {
-        RunConfig cfg;
-        cfg.design = c.design;
-        cfg.workload.scale = 0.05;
-        StatRegistry reg;
-        std::vector<std::string> paths;
-        std::map<std::string, double> value;
-        const RunResult r = runWorkload(
-            "bfs", cfg, [&](SystemUnderTest &sut, Gpu &, SimContext &) {
-                sut.registerStats(reg);
-                paths = statPaths(reg);
-                for (const auto &p : paths)
-                    value[p] = reg.lookup(p);
-            });
-        const char *label = designName(c.design);
-        EXPECT_EQ(paths, c.paths) << label;
-        const auto expect = [&](const char *path, double want) {
-            if (value.count(path)) {
-                EXPECT_DOUBLE_EQ(value[path], want) << label << " " << path;
-            }
-        };
-        expect("iommu.accesses", double(r.iommu_accesses));
-        expect("iommu.walks", double(r.page_walks));
-        expect("percu_tlb.accesses", double(r.tlb_accesses));
-        expect("percu_tlb.misses", double(r.tlb_misses));
-        expect("l2.hit_ratio", r.l2_hit_ratio);
-        expect("vc.l2.hit_ratio", r.l2_hit_ratio);
-        expect("victima.stashes", double(r.victima_stashes));
-        expect("victima.probes", double(r.victima_probes));
-        expect("victima.hits", double(r.victima_hits));
-        expect("fbt.valid_pages", double(r.fbt_valid_pages));
-        expect("fbt.ft_hit_ratio", r.fbt_second_level_hit_ratio);
-        expect("vc.synonym_replays", double(r.synonym_replays));
-        expect("vc.rw_faults", double(r.rw_faults));
-        expect("l1vc.synonym_replays", double(r.synonym_replays));
+    using Paths = std::vector<std::string>;
+    const Paths shared = {
+        "directory.probes", "dram.accesses",        "dram.bytes",
+        "dram.queue_delay", "gpu.instructions",     "gpu.mem_instructions",
+        "l1.accesses",      "l1.hits",              "l2.accesses",
+        "l2.hits",          "sim.ticks"};
+    const Paths tlb = {"accesses",       "hits",
+                       "misses",         "reach_hits",
+                       "reach_fills",    "merges",
+                       "fill_bypasses",  "dead_first_evictions",
+                       "pred_true_pos",  "pred_false_pos"};
+    Paths iommu = {"iommu.accesses",
+                   "iommu.walks",
+                   "iommu.faults",
+                   "iommu.serialization_cycles",
+                   "iommu.second_level_lookups",
+                   "iommu.second_level_hits",
+                   "iommu.coalesced_fills",
+                   "iommu.ptw.completed",
+                   "iommu.ptw.latency_sum",
+                   "iommu.ptw.large_walks",
+                   "iommu.pwc.accesses",
+                   "iommu.pwc.hits"};
+    Paths percu;
+    for (const std::string &t : tlb) {
+        iommu.push_back("iommu.tlb." + t);
+        percu.push_back("percu_tlb." + t);
     }
+    const auto all = [](std::initializer_list<Paths> parts) {
+        Paths out;
+        for (const Paths &p : parts)
+            out.insert(out.end(), p.begin(), p.end());
+        std::sort(out.begin(), out.end());
+        return out;
+    };
+    // Every row is emitted whether or not the feature is on, so one
+    // design per hierarchy covers the others on it.
+    EXPECT_EQ(snapshotPaths(MmuDesign::kIdeal), all({shared}));
+    EXPECT_EQ(snapshotPaths(MmuDesign::kBaseline512),
+              all({shared, iommu, percu,
+                   {"tlb_breakdown.miss_l1_hit",
+                    "tlb_breakdown.miss_l2_hit",
+                    "tlb_breakdown.miss_l2_miss", "victima.stashes",
+                    "victima.probes", "victima.hits"}}));
+    EXPECT_EQ(snapshotPaths(MmuDesign::kVcOpt),
+              all({shared, iommu,
+                   {"fbt.bt_lookups", "fbt.ft_lookups", "fbt.ft_hits",
+                    "fbt.capacity_evictions", "fbt.valid_pages",
+                    "synonym.replays", "vc.rw_faults", "vc.fbt_purges",
+                    "vc.l1_flushes", "vc.translation_merges",
+                    "vc.probe_lines_filtered"}}));
+    EXPECT_EQ(snapshotPaths(MmuDesign::kL1Vc32),
+              all({shared, iommu, percu,
+                   {"synonym.replays", "l1vc.registry_lines"}}));
+}
+
+TEST(Designs, EveryCounterPathIsInSomeDesignsSnapshot)
+{
+    // A mistyped path would read 0 in every result; several of these
+    // counters are 0 in every checked-in golden, so only this catches
+    // it.
+    std::set<std::string> emitted;
+    for (const DesignRow &row : kDesignRows)
+        for (std::string &p : snapshotPaths(row.design))
+            emitted.insert(std::move(p));
+    for (const auto &[field, path] : kCounterPaths)
+        EXPECT_EQ(emitted.count(std::string(path)), 1u)
+            << field << " reads " << path;
+}
+
+TEST(Designs, CounterPathsNameEveryCountField)
+{
+    std::set<std::string> fields;
+    RunResult r;
+    forEachResultField(
+        [&](const char *name, unsigned flags, auto &v) {
+            using T = std::remove_reference_t<decltype(v)>;
+            if (std::is_same_v<T, std::uint64_t> && !(flags & kFieldTenant))
+                fields.insert(name);
+        },
+        r);
+    KernelStats k;
+    forEachKernelStat(
+        [&](const char *name, std::uint64_t &) { fields.insert(name); },
+        k);
+    std::set<std::string> named;
+    for (const auto &[field, path] : kCounterPaths)
+        named.insert(std::string(field));
+    EXPECT_EQ(named, fields);
 }
 
 // ---------------------------------------------------------------

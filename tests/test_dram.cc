@@ -69,7 +69,7 @@ TEST(Dram, TracksTraffic)
     dram.access(64, [] {});
     ctx.eq.run();
     EXPECT_EQ(dram.accesses(), 2u);
-    EXPECT_EQ(dram.bytesMoved(), 192u);
+    EXPECT_EQ(snapshotOf(dram).get("bytes"), 192u);
 }
 
 TEST(Dram, QueueDelayIsMeasured)
@@ -82,7 +82,9 @@ TEST(Dram, QueueDelayIsMeasured)
     for (int i = 0; i < 4; ++i)
         dram.access(128, [] {});
     ctx.eq.run();
-    EXPECT_GT(dram.meanQueueDelay(), 100.0);
+    // A mean wait above 100 cycles per access.
+    const StatSnapshot s = snapshotOf(dram);
+    EXPECT_GT(s.get("queue_delay"), 100 * s.get("accesses"));
 }
 
 } // namespace

@@ -170,7 +170,7 @@ TEST(BankedIommu, DistinctBanksServeInParallel)
                 iommu.translate(asid, pageOf(base) + i,
                                 [](const IommuResponse &) {});
         c.eq.run();
-        return iommu.serializationDelay();
+        return snapshotOf(iommu).get("serialization_cycles");
     };
 
     EXPECT_LT(run(4), run(1));

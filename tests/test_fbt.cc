@@ -123,7 +123,7 @@ TEST(Fbt, ForwardLookupActsAsSecondLevelTlb)
     EXPECT_EQ(hit->ppn, 555u);
     EXPECT_FALSE(fbt.forwardLookup(3, 101).has_value());
     EXPECT_FALSE(fbt.forwardLookup(4, 100).has_value());
-    EXPECT_GT(fbt.ftHitRatio(), 0.0);
+    EXPECT_GT(snapshotOf(fbt).get("ft_hits"), 0u);
 }
 
 TEST(Fbt, ReverseLookupFiltersUncachedFrames)
@@ -178,7 +178,7 @@ TEST(Fbt, CapacityEvictionReportsVictims)
     }
     EXPECT_GT(victims, 0u);
     EXPECT_LE(fbt.validEntries(), 16u);
-    EXPECT_EQ(fbt.capacityEvictions(), victims);
+    EXPECT_EQ(snapshotOf(fbt).get("capacity_evictions"), victims);
 }
 
 TEST(Fbt, LargePageCounterMode)

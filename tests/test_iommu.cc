@@ -83,7 +83,7 @@ TEST_F(IommuTest, PortSerializesAtOneAccessPerCycle)
     ctx_.eq.run();
     ASSERT_EQ(times.size(), 10u);
     EXPECT_GE(times.back() - t0, 9u);
-    EXPECT_GT(iommu.serializationDelay(), 0u);
+    EXPECT_GT(snapshotOf(iommu).get("serialization_cycles"), 0u);
 }
 
 TEST_F(IommuTest, HigherBandwidthReducesSerialization)
@@ -100,9 +100,9 @@ TEST_F(IommuTest, HigherBandwidthReducesSerialization)
                             [](const IommuResponse &) {});
         ctx.eq.run();
         if (bw == 1.0)
-            ser_bw1 = iommu.serializationDelay();
+            ser_bw1 = snapshotOf(iommu).get("serialization_cycles");
         else
-            EXPECT_LT(iommu.serializationDelay(), ser_bw1);
+            EXPECT_LT(snapshotOf(iommu).get("serialization_cycles"), ser_bw1);
     }
 }
 
@@ -115,7 +115,7 @@ TEST_F(IommuTest, UnlimitedBandwidthHasNoSerialization)
         iommu.translate(asid_, pageOf(base_) + i,
                         [](const IommuResponse &) {});
     ctx_.eq.run();
-    EXPECT_EQ(iommu.serializationDelay(), 0u);
+    EXPECT_EQ(snapshotOf(iommu).get("serialization_cycles"), 0u);
 }
 
 TEST_F(IommuTest, SecondLevelHitSkipsWalk)
@@ -132,7 +132,7 @@ TEST_F(IommuTest, SecondLevelHitSkipsWalk)
     ctx_.eq.run();
     EXPECT_EQ(r.ppn, ppn);
     EXPECT_EQ(iommu.walks(), 0u);
-    EXPECT_EQ(iommu.secondLevelHits(), 1u);
+    EXPECT_EQ(snapshotOf(iommu).get("second_level_hits"), 1u);
 }
 
 TEST_F(IommuTest, SecondLevelMissStillWalks)

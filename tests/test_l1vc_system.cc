@@ -96,7 +96,7 @@ TEST_F(L1VcTest, SynonymReplaysWithLeadingName)
         vm_.alias(asid_, asid_, base_, kPageSize, kPermRead);
     access(base_);
     access(alias); // same physical line under a second name
-    EXPECT_EQ(sys_->synonymReplays(), 1u);
+    EXPECT_EQ(snapshotOf(*sys_).get("synonym.replays"), 1u);
     // Only the leading name is cached.
     EXPECT_TRUE(sys_->l1(0).present(asid_, base_));
     EXPECT_FALSE(sys_->l1(0).present(asid_, alias));

@@ -113,8 +113,8 @@ TEST(GpuAggregates, SumAcrossCus)
     ctx.eq.run();
     ASSERT_TRUE(done);
     EXPECT_EQ(gpu.numCus(), 4u);
-    EXPECT_EQ(gpu.totalMemInstructions(), 8u);
-    EXPECT_EQ(gpu.totalInstructions(), 16u);
+    EXPECT_EQ(snapshotOf(gpu).get("mem_instructions"), 8u);
+    EXPECT_EQ(snapshotOf(gpu).get("instructions"), 16u);
     EXPECT_DOUBLE_EQ(gpu.meanLinesPerMemInst(), 1.0);
 }
 

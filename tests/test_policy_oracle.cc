@@ -430,18 +430,19 @@ TEST_P(TlbPolicyOracle, LockstepWithNaiveModel)
         ASSERT_EQ(tlb.hits(), oracle.hits) << "step " << step;
         ASSERT_EQ(tlb.misses(), oracle.misses) << "step " << step;
         ASSERT_EQ(tlb.fills(), oracle.fills) << "step " << step;
-        ASSERT_EQ(tlb.fillBypasses(), oracle.bypasses)
+        const StatSnapshot s = snapshotOf(tlb);
+        ASSERT_EQ(s.get("fill_bypasses"), oracle.bypasses)
             << "step " << step;
-        ASSERT_EQ(tlb.deadFirstEvictions(), oracle.dead_first)
+        ASSERT_EQ(s.get("dead_first_evictions"), oracle.dead_first)
             << "step " << step;
-        ASSERT_EQ(tlb.predTruePos(), oracle.pred_true_pos)
+        ASSERT_EQ(s.get("pred_true_pos"), oracle.pred_true_pos)
             << "step " << step;
-        ASSERT_EQ(tlb.predFalsePos(), oracle.pred_false_pos)
+        ASSERT_EQ(s.get("pred_false_pos"), oracle.pred_false_pos)
             << "step " << step;
-        ASSERT_EQ(tlb.merges(), oracle.merges) << "step " << step;
-        ASSERT_EQ(tlb.reachHits(), oracle.reach_hits)
+        ASSERT_EQ(s.get("merges"), oracle.merges) << "step " << step;
+        ASSERT_EQ(s.get("reach_hits"), oracle.reach_hits)
             << "step " << step;
-        ASSERT_EQ(tlb.reachFills(), oracle.reach_fills)
+        ASSERT_EQ(s.get("reach_fills"), oracle.reach_fills)
             << "step " << step;
         ASSERT_EQ(tlb.refHist(), oracle.ref_hist) << "step " << step;
     };
@@ -556,10 +557,11 @@ TEST(TlbPolicyOracleFullAssoc, TrainedBypassLockstep)
             oracle.insert(1, vpn, x);
         }
     }
-    EXPECT_EQ(tlb.fillBypasses(), oracle.bypasses);
-    EXPECT_EQ(tlb.deadFirstEvictions(), oracle.dead_first);
-    EXPECT_EQ(tlb.predTruePos(), oracle.pred_true_pos);
-    EXPECT_EQ(tlb.predFalsePos(), oracle.pred_false_pos);
+    const StatSnapshot s = snapshotOf(tlb);
+    EXPECT_EQ(s.get("fill_bypasses"), oracle.bypasses);
+    EXPECT_EQ(s.get("dead_first_evictions"), oracle.dead_first);
+    EXPECT_EQ(s.get("pred_true_pos"), oracle.pred_true_pos);
+    EXPECT_EQ(s.get("pred_false_pos"), oracle.pred_false_pos);
     tlb.flushResidentRefs();
     oracle.flushResidentRefs();
     EXPECT_EQ(tlb.refHist(), oracle.ref_hist);

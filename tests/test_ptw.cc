@@ -100,7 +100,7 @@ TEST_F(PtwTest, ConcurrencyIsBounded)
     }
     ctx_.eq.run();
     EXPECT_EQ(done, 32u);
-    EXPECT_EQ(ptw.completed(), 32u);
+    EXPECT_EQ(snapshotOf(ptw).get("completed"), 32u);
 }
 
 TEST_F(PtwTest, PwcAcceleratesRepeatWalksOfNeighbors)
@@ -147,7 +147,9 @@ TEST_F(PtwTest, MeanLatencyAccountsQueueing)
     ctx_.eq.run();
     // With one thread, later walks queue; mean latency exceeds one
     // isolated walk (4 memory accesses ~ 4 * ~121 cycles).
-    EXPECT_GT(ptw.meanLatency(), 400.0);
+    const StatSnapshot s = snapshotOf(ptw);
+    EXPECT_GT(double(s.get("latency_sum")) / double(s.get("completed")),
+              400.0);
 }
 
 } // namespace

@@ -160,7 +160,7 @@ TEST_F(ReachIommuTest, ShootdownInsideCoalescedEntryLeavesNoStaleState)
     const Vpn blk = ((pageOf(base) + 7) & ~Vpn{7}) + 8;
     const IommuResponse first = xl(io, blk);
     EXPECT_EQ(first.reach, 3u);
-    EXPECT_EQ(io.coalescedFills(), 1u);
+    EXPECT_EQ(snapshotOf(io).get("coalesced_fills"), 1u);
     EXPECT_EQ(io.walks(), 1u);
 
     // Protect one interior 4 KB page: the whole coalesced entry must

@@ -118,7 +118,7 @@ TEST(RequestRecordPaths, MergedTlbMissesReturnEveryRecord)
     }
     EXPECT_EQ(done, issued);
     EXPECT_LT(sys.iommu()->accesses(),
-              sys.perCuTlbs()->sum(&Tlb::misses));
+              snapshotOf(sys).get("percu_tlb.misses"));
     EXPECT_EQ(sys.requestsInFlight(), 0u);
     EXPECT_EQ(sys.iommu()->requestsInFlight(), 0u);
     EXPECT_EQ(sys.iommu()->ptw().walksInFlight(), 0u);
@@ -134,7 +134,8 @@ TEST(RequestRecordPaths, VictimaStashHitsReturnEveryRecord)
     runWorkload("pagerank", cfg,
                 [&](SystemUnderTest &sut, Gpu &, SimContext &) {
                     in_flight = sut.recordsInFlight();
-                    stash_hits = sut.baseline()->victimaHits();
+                    stash_hits =
+                        snapshotOf(sut.system()).get("victima.hits");
                 });
     EXPECT_GT(stash_hits, 0u);
     EXPECT_EQ(in_flight, 0u);
@@ -199,10 +200,8 @@ TEST(RequestRecordPaths, SynonymReplaysReturnEveryRecord)
             }
         }
         EXPECT_EQ(done, issued) << designName(d);
-        const std::uint64_t replays =
-            sut.vc() ? sut.vc()->synonymReplays()
-                     : sut.l1vc()->synonymReplays();
-        EXPECT_GT(replays, 0u) << designName(d);
+        EXPECT_GT(snapshotOf(sut.system()).get("synonym.replays"), 0u)
+            << designName(d);
         EXPECT_EQ(sut.recordsInFlight(), 0u) << designName(d);
     }
 }

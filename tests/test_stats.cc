@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <vector>
 
 #include "sim/stats.hh"
 
@@ -125,17 +125,59 @@ TEST(Counter, IncrementAndAdd)
     EXPECT_EQ(c.value, 0u);
 }
 
-TEST(StatRegistry, LookupAndDump)
+/** A component with a two-row list, like CacheArray. */
+struct FakeArray
 {
-    StatRegistry reg;
-    Counter c;
-    c += 7;
-    reg.addCounter("foo.count", &c);
-    reg.addScalar("bar.ratio", [] { return 0.5; });
-    EXPECT_DOUBLE_EQ(reg.lookup("foo.count"), 7.0);
-    EXPECT_DOUBLE_EQ(reg.lookup("bar.ratio"), 0.5);
-    EXPECT_TRUE(std::isnan(reg.lookup("missing")));
-    EXPECT_EQ(reg.size(), 2u);
+    std::uint64_t accesses, hits;
+
+    void
+    stats(StatSink &s) const
+    {
+        s("accesses", accesses);
+        s("hits", hits);
+    }
+};
+
+/** Two per-CU L1s and an L2 under their scopes, plus one bare row. */
+StatSnapshot
+fakeSnapshot()
+{
+    Counter ticks;
+    ticks += 7;
+    StatSink s;
+    s("sim.ticks", ticks);
+    s.scope("l1", FakeArray{10, 4});
+    s.scope("l2", FakeArray{6, 5});
+    s.scope("l1", FakeArray{20, 8});
+    return std::move(s).snapshot();
+}
+
+TEST(StatSnapshot, RepeatedPathsSum)
+{
+    const StatSnapshot snap = fakeSnapshot();
+    EXPECT_EQ(snap.get("l1.accesses"), 30u);
+    EXPECT_EQ(snap.get("l1.hits"), 12u);
+    EXPECT_EQ(snap.get("l2.accesses"), 6u);
+    EXPECT_EQ(snap.get("sim.ticks"), 7u);
+    EXPECT_EQ(snap.rows.size(), 5u);
+}
+
+TEST(StatSnapshot, RowsAreSortedByPath)
+{
+    const std::vector<StatSnapshot::Row> want = {
+        {"l1.accesses", 30}, {"l1.hits", 12}, {"l2.accesses", 6},
+        {"l2.hits", 5},      {"sim.ticks", 7}};
+    EXPECT_EQ(fakeSnapshot().rows, want);
+}
+
+TEST(StatSnapshot, AbsentPathReadsZero)
+{
+    const StatSnapshot snap = fakeSnapshot();
+    EXPECT_EQ(snap.get("l3.accesses"), 0u);
+    EXPECT_EQ(snap.get("l1"), 0u);       // a scope is not a row
+    EXPECT_EQ(snap.get("l1.hitsx"), 0u); // nor a longer path
+    EXPECT_EQ(snap.get(""), 0u);
+    EXPECT_EQ(StatSnapshot{}.get("sim.ticks"), 0u);
 }
 
 TEST(LifetimeRecorder, RecordsDurations)

@@ -139,8 +139,8 @@ TEST(TlbReach, WideEntryCoversEveryPage)
     }
     EXPECT_FALSE(tlb.lookup(0, 7, 2).has_value());
     EXPECT_FALSE(tlb.lookup(0, 16, 2).has_value());
-    EXPECT_EQ(tlb.reachFills(), 1u);
-    EXPECT_EQ(tlb.reachHits(), 8u);
+    EXPECT_EQ(snapshotOf(tlb).get("reach_fills"), 1u);
+    EXPECT_EQ(snapshotOf(tlb).get("reach_hits"), 8u);
 }
 
 TEST(TlbReach, FillDegradesToReachZeroAboveMaxReach)
@@ -153,7 +153,7 @@ TEST(TlbReach, FillDegradesToReachZeroAboveMaxReach)
     EXPECT_EQ(hit->ppn, 646u); // requested page's own frame
     EXPECT_EQ(hit->reach, 0u);
     EXPECT_FALSE(tlb.present(0, 64)); // only the requested page cached
-    EXPECT_EQ(tlb.reachFills(), 0u);
+    EXPECT_EQ(snapshotOf(tlb).get("reach_fills"), 0u);
 }
 
 TEST(TlbReach, BuddyMergeClimbsTheLadder)
@@ -164,7 +164,7 @@ TEST(TlbReach, BuddyMergeClimbsTheLadder)
     // Four adjacent pages with contiguous frames merge 0->1->2.
     for (Vpn v = 0; v < 4; ++v)
         tlb.insert(0, v, xlate(100 + v), Tick(v));
-    EXPECT_EQ(tlb.merges(), 3u);
+    EXPECT_EQ(snapshotOf(tlb).get("merges"), 3u);
     const auto hit = tlb.lookup(0, 3, 10);
     ASSERT_TRUE(hit.has_value());
     EXPECT_EQ(hit->ppn, 103u);
@@ -179,7 +179,7 @@ TEST(TlbReach, MergeRequiresPhysicalContiguity)
     Tlb tlb(p);
     tlb.insert(0, 0, xlate(100), 0);
     tlb.insert(0, 1, xlate(200), 1); // frames not adjacent
-    EXPECT_EQ(tlb.merges(), 0u);
+    EXPECT_EQ(snapshotOf(tlb).get("merges"), 0u);
     EXPECT_EQ(tlb.lookup(0, 0, 2)->reach, 0u);
     EXPECT_EQ(tlb.lookup(0, 1, 3)->reach, 0u);
 }
@@ -191,7 +191,7 @@ TEST(TlbReach, MergeRequiresMatchingPerms)
     Tlb tlb(p);
     tlb.insert(0, 0, xlate(100, kPermRead), 0);
     tlb.insert(0, 1, xlate(101, kPermRead | kPermWrite), 1);
-    EXPECT_EQ(tlb.merges(), 0u);
+    EXPECT_EQ(snapshotOf(tlb).get("merges"), 0u);
 }
 
 TEST(TlbReach, ShootdownInsideWideEntryLeavesNoStaleMapping)
@@ -224,9 +224,9 @@ TEST(TlbReach, ReachZeroConfigMatchesClassicCounters)
     EXPECT_EQ(reach0.hits(), classic.hits());
     EXPECT_EQ(reach0.misses(), classic.misses());
     EXPECT_EQ(reach0.fills(), classic.fills());
-    EXPECT_EQ(reach0.reachHits(), 0u);
-    EXPECT_EQ(reach0.reachFills(), 0u);
-    EXPECT_EQ(reach0.merges(), 0u);
+    EXPECT_EQ(snapshotOf(reach0).get("reach_hits"), 0u);
+    EXPECT_EQ(snapshotOf(reach0).get("reach_fills"), 0u);
+    EXPECT_EQ(snapshotOf(reach0).get("merges"), 0u);
 }
 
 TEST(TlbReach, ReachNeverDecreasesHitRate)
@@ -260,14 +260,14 @@ TEST(TlbFillPolicy, BypassesSequentialStreamAndCountsIt)
     // next-line successor is predicted dead on arrival and bypassed.
     for (Vpn v = 100; v < 108; ++v)
         tlb.insert(0, v, xlate(v), Tick(v));
-    EXPECT_EQ(tlb.fillBypasses(), 7u);
+    EXPECT_EQ(snapshotOf(tlb).get("fill_bypasses"), 7u);
     EXPECT_EQ(tlb.fills(), 1u);
     EXPECT_TRUE(tlb.present(0, 100));
     EXPECT_FALSE(tlb.present(0, 101));
     // A non-sequential fill breaks the stream and installs normally.
     tlb.insert(0, 300, xlate(300), 200);
     EXPECT_TRUE(tlb.present(0, 300));
-    EXPECT_EQ(tlb.fillBypasses(), 7u);
+    EXPECT_EQ(snapshotOf(tlb).get("fill_bypasses"), 7u);
 }
 
 TEST(TlbEvictHook, FiresOnCapacityEvictionOnly)
@@ -346,7 +346,7 @@ TEST(TlbReach, MergeStopsExactlyAtMaxReach)
     // exactly 1022 merges.
     for (Vpn v = 0; v < 1024; ++v)
         tlb.insert(0, v, xlate(4096 + v), Tick(v));
-    EXPECT_EQ(tlb.merges(), 1022u);
+    EXPECT_EQ(snapshotOf(tlb).get("merges"), 1022u);
 
     // Two reach-9 entries remain.  They are aligned buddies with
     // physically contiguous frames — the only thing keeping them
@@ -373,7 +373,7 @@ TEST(TlbReach, MaxReachParamIsClampedToTheLadderTop)
     Tlb tlb(p);
     for (Vpn v = 0; v < 1024; ++v)
         tlb.insert(0, v, xlate(4096 + v), Tick(v));
-    EXPECT_EQ(tlb.merges(), 1022u);
+    EXPECT_EQ(snapshotOf(tlb).get("merges"), 1022u);
     const auto hit = tlb.lookup(0, 512, 2000);
     ASSERT_TRUE(hit.has_value());
     EXPECT_EQ(hit->reach, kMaxReachLog2);
@@ -387,14 +387,14 @@ TEST(TlbReach, BuddyMergeNeverFusesDifferentAsids)
     // Buddy pages, contiguous frames — but different address spaces.
     tlb.insert(1, 0, xlate(100), 0);
     tlb.insert(2, 1, xlate(101), 1);
-    EXPECT_EQ(tlb.merges(), 0u);
+    EXPECT_EQ(snapshotOf(tlb).get("merges"), 0u);
     EXPECT_EQ(tlb.lookup(1, 0, 2)->reach, 0u);
     EXPECT_EQ(tlb.lookup(2, 1, 3)->reach, 0u);
 
     // Completing ASID 1's own buddy pair merges it — and must leave
     // ASID 2's overlapping-by-VPN entry untouched.
     tlb.insert(1, 1, xlate(101), 4);
-    EXPECT_EQ(tlb.merges(), 1u);
+    EXPECT_EQ(snapshotOf(tlb).get("merges"), 1u);
     EXPECT_EQ(tlb.lookup(1, 1, 5)->reach, 1u);
     EXPECT_EQ(tlb.lookup(1, 1, 6)->base_vpn, 0u);
     EXPECT_EQ(tlb.lookup(2, 1, 7)->reach, 0u);
@@ -413,7 +413,8 @@ TEST(TlbReach, BuddyMergeNeverFusesDifferentPermsHigherUp)
     tlb.insert(0, 1, xlate(101, kPermRead | kPermWrite), 1);
     tlb.insert(0, 2, xlate(102, kPermRead), 2);
     tlb.insert(0, 3, xlate(103, kPermRead), 3);
-    EXPECT_EQ(tlb.merges(), 2u); // one per buddy pair, nothing above
+    // One merge per buddy pair, nothing above.
+    EXPECT_EQ(snapshotOf(tlb).get("merges"), 2u);
     const auto lo = tlb.lookup(0, 0, 10);
     ASSERT_TRUE(lo.has_value());
     EXPECT_EQ(lo->reach, 1u);

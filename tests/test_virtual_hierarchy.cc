@@ -92,7 +92,7 @@ TEST_F(VcTest, TranslationsAreCoalescedPerPage)
     ctx_.eq.run();
     EXPECT_EQ(done, 8u);
     EXPECT_EQ(vc_->iommu()->accesses(), 1u);
-    EXPECT_EQ(vc_->translationMerges(), 7u);
+    EXPECT_EQ(snapshotOf(*vc_).get("vc.translation_merges"), 7u);
 }
 
 TEST_F(VcTest, StoresWriteThroughAndDirtyL2)

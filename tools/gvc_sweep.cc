@@ -7,7 +7,7 @@
  *   gvc_sweep --workloads bfs,pagerank --designs baseline512,vc_opt \
  *             --jobs 4 --json out.json
  *   gvc_sweep --workloads all --designs all --csv grid.csv
- *   gvc_sweep -w high-bw -d vc_opt,ideal --scale 0.25 --json -
+ *   gvc_sweep -w high-bw -d vc_opt,ideal --scale 0.25 --json - --no-table
  *
  * Multi-machine sharding: `--shard I/N` deterministically keeps the
  * grid cells whose canonical (workload-major, design-minor) index

@@ -6,7 +6,8 @@
  * design) cells, and export per-tenant results as JSON.
  *
  *   gvc_tenants --workloads pagerank,bfs --designs baseline512,vc_opt \
- *               --switch keep-all,asid-shootdown --storm 0,8 --json -
+ *               --switch keep-all,asid-shootdown --storm 0,8 --json - \
+ *               --no-table
  *   gvc_tenants -w pagerank,bfs,hotspot,lud --rounds 3 --sched rr \
  *               --arrival poisson --interval 2000 --csv grid.csv
  *
