@@ -201,59 +201,32 @@ BM_CoalescerDivergent(benchmark::State &state)
 BENCHMARK(BM_CoalescerDivergent)->Arg(1024)->Arg(1 << 22);
 
 /**
- * Warp-stream drain cost, as the CU issue loop pays it.  The "Reused"
- * variant is the shipping code path: one WarpInst lives across next()
- * calls and VectorWarpStream assigns lane addresses into its retained
- * capacity, so steady state does zero allocations.  The "Fresh" variant
- * reconstructs the WarpInst every iteration — the pre-refactor
- * behaviour (a fresh lane_addrs vector per instruction), kept as the
- * baseline that shows what the churn fix buys.
+ * Warp-stream drain cost, as the CU issue loop pays it on replay: each
+ * next() hands out a pointer into one shared instruction vector, and
+ * the loop reads the lanes in place.
  */
-std::vector<WarpInst>
-divergentInsts(std::size_t n)
+void
+BM_WarpStreamDrain(benchmark::State &state)
 {
+    constexpr std::size_t kInsts = 256;
+    std::vector<WarpInst> warp;
     Rng rng(9);
-    std::vector<WarpInst> insts;
-    insts.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t i = 0; i < kInsts; ++i) {
         std::vector<Vaddr> lanes(kWarpLanes);
         for (auto &va : lanes)
             va = rng.below(1 << 22) * 4;
-        insts.push_back(WarpInst::load(std::move(lanes)));
+        warp.push_back(WarpInst::load(std::move(lanes)));
     }
-    return insts;
-}
-
-void
-BM_WarpStreamDrainReusedBuffer(benchmark::State &state)
-{
-    const auto insts = divergentInsts(256);
-    WarpInst out; // allocated once, capacity retained across next()
+    const auto insts =
+        std::make_shared<const std::vector<WarpInst>>(std::move(warp));
     for (auto _ : state) {
         VectorWarpStream stream(insts);
-        while (stream.next(out))
-            benchmark::DoNotOptimize(out.lane_addrs.data());
+        while (const WarpInst *inst = stream.next())
+            benchmark::DoNotOptimize(inst->lane_addrs.data());
     }
-    state.SetItemsProcessed(state.iterations() * 256);
+    state.SetItemsProcessed(state.iterations() * kInsts);
 }
-BENCHMARK(BM_WarpStreamDrainReusedBuffer);
-
-void
-BM_WarpStreamDrainFreshBuffer(benchmark::State &state)
-{
-    const auto insts = divergentInsts(256);
-    for (auto _ : state) {
-        VectorWarpStream stream(insts);
-        for (;;) {
-            WarpInst out; // fresh vector per instruction (old behaviour)
-            if (!stream.next(out))
-                break;
-            benchmark::DoNotOptimize(out.lane_addrs.data());
-        }
-    }
-    state.SetItemsProcessed(state.iterations() * 256);
-}
-BENCHMARK(BM_WarpStreamDrainFreshBuffer);
+BENCHMARK(BM_WarpStreamDrain);
 
 void
 BM_MshrAllocateComplete(benchmark::State &state)

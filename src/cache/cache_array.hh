@@ -301,7 +301,6 @@ class CacheArray
     const LifetimeRecorder &lifetimes() const { return lifetimes_; }
     std::size_t numSets() const { return std::size_t(sets_.size()); }
     unsigned assoc() const { return assoc_; }
-    unsigned lineBytes() const { return params_.line_bytes; }
 
     std::size_t
     residentLines() const

@@ -100,7 +100,6 @@ class Directory
         dram_.access(kLineSize, [] {});
     }
 
-    std::uint64_t fetches() const { return fetches_.value; }
     std::uint64_t probesSent() const { return probes_sent_.value; }
     std::uint64_t probeWritebacks() const
     {
@@ -108,10 +107,12 @@ class Directory
     }
     std::uint64_t writebacks() const { return writebacks_.value; }
 
-    void stats(StatSink &s) const { s("probes", probes_sent_); }
-
-    /** Lines with directory state (tests). */
-    std::size_t trackedLines() const { return entries_.size(); }
+    void
+    stats(StatSink &s) const
+    {
+        s("fetches", fetches_);
+        s("probes", probes_sent_);
+    }
 
     /** Current sharer mask of a line (tests). */
     unsigned

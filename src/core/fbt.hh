@@ -394,7 +394,6 @@ class Fbt
     std::uint64_t rwFaults() const { return rw_faults_.value; }
     std::uint64_t reverseLookups() const { return reverse_lookups_.value; }
     std::uint64_t probesFiltered() const { return probes_filtered_.value; }
-    std::uint64_t shootdowns() const { return shootdowns_.value; }
     std::uint64_t shootdownsFiltered() const
     {
         return shootdowns_filtered_.value;
@@ -408,6 +407,7 @@ class Fbt
         s("ft_lookups", ft_lookups_);
         s("ft_hits", ft_hits_);
         s("capacity_evictions", capacity_evictions_);
+        s("shootdowns", shootdowns_);
         s("valid_pages", validEntries());
     }
 

@@ -144,9 +144,16 @@ class SynonymRemapTable
         lru_clock_ = 0;
     }
 
-    std::uint64_t lookups() const { return lookups_.value; }
     std::uint64_t hits() const { return hits_.value; }
     std::uint64_t drops() const { return drops_.value; }
+
+    void
+    stats(StatSink &s) const
+    {
+        s("lookups", lookups_);
+        s("hits", hits_);
+        s("drops", drops_);
+    }
 
     std::size_t
     size() const

@@ -216,7 +216,6 @@ class VirtualCacheSystem final : public MmuSystem
     {
         return probe_lines_filtered_.value;
     }
-    std::uint64_t droppedFills() const { return dropped_fills_.value; }
 
     void
     flushLifetimes() override
@@ -267,11 +266,13 @@ class VirtualCacheSystem final : public MmuSystem
         s.scope("fbt", fbt_);
         s.scope("iommu", iommu_);
         s("synonym.replays", synonym_replays_);
+        s.scope("synonym.remap", remap_);
         s("vc.rw_faults", rw_faults_);
         s("vc.fbt_purges", fbt_purges_);
         s("vc.l1_flushes", l1_flushes_);
         s("vc.translation_merges", xlate_merges_);
         s("vc.probe_lines_filtered", probe_lines_filtered_);
+        s("vc.dropped_fills", dropped_fills_);
     }
 
   private:

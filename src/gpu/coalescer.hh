@@ -1,9 +1,9 @@
 /**
  * @file
  * Memory coalescer: reduces a warp's per-lane addresses to the minimum
- * set of 128 B line requests, preserving first-touch order.  Divergence
- * statistics (distinct lines and distinct pages per instruction) drive
- * the paper's analysis of scatter/gather pressure.
+ * set of 128 B line requests, preserving first-touch order.  The lines
+ * emitted per memory instruction drive the paper's analysis of
+ * scatter/gather pressure.
  */
 
 #ifndef GVC_GPU_COALESCER_HH
@@ -20,14 +20,14 @@
 namespace gvc
 {
 
-/** Stateless coalescing plus running divergence statistics. */
+/** Stateless coalescing plus running line and instruction counts. */
 class Coalescer
 {
   public:
     /**
      * Coalesce the batch of @p n lane addresses at @p lane_addrs into
-     * unique line-aligned addresses, first occurrence first.  Also
-     * updates divergence statistics.
+     * unique line-aligned addresses, first occurrence first, and count
+     * the instruction and its lines.
      *
      * The returned reference aliases internal scratch storage: it stays
      * valid only until the next coalesce() call and must not be retained
@@ -50,19 +50,6 @@ class Coalescer
         }
         ++instructions_;
         lines_ += scratch_.size();
-        lines_per_inst_.sample(double(scratch_.size()));
-
-        pages_scratch_.clear();
-        for (const Vaddr line : scratch_) {
-            const Vpn vpn = pageOf(line);
-            if (!pages_scratch_.empty() && pages_scratch_.back() == vpn)
-                continue;
-            if (std::find(pages_scratch_.begin(), pages_scratch_.end(),
-                          vpn) == pages_scratch_.end()) {
-                pages_scratch_.push_back(vpn);
-            }
-        }
-        pages_per_inst_.sample(double(pages_scratch_.size()));
         return scratch_;
     }
 
@@ -74,20 +61,14 @@ class Coalescer
     }
 
     std::uint64_t instructions() const { return instructions_.value; }
+    /** Distinct lines over all instructions; divided by instructions()
+     *  it is the mean divergence (paper: fw ≈ 9.3 lines). */
     std::uint64_t linesEmitted() const { return lines_.value; }
-
-    /** Mean distinct lines per memory instruction (paper: fw ≈ 9.3). */
-    double meanLinesPerInst() const { return lines_per_inst_.mean(); }
-    /** Mean distinct 4 KB pages per memory instruction. */
-    double meanPagesPerInst() const { return pages_per_inst_.mean(); }
 
   private:
     std::vector<Vaddr> scratch_;
-    std::vector<Vpn> pages_scratch_;
     Counter instructions_;
     Counter lines_;
-    Distribution lines_per_inst_;
-    Distribution pages_per_inst_;
 };
 
 } // namespace gvc

@@ -128,12 +128,15 @@ class ComputeUnit
         wake();
     }
 
-    unsigned id() const { return id_; }
-    Coalescer &coalescer() { return coalescer_; }
-    const Coalescer &coalescer() const { return coalescer_; }
-    std::uint64_t instructionsIssued() const { return issued_.value; }
-    std::uint64_t memInstructions() const { return mem_insts_.value; }
-    std::uint64_t scratchInstructions() const { return scratch_insts_.value; }
+
+    void
+    stats(StatSink &s) const
+    {
+        s("instructions", issued_);
+        s("mem_instructions", mem_insts_);
+        s("scratch_instructions", scratch_insts_);
+        s("coalesced_lines", coalescer_.linesEmitted());
+    }
 
     bool
     idle() const
@@ -312,18 +315,17 @@ class ComputeUnit
     void
     issue(Slot &s)
     {
-        // Reused across issues: WarpStream::next assigns into the
-        // buffer, so lane_addrs' capacity is allocated once per CU
-        // instead of once per instruction.
-        WarpInst &inst = inst_buf_;
-        if (!s.stream->next(inst)) {
+        // Read in place: the stream's storage outlives this call, and
+        // nothing below keeps the pointer.
+        const WarpInst *inst = s.stream->next();
+        if (!inst) {
             beginDrain(s);
             return;
         }
         ++issued_;
-        switch (inst.op) {
+        switch (inst->op) {
           case WarpOp::kCompute:
-            s.ready_at = ctx_.now() + inst.cycles;
+            s.ready_at = ctx_.now() + inst->cycles;
             break;
           case WarpOp::kScratchLoad:
           case WarpOp::kScratchStore:
@@ -336,10 +338,10 @@ class ComputeUnit
             checkBarrierRelease();
             return;
           case WarpOp::kLoad:
-            issueGlobal(s, inst, /*is_store=*/false);
+            issueGlobal(s, *inst, /*is_store=*/false);
             return;
           case WarpOp::kStore:
-            issueGlobal(s, inst, /*is_store=*/true);
+            issueGlobal(s, *inst, /*is_store=*/true);
             return;
         }
     }
@@ -474,7 +476,6 @@ class ComputeUnit
     Tick last_issue_ = 0;
     std::function<void()> on_done_;
 
-    WarpInst inst_buf_; ///< Issue-loop scratch; see issue().
     Coalescer coalescer_;
     Counter issued_;
     Counter mem_insts_;

@@ -99,22 +99,8 @@ class Gpu
     void
     stats(StatSink &s) const
     {
-        for (const auto &cu : cus_) {
-            s("instructions", cu->instructionsIssued());
-            s("mem_instructions", cu->memInstructions());
-        }
-    }
-
-    /** Mean coalesced lines per memory instruction across CUs. */
-    double
-    meanLinesPerMemInst() const
-    {
-        double lines = 0, insts = 0;
-        for (const auto &cu : cus_) {
-            lines += double(cu->coalescer().linesEmitted());
-            insts += double(cu->coalescer().instructions());
-        }
-        return insts > 0 ? lines / insts : 0.0;
+        for (const auto &cu : cus_)
+            cu->stats(s);
     }
 
   private:

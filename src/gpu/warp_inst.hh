@@ -12,6 +12,7 @@
 #define GVC_GPU_WARP_INST_HH
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "sim/types.hh"
@@ -102,48 +103,47 @@ class WarpStream
     virtual ~WarpStream() = default;
 
     /**
-     * Produce the next instruction; false at end of stream.
-     *
-     * Implementations fill @p out in place via assignInto() so a caller
-     * that reuses one WarpInst across calls pays no per-instruction
-     * allocation once `out.lane_addrs` has warmed up to kWarpLanes
-     * capacity (the CU issue loop does exactly this).
+     * The next instruction, or nullptr at the end of the stream (and on
+     * every call after it).  The pointee belongs to the stream and stays
+     * valid until the next call, so a caller consumes it in place
+     * instead of copying its lane addresses.
      */
-    virtual bool next(WarpInst &out) = 0;
-
-  protected:
-    /** Copy @p src into @p out, reusing out.lane_addrs' capacity. */
-    static void
-    assignInto(WarpInst &out, const WarpInst &src)
-    {
-        out.op = src.op;
-        out.cycles = src.cycles;
-        out.lane_addrs.assign(src.lane_addrs.begin(),
-                              src.lane_addrs.end());
-    }
+    virtual const WarpInst *next() = 0;
 };
 
-/** A WarpStream over a pre-built instruction vector (tests, replay). */
+/**
+ * A WarpStream over a pre-built instruction vector, read in place.  The
+ * vector is shared: trace replay hands in an aliasing pointer to one
+ * recorded warp that keeps the whole trace alive, so every launch of a
+ * kernel reads the one copy the trace holds.
+ */
 class VectorWarpStream final : public WarpStream
 {
   public:
+    using Insts = std::shared_ptr<const std::vector<WarpInst>>;
+
     explicit VectorWarpStream(std::vector<WarpInst> insts)
-        : insts_(std::move(insts))
+        : VectorWarpStream(std::make_shared<const std::vector<WarpInst>>(
+              std::move(insts)))
     {
     }
 
-    bool
-    next(WarpInst &out) override
+    explicit VectorWarpStream(Insts insts)
+        : insts_(std::move(insts)), cur_(insts_->data()),
+          end_(cur_ + insts_->size())
     {
-        if (pos_ >= insts_.size())
-            return false;
-        assignInto(out, insts_[pos_++]);
-        return true;
+    }
+
+    const WarpInst *
+    next() override
+    {
+        return cur_ != end_ ? cur_++ : nullptr;
     }
 
   private:
-    std::vector<WarpInst> insts_;
-    std::size_t pos_ = 0;
+    Insts insts_;
+    const WarpInst *cur_;
+    const WarpInst *end_;
 };
 
 } // namespace gvc

@@ -124,6 +124,8 @@ runSource(trace::KernelSource &source, const RunConfig &cfg,
     r.l2_hit_ratio = ratio("l2.hits", "l2.accesses");
     r.iommu_serialization_mean =
         ratio("iommu.serialization_cycles", "iommu.accesses");
+    r.lines_per_mem_inst =
+        ratio("gpu.coalesced_lines", "gpu.mem_instructions");
     // The FBT's forward table when the design has one, else the
     // IOMMU's second-level lookups.
     r.fbt_second_level_hit_ratio = ratio("fbt.ft_hits", "fbt.ft_lookups");
@@ -135,7 +137,6 @@ runSource(trace::KernelSource &source, const RunConfig &cfg,
     r.workload = source.name();
     r.design = cfg.design;
     r.kernels = std::move(per_kernel);
-    r.lines_per_mem_inst = gpu.meanLinesPerMemInst();
     if (Iommu *io = sut.iommu()) {
         r.iommu_apc_mean = io->sampler().meanPerCycle();
         r.iommu_apc_stdev = io->sampler().stdevPerCycle();
@@ -174,43 +175,34 @@ runScenario(const std::string &workload_name, const RunConfig &cfg,
         fatal("runScenario: rounds must be >= 1");
 
     // One round of the workload, captured without simulating.  The
-    // scenario then *is* a trace: kernels tiled rounds times with a
-    // boundary marker between rounds, replayed by the core runner.
-    // This makes live scenario runs and replays of recorded scenario
-    // traces the same code path, so they match bit for bit.
-    trace::Trace base;
+    // scenario then *is* a trace: its kernels launched rounds times
+    // with a boundary marker between rounds, replayed by the core
+    // runner.  This makes live scenario runs and replays of recorded
+    // scenario traces the same code path, so they match bit for bit.
+    auto base = std::make_shared<trace::Trace>();
     if (!cfg.trace_in.empty()) {
         std::string err;
-        if (!trace::TraceReader::readFile(cfg.trace_in, base, &err))
+        if (!trace::TraceReader::readFile(cfg.trace_in, *base, &err))
             fatal("runScenario: " + err);
-        if (!base.boundaries.empty()) {
+        if (!base->boundaries.empty()) {
             fatal("runScenario: '" + cfg.trace_in +
                   "' already carries kernel boundaries; replay it "
                   "directly instead of re-tiling it");
         }
     } else {
-        base = trace::captureWorkloadTrace(workload_name, cfg.workload,
-                                           cfg.soc.phys_mem_bytes);
+        *base = trace::captureWorkloadTrace(workload_name, cfg.workload,
+                                            cfg.soc.phys_mem_bytes);
     }
-    if (base.kernels.empty() && spec.rounds > 1)
+    if (base->kernels.empty() && spec.rounds > 1)
         fatal("runScenario: workload emitted no kernels to repeat");
 
-    auto scen = std::make_shared<trace::Trace>(std::move(base));
-    const std::size_t per_round = scen->kernels.size();
-    const std::vector<trace::TraceKernel> one_round = scen->kernels;
-    for (unsigned round = 1; round < spec.rounds; ++round) {
-        scen->boundaries.push_back(trace::TraceBoundary{
-            std::uint64_t(round) * per_round - 1,
-            spec.boundary.encode()});
-        scen->kernels.insert(scen->kernels.end(), one_round.begin(),
-                             one_round.end());
-    }
+    auto source = trace::TraceKernelSource::repeated(
+        std::move(base), spec.rounds, spec.boundary.encode());
     if (capture)
-        *capture = *scen;
+        *capture = source.materialize();
 
     RunConfig run_cfg = cfg;
     run_cfg.trace_in.clear();
-    trace::TraceKernelSource source(std::move(scen));
     return runSource(source, run_cfg, inspect);
 }
 

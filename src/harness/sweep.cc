@@ -13,7 +13,8 @@
  * immutable afterwards), and (b) stderr for warn()/trace output, where
  * interleaving is cosmetic.  fatal()/panic() terminate the process
  * from whichever thread hits them, which is the intended behaviour for
- * an invariant violation mid-sweep.
+ * an invariant violation mid-sweep.  Cells share only the traces they
+ * replay, which no run writes to (see SharedTraceFile for files).
  */
 
 #include "harness/sweep.hh"
@@ -23,6 +24,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <future>
+#include <map>
 #include <mutex>
 #include <thread>
 
@@ -73,6 +75,37 @@ sourceKeyOf(const std::string &workload, const WorkloadParams &params)
     key.set("params", workloadParamsToJson(params));
     return key.dump();
 }
+
+/** A `.gvct` file pending cells replay: decoded for the first of them,
+ *  dropped after the last.  Only its own cells wait on its lock. */
+struct SharedTraceFile
+{
+    std::mutex mutex;
+    std::shared_ptr<const trace::Trace> trace;
+    std::size_t pending = 0; ///< Cells that have not finished yet.
+
+    std::shared_ptr<const trace::Trace>
+    acquire(const std::string &path)
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        if (!trace) {
+            auto t = std::make_shared<trace::Trace>();
+            std::string err;
+            if (!trace::TraceReader::readFile(path, *t, &err))
+                fatal("Sweep: " + err);
+            trace = std::move(t);
+        }
+        return trace;
+    }
+
+    void
+    release()
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        if (--pending == 0)
+            trace.reset();
+    }
+};
 
 std::string
 hexDigest(std::uint64_t digest)
@@ -267,15 +300,29 @@ Sweep::run()
                      workers == 1 ? "" : "s");
     }
 
-    // Replay the cell's captured trace when one exists; traces_ is not
-    // mutated during execution, so concurrent reads are safe.
-    auto run_item = [this](const Item &item) {
+    // Filled before any worker starts, so its nodes stay put.
+    std::map<std::string, SharedTraceFile> files;
+    for (const std::size_t i : leaders) {
+        const Item &item = items_[i];
+        if (item.source_key.empty() && !item.cfg.trace_in.empty())
+            ++files[item.cfg.trace_in].pending;
+    }
+
+    // Replay the cell's captured trace or trace file when one exists;
+    // traces_ is not mutated during execution.
+    auto run_item = [this, &files](const Item &item) {
         if (!item.source_key.empty()) {
             trace::TraceKernelSource source(
                 traces_.at(item.source_key).trace);
             return runSource(source, item.cfg);
         }
-        return runWorkload(item.workload, item.cfg);
+        if (item.cfg.trace_in.empty())
+            return runWorkload(item.workload, item.cfg);
+        SharedTraceFile &file = files.at(item.cfg.trace_in);
+        trace::TraceKernelSource source(file.acquire(item.cfg.trace_in));
+        RunResult r = runSource(source, item.cfg);
+        file.release();
+        return r;
     };
 
     if (workers <= 1) {

@@ -25,6 +25,9 @@
  *    is bit-identical to live generation; the memo key gains the trace
  *    digest so memoized results name the exact streams they ran.
  *    Disable with setCapture(false) or GVC_SWEEP_LIVE=1.
+ *  - **One decode per trace file.**  Cells replaying a `.gvct` file
+ *    (RunConfig::trace_in) share one decoded copy of it, read when the
+ *    first of them starts and dropped after the last finishes.
  *  - **Progress.**  Completed-cell progress is reported to stderr
  *    (stdout stays clean for the figure tables); disable with
  *    setProgress(false) or GVC_SWEEP_QUIET=1.

@@ -207,14 +207,15 @@ runTenants(const TenantsSpec &spec, const RunConfig &cfg)
 
     // Capture each tenant's kernel round once, then splice the recorded
     // op logs — each rebased onto a fresh ASID range — into one
-    // multi-process VM image.  The whole multi-tenant run is thereby a
-    // single combined trace replayed through the core runner, exactly
-    // the construction runScenario uses, so it is deterministic and
-    // trace-recordable for free.
-    std::vector<trace::Trace> captured;
-    captured.reserve(n);
+    // multi-process VM image, and move the kernels, rebased likewise,
+    // into one combined trace.  The whole multi-tenant run is thereby a
+    // list of launches over that trace replayed through the core
+    // runner, exactly the construction runScenario uses, so it is
+    // deterministic and trace-recordable for free.
     std::vector<Asid> asid_base(n, 0);
     std::vector<unsigned> asid_count(n, 0);
+    // Tenant t's kernels are combined->kernels[first[t], first[t + 1]).
+    std::vector<std::size_t> first(n + 1, 0);
     std::vector<VmRegion> regions;      // storm targets, all tenants
     auto combined = std::make_shared<trace::Trace>();
     Asid next_base = 0;
@@ -239,8 +240,12 @@ runTenants(const TenantsSpec &spec, const RunConfig &cfg)
                                 rebased.end());
         const auto regs = anonWriteRegions(tr.vm_ops, next_base);
         regions.insert(regions.end(), regs.begin(), regs.end());
+        for (trace::TraceKernel &k : tr.kernels) {
+            k.asid = Asid(k.asid + next_base);
+            combined->kernels.push_back(std::move(k));
+        }
+        first[t + 1] = combined->kernels.size();
         next_base = Asid(next_base + procs);
-        captured.push_back(std::move(tr));
         combined->workload +=
             (t == 0 ? "" : "+") + spec.tenants[t].workload;
     }
@@ -250,37 +255,34 @@ runTenants(const TenantsSpec &spec, const RunConfig &cfg)
 
     const std::vector<Slot> slots = buildSchedule(spec);
 
-    // Emit the kernels slot by slot, rewriting each launch's ASID into
-    // its tenant's rebased range, with a boundary marker between slots:
-    // the switch policy's byte when the tenant changes, keep-all
-    // otherwise (a no-op boundary, but it delimits the per-slot stat
-    // snapshot the attribution hook needs).
+    // Launch each slot's tenant kernels in turn, with a boundary marker
+    // between slots: the switch policy's byte when the tenant changes,
+    // keep-all otherwise (a no-op boundary, but it delimits the
+    // per-slot stat snapshot the attribution hook needs).
+    std::vector<trace::TraceLaunch> launches;
+    std::vector<trace::TraceBoundary> boundaries;
     std::vector<unsigned> slot_tenant;
     slot_tenant.reserve(slots.size());
     std::vector<Tick> kernel_arrival;
-    std::vector<std::uint64_t> tenant_launches(n, 0);
     std::uint64_t context_switches = 0;
     for (std::size_t s = 0; s < slots.size(); ++s) {
         const Slot &slot = slots[s];
-        const trace::Trace &tr = captured[slot.tenant];
-        for (std::size_t k = 0; k < tr.kernels.size(); ++k) {
-            trace::TraceKernel copy = tr.kernels[k];
-            copy.asid = Asid(copy.asid + asid_base[slot.tenant]);
-            kernel_arrival.push_back(k == 0 ? slot.arrival : Tick(0));
-            combined->kernels.push_back(std::move(copy));
+        const unsigned t = slot.tenant;
+        for (std::size_t k = first[t]; k < first[t + 1]; ++k) {
+            launches.push_back({k, combined->kernels[k].asid});
+            kernel_arrival.push_back(k == first[t] ? slot.arrival : 0);
         }
-        tenant_launches[slot.tenant] += tr.kernels.size();
-        slot_tenant.push_back(slot.tenant);
+        slot_tenant.push_back(t);
         if (s + 1 < slots.size()) {
-            const bool switched = slots[s + 1].tenant != slot.tenant;
+            const bool switched = slots[s + 1].tenant != t;
             if (switched)
                 ++context_switches;
             const BoundaryPolicy bp = switched
                                           ? switchBoundary(
                                                 spec.switch_policy)
                                           : BoundaryPolicy::keepAll();
-            combined->boundaries.push_back(trace::TraceBoundary{
-                combined->kernels.size() - 1, bp.encode()});
+            boundaries.push_back(trace::TraceBoundary{
+                launches.size() - 1, bp.encode()});
         }
     }
 
@@ -353,14 +355,16 @@ runTenants(const TenantsSpec &spec, const RunConfig &cfg)
 
     RunConfig run_cfg = cfg;
     run_cfg.trace_in.clear();
-    trace::TraceKernelSource source(std::move(combined));
+    trace::TraceKernelSource source(std::move(combined),
+                                    std::move(launches),
+                                    std::move(boundaries));
     RunResult r = runSource(source, run_cfg, {}, nullptr, &hooks);
 
     r.tenants.reserve(n);
     for (unsigned t = 0; t < n; ++t) {
         TenantStats ts;
         ts.workload = spec.tenants[t].workload;
-        ts.launches = tenant_launches[t];
+        ts.launches = std::uint64_t(spec.rounds) * (first[t + 1] - first[t]);
         ts.stats = per_tenant[t];
         r.tenants.push_back(std::move(ts));
     }

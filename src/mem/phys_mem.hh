@@ -76,8 +76,6 @@ class PhysMem
         free_list_.push_back(frame);
     }
 
-    std::uint64_t totalFrames() const { return total_frames_; }
-
     std::uint64_t
     framesInUse() const
     {

@@ -109,8 +109,6 @@ class Vm
     /** Operations recorded while recordOps(true) was in effect. */
     const std::vector<VmOp> &recordedOps() const { return op_log_; }
 
-    std::size_t processCount() const { return procs_.size(); }
-
     /**
      * Eagerly map @p bytes of fresh anonymous memory in @p asid.
      * @return the base virtual address of the new region.

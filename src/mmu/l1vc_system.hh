@@ -154,7 +154,7 @@ class L1OnlyVcSystem final : public MmuSystem
     {
         for (auto &l1 : l1s_)
             l1->flushLifetimes();
-        caches_.l2().flushLifetimes();
+        caches_.flushLifetimes();
     }
 
     /**
@@ -184,8 +184,7 @@ class L1OnlyVcSystem final : public MmuSystem
     {
         for (const auto &l1 : l1s_)
             s.scope("l1", *l1);
-        s.scope("l2", caches_.l2());
-        s.scope("directory", caches_.directory());
+        caches_.stats(s);
         s.scope("iommu", iommu_);
         s.scope("percu_tlb", tlbs_);
         s("synonym.replays", synonym_replays_);
@@ -279,7 +278,6 @@ class L1OnlyVcSystem final : public MmuSystem
             }
         }
 
-        req->fill_l1 = false; // the L1s are virtual: filled on return
         caches_.accessL2(req);
     }
 

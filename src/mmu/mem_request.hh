@@ -52,8 +52,6 @@ struct MemRequest
     unsigned cu = 0;
     Asid asid = 0;
     bool is_store = false;
-    /** Physical designs: fill the requesting CU's L1 on a load return. */
-    bool fill_l1 = true;
     Vaddr line_va = 0;
     Vpn vpn = 0;
     Paddr line_pa = 0;
@@ -172,7 +170,6 @@ class RequestPool
         r->cu = cu;
         r->asid = asid;
         r->is_store = is_store;
-        r->fill_l1 = true;
         r->line_va = line_va;
         r->vpn = pageOf(line_va);
         r->done = std::move(on_done);

@@ -42,6 +42,10 @@ class PhysCaches
      */
     using ReturnHook = SmallFunc<void(MemRequest *)>;
 
+    /**
+     * An owner that passes @p on_return keeps L1s of its own: no
+     * physical L1s are built, and only accessL2() may be used.
+     */
     PhysCaches(SimContext &ctx, const SocConfig &cfg, Dram &dram,
                RequestPool &reqs, ReturnHook on_return = nullptr)
         : ctx_(ctx), cfg_(cfg), dram_(dram), reqs_(reqs),
@@ -67,8 +71,9 @@ class PhysCaches
             }
             return out;
         });
-        l1s_.reserve(cfg.gpu.num_cus);
-        for (unsigned i = 0; i < cfg.gpu.num_cus; ++i) {
+        const unsigned l1s = on_return_ ? 0 : cfg.gpu.num_cus;
+        l1s_.reserve(l1s);
+        for (unsigned i = 0; i < l1s; ++i) {
             l1s_.push_back(std::make_unique<CacheArray>(
                 CacheParams{cfg.l1_size, cfg.l1_assoc, unsigned(kLineSize),
                             /*write_back=*/false, /*write_allocate=*/false,
@@ -90,8 +95,8 @@ class PhysCaches
     /**
      * Access the shared L2 directly (the L1-only-VC design lands here
      * after translation).  Includes the CU<->L2 NoC hops and the bank
-     * port arbitration.  A load fills the CU's L1 on return when
-     * @p req->fill_l1 is set.
+     * port arbitration.  A load fills the CU's physical L1, if there
+     * are any, on return.
      */
     void accessL2(MemRequest *req) { to_l2_hop_.in(cfg_.cu_to_l2, req); }
 
@@ -192,7 +197,7 @@ class PhysCaches
     void
     returnToCu(MemRequest *req)
     {
-        if (!req->is_store && req->fill_l1)
+        if (!req->is_store && !l1s_.empty())
             fillL1(req->cu, req->line_pa);
         return_hop_.in(cfg_.cu_to_l2, req);
     }

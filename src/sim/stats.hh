@@ -165,8 +165,6 @@ class LinearHistogram
         total_ += other.total_;
     }
 
-    double bucketWidth() const { return width_; }
-    std::size_t numBuckets() const { return buckets_.size(); }
     std::uint64_t bucketCount(std::size_t i) const { return buckets_[i]; }
 
   private:

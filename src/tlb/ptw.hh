@@ -68,7 +68,6 @@ class PageTableWalker
     PageWalkCache &pwc() { return pwc_; }
     const PageWalkCache &pwc() const { return pwc_; }
 
-    std::uint64_t requests() const { return requests_.value; }
     unsigned active() const { return active_; }
     /** Walks requested and not yet completed (queued or running). */
     std::size_t walksInFlight() const { return states_.inUse(); }
@@ -76,6 +75,7 @@ class PageTableWalker
     void
     stats(StatSink &s) const
     {
+        s("requests", requests_);
         s("completed", completed_);
         s("latency_sum", latency_sum_);
         s("large_walks", large_walks_);

@@ -553,6 +553,7 @@ class Tlb
         s("reach_fills", reach_fills_);
         s("merges", merges_);
         s("fill_bypasses", fill_bypasses_);
+        s("shootdowns", shootdowns_);
         s("dead_first_evictions", dead_first_evictions_);
         s("pred_true_pos", pred_true_pos_);
         s("pred_false_pos", pred_false_pos_);

@@ -90,112 +90,41 @@ class WorkloadKernelSource final : public KernelSource
     Asid asid_ = 0;
 };
 
-/**
- * A WarpStream over a warp recorded in a Trace.  Non-copying: iterates
- * the trace's own instruction vector, keeping the trace alive via a
- * shared_ptr, so replaying a capture across many designs shares one
- * in-memory copy of the streams.
- */
-class ReplayWarpStream final : public WarpStream
+/** One replayed launch: a kernel of the trace, under an address space. */
+struct TraceLaunch
 {
-  public:
-    ReplayWarpStream(std::shared_ptr<const Trace> trace,
-                     const std::vector<WarpInst> *insts)
-        : trace_(std::move(trace)), insts_(insts)
-    {
-    }
-
-    bool
-    next(WarpInst &out) override
-    {
-        if (pos_ >= insts_->size())
-            return false;
-        assignInto(out, (*insts_)[pos_++]);
-        return true;
-    }
-
-  private:
-    std::shared_ptr<const Trace> trace_; ///< Keep-alive only.
-    const std::vector<WarpInst> *insts_;
-    std::size_t pos_ = 0;
+    std::size_t kernel = 0;
+    Asid asid = 0;
 };
 
 /**
- * Struct-of-arrays packing of one recorded warp stream: fixed-size
- * instruction records plus one flat lane-address array, replacing the
- * per-WarpInst heap vectors of the trace's AoS form.  Replay then walks
- * two contiguous arrays instead of chasing a per-instruction pointer,
- * which is what the stream-drain path spends its time on.
+ * Replay: drives a simulation from a captured Trace.  The source plays
+ * a list of launches over the trace's kernels, so repeating a kernel
+ * (scenario rounds, tenant slots) launches it again instead of copying
+ * it.
  */
-struct PackedWarp
-{
-    struct Rec
-    {
-        WarpOp op;
-        std::uint32_t cycles;
-        std::uint32_t first; ///< Offset into lane_addrs.
-        std::uint32_t count; ///< Active lanes (<= kWarpLanes).
-    };
-
-    std::vector<Rec> recs;
-    std::vector<Vaddr> lane_addrs;
-
-    static PackedWarp
-    pack(const std::vector<WarpInst> &insts)
-    {
-        PackedWarp p;
-        p.recs.reserve(insts.size());
-        std::size_t lanes = 0;
-        for (const WarpInst &i : insts)
-            lanes += i.lane_addrs.size();
-        p.lane_addrs.reserve(lanes);
-        for (const WarpInst &i : insts) {
-            p.recs.push_back(Rec{i.op, i.cycles,
-                                 std::uint32_t(p.lane_addrs.size()),
-                                 std::uint32_t(i.lane_addrs.size())});
-            p.lane_addrs.insert(p.lane_addrs.end(),
-                                i.lane_addrs.begin(),
-                                i.lane_addrs.end());
-        }
-        return p;
-    }
-};
-
-/** A WarpStream over a PackedWarp (shared, non-copying). */
-class PackedWarpStream final : public WarpStream
-{
-  public:
-    explicit PackedWarpStream(std::shared_ptr<const PackedWarp> warp)
-        : warp_(std::move(warp))
-    {
-    }
-
-    bool
-    next(WarpInst &out) override
-    {
-        if (pos_ >= warp_->recs.size())
-            return false;
-        const PackedWarp::Rec &r = warp_->recs[pos_++];
-        out.op = r.op;
-        out.cycles = r.cycles;
-        const Vaddr *base = warp_->lane_addrs.data() + r.first;
-        out.lane_addrs.assign(base, base + r.count);
-        return true;
-    }
-
-  private:
-    std::shared_ptr<const PackedWarp> warp_;
-    std::size_t pos_ = 0;
-};
-
-/** Replay: drives a simulation from a captured Trace. */
 class TraceKernelSource final : public KernelSource
 {
   public:
-    explicit TraceKernelSource(std::shared_ptr<const Trace> trace)
-        : trace_(std::move(trace))
-    {
-    }
+    /** Every kernel once, under its recorded ASID, with the trace's
+     *  own boundaries. */
+    explicit TraceKernelSource(std::shared_ptr<const Trace> trace);
+
+    /**
+     * Play @p launches over @p trace's kernels; each of @p boundaries
+     * names the launch (not the kernel) it follows.
+     */
+    TraceKernelSource(std::shared_ptr<const Trace> trace,
+                      std::vector<TraceLaunch> launches,
+                      std::vector<TraceBoundary> boundaries);
+
+    /**
+     * Every kernel of @p trace, in order, @p rounds times, with a
+     * boundary of policy byte @p policy between consecutive rounds.
+     */
+    static TraceKernelSource repeated(std::shared_ptr<const Trace> trace,
+                                      unsigned rounds,
+                                      std::uint8_t policy);
 
     std::string name() const override { return trace_->workload; }
     const WorkloadParams &params() const override
@@ -210,43 +139,32 @@ class TraceKernelSource final : public KernelSource
         applyVmOps(vm, trace_->vm_ops);
     }
 
-    std::vector<KernelLaunch>
-    kernels() override
-    {
-        std::vector<KernelLaunch> launches;
-        launches.reserve(trace_->kernels.size());
-        for (const TraceKernel &k : trace_->kernels) {
-            KernelLaunch launch;
-            launch.asid = k.asid;
-            launch.warps.reserve(k.warps.size());
-            for (const auto &warp : k.warps) {
-                // One packing pass per warp (linear in trace size) buys
-                // contiguous reads for the whole simulated kernel.
-                launch.warps.push_back(
-                    std::make_unique<PackedWarpStream>(
-                        std::make_shared<const PackedWarp>(
-                            PackedWarp::pack(warp))));
-            }
-            launches.push_back(std::move(launch));
-        }
-        return launches;
-    }
+    std::vector<KernelLaunch> kernels() override;
 
     const std::vector<TraceBoundary> &
     boundaries() const override
     {
-        return trace_->boundaries;
+        return boundaries_;
     }
+
+    /**
+     * The launch list written out as a trace of its own: one kernel per
+     * launch, so a file replayed with the one-argument constructor runs
+     * exactly what this source runs.
+     */
+    Trace materialize() const;
 
   private:
     std::shared_ptr<const Trace> trace_;
+    std::vector<TraceLaunch> launches_;
+    std::vector<TraceBoundary> boundaries_;
 };
 
 /**
  * Tee: forwards an inner stream while appending each instruction to a
  * sink vector.  The runner wraps every launch's streams with this when
  * asked to capture a trace during a live run, so recording costs one
- * extra copy per instruction and nothing else.
+ * copy per instruction and nothing else.
  *
  * @p sink must stay at a stable address for the stream's lifetime
  * (pre-size the Trace's kernel/warp vectors before wrapping).
@@ -260,13 +178,13 @@ class RecordingWarpStream final : public WarpStream
     {
     }
 
-    bool
-    next(WarpInst &out) override
+    const WarpInst *
+    next() override
     {
-        if (!inner_->next(out))
-            return false;
-        sink_->push_back(out);
-        return true;
+        const WarpInst *inst = inner_->next();
+        if (inst)
+            sink_->push_back(*inst);
+        return inst;
     }
 
   private:

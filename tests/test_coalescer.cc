@@ -68,8 +68,9 @@ TEST(Coalescer, DivergenceStatistics)
     c.coalesce(divergent); // 8 lines, 8 pages
     EXPECT_EQ(c.instructions(), 2u);
     EXPECT_EQ(c.linesEmitted(), 12u);
-    EXPECT_DOUBLE_EQ(c.meanLinesPerInst(), 6.0);
-    EXPECT_DOUBLE_EQ(c.meanPagesPerInst(), 4.5);
+    c.coalesce({});
+    EXPECT_EQ(c.instructions(), 3u);
+    EXPECT_EQ(c.linesEmitted(), 12u);
 }
 
 } // namespace

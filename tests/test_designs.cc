@@ -137,15 +137,25 @@ snapshotPaths(MmuDesign design)
 TEST(Designs, SnapshotPathsPerHierarchy)
 {
     using Paths = std::vector<std::string>;
-    const Paths shared = {
-        "directory.probes", "dram.accesses",        "dram.bytes",
-        "dram.queue_delay", "gpu.instructions",     "gpu.mem_instructions",
-        "l1.accesses",      "l1.hits",              "l2.accesses",
-        "l2.hits",          "sim.ticks"};
+    const Paths shared = {"directory.fetches",
+                          "directory.probes",
+                          "dram.accesses",
+                          "dram.bytes",
+                          "dram.queue_delay",
+                          "gpu.coalesced_lines",
+                          "gpu.instructions",
+                          "gpu.mem_instructions",
+                          "gpu.scratch_instructions",
+                          "l1.accesses",
+                          "l1.hits",
+                          "l2.accesses",
+                          "l2.hits",
+                          "sim.ticks"};
     const Paths tlb = {"accesses",       "hits",
                        "misses",         "reach_hits",
                        "reach_fills",    "merges",
-                       "fill_bypasses",  "dead_first_evictions",
+                       "fill_bypasses",  "shootdowns",
+                       "dead_first_evictions",
                        "pred_true_pos",  "pred_false_pos"};
     Paths iommu = {"iommu.accesses",
                    "iommu.walks",
@@ -154,6 +164,7 @@ TEST(Designs, SnapshotPathsPerHierarchy)
                    "iommu.second_level_lookups",
                    "iommu.second_level_hits",
                    "iommu.coalesced_fills",
+                   "iommu.ptw.requests",
                    "iommu.ptw.completed",
                    "iommu.ptw.latency_sum",
                    "iommu.ptw.large_walks",
@@ -183,10 +194,12 @@ TEST(Designs, SnapshotPathsPerHierarchy)
     EXPECT_EQ(snapshotPaths(MmuDesign::kVcOpt),
               all({shared, iommu,
                    {"fbt.bt_lookups", "fbt.ft_lookups", "fbt.ft_hits",
-                    "fbt.capacity_evictions", "fbt.valid_pages",
-                    "synonym.replays", "vc.rw_faults", "vc.fbt_purges",
+                    "fbt.capacity_evictions", "fbt.shootdowns",
+                    "fbt.valid_pages", "synonym.replays",
+                    "synonym.remap.lookups", "synonym.remap.hits",
+                    "synonym.remap.drops", "vc.rw_faults", "vc.fbt_purges",
                     "vc.l1_flushes", "vc.translation_merges",
-                    "vc.probe_lines_filtered"}}));
+                    "vc.probe_lines_filtered", "vc.dropped_fills"}}));
     EXPECT_EQ(snapshotPaths(MmuDesign::kL1Vc32),
               all({shared, iommu, percu,
                    {"synonym.replays", "l1vc.registry_lines"}}));

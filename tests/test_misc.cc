@@ -46,9 +46,8 @@ TEST(WorkloadParams, GraphKindChangesTheTrace)
         std::uint64_t lanes = 0;
         for (auto &launch : wl->kernels())
             for (auto &stream : launch.warps) {
-                WarpInst inst;
-                while (stream->next(inst))
-                    lanes += inst.lane_addrs.size();
+                while (const WarpInst *inst = stream->next())
+                    lanes += inst->lane_addrs.size();
             }
         return lanes;
     };
@@ -72,8 +71,7 @@ TEST(WorkloadParams, ScaleChangesProblemSize)
         std::uint64_t n = 0;
         for (auto &launch : wl->kernels())
             for (auto &stream : launch.warps) {
-                WarpInst inst;
-                while (stream->next(inst))
+                while (stream->next())
                     ++n;
             }
         return n;
@@ -115,7 +113,8 @@ TEST(GpuAggregates, SumAcrossCus)
     EXPECT_EQ(gpu.numCus(), 4u);
     EXPECT_EQ(snapshotOf(gpu).get("mem_instructions"), 8u);
     EXPECT_EQ(snapshotOf(gpu).get("instructions"), 16u);
-    EXPECT_DOUBLE_EQ(gpu.meanLinesPerMemInst(), 1.0);
+    EXPECT_EQ(snapshotOf(gpu).get("coalesced_lines"), 8u);
+    EXPECT_EQ(snapshotOf(gpu).get("scratch_instructions"), 0u);
 }
 
 TEST(InjectionPorts, DisabledIsTransparent)

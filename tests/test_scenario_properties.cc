@@ -241,6 +241,31 @@ TEST(ScenarioReplay, RecordedScenarioReplaysBitIdentically)
     }
 }
 
+TEST(ScenarioReplay, CaptureIsTheRoundTiledRoundsTimes)
+{
+    const RunConfig cfg = quick(MmuDesign::kIdeal, 0.05);
+    ScenarioSpec spec;
+    spec.rounds = 3;
+    spec.boundary = BoundaryPolicy::flushL1();
+    Trace recorded;
+    (void)runScenario("bfs", cfg, spec, {}, &recorded);
+
+    // Tile the captured round by hand, as a recording of the whole
+    // scenario would hold it.
+    Trace tiled = trace::captureWorkloadTrace("bfs", cfg.workload,
+                                              cfg.soc.phys_mem_bytes);
+    ASSERT_GT(tiled.kernels.size(), 1u);
+    const std::vector<trace::TraceKernel> round = tiled.kernels;
+    for (std::uint64_t r = 1; r < spec.rounds; ++r) {
+        tiled.boundaries.push_back(trace::TraceBoundary{
+            r * round.size() - 1, spec.boundary.encode()});
+        tiled.kernels.insert(tiled.kernels.end(), round.begin(),
+                             round.end());
+    }
+    EXPECT_EQ(TraceWriter::serialize(recorded),
+              TraceWriter::serialize(tiled));
+}
+
 TEST(ScenarioReplay, DeterministicAcrossRuns)
 {
     const RunResult a = runRounds("kmeans", MmuDesign::kVcOpt, 3,

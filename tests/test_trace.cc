@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the gvc::trace layer: binary format round trips and error
- * paths, RecordingWarpStream/ReplayWarpStream semantics, record->replay
+ * paths, the WarpStream pointer contract and in-place replay, record->replay
  * bit-identity of full RunResults against live generation (the tentpole
  * property), and sweep capture-once/replay-per-design equivalence.
  */
@@ -351,40 +351,108 @@ TEST(TraceStreams, RecordingStreamForwardsAndCaptures)
     std::vector<WarpInst> insts;
     insts.push_back(WarpInst::compute(5));
     insts.push_back(WarpInst::load({0x100, 0x104}));
+    insts.push_back(WarpInst::store({0x900}));
     auto inner = std::make_unique<VectorWarpStream>(insts);
 
     std::vector<WarpInst> sink;
     trace::RecordingWarpStream rec(std::move(inner), &sink);
-    WarpInst out;
-    std::size_t n = 0;
-    while (rec.next(out)) {
-        EXPECT_EQ(out.op, insts[n].op);
-        EXPECT_EQ(out.lane_addrs, insts[n].lane_addrs);
-        ++n;
-    }
-    EXPECT_EQ(n, insts.size());
+    std::vector<WarpInst> forwarded;
+    while (const WarpInst *inst = rec.next())
+        forwarded.push_back(*inst);
+    // The end is sticky, and a call past it records nothing.
+    EXPECT_EQ(rec.next(), nullptr);
+    EXPECT_EQ(rec.next(), nullptr);
+
+    ASSERT_EQ(forwarded.size(), insts.size());
     ASSERT_EQ(sink.size(), insts.size());
     for (std::size_t i = 0; i < insts.size(); ++i) {
-        EXPECT_EQ(sink[i].op, insts[i].op);
-        EXPECT_EQ(sink[i].cycles, insts[i].cycles);
-        EXPECT_EQ(sink[i].lane_addrs, insts[i].lane_addrs);
+        EXPECT_EQ(forwarded[i].op, insts[i].op);
+        EXPECT_EQ(forwarded[i].cycles, insts[i].cycles);
+        EXPECT_EQ(forwarded[i].lane_addrs, insts[i].lane_addrs);
+        EXPECT_EQ(sink[i].op, forwarded[i].op);
+        EXPECT_EQ(sink[i].cycles, forwarded[i].cycles);
+        EXPECT_EQ(sink[i].lane_addrs, forwarded[i].lane_addrs);
     }
 }
 
-TEST(TraceStreams, ReplayStreamReusesCallerBufferCapacity)
+TEST(TraceStreams, VectorStreamEndIsSticky)
+{
+    VectorWarpStream stream({WarpInst::compute(3), WarpInst::barrier()});
+    const WarpInst *first = stream.next();
+    ASSERT_NE(first, nullptr);
+    EXPECT_EQ(first->op, WarpOp::kCompute);
+    EXPECT_EQ(first->cycles, 3u);
+    const WarpInst *second = stream.next();
+    ASSERT_NE(second, nullptr);
+    EXPECT_EQ(second->op, WarpOp::kBarrier);
+    for (int i = 0; i < 3; ++i)
+        EXPECT_EQ(stream.next(), nullptr);
+
+    VectorWarpStream empty(std::vector<WarpInst>{});
+    EXPECT_EQ(empty.next(), nullptr);
+    EXPECT_EQ(empty.next(), nullptr);
+}
+
+TEST(TraceStreams, ReplayReadsTheTraceInPlace)
 {
     auto t = std::make_shared<Trace>(sampleTrace());
-    trace::ReplayWarpStream stream(t, &t->kernels[0].warps[0]);
-    WarpInst out;
-    out.lane_addrs.reserve(kWarpLanes);
-    const Vaddr *buf = out.lane_addrs.data();
+    const std::vector<WarpInst> &warp = t->kernels[0].warps[0];
+    auto launches = trace::TraceKernelSource(t).kernels();
+    ASSERT_EQ(launches.size(), 1u);
+    ASSERT_EQ(launches[0].warps.size(), 2u);
+    // The streams keep the trace alive on their own.
+    const std::weak_ptr<Trace> alive = t;
+    t.reset();
+    EXPECT_FALSE(alive.expired());
+
+    WarpStream &stream = *launches[0].warps[0];
     std::size_t n = 0;
-    while (stream.next(out)) {
-        // assignInto must never reallocate once warmed to kWarpLanes.
-        EXPECT_EQ(out.lane_addrs.data(), buf);
+    while (const WarpInst *inst = stream.next()) {
+        // A pointer into the trace itself: no copy of the lanes.
+        EXPECT_EQ(inst, &warp[n]);
         ++n;
     }
-    EXPECT_EQ(n, t->kernels[0].warps[0].size());
+    EXPECT_EQ(n, warp.size());
+    EXPECT_EQ(stream.next(), nullptr);
+    EXPECT_EQ(stream.next(), nullptr);
+    EXPECT_EQ(launches[0].warps[1]->next(), nullptr); // empty warp
+
+    launches.clear();
+    EXPECT_TRUE(alive.expired());
+}
+
+/**
+ * A launch list replays each kernel from the one copy in the trace: the
+ * first instruction of warp 0 in round 0 and in round 2 is the same
+ * object, whatever ASID each launch runs under.
+ */
+TEST(TraceStreams, RepeatedLaunchesShareOneCopyOfEachKernel)
+{
+    auto t = std::make_shared<Trace>(sampleTrace());
+    const WarpInst *const recorded = &t->kernels[0].warps[0][0];
+
+    auto scenario = trace::TraceKernelSource::repeated(
+        t, 3, BoundaryPolicy::flushAll().encode());
+    auto rounds = scenario.kernels();
+    ASSERT_EQ(rounds.size(), 3u);
+    ASSERT_EQ(scenario.boundaries().size(), 2u);
+    EXPECT_EQ(scenario.boundaries()[0].kernel, 0u);
+    EXPECT_EQ(scenario.boundaries()[1].kernel, 1u);
+    EXPECT_EQ(rounds[0].warps[0]->next(), recorded);
+    EXPECT_EQ(rounds[2].warps[0]->next(), recorded);
+
+    // runTenants-style: one kernel, three slots under two ASIDs.
+    trace::TraceKernelSource slots(
+        t, {{0, 3}, {0, 5}, {0, 3}},
+        {{0, BoundaryPolicy::keepAll().encode()},
+         {1, BoundaryPolicy::keepAll().encode()}});
+    auto launches = slots.kernels();
+    ASSERT_EQ(launches.size(), 3u);
+    EXPECT_EQ(launches[0].asid, 3u);
+    EXPECT_EQ(launches[1].asid, 5u);
+    EXPECT_EQ(launches[2].asid, 3u);
+    EXPECT_EQ(launches[0].warps[0]->next(), recorded);
+    EXPECT_EQ(launches[2].warps[0]->next(), recorded);
 }
 
 // ---------------------------------------------------------------------
@@ -547,6 +615,91 @@ TEST(TraceSweep, MemoizationStillDeduplicatesUnderCapture)
     EXPECT_EQ(sweep.uniqueRuns(), 1u);
     EXPECT_EQ(sweep.capturedTraces(), 1u);
     EXPECT_EQ(dumpOf(sweep.result(0)), dumpOf(sweep.result(1)));
+}
+
+// ---------------------------------------------------------------------
+// Sweeps over trace files: one decode per file
+// ---------------------------------------------------------------------
+
+/** Capture @p workload into a .gvct file under the test's temp dir. */
+std::string
+writeTraceFile(const std::string &workload, const char *name)
+{
+    const std::string path = tempPath(name);
+    std::string err;
+    EXPECT_TRUE(TraceWriter::writeFile(
+        path, trace::captureWorkloadTrace(workload, tinyParams()), &err))
+        << err;
+    return path;
+}
+
+TEST(TraceFileSweep, SharedDecodeMatchesPerCellRuns)
+{
+    const std::vector<std::pair<std::string, std::string>> files = {
+        {"bfs", writeTraceFile("bfs", "sweep-bfs.gvct")},
+        {"kmeans", writeTraceFile("kmeans", "sweep-kmeans.gvct")}};
+    const std::vector<MmuDesign> designs = {
+        MmuDesign::kIdeal, MmuDesign::kBaseline512, MmuDesign::kVcOpt};
+
+    std::vector<std::string> expected;
+    for (const auto &[workload, path] : files) {
+        for (const MmuDesign d : designs) {
+            RunConfig cfg;
+            cfg.design = d;
+            cfg.workload = tinyParams();
+            cfg.trace_in = path;
+            expected.push_back(dumpOf(runWorkload(workload, cfg)));
+        }
+    }
+
+    for (const unsigned jobs : {1u, 3u}) {
+        Sweep sweep(jobs);
+        sweep.setProgress(false);
+        for (const auto &[workload, path] : files) {
+            for (const MmuDesign d : designs) {
+                RunConfig cfg;
+                cfg.design = d;
+                cfg.workload = tinyParams();
+                cfg.trace_in = path;
+                sweep.add(workload, cfg);
+            }
+        }
+        sweep.run();
+        EXPECT_EQ(sweep.capturedTraces(), 0u);
+        ASSERT_EQ(sweep.size(), expected.size());
+        for (std::size_t i = 0; i < sweep.size(); ++i)
+            EXPECT_EQ(dumpOf(sweep.result(i)), expected[i])
+                << "jobs " << jobs << " cell " << i;
+    }
+    for (const auto &file : files)
+        std::remove(file.second.c_str());
+}
+
+TEST(TraceFileSweep, EachFileIsReadOnce)
+{
+    const std::string path = writeTraceFile("hotspot", "sweep-once.gvct");
+    Sweep sweep(1);
+    sweep.setProgress(false);
+    for (const MmuDesign d : {MmuDesign::kIdeal, MmuDesign::kBaseline512,
+                              MmuDesign::kVcOpt}) {
+        RunConfig cfg;
+        cfg.design = d;
+        cfg.workload = tinyParams();
+        cfg.trace_in = path;
+        sweep.add("hotspot", cfg);
+    }
+    // Once the first cell is done the file is gone: the other cells
+    // can only run from the copy decoded for the first.
+    std::size_t cells = 0;
+    sweep.setCellHook([&](std::size_t, const RunResult &) {
+        if (cells++ == 0) {
+            EXPECT_EQ(std::remove(path.c_str()), 0);
+        }
+    });
+    sweep.run();
+    EXPECT_EQ(cells, 3u);
+    EXPECT_NE(dumpOf(sweep.result(0)), dumpOf(sweep.result(1)));
+    EXPECT_GT(sweep.result(2).exec_ticks, 0u);
 }
 
 } // namespace

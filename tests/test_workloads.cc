@@ -117,19 +117,18 @@ TEST_P(WorkloadSuite, GeneratesOnlyMappedAddresses)
     for (auto &launch : wl->kernels()) {
         EXPECT_EQ(launch.asid, asid);
         for (auto &stream : launch.warps) {
-            WarpInst inst;
-            while (stream->next(inst)) {
-                if (inst.isGlobalMem()) {
+            while (const WarpInst *inst = stream->next()) {
+                if (inst->isGlobalMem()) {
                     ++mem_insts;
-                    ASSERT_FALSE(inst.lane_addrs.empty());
-                    ASSERT_LE(inst.lane_addrs.size(), kWarpLanes);
-                    lanes += inst.lane_addrs.size();
-                    for (const Vaddr va : inst.lane_addrs)
+                    ASSERT_FALSE(inst->lane_addrs.empty());
+                    ASSERT_LE(inst->lane_addrs.size(), kWarpLanes);
+                    lanes += inst->lane_addrs.size();
+                    for (const Vaddr va : inst->lane_addrs)
                         ASSERT_TRUE(vm.translate(asid, va).has_value())
                             << GetParam() << " touches unmapped VA "
                             << std::hex << va;
-                } else if (inst.op == WarpOp::kScratchLoad ||
-                           inst.op == WarpOp::kScratchStore) {
+                } else if (inst->op == WarpOp::kScratchLoad ||
+                           inst->op == WarpOp::kScratchStore) {
                     ++scratch;
                 }
             }
@@ -153,11 +152,10 @@ TEST_P(WorkloadSuite, DeterministicForSameSeed)
         std::uint64_t hash = 14695981039346656037ull;
         for (auto &launch : wl->kernels()) {
             for (auto &stream : launch.warps) {
-                WarpInst inst;
-                while (stream->next(inst)) {
-                    hash ^= std::uint64_t(inst.op);
+                while (const WarpInst *inst = stream->next()) {
+                    hash ^= std::uint64_t(inst->op);
                     hash *= 1099511628211ull;
-                    for (const Vaddr va : inst.lane_addrs) {
+                    for (const Vaddr va : inst->lane_addrs) {
                         hash ^= va;
                         hash *= 1099511628211ull;
                     }
@@ -199,13 +197,12 @@ TEST(WorkloadDivergence, FwIsDivergentAndFwBlockIsNot)
         Coalescer c;
         for (auto &launch : wl->kernels()) {
             for (auto &stream : launch.warps) {
-                WarpInst inst;
-                while (stream->next(inst))
-                    if (inst.isGlobalMem())
-                        c.coalesce(inst.lane_addrs);
+                while (const WarpInst *inst = stream->next())
+                    if (inst->isGlobalMem())
+                        c.coalesce(inst->lane_addrs);
             }
         }
-        return c.meanLinesPerInst();
+        return double(c.linesEmitted()) / double(c.instructions());
     };
     const double fw = divergence_of("fw");
     const double fw_block = divergence_of("fw_block");
