@@ -250,10 +250,8 @@ class VirtualCacheSystem final : public MmuSystem
             fbt_.shootdownAll();
             remap_.clear();
         }
-        if (p.shootdown_tlbs) {
+        if (p.shootdown_tlbs)
             iommu_.invalidateAll();
-            iommu_.ptw().pwc().invalidateAll();
-        }
     }
 
     void

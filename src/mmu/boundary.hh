@@ -50,12 +50,6 @@ struct BoundaryPolicy
         return {false, false, false, true};
     }
 
-    bool
-    any() const
-    {
-        return flush_l1 || flush_l2 || flush_fbt || shootdown_tlbs;
-    }
-
     /** One byte, stable trace encoding (bit per flag). */
     std::uint8_t
     encode() const

@@ -253,13 +253,12 @@ class SystemUnderTest
   public:
     SystemUnderTest(SimContext &ctx, const SocConfig &cfg, Vm &vm,
                     Dram &dram, MmuDesign design)
-        : design_(design), dram_(dram),
+        : dram_(dram),
           sys_(buildHierarchy(designRow(design).hierarchy, ctx, cfg, vm,
                               dram))
     {
     }
 
-    MmuDesign design() const { return design_; }
     MmuSystem &system() { return *sys_; }
 
     /** The DRAM the hierarchy was built over. */
@@ -312,7 +311,6 @@ class SystemUnderTest
         return dynamic_cast<System *>(sys_.get());
     }
 
-    MmuDesign design_;
     Dram &dram_;
     std::unique_ptr<MmuSystem> sys_;
 };

@@ -10,6 +10,9 @@
  * physical line becomes its leading name; accesses under other names
  * replay with the leading name.  The registry is functional bookkeeping
  * — the paper's workloads exhibit no synonyms, so it adds no timing.
+ *
+ * The per-CU TLBs and the IOMMU round trip behind them are the per-CU
+ * translation stage (mmu/cu_translation.hh), shared with the Baseline.
  */
 
 #ifndef GVC_MMU_L1VC_SYSTEM_HH
@@ -24,11 +27,10 @@
 #include "gpu/cu.hh"
 #include "mem/vm.hh"
 #include "mmu/boundary.hh"
+#include "mmu/cu_translation.hh"
 #include "mmu/injection.hh"
 #include "mmu/mmu_system.hh"
-#include "mmu/per_cu_tlbs.hh"
 #include "mmu/phys_caches.hh"
-#include "tlb/iommu.hh"
 
 namespace gvc
 {
@@ -98,10 +100,10 @@ class L1OnlyVcSystem final : public MmuSystem
   public:
     L1OnlyVcSystem(SimContext &ctx, const SocConfig &cfg, Vm &vm,
                    Dram &dram)
-        : ctx_(ctx), cfg_(cfg), vm_(vm),
+        : ctx_(ctx), l1_latency_(cfg.l1_latency), vm_(vm),
           caches_(ctx, cfg, dram, reqs_,
                   [this](MemRequest *req) { l2Returned(req); }),
-          iommu_(ctx, vm, dram, cfg.iommuParams()), tlbs_(cfg),
+          xlat_(*this, ctx, cfg, vm, dram, caches_),
           injection_(ctx, cfg.gpu.num_cus, cfg.cu_injection_rate)
     {
         for (unsigned i = 0; i < cfg.gpu.num_cus; ++i) {
@@ -110,8 +112,10 @@ class L1OnlyVcSystem final : public MmuSystem
                             /*write_back=*/false, /*write_allocate=*/false,
                             cfg.track_lifetimes}));
         }
+        // The virtual L1s cache lines under virtual names, so they drop
+        // whenever the translations do (the stage's listeners, which
+        // ran first, dropped the TLB entries).
         vm.addPageShootdownListener([this](Asid asid, Vpn vpn) {
-            tlbs_.invalidatePage(asid, vpn, ctx_.now());
             for (auto &l1 : l1s_) {
                 l1->invalidatePage(
                     asid, pageBase(vpn), [this](const CacheLineInfo &info) {
@@ -119,11 +123,7 @@ class L1OnlyVcSystem final : public MmuSystem
                     });
             }
         });
-        // Full-AS shootdown: the virtual L1s cache lines under this
-        // ASID's names, so they must drop whenever its translations do
-        // (same rule as the per-page path above, whole address space).
         vm.addFullShootdownListener([this](Asid asid) {
-            tlbs_.invalidateAsid(asid, ctx_.now());
             for (auto &l1 : l1s_) {
                 l1->invalidateAsid(asid, [this](const CacheLineInfo &info) {
                     registryEvict(info.asid, info.line_addr);
@@ -141,8 +141,8 @@ class L1OnlyVcSystem final : public MmuSystem
 
     std::size_t requestsInFlight() const override { return reqs_.inFlight(); }
 
-    Iommu *iommu() override { return &iommu_; }
-    PerCuTlbs *perCuTlbs() override { return &tlbs_; }
+    Iommu *iommu() override { return &xlat_.iommu(); }
+    PerCuTlbs *perCuTlbs() override { return &xlat_.tlbs(); }
     /** The virtual L1 of @p cu. */
     CacheArray &l1(unsigned cu) override { return *l1s_[cu]; }
     CacheArray &l2() override { return caches_.l2(); }
@@ -172,11 +172,7 @@ class L1OnlyVcSystem final : public MmuSystem
             registry_.clear();
         }
         caches_.boundaryFlush(false, p.flush_l2);
-        if (p.shootdown_tlbs) {
-            tlbs_.invalidateAll(ctx_.now());
-            iommu_.invalidateAll();
-            iommu_.ptw().pwc().invalidateAll();
-        }
+        xlat_.applyBoundary(p);
     }
 
     void
@@ -185,8 +181,7 @@ class L1OnlyVcSystem final : public MmuSystem
         for (const auto &l1 : l1s_)
             s.scope("l1", *l1);
         caches_.stats(s);
-        s.scope("iommu", iommu_);
-        s.scope("percu_tlb", tlbs_);
+        xlat_.stats(s);
         s("synonym.replays", synonym_replays_);
         s("l1vc.registry_lines", registry_.size());
     }
@@ -196,7 +191,7 @@ class L1OnlyVcSystem final : public MmuSystem
     issue(MemRequest *req)
     {
         injection_.inject(req->cu, [this, req] {
-            l1_hop_.in(cfg_.l1_latency, req);
+            l1_hop_.in(l1_latency_, req);
         });
     }
 
@@ -217,53 +212,13 @@ class L1OnlyVcSystem final : public MmuSystem
         } else if (!way) {
             l1.recordMiss(false);
         }
-        tlb_hop_.in(cfg_.percu_tlb_latency, req);
+        xlat_.translate(req);
     }
 
+    /** @p req is translated; resp.perms holds the page permissions. */
     void
-    tlbStage(MemRequest *req)
+    translated(MemRequest *req)
     {
-        if (auto hit =
-                tlbs_[req->cu].lookup(req->asid, req->vpn, ctx_.now())) {
-            req->resp.perms = hit->perms;
-            translated(req, hit->ppn);
-            return;
-        }
-        to_iommu_hop_.in(cfg_.cu_to_iommu, req);
-    }
-
-    /** @p req reached the IOMMU; its answer travels back to the CU. */
-    void
-    atIommu(MemRequest *req)
-    {
-        iommu_.translate(req->asid, req->vpn,
-                         [this, req](const IommuResponse &resp) {
-                             req->resp = resp;
-                             from_iommu_hop_.in(cfg_.cu_to_iommu, req);
-                         });
-    }
-
-    void
-    onTranslation(MemRequest *req)
-    {
-        const IommuResponse &resp = req->resp;
-        if (resp.fault)
-            fatal("L1OnlyVcSystem: unhandled GPU page fault");
-        tlbs_[req->cu].insert(req->asid, req->vpn,
-                              TlbLookup{resp.ppn, resp.perms, resp.large,
-                                        resp.reach, resp.base_vpn,
-                                        resp.base_ppn},
-                              ctx_.now());
-        translated(req, resp.ppn);
-    }
-
-    /** @p req->resp.perms holds the page permissions from translation. */
-    void
-    translated(MemRequest *req, Ppn ppn)
-    {
-        req->line_pa =
-            pageBase(ppn) | (req->line_va & kPageMask & ~kLineMask);
-
         // Synonym discipline: the L1s may cache a physical line under a
         // single leading virtual name only.
         if (const auto leading = registry_.lookup(req->line_pa)) {
@@ -316,22 +271,18 @@ class L1OnlyVcSystem final : public MmuSystem
         registry_.evict(line_pa);
     }
 
+    using Self = L1OnlyVcSystem;
     SimContext &ctx_;
-    SocConfig cfg_;
+    const Tick l1_latency_;
     Vm &vm_;
     RequestPool reqs_;
     PhysCaches caches_;
-    Iommu iommu_;
+    CuTranslation<Self, &Self::translated> xlat_;
     std::vector<std::unique_ptr<CacheArray>> l1s_;
-    PerCuTlbs tlbs_;
     LineLeadingRegistry registry_;
     CuInjectionPorts injection_;
     Counter synonym_replays_;
-    using Self = L1OnlyVcSystem;
     Hop<Self, &Self::l1Access> l1_hop_{ctx_.eq, *this};
-    Hop<Self, &Self::tlbStage> tlb_hop_{ctx_.eq, *this};
-    Hop<Self, &Self::atIommu> to_iommu_hop_{ctx_.eq, *this};
-    Hop<Self, &Self::onTranslation> from_iommu_hop_{ctx_.eq, *this};
 };
 
 } // namespace gvc

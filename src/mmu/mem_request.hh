@@ -57,8 +57,8 @@ struct MemRequest
     Paddr line_pa = 0;
     /**
      * The translation: the IOMMU's answer once its round trip returns,
-     * or the ppn/perms of a hit a later hop still needs (a Victima stash
-     * hit, an L1-only-VC per-CU TLB hit).
+     * or the ppn/perms of a per-CU TLB or Victima stash hit, which a
+     * later hop still needs (the L1-only VC fills its L1 with perms).
      */
     IommuResponse resp;
     /** The requester's completion; runs once, in RequestPool::finish. */

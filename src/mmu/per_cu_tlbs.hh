@@ -1,9 +1,9 @@
 /**
  * @file
- * The per-CU TLB bank shared by the baseline and L1-only VC hierarchies:
- * one Tlb per CU, built from SocConfig, with shootdown fan-out and
- * counter sums across CUs.  It registers no shootdown listeners of its
- * own; each owning system calls into it from its listeners.
+ * The per-CU TLB bank of the translation stage (mmu/cu_translation.hh)
+ * that the baseline and L1-only VC hierarchies share: one Tlb per CU,
+ * built from SocConfig, with counter sums across CUs.  The stage's Vm
+ * listeners and boundary fan shootdowns out to every TLB.
  */
 
 #ifndef GVC_MMU_PER_CU_TLBS_HH
@@ -38,29 +38,7 @@ class PerCuTlbs
     }
 
     Tlb &operator[](unsigned cu) { return *tlbs_[cu]; }
-    const Tlb &operator[](unsigned cu) const { return *tlbs_[cu]; }
     unsigned size() const { return unsigned(tlbs_.size()); }
-
-    void
-    invalidatePage(Asid asid, Vpn vpn, Tick now)
-    {
-        for (auto &tlb : tlbs_)
-            tlb->invalidatePage(asid, vpn, now);
-    }
-
-    void
-    invalidateAsid(Asid asid, Tick now)
-    {
-        for (auto &tlb : tlbs_)
-            tlb->invalidateAsid(asid, now);
-    }
-
-    void
-    invalidateAll(Tick now)
-    {
-        for (auto &tlb : tlbs_)
-            tlb->invalidateAll(now);
-    }
 
     /**
      * Fold every TLB's entry reference counts into @p out, flushing

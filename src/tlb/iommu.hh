@@ -131,8 +131,9 @@ class Iommu
           port_free_fp_(params.banks ? params.banks : 1, 0),
           bank_of_(params.banks)
     {
-        vm.addPageShootdownListener(
-            [this](Asid asid, Vpn vpn) { invalidatePage(asid, vpn); });
+        vm.addPageShootdownListener([this](Asid asid, Vpn vpn) {
+            tlb_.invalidatePage(asid, vpn, ctx_.now());
+        });
         vm.addFullShootdownListener(
             [this](Asid asid) { tlb_.invalidateAsid(asid, ctx_.now()); });
     }
@@ -180,13 +181,13 @@ class Iommu
         fault_fixer_ = std::move(fn);
     }
 
+    /** Full shootdown: drop the shared TLB and the page-walk cache. */
     void
-    invalidatePage(Asid asid, Vpn vpn)
+    invalidateAll()
     {
-        tlb_.invalidatePage(asid, vpn, ctx_.now());
+        tlb_.invalidateAll(ctx_.now());
+        ptw_.pwc().invalidateAll();
     }
-
-    void invalidateAll() { tlb_.invalidateAll(ctx_.now()); }
 
     Tlb &tlb() { return tlb_; }
     PageTableWalker &ptw() { return ptw_; }

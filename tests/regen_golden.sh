@@ -5,6 +5,7 @@
 #   - tests/golden_stats.txt      (golden-stats regression matrix)
 #   - tests/POLICY_SMOKE_*.json   (TLB policy-axis sweep goldens)
 #   - tests/TENANTS_SMOKE.json    (multi-tenant grid golden)
+#   - tests/TENANTS_XLAT_SMOKE.json (per-CU translation under shootdowns)
 #   - tests/DESIGNS_SMOKE.json    (every design, two graph workloads)
 #   - tests/RAW_SWEEP_SMOKE.json  (every design under SoC flags)
 #   - the newest BENCH_PR<N>.json (bench counter baseline gated in CI)
@@ -80,6 +81,17 @@ fi
     --scale 0.1 --jobs 2 --quiet --no-table \
     --json "$repo_root/tests/TENANTS_SMOKE.json"
 echo "regenerated $repo_root/tests/TENANTS_SMOKE.json"
+
+# Both per-CU translation hierarchies and Base Victima's stash through
+# shootdowns: the exact command the gvc_tenants_xlat_golden ctest diffs
+# against this file.
+"$tenants_bin" -w pagerank,bfs \
+    -d baseline512,l1vc32,basevictima --rounds 2 \
+    --switch flush-all,asid-shootdown --storm 4 \
+    --arrival poisson --interval 500 --sched fifo \
+    --scale 0.1 --jobs 2 --quiet --no-table \
+    --json "$repo_root/tests/TENANTS_XLAT_SMOKE.json"
+echo "regenerated $repo_root/tests/TENANTS_XLAT_SMOKE.json"
 
 if [ "${GVC_REGEN_SKIP_BENCH:-0}" = 1 ]; then
     echo "skipping bench baseline (GVC_REGEN_SKIP_BENCH=1)"

@@ -205,6 +205,48 @@ TEST(Designs, SnapshotPathsPerHierarchy)
                    {"synonym.replays", "l1vc.registry_lines"}}));
 }
 
+TEST(Designs, ShootdownBoundaryEmptiesEveryTranslationCache)
+{
+    for (const MmuDesign d : {MmuDesign::kBaseline512, MmuDesign::kL1Vc32,
+                              MmuDesign::kVcOpt}) {
+        SCOPED_TRACE(designName(d));
+        SimContext ctx;
+        PhysMem pm(std::uint64_t{1} << 30);
+        Vm vm(pm);
+        Dram dram(ctx, {});
+        SystemUnderTest sut(ctx, configFor(d), vm, dram, d);
+        const Asid asid = vm.createProcess();
+        constexpr unsigned kPages = 4;
+        const Vpn first = pageOf(vm.mmapAnon(asid, kPages * kPageSize));
+        for (Vpn v = first; v < first + kPages; ++v) {
+            sut.system().access(0, asid, pageBase(v), false, [] {});
+            ctx.eq.run();
+        }
+        Iommu &io = *sut.iommu();
+        PageWalkCache &pwc = io.ptw().pwc();
+        ASSERT_GT(pwc.hits(), 0u); // later walks reused upper levels
+
+        sut.system().applyBoundary(BoundaryPolicy::shootdown());
+        PerCuTlbs *tlbs = sut.system().perCuTlbs();
+        for (Vpn v = first; v < first + kPages; ++v) {
+            EXPECT_FALSE(io.tlb().present(asid, v));
+            if (tlbs) {
+                EXPECT_FALSE((*tlbs)[0].present(asid, v));
+            }
+        }
+        // Walking the first page again finds no PTE line cached.
+        const std::uint64_t lookups = pwc.accesses();
+        const std::uint64_t hits = pwc.hits();
+        bool answered = false;
+        io.translate(asid, first,
+                     [&](const IommuResponse &) { answered = true; });
+        ctx.eq.run();
+        ASSERT_TRUE(answered);
+        EXPECT_GT(pwc.accesses(), lookups);
+        EXPECT_EQ(pwc.hits(), hits);
+    }
+}
+
 TEST(Designs, EveryCounterPathIsInSomeDesignsSnapshot)
 {
     // A mistyped path would read 0 in every result; several of these

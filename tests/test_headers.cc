@@ -30,6 +30,7 @@
 #include "mem/vm.hh"
 #include "mmu/baseline_system.hh"
 #include "mmu/boundary.hh"
+#include "mmu/cu_translation.hh"
 #include "mmu/designs.hh"
 #include "mmu/ideal_system.hh"
 #include "mmu/injection.hh"
