@@ -117,8 +117,14 @@ TEST(RequestRecordPaths, MergedTlbMissesReturnEveryRecord)
         ctx.eq.run();
     }
     EXPECT_EQ(done, issued);
-    EXPECT_LT(sys.iommu()->accesses(),
-              snapshotOf(sys).get("percu_tlb.misses"));
+    const StatSnapshot snap = snapshotOf(sys);
+    EXPECT_LT(sys.iommu()->accesses(), snap.get("percu_tlb.misses"));
+    // Exact figures of the merged-miss path, which no golden covers.
+    EXPECT_EQ(snap.get("iommu.accesses"), 614u);
+    EXPECT_EQ(snap.get("iommu.walks"), 86u);
+    EXPECT_EQ(snap.get("percu_tlb.misses"), 685u);
+    EXPECT_EQ(snap.get("l2.accesses"), 1230u);
+    EXPECT_EQ(ctx.now(), Tick{9240});
     EXPECT_EQ(sys.requestsInFlight(), 0u);
     EXPECT_EQ(sys.iommu()->requestsInFlight(), 0u);
     EXPECT_EQ(sys.iommu()->ptw().walksInFlight(), 0u);
@@ -143,8 +149,17 @@ TEST(RequestRecordPaths, VictimaStashHitsReturnEveryRecord)
 
 TEST(RequestRecordPaths, FaultFixerRetriesReturnEveryRecord)
 {
-    for (const MmuDesign d : {MmuDesign::kBaseline512, MmuDesign::kVcOpt,
-                              MmuDesign::kL1Vc32}) {
+    // Exact figures of the retry path, which no golden covers.
+    struct Pin
+    {
+        MmuDesign design;
+        Tick drained;
+        std::uint64_t walks, faults;
+    };
+    for (const Pin pin : {Pin{MmuDesign::kBaseline512, 20859, 4, 4},
+                          Pin{MmuDesign::kVcOpt, 20708, 4, 4},
+                          Pin{MmuDesign::kL1Vc32, 20859, 4, 4}}) {
+        const MmuDesign d = pin.design;
         SimContext ctx;
         PhysMem pm(std::uint64_t{1} << 30);
         Vm vm(pm);
@@ -169,6 +184,10 @@ TEST(RequestRecordPaths, FaultFixerRetriesReturnEveryRecord)
         EXPECT_EQ(done, 4u) << designName(d);
         EXPECT_EQ(fixed, 4u) << designName(d);
         EXPECT_EQ(sut.recordsInFlight(), 0u) << designName(d);
+        const StatSnapshot snap = snapshotOf(sut.system());
+        EXPECT_EQ(ctx.now(), pin.drained) << designName(d);
+        EXPECT_EQ(snap.get("iommu.walks"), pin.walks) << designName(d);
+        EXPECT_EQ(snap.get("iommu.faults"), pin.faults) << designName(d);
     }
 }
 
