@@ -20,7 +20,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/bank_port.hh"
@@ -37,10 +36,10 @@
 #include "sim/set_index.hh"
 #include "mmu/boundary.hh"
 #include "mmu/injection.hh"
+#include "mmu/iommu.hh"
 #include "mmu/mem_request.hh"
 #include "mmu/mmu_system.hh"
 #include "mmu/soc_config.hh"
-#include "tlb/iommu.hh"
 
 namespace gvc
 {
@@ -68,7 +67,9 @@ class VirtualCacheSystem final : public MmuSystem
           l2_(CacheParams{cfg.l2_size, cfg.l2_assoc, unsigned(kLineSize),
                           /*write_back=*/true, /*write_allocate=*/true,
                           cfg.track_lifetimes}),
-          fbt_(cfg.fbt), iommu_(ctx, vm, dram, cfg.iommuParams()),
+          fbt_(cfg.fbt),
+          iommu_(ctx, vm, dram, cfg.iommuParams(),
+                 [this](MemRequest *req) { pageTranslated(req); }),
           remap_(cfg.synonym_remap_entries),
           injection_(ctx, cfg.gpu.num_cus, cfg.cu_injection_rate)
     {
@@ -89,11 +90,8 @@ class VirtualCacheSystem final : public MmuSystem
             banks_.emplace_back(1.0);
         l2_bank_ = SetIndex(cfg.l2_banks);
 
-        if (cfg.fbt_as_second_level_tlb) {
-            iommu_.setSecondLevel([this](Asid asid, Vpn vpn) {
-                return fbt_.forwardLookup(asid, vpn);
-            });
-        }
+        if (cfg.fbt_as_second_level_tlb)
+            iommu_.setSecondLevel(&fbt_);
 
         vm.addPageShootdownListener([this](Asid asid, Vpn vpn) {
             remap_.dropSource(asid, vpn);
@@ -198,7 +196,6 @@ class VirtualCacheSystem final : public MmuSystem
     const CacheArray &l1(unsigned cu) const { return *l1s_[cu]; }
     CacheArray &l2() override { return l2_; }
     const CacheArray &l2() const { return l2_; }
-    InvalidationFilter &filter(unsigned cu) { return *filters_[cu]; }
     SynonymRemapTable &remapTable() { return remap_; }
     const SynonymRemapTable &remapTable() const { return remap_; }
 
@@ -344,28 +341,25 @@ class VirtualCacheSystem final : public MmuSystem
         // page (standard MSHR-style merging; without it any DRAM-bound
         // streaming phase would falsely bottleneck on the shared TLB
         // port even though it only needs one translation per page).
-        auto [it, fresh] = xlate_pending_.try_emplace(xlateKey(req));
-        it->second.append(req);
-        if (!fresh) {
+        if (!xlate_pending_.join(xlateKey(req), req)) {
             ++xlate_merges_;
             return;
         }
-        ctx_.eq.scheduleIn(cfg_.l2_to_iommu, [this, req] {
-            iommu_.translate(
-                req->asid, pageOf(req->line_va),
-                [this, req](const IommuResponse &resp) {
-                    auto node = xlate_pending_.extract(xlateKey(req));
-                    if (node.empty())
-                        return;
-                    node.mapped().forEach([this, &resp](MemRequest *r) {
-                        r->resp = resp;
-                        onTranslation(r);
-                    });
-                });
-        });
+        iommu_.translateIn(cfg_.l2_to_iommu, req);
     }
 
     // --- IOMMU response: permission check, then the BT synonym check ---
+
+    /** The IOMMU answered @p req's page: every miss on it goes on. */
+    void
+    pageTranslated(MemRequest *req)
+    {
+        const IommuResponse resp = req->resp;
+        xlate_pending_.release(xlateKey(req), [this, &resp](MemRequest *r) {
+            r->resp = resp;
+            onTranslation(r);
+        });
+    }
 
     /** @p req is the primary miss of its line; req->resp is its page. */
     void
@@ -624,7 +618,7 @@ class VirtualCacheSystem final : public MmuSystem
     RequestPool reqs_;
     MshrTable<MemRequest> mshrs_;
     /// Primary misses waiting on one translation, keyed by xlateKey().
-    std::unordered_map<std::uint64_t, XlateChain> xlate_pending_;
+    XlateMerge xlate_pending_;
     Fbt fbt_;
     Iommu iommu_;
     SynonymRemapTable remap_;

@@ -91,7 +91,6 @@ class Vm
 
     /** Select the anonymous-mapping policy (before any mmapAnon). */
     void setPagePolicy(PagePolicy p) { policy_ = p; }
-    PagePolicy pagePolicy() const { return policy_; }
 
     /** Create a new address space; returns its ASID. */
     Asid

@@ -2,11 +2,12 @@
  * @file
  * The per-CU translation stage shared by the Baseline (§2.1, Figure 1)
  * and the L1-only VC (§5.4): per-CU TLB lookup → Victima stash probe →
- * same-page miss merge → PCIe hop → Iommu::translate → return hop →
- * per-CU TLB fill.  It owns the per-CU TLB bank, the IOMMU, the stash
- * side map, the merge map and the three hops, and registers the Vm
- * listeners that fan shootdowns out to the TLBs and the stash (after
- * the IOMMU's own; an owner's come after both).
+ * same-page miss merge → PCIe hop → IOMMU → return hop → per-CU TLB
+ * fill.  It owns the per-CU TLB bank, the IOMMU, the stash side map,
+ * the merge map and two hops (the TLB lookup and the IOMMU's answer
+ * back to the CU; the trip out is the IOMMU's own translateIn), and
+ * registers the Vm listeners that fan shootdowns out to the TLBs and
+ * the stash (after the IOMMU's own; an owner's come after both).
  *
  * The owner enters with translate(req) and names its continuation as a
  * template argument, as Hop does, so no virtual call sits on the
@@ -24,10 +25,10 @@
 
 #include "mem/vm.hh"
 #include "mmu/boundary.hh"
+#include "mmu/iommu.hh"
 #include "mmu/per_cu_tlbs.hh"
 #include "mmu/phys_caches.hh"
 #include "sim/logging.hh"
-#include "tlb/iommu.hh"
 
 namespace gvc
 {
@@ -51,7 +52,11 @@ class CuTranslation
                   Vm &vm, Dram &dram, PhysCaches &caches,
                   bool merge_misses = false, bool stash = false)
         : owner_(owner), ctx_(ctx), caches_(caches),
-          iommu_(ctx, vm, dram, cfg.iommuParams()), tlbs_(cfg),
+          iommu_(ctx, vm, dram, cfg.iommuParams(),
+                 [this](MemRequest *req) {
+                     from_iommu_hop_.in(iommu_latency_, req);
+                 }),
+          tlbs_(cfg),
           tlb_latency_(cfg.percu_tlb_latency),
           iommu_latency_(cfg.cu_to_iommu),
           stash_latency_(2 * cfg.cu_to_l2 + cfg.l2_latency),
@@ -147,28 +152,12 @@ class CuTranslation
         if (!stash_.empty() && probeStash(req))
             return;
 
-        if (merge_misses_) {
-            // One IOMMU request per (CU, page); later misses queue
-            // behind the first on its xlate_next chain.
-            auto [it, fresh] = pending_.try_emplace(mergeKey(req));
-            it->second.append(req);
-            if (!fresh)
-                return;
-        }
-
-        // Unmerged: each miss is one IOMMU request (paper accounting).
-        to_iommu_hop_.in(iommu_latency_, req);
-    }
-
-    /** @p req reached the IOMMU; its answer travels back to the CU. */
-    void
-    atIommu(MemRequest *req)
-    {
-        iommu_.translate(req->asid, req->vpn,
-                         [this, req](const IommuResponse &resp) {
-                             req->resp = resp;
-                             from_iommu_hop_.in(iommu_latency_, req);
-                         });
+        // One IOMMU request per (CU, page) when merging: later misses
+        // queue behind the first.  Unmerged, each miss is one IOMMU
+        // request (paper accounting).
+        if (merge_misses_ && !pending_.join(mergeKey(req), req))
+            return;
+        iommu_.translateIn(iommu_latency_, req);
     }
 
     /**
@@ -192,8 +181,7 @@ class CuTranslation
         }
         const Ppn ppn = resp.ppn;
         const Perms perms = resp.perms;
-        auto node = pending_.extract(mergeKey(req));
-        node.mapped().forEach([this, ppn, perms](MemRequest *w) {
+        pending_.release(mergeKey(req), [this, ppn, perms](MemRequest *w) {
             w->resp.perms = perms;
             translated(w, ppn);
         });
@@ -303,7 +291,7 @@ class CuTranslation
     const Tick iommu_latency_; ///< CU <-> IOMMU, each way.
     const Tick stash_latency_; ///< CU -> L2 -> CU plus the L2 lookup.
     const bool merge_misses_;
-    std::unordered_map<std::uint64_t, XlateChain> pending_;
+    XlateMerge pending_;
     /// Victima side map: stash line address -> stashed translation.
     std::unordered_map<Paddr, StashEntry> stash_;
     Counter victima_stashes_;
@@ -311,7 +299,6 @@ class CuTranslation
     Counter victima_hits_;
     using Self = CuTranslation;
     Hop<Self, &Self::afterTlb> tlb_hop_{ctx_.eq, *this};
-    Hop<Self, &Self::atIommu> to_iommu_hop_{ctx_.eq, *this};
     Hop<Self, &Self::onTranslation> from_iommu_hop_{ctx_.eq, *this};
 };
 

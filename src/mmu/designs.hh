@@ -268,15 +268,16 @@ class SystemUnderTest
     Iommu *iommu() { return sys_->iommu(); }
 
     /**
-     * Access, IOMMU and page-walk records not yet back in their pools;
-     * zero whenever the event queue has drained.
+     * Access and page-walk records not yet back in their pools (the
+     * IOMMU works on the access's own record); zero whenever the event
+     * queue has drained.
      */
     std::size_t
     recordsInFlight()
     {
         std::size_t n = sys_->requestsInFlight();
         if (Iommu *io = iommu())
-            n += io->requestsInFlight() + io->ptw().walksInFlight();
+            n += io->ptw().walksInFlight();
         return n;
     }
 

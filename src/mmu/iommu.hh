@@ -6,26 +6,33 @@
  * The shared TLB is modeled as a single rate-limited port (Table 1 /
  * footnote 2: up to one access per cycle; Figure 5 sweeps 1..4).
  * Requests that find the port busy queue up; the resulting waiting time
- * is the paper's "serialization overhead".  Misses consult an optional
- * second-level structure (the FBT, when the virtual-cache design installs
- * it) and then the multi-threaded page-table walker.
+ * is the paper's "serialization overhead".  Misses consult the FBT's
+ * forward table when the virtual-cache design installs it as the second
+ * level (§4.3, "With OPT"), then the multi-threaded page-table walker.
+ *
+ * The IOMMU works on its requester's MemRequest like every other hop: a
+ * request arrives through translateIn(), the translation of (req->asid,
+ * req->vpn) is written to req->resp, and the owner's answer, given once
+ * at construction, runs on the request when it completes.  The only
+ * record besides the request is the walker's per-walk state.
  */
 
-#ifndef GVC_TLB_IOMMU_HH
-#define GVC_TLB_IOMMU_HH
+#ifndef GVC_MMU_IOMMU_HH
+#define GVC_MMU_IOMMU_HH
 
 #include <cstdint>
 #include <functional>
 #include <optional>
 #include <vector>
 
+#include "core/fbt.hh"
 #include "mem/dram.hh"
-#include "sim/callback.hh"
 #include "mem/vm.hh"
+#include "mmu/mem_request.hh"
+#include "sim/callback.hh"
 #include "sim/debug.hh"
 #include "sim/set_index.hh"
 #include "sim/sim_context.hh"
-#include "sim/slab_pool.hh"
 #include "sim/stats.hh"
 #include "tlb/ptw.hh"
 #include "tlb/tlb.hh"
@@ -33,7 +40,7 @@
 namespace gvc
 {
 
-/** IOMMU configuration. */
+/** IOMMU configuration: SocConfig::iommu, read through iommuParams(). */
 struct IommuParams
 {
     unsigned tlb_entries = 512;
@@ -86,35 +93,21 @@ struct IommuParams
     unsigned tlb_replacement = kTlbReplLru;
 };
 
-/** Response delivered to the requester. */
-struct IommuResponse
-{
-    bool fault = false;
-    Ppn ppn = kInvalidPpn;
-    Perms perms = kPermNone;
-    bool large = false;
-    /** Reach of the filling entry (see TlbLookup); 0 = one page. */
-    std::uint8_t reach = 0;
-    Vpn base_vpn = kInvalidVpn;
-    Ppn base_ppn = kInvalidPpn;
-};
-
 /**
- * The IOMMU.  translate() is asynchronous; the response callback runs at
- * the time the translation (or fault) completes, excluding interconnect
- * latency, which callers model.
+ * The IOMMU.  A request reaches it through translateIn(); the answer
+ * runs at the time the translation (or fault) completes, excluding the
+ * return trip, which the owner models.
  */
 class Iommu
 {
   public:
-    using DoneFn = SmallFunc<void(const IommuResponse &)>;
-    /** Functional second-level lookup (the FBT's forward table). */
-    using SecondLevelFn =
-        std::function<std::optional<TlbLookup>(Asid, Vpn)>;
+    /** The owner's answer: req->resp holds the translation or fault. */
+    using AnswerFn = SmallFunc<void(MemRequest *)>;
     /** Returns true when the fault was repaired and the walk may retry. */
     using FaultFixFn = std::function<bool(Asid, Vpn)>;
 
-    Iommu(SimContext &ctx, Vm &vm, Dram &dram, const IommuParams &params)
+    Iommu(SimContext &ctx, Vm &vm, Dram &dram, const IommuParams &params,
+          AnswerFn answer)
         : ctx_(ctx), vm_(vm), params_(params),
           tlb_(TlbParams{params.tlb_entries, params.tlb_assoc,
                          params.tlb_infinite, false, params.tlb_memo,
@@ -129,7 +122,7 @@ class Iommu
                                   : std::uint64_t(double(kFpScale) /
                                                   params.accesses_per_cycle)),
           port_free_fp_(params.banks ? params.banks : 1, 0),
-          bank_of_(params.banks)
+          bank_of_(params.banks), answer_(std::move(answer))
     {
         vm.addPageShootdownListener([this](Asid asid, Vpn vpn) {
             tlb_.invalidatePage(asid, vpn, ctx_.now());
@@ -138,41 +131,15 @@ class Iommu
             [this](Asid asid) { tlb_.invalidateAsid(asid, ctx_.now()); });
     }
 
-    /** Request a translation of (asid, vpn). */
+    /** @p req reaches the IOMMU @p delay ticks from now. */
     void
-    translate(Asid asid, Vpn vpn, DoneFn on_done)
+    translateIn(Tick delay, MemRequest *req)
     {
-        ++accesses_;
-        sampler_.record(ctx_.now());
-
-        // Arbitrate for the shared TLB port (per bank when banked).
-        Tick start = ctx_.now();
-        if (!params_.unlimited_bw) {
-            std::uint64_t &free_fp =
-                port_free_fp_[bank_of_(vpn >> params_.bank_select_shift)];
-            const std::uint64_t now_fp = ctx_.now() * kFpScale;
-            const std::uint64_t start_fp =
-                free_fp > now_fp ? free_fp : now_fp;
-            if (free_fp > now_fp)
-                ++bank_conflicts_;
-            free_fp = start_fp + port_fp_per_access_;
-            start = start_fp / kFpScale;
-            serialization_delay_ += start - ctx_.now();
-        }
-        Request *req = reqs_.acquire();
-        req->asid = asid;
-        req->vpn = vpn;
-        req->done = std::move(on_done);
-        ctx_.eq.schedule(start + params_.tlb_latency,
-                         [this, req] { afterTlbLookup(req); });
+        arrive_hop_.in(delay, req);
     }
 
-    /** Install the FBT (or other) second-level translation source. */
-    void
-    setSecondLevel(SecondLevelFn fn)
-    {
-        second_level_ = std::move(fn);
-    }
+    /** Install the FBT's forward table as the second-level TLB. */
+    void setSecondLevel(Fbt *fbt) { second_level_ = fbt; }
 
     /** Install a page-fault fixer (CPU-side demand handler). */
     void
@@ -198,9 +165,6 @@ class Iommu
     std::uint64_t walks() const { return walks_.value; }
     std::uint64_t faults() const { return faults_.value; }
 
-    /** Translations requested and not yet answered. */
-    std::size_t requestsInFlight() const { return reqs_.inUse(); }
-
     /** Accesses that found their bank busy (banked configurations). */
     std::uint64_t bankConflicts() const { return bank_conflicts_.value; }
 
@@ -222,30 +186,46 @@ class Iommu
   private:
     static constexpr std::uint64_t kFpScale = 1024;
 
-    /** One translation in flight; hops capture [this, req]. */
-    struct Request
-    {
-        Asid asid = 0;
-        Vpn vpn = 0;
-        DoneFn done;
-    };
-
-    /** Deliver @p resp to the requester and recycle @p req. */
+    /** @p req reached the IOMMU: arbitrate for the shared TLB port. */
     void
-    respond(Request *req, const IommuResponse &resp)
+    arrive(MemRequest *req)
     {
-        req->done(resp);
-        req->done = nullptr;
-        reqs_.release(req);
+        ++accesses_;
+        sampler_.record(ctx_.now());
+
+        // Arbitrate for the shared TLB port (per bank when banked).
+        Tick start = ctx_.now();
+        if (!params_.unlimited_bw) {
+            std::uint64_t &free_fp = port_free_fp_[bank_of_(
+                req->vpn >> params_.bank_select_shift)];
+            const std::uint64_t now_fp = ctx_.now() * kFpScale;
+            const std::uint64_t start_fp =
+                free_fp > now_fp ? free_fp : now_fp;
+            if (free_fp > now_fp)
+                ++bank_conflicts_;
+            free_fp = start_fp + port_fp_per_access_;
+            start = start_fp / kFpScale;
+            serialization_delay_ += start - ctx_.now();
+        }
+        ctx_.eq.schedule(start + params_.tlb_latency,
+                         [this, req] { afterTlbLookup(req); });
+    }
+
+    /** Answer @p req with @p resp. */
+    void
+    answer(MemRequest *req, const IommuResponse &resp)
+    {
+        req->resp = resp;
+        answer_(req);
     }
 
     void
-    afterTlbLookup(Request *req)
+    afterTlbLookup(MemRequest *req)
     {
         if (auto hit = tlb_.lookup(req->asid, req->vpn, ctx_.now())) {
-            respond(req, IommuResponse{false, hit->ppn, hit->perms,
-                                       hit->large, hit->reach,
-                                       hit->base_vpn, hit->base_ppn});
+            answer(req, IommuResponse{false, hit->ppn, hit->perms,
+                                      hit->large, hit->reach,
+                                      hit->base_vpn, hit->base_ppn});
             return;
         }
         GVC_DPRINTF(kIommu, ctx_.now(),
@@ -254,11 +234,12 @@ class Iommu
         if (second_level_) {
             ++sl_lookups_;
             ctx_.eq.scheduleIn(params_.second_level_latency, [this, req] {
-                if (auto hit = second_level_(req->asid, req->vpn)) {
+                auto hit = second_level_->forwardLookup(req->asid, req->vpn);
+                if (hit) {
                     ++sl_hits_;
                     tlb_.insert(req->asid, req->vpn, *hit, ctx_.now());
-                    respond(req, IommuResponse{false, hit->ppn,
-                                               hit->perms, hit->large});
+                    answer(req, IommuResponse{false, hit->ppn,
+                                              hit->perms, hit->large});
                 } else {
                     startWalk(req);
                 }
@@ -269,7 +250,7 @@ class Iommu
     }
 
     void
-    startWalk(Request *req)
+    startWalk(MemRequest *req)
     {
         ++walks_;
         GVC_DPRINTF(kIommu, ctx_.now(), "walk asid=%u vpn=%#llx",
@@ -281,7 +262,7 @@ class Iommu
     }
 
     void
-    walkDone(Request *req, std::optional<Translation> t, bool retried)
+    walkDone(MemRequest *req, std::optional<Translation> t, bool retried)
     {
         const Asid asid = req->asid;
         const Vpn vpn = req->vpn;
@@ -298,14 +279,14 @@ class Iommu
                 });
                 return;
             }
-            respond(req, IommuResponse{true, kInvalidPpn, kPermNone, false});
+            answer(req, IommuResponse{true, kInvalidPpn, kPermNone, false});
             return;
         }
         const TlbLookup fill = fillFor(asid, vpn, *t);
         tlb_.insert(asid, vpn, fill, ctx_.now());
-        respond(req, IommuResponse{false, t->ppn, t->perms, t->large,
-                                   fill.reach, fill.base_vpn,
-                                   fill.base_ppn});
+        answer(req, IommuResponse{false, t->ppn, t->perms, t->large,
+                                  fill.reach, fill.base_vpn,
+                                  fill.base_ppn});
     }
 
     /**
@@ -379,9 +360,9 @@ class Iommu
     std::vector<std::uint64_t> port_free_fp_;
     SetIndex bank_of_;
 
-    SecondLevelFn second_level_;
+    Fbt *second_level_ = nullptr;
     FaultFixFn fault_fixer_;
-    SlabPool<Request> reqs_;
+    AnswerFn answer_;
 
     Counter accesses_;
     Counter sl_lookups_;
@@ -393,8 +374,9 @@ class Iommu
     Counter bank_conflicts_;
     /// Walk completions filled as one multi-page coalesced entry.
     Counter coalesced_fills_;
+    Hop<Iommu, &Iommu::arrive> arrive_hop_{ctx_.eq, *this};
 };
 
 } // namespace gvc
 
-#endif // GVC_TLB_IOMMU_HH
+#endif // GVC_MMU_IOMMU_HH

@@ -37,14 +37,29 @@
 #ifndef GVC_MMU_MEM_REQUEST_HH
 #define GVC_MMU_MEM_REQUEST_HH
 
+#include <cstdint>
+#include <unordered_map>
+
 #include "sim/callback.hh"
 #include "sim/event_queue.hh"
 #include "sim/slab_pool.hh"
 #include "sim/types.hh"
-#include "tlb/iommu.hh"
 
 namespace gvc
 {
+
+/** A translation as the IOMMU answers it (Iommu writes MemRequest::resp). */
+struct IommuResponse
+{
+    bool fault = false;
+    Ppn ppn = kInvalidPpn;
+    Perms perms = kPermNone;
+    bool large = false;
+    /** Reach of the filling entry (see TlbLookup); 0 = one page. */
+    std::uint8_t reach = 0;
+    Vpn base_vpn = kInvalidVpn;
+    Ppn base_ppn = kInvalidPpn;
+};
 
 /** One line access in flight through a memory hierarchy. */
 struct MemRequest
@@ -71,34 +86,47 @@ struct MemRequest
     MemRequest *hop_next = nullptr;
 };
 
-/** Requests waiting on one IOMMU translation, oldest first. */
-struct XlateChain
+/**
+ * Same-page misses merged onto one IOMMU translation, oldest first,
+ * chained through MemRequest::xlate_next.  The owner picks the key
+ * (which requests may share a translation); the first request under a
+ * key asks the IOMMU, and its answer releases them all.
+ */
+class XlateMerge
 {
-    MemRequest *head = nullptr;
-    MemRequest *tail = nullptr;
-
-    void
-    append(MemRequest *r)
+  public:
+    /** Queue @p req under @p key; true when it is the first there. */
+    bool
+    join(std::uint64_t key, MemRequest *req)
     {
-        r->xlate_next = nullptr;
-        if (tail)
-            tail->xlate_next = r;
-        else
-            head = r;
-        tail = r;
+        req->xlate_next = nullptr;
+        auto [it, fresh] = chains_.try_emplace(key, Chain{req, req});
+        if (!fresh)
+            it->second.tail = it->second.tail->xlate_next = req;
+        return fresh;
     }
 
-    /** Call @p fn on each request in order; @p fn may hand it on. */
+    /** Forget @p key and call @p fn on its requests; @p fn may hand
+     *  each one on. */
     template <typename Fn>
     void
-    forEach(Fn &&fn) const
+    release(std::uint64_t key, Fn &&fn)
     {
-        for (MemRequest *r = head; r;) {
+        const Chain chain = chains_.extract(key).mapped();
+        for (MemRequest *r = chain.head; r;) {
             MemRequest *next = r->xlate_next;
             fn(r);
             r = next;
         }
     }
+
+  private:
+    struct Chain
+    {
+        MemRequest *head;
+        MemRequest *tail;
+    };
+    std::unordered_map<std::uint64_t, Chain> chains_;
 };
 
 /**

@@ -14,7 +14,7 @@
 #include "core/fbt.hh"
 #include "gpu/cu.hh"
 #include "mem/dram.hh"
-#include "tlb/iommu.hh"
+#include "mmu/iommu.hh"
 
 namespace gvc
 {

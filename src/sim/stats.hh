@@ -65,7 +65,6 @@ class Distribution
     }
 
     std::uint64_t count() const { return count_; }
-    double sum() const { return sum_; }
     double mean() const { return count_ ? sum_ / double(count_) : 0.0; }
 
     double
@@ -165,8 +164,6 @@ class LinearHistogram
         total_ += other.total_;
     }
 
-    std::uint64_t bucketCount(std::size_t i) const { return buckets_[i]; }
-
   private:
     double width_;
     std::vector<std::uint64_t> buckets_;
@@ -230,8 +227,6 @@ class IntervalSampler
             ? double(above_threshold_) / double(rates_.count())
             : 0.0;
     }
-
-    Tick windowTicks() const { return window_; }
 
   private:
     void

@@ -1,9 +1,9 @@
 # CLI smoke test against a checked-in golden: run TOOL with ARGS (one
 # space-separated string) plus `--json OUT`, and require the JSON export
 # to be byte-identical to GOLDEN.  Each golden-backed ctest passes the
-# exact command tests/regen_golden.sh (and CI, where it has a step)
-# uses for that file; regenerate the goldens with that script after an
-# intended behaviour change.
+# exact command tests/regen_golden.sh uses for that file; CI runs these
+# ctests in its Test step.  Regenerate the goldens with that script
+# after an intended behaviour change.
 #
 #   cmake -DTOOL=<exe> -DARGS="<args>" -DGOLDEN=<file> -DOUT=<file>
 #         -P golden_smoke.cmake

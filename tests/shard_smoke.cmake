@@ -2,7 +2,8 @@
 # merge the per-shard JSON exports with gvc_merge, and require the
 # merged document to be byte-identical to the unsharded export of the
 # same grid.  Mirrors the CI sharded-sweep step so the property is
-# checked by `ctest` locally too.
+# checked by `ctest` locally too.  The merge must also refuse an
+# incomplete shard set and shards swept under different TLB policies.
 
 set(args --workloads hotspot,backprop
          --designs ideal,baseline512,vc_opt,base2mb
@@ -41,6 +42,19 @@ execute_process(COMMAND ${GVC_MERGE} ${WORK_DIR}/shard_0.json
                 RESULT_VARIABLE bad_rc ERROR_QUIET OUTPUT_QUIET)
 if(bad_rc EQUAL 0)
     message(FATAL_ERROR "gvc_merge accepted an incomplete shard set")
+endif()
+
+# Shards swept under different TLB policies measure different machines:
+# the merge refuses the checked-in LRU and SRRIP exports by name.
+execute_process(COMMAND ${GVC_MERGE} ${GOLDEN_DIR}/POLICY_SMOKE_LRU.json
+                ${GOLDEN_DIR}/POLICY_SMOKE_SRRIP.json
+                -o ${WORK_DIR}/shard_mixed.json
+                RESULT_VARIABLE mixed_rc ERROR_VARIABLE mixed_err
+                OUTPUT_QUIET)
+if(mixed_rc EQUAL 0 OR NOT mixed_err MATCHES "tlb policy axis")
+    message(FATAL_ERROR
+            "gvc_merge did not refuse mixed-policy shards by name "
+            "(${mixed_rc}): ${mixed_err}")
 endif()
 
 message(STATUS "sharded sweep merges byte-identical to unsharded run")

@@ -238,8 +238,8 @@ TEST(Designs, ShootdownBoundaryEmptiesEveryTranslationCache)
         const std::uint64_t lookups = pwc.accesses();
         const std::uint64_t hits = pwc.hits();
         bool answered = false;
-        io.translate(asid, first,
-                     [&](const IommuResponse &) { answered = true; });
+        sut.system().access(0, asid, pageBase(first), false,
+                            [&answered] { answered = true; });
         ctx.eq.run();
         ASSERT_TRUE(answered);
         EXPECT_GT(pwc.accesses(), lookups);

@@ -11,6 +11,7 @@
 #include "core/virtual_hierarchy.hh"
 #include "cpu/coherence_agent.hh"
 #include "harness/energy.hh"
+#include "iommu_client.hh"
 
 namespace gvc
 {
@@ -158,19 +159,17 @@ TEST(BankedIommu, DistinctBanksServeInParallel)
         IommuParams p;
         p.banks = banks;
         p.bank_select_shift = 0; // consecutive pages spread over banks
-        Iommu iommu(c, vm, d, p);
+        test::IommuClient io(c, vm, d, p);
         // Warm the TLB.
         for (int i = 0; i < 16; ++i)
-            iommu.translate(asid, pageOf(base) + i,
-                            [](const IommuResponse &) {});
+            io.translate(asid, pageOf(base) + i);
         c.eq.run();
         // Burst of hits spread over pages.
         for (int rep = 0; rep < 8; ++rep)
             for (int i = 0; i < 16; ++i)
-                iommu.translate(asid, pageOf(base) + i,
-                                [](const IommuResponse &) {});
+                io.translate(asid, pageOf(base) + i);
         c.eq.run();
-        return snapshotOf(iommu).get("serialization_cycles");
+        return snapshotOf(io.iommu()).get("serialization_cycles");
     };
 
     EXPECT_LT(run(4), run(1));
@@ -188,16 +187,14 @@ TEST(BankedIommu, SameBankStillConflicts)
     IommuParams p;
     p.banks = 8;
     p.bank_select_shift = 10; // high-order select: all pages -> bank 0
-    Iommu iommu(ctx, vm, dram, p);
+    test::IommuClient io(ctx, vm, dram, p);
     for (int i = 0; i < 8; ++i)
-        iommu.translate(asid, pageOf(base) + i,
-                        [](const IommuResponse &) {});
+        io.translate(asid, pageOf(base) + i);
     ctx.eq.run();
     for (int i = 0; i < 8; ++i)
-        iommu.translate(asid, pageOf(base) + i,
-                        [](const IommuResponse &) {});
+        io.translate(asid, pageOf(base) + i);
     ctx.eq.run();
-    EXPECT_GT(iommu.bankConflicts(), 0u);
+    EXPECT_GT(io.iommu().bankConflicts(), 0u);
 }
 
 // ---------------------------------------------------------------

@@ -34,6 +34,7 @@
 #include "mmu/designs.hh"
 #include "mmu/ideal_system.hh"
 #include "mmu/injection.hh"
+#include "mmu/iommu.hh"
 #include "mmu/l1vc_system.hh"
 #include "mmu/mem_request.hh"
 #include "mmu/mmu_system.hh"
@@ -50,7 +51,6 @@
 #include "sim/slab_pool.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
-#include "tlb/iommu.hh"
 #include "tlb/ptw.hh"
 #include "tlb/pwc.hh"
 #include "tlb/tlb.hh"

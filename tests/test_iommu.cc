@@ -6,14 +6,14 @@
 
 #include <gtest/gtest.h>
 
-#include <vector>
-
-#include "tlb/iommu.hh"
+#include "iommu_client.hh"
 
 namespace gvc
 {
 namespace
 {
+
+using test::IommuClient;
 
 class IommuTest : public ::testing::Test
 {
@@ -22,12 +22,6 @@ class IommuTest : public ::testing::Test
     {
         asid_ = vm_.createProcess();
         base_ = vm_.mmapAnon(asid_, 256 * kPageSize);
-    }
-
-    Iommu
-    make(IommuParams p = {})
-    {
-        return Iommu(ctx_, vm_, dram_, p);
     }
 
     SimContext ctx_;
@@ -40,19 +34,13 @@ class IommuTest : public ::testing::Test
 
 TEST_F(IommuTest, TranslateMissWalksThenHits)
 {
-    Iommu iommu = make();
-    IommuResponse r1, r2;
-    Tick t1 = 0, t2 = 0;
-    iommu.translate(asid_, pageOf(base_), [&](const IommuResponse &r) {
-        r1 = r;
-        t1 = ctx_.now();
-        iommu.translate(asid_, pageOf(base_),
-                        [&](const IommuResponse &r) {
-                            r2 = r;
-                            t2 = ctx_.now() - t1;
-                        });
-    });
-    ctx_.eq.run();
+    IommuClient io(ctx_, vm_, dram_);
+    Iommu &iommu = io.iommu();
+    const IommuResponse r1 = io.translateNow(asid_, pageOf(base_));
+    const Tick t1 = io.answers.back().at;
+    const Tick asked = ctx_.now();
+    const IommuResponse r2 = io.translateNow(asid_, pageOf(base_));
+    const Tick t2 = io.answers.back().at - asked;
     EXPECT_FALSE(r1.fault);
     EXPECT_EQ(r1.ppn, vm_.translate(asid_, base_)->ppn);
     EXPECT_EQ(r2.ppn, r1.ppn);
@@ -66,24 +54,19 @@ TEST_F(IommuTest, PortSerializesAtOneAccessPerCycle)
 {
     IommuParams p;
     p.accesses_per_cycle = 1.0;
-    Iommu iommu = make(p);
+    IommuClient io(ctx_, vm_, dram_, p);
     // Warm the TLB for one page.
-    iommu.translate(asid_, pageOf(base_), [](const IommuResponse &) {});
-    ctx_.eq.run();
+    io.translateNow(asid_, pageOf(base_));
 
     // 10 simultaneous hits serialize at 1/cycle.
-    std::vector<Tick> times;
+    io.answers.clear();
     const Tick t0 = ctx_.now();
-    for (int i = 0; i < 10; ++i) {
-        iommu.translate(asid_, pageOf(base_),
-                        [&](const IommuResponse &) {
-                            times.push_back(ctx_.now());
-                        });
-    }
+    for (int i = 0; i < 10; ++i)
+        io.translate(asid_, pageOf(base_));
     ctx_.eq.run();
-    ASSERT_EQ(times.size(), 10u);
-    EXPECT_GE(times.back() - t0, 9u);
-    EXPECT_GT(snapshotOf(iommu).get("serialization_cycles"), 0u);
+    ASSERT_EQ(io.answers.size(), 10u);
+    EXPECT_GE(io.answers.back().at - t0, 9u);
+    EXPECT_GT(snapshotOf(io.iommu()).get("serialization_cycles"), 0u);
 }
 
 TEST_F(IommuTest, HigherBandwidthReducesSerialization)
@@ -94,10 +77,10 @@ TEST_F(IommuTest, HigherBandwidthReducesSerialization)
         Dram dram(ctx, {});
         IommuParams p;
         p.accesses_per_cycle = bw;
-        Iommu iommu(ctx, vm_, dram, p);
+        IommuClient io(ctx, vm_, dram, p);
+        Iommu &iommu = io.iommu();
         for (int i = 0; i < 64; ++i)
-            iommu.translate(asid_, pageOf(base_),
-                            [](const IommuResponse &) {});
+            io.translate(asid_, pageOf(base_));
         ctx.eq.run();
         if (bw == 1.0)
             ser_bw1 = snapshotOf(iommu).get("serialization_cycles");
@@ -110,26 +93,24 @@ TEST_F(IommuTest, UnlimitedBandwidthHasNoSerialization)
 {
     IommuParams p;
     p.unlimited_bw = true;
-    Iommu iommu = make(p);
+    IommuClient io(ctx_, vm_, dram_, p);
     for (int i = 0; i < 50; ++i)
-        iommu.translate(asid_, pageOf(base_) + i,
-                        [](const IommuResponse &) {});
+        io.translate(asid_, pageOf(base_) + i);
     ctx_.eq.run();
-    EXPECT_EQ(snapshotOf(iommu).get("serialization_cycles"), 0u);
+    EXPECT_EQ(snapshotOf(io.iommu()).get("serialization_cycles"), 0u);
 }
 
 TEST_F(IommuTest, SecondLevelHitSkipsWalk)
 {
-    Iommu iommu = make();
+    IommuClient io(ctx_, vm_, dram_);
+    Iommu &iommu = io.iommu();
     const Ppn ppn = vm_.translate(asid_, base_)->ppn;
-    iommu.setSecondLevel([&](Asid, Vpn) {
-        return std::optional<TlbLookup>(
-            TlbLookup{ppn, kPermRead | kPermWrite, false});
-    });
-    IommuResponse r;
-    iommu.translate(asid_, pageOf(base_),
-                    [&](const IommuResponse &resp) { r = resp; });
-    ctx_.eq.run();
+    // An L2 miss on the page made it leading: the FT maps it.
+    Fbt fbt;
+    fbt.onCacheMiss(asid_, pageOf(base_), ppn, kPermRead | kPermWrite, 0,
+                    false);
+    iommu.setSecondLevel(&fbt);
+    const IommuResponse r = io.translateNow(asid_, pageOf(base_));
     EXPECT_EQ(r.ppn, ppn);
     EXPECT_EQ(iommu.walks(), 0u);
     EXPECT_EQ(snapshotOf(iommu).get("second_level_hits"), 1u);
@@ -137,51 +118,45 @@ TEST_F(IommuTest, SecondLevelHitSkipsWalk)
 
 TEST_F(IommuTest, SecondLevelMissStillWalks)
 {
-    Iommu iommu = make();
-    iommu.setSecondLevel(
-        [](Asid, Vpn) { return std::optional<TlbLookup>(); });
-    IommuResponse r;
-    iommu.translate(asid_, pageOf(base_),
-                    [&](const IommuResponse &resp) { r = resp; });
-    ctx_.eq.run();
+    IommuClient io(ctx_, vm_, dram_);
+    Iommu &iommu = io.iommu();
+    Fbt fbt; // no entry for the page
+    iommu.setSecondLevel(&fbt);
+    const IommuResponse r = io.translateNow(asid_, pageOf(base_));
     EXPECT_FALSE(r.fault);
     EXPECT_EQ(iommu.walks(), 1u);
+    EXPECT_EQ(snapshotOf(iommu).get("second_level_lookups"), 1u);
+    EXPECT_EQ(snapshotOf(iommu).get("second_level_hits"), 0u);
 }
 
 TEST_F(IommuTest, UnmappedFaultsWithoutFixer)
 {
-    Iommu iommu = make();
-    IommuResponse r;
-    iommu.translate(asid_, 0xBAD000,
-                    [&](const IommuResponse &resp) { r = resp; });
-    ctx_.eq.run();
+    IommuClient io(ctx_, vm_, dram_);
+    const IommuResponse r = io.translateNow(asid_, 0xBAD000);
     EXPECT_TRUE(r.fault);
-    EXPECT_EQ(iommu.faults(), 1u);
+    EXPECT_EQ(io.iommu().faults(), 1u);
 }
 
 TEST_F(IommuTest, FaultFixerRepairsAndRetries)
 {
-    Iommu iommu = make();
-    iommu.setFaultFixer([&](Asid asid, Vpn vpn) {
+    IommuClient io(ctx_, vm_, dram_);
+    io.iommu().setFaultFixer([&](Asid asid, Vpn vpn) {
         // Demand-map the page, CPU style.
         vm_.pageTable(asid).map(vpn, pm_.allocFrame(),
                                 kPermRead | kPermWrite);
         return true;
     });
-    IommuResponse r;
     const Vpn vpn = 0xCAFE;
-    iommu.translate(asid_, vpn,
-                    [&](const IommuResponse &resp) { r = resp; });
-    ctx_.eq.run();
+    const IommuResponse r = io.translateNow(asid_, vpn);
     EXPECT_FALSE(r.fault);
     EXPECT_EQ(r.ppn, vm_.translate(asid_, pageBase(vpn))->ppn);
 }
 
 TEST_F(IommuTest, ShootdownInvalidatesSharedTlb)
 {
-    Iommu iommu = make();
-    iommu.translate(asid_, pageOf(base_), [](const IommuResponse &) {});
-    ctx_.eq.run();
+    IommuClient io(ctx_, vm_, dram_);
+    Iommu &iommu = io.iommu();
+    io.translateNow(asid_, pageOf(base_));
     EXPECT_EQ(iommu.tlb().fills(), 1u);
     vm_.protect(asid_, base_, kPageSize, kPermRead);
     EXPECT_FALSE(iommu.tlb().present(asid_, pageOf(base_)));
@@ -189,10 +164,10 @@ TEST_F(IommuTest, ShootdownInvalidatesSharedTlb)
 
 TEST_F(IommuTest, SamplerCountsAccesses)
 {
-    Iommu iommu = make();
+    IommuClient io(ctx_, vm_, dram_);
+    Iommu &iommu = io.iommu();
     for (int i = 0; i < 5; ++i)
-        iommu.translate(asid_, pageOf(base_) + i,
-                        [](const IommuResponse &) {});
+        io.translate(asid_, pageOf(base_) + i);
     ctx_.eq.run();
     iommu.sampler().finish(ctx_.now());
     EXPECT_EQ(iommu.accesses(), 5u);

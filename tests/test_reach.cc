@@ -16,7 +16,7 @@
 
 #include "harness/results_io.hh"
 #include "harness/runner.hh"
-#include "tlb/iommu.hh"
+#include "iommu_client.hh"
 #include "trace/kernel_source.hh"
 #include "trace/trace.hh"
 
@@ -130,12 +130,9 @@ class ReachIommuTest : public ::testing::Test
     }
 
     IommuResponse
-    xl(Iommu &io, Vpn vpn)
+    xl(test::IommuClient &io, Vpn vpn)
     {
-        IommuResponse out;
-        io.translate(asid_, vpn, [&](const IommuResponse &r) { out = r; });
-        ctx_.eq.run();
-        return out;
+        return io.translateNow(asid_, vpn);
     }
 
     SimContext ctx_;
@@ -151,7 +148,7 @@ TEST_F(ReachIommuTest, ShootdownInsideCoalescedEntryLeavesNoStaleState)
     IommuParams p;
     p.tlb_max_reach = kMaxReachLog2;
     p.coalesce_max_reach = 3;
-    Iommu io(ctx_, vm_, dram_, p);
+    test::IommuClient io(ctx_, vm_, dram_, p);
 
     // An 8-page aligned block inside the region, fully mapped with
     // bump-allocated (contiguous) frames: one walk fills reach 3.  The
@@ -160,8 +157,8 @@ TEST_F(ReachIommuTest, ShootdownInsideCoalescedEntryLeavesNoStaleState)
     const Vpn blk = ((pageOf(base) + 7) & ~Vpn{7}) + 8;
     const IommuResponse first = xl(io, blk);
     EXPECT_EQ(first.reach, 3u);
-    EXPECT_EQ(snapshotOf(io).get("coalesced_fills"), 1u);
-    EXPECT_EQ(io.walks(), 1u);
+    EXPECT_EQ(snapshotOf(io.iommu()).get("coalesced_fills"), 1u);
+    EXPECT_EQ(io.iommu().walks(), 1u);
 
     // Protect one interior 4 KB page: the whole coalesced entry must
     // die, and the next lookup of that page must see the new perms —
@@ -172,7 +169,7 @@ TEST_F(ReachIommuTest, ShootdownInsideCoalescedEntryLeavesNoStaleState)
     const IommuResponse after = xl(io, victim);
     EXPECT_FALSE(after.fault);
     EXPECT_EQ(after.perms, kPermRead);
-    EXPECT_EQ(io.walks(), 2u);
+    EXPECT_EQ(io.iommu().walks(), 2u);
 
     // Untouched neighbors still translate to their original frames.
     const IommuResponse nb = xl(io, blk + 4);
@@ -185,7 +182,7 @@ TEST_F(ReachIommuTest, ShootdownInsideLargePageEntryLeavesNoStaleState)
     const Vaddr base = vm_.mmapAnonLarge(asid_, kLargePageSize);
     IommuParams p;
     p.tlb_max_reach = kMaxReachLog2;
-    Iommu io(ctx_, vm_, dram_, p);
+    test::IommuClient io(ctx_, vm_, dram_, p);
 
     const Vpn first = pageOf(base);
     const IommuResponse wide = xl(io, first + 10);
