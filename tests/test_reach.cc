@@ -129,12 +129,6 @@ class ReachIommuTest : public ::testing::Test
         asid_ = vm_.createProcess();
     }
 
-    IommuResponse
-    xl(test::IommuClient &io, Vpn vpn)
-    {
-        return io.translateNow(asid_, vpn);
-    }
-
     SimContext ctx_;
     PhysMem pm_;
     Vm vm_;
@@ -155,7 +149,7 @@ TEST_F(ReachIommuTest, ShootdownInsideCoalescedEntryLeavesNoStaleState)
     // second aligned block, because mapping the region's first page
     // also allocates page-table node frames, splitting that ppn run.
     const Vpn blk = ((pageOf(base) + 7) & ~Vpn{7}) + 8;
-    const IommuResponse first = xl(io, blk);
+    const IommuResponse first = io.translateNow(asid_, blk);
     EXPECT_EQ(first.reach, 3u);
     EXPECT_EQ(snapshotOf(io.iommu()).get("coalesced_fills"), 1u);
     EXPECT_EQ(io.iommu().walks(), 1u);
@@ -166,13 +160,13 @@ TEST_F(ReachIommuTest, ShootdownInsideCoalescedEntryLeavesNoStaleState)
     const Vpn victim = blk + 3;
     vm_.protect(asid_, Vaddr(victim) << kPageShift, kPageSize,
                 kPermRead);
-    const IommuResponse after = xl(io, victim);
+    const IommuResponse after = io.translateNow(asid_, victim);
     EXPECT_FALSE(after.fault);
     EXPECT_EQ(after.perms, kPermRead);
     EXPECT_EQ(io.iommu().walks(), 2u);
 
     // Untouched neighbors still translate to their original frames.
-    const IommuResponse nb = xl(io, blk + 4);
+    const IommuResponse nb = io.translateNow(asid_, blk + 4);
     EXPECT_EQ(nb.ppn, first.ppn + 4);
     EXPECT_EQ(nb.perms, kPermRead | kPermWrite);
 }
@@ -185,7 +179,7 @@ TEST_F(ReachIommuTest, ShootdownInsideLargePageEntryLeavesNoStaleState)
     test::IommuClient io(ctx_, vm_, dram_, p);
 
     const Vpn first = pageOf(base);
-    const IommuResponse wide = xl(io, first + 10);
+    const IommuResponse wide = io.translateNow(asid_, first + 10);
     EXPECT_TRUE(wide.large);
     EXPECT_EQ(wide.reach, kMaxReachLog2);
 
@@ -193,10 +187,10 @@ TEST_F(ReachIommuTest, ShootdownInsideLargePageEntryLeavesNoStaleState)
     // the leaf and the reach-9 entry is shot down whole.
     vm_.protect(asid_, Vaddr(first + 10) << kPageShift, kPageSize,
                 kPermRead);
-    const IommuResponse after = xl(io, first + 10);
+    const IommuResponse after = io.translateNow(asid_, first + 10);
     EXPECT_EQ(after.perms, kPermRead);
     EXPECT_FALSE(after.large); // split demoted the leaf
-    const IommuResponse nb = xl(io, first + 11);
+    const IommuResponse nb = io.translateNow(asid_, first + 11);
     EXPECT_EQ(nb.ppn, wide.ppn + 1);
     EXPECT_EQ(nb.perms, kPermRead | kPermWrite);
 }
