@@ -249,15 +249,17 @@ class Iommu
         startWalk(req);
     }
 
+    /** Walk for @p req; @p retried marks the walk after a repaired
+     *  fault, which may not fault-retry again. */
     void
-    startWalk(MemRequest *req)
+    startWalk(MemRequest *req, bool retried = false)
     {
         ++walks_;
         GVC_DPRINTF(kIommu, ctx_.now(), "walk asid=%u vpn=%#llx",
                     unsigned(req->asid), (unsigned long long)req->vpn);
         ptw_.walk(req->asid, req->vpn,
-                  [this, req](std::optional<Translation> t) {
-                      walkDone(req, t, false);
+                  [this, req, retried](std::optional<Translation> t) {
+                      walkDone(req, t, retried);
                   });
     }
 
@@ -271,12 +273,8 @@ class Iommu
             if (fault_fixer_ && !retried && fault_fixer_(asid, vpn)) {
                 // The CPU repaired the mapping; retry the walk after the
                 // fault-service latency.
-                ctx_.eq.scheduleIn(params_.fault_latency, [this, req] {
-                    ptw_.walk(req->asid, req->vpn,
-                              [this, req](std::optional<Translation> t2) {
-                                  walkDone(req, t2, true);
-                              });
-                });
+                ctx_.eq.scheduleIn(params_.fault_latency,
+                                   [this, req] { startWalk(req, true); });
                 return;
             }
             answer(req, IommuResponse{true, kInvalidPpn, kPermNone, false});

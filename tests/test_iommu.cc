@@ -150,6 +150,9 @@ TEST_F(IommuTest, FaultFixerRepairsAndRetries)
     const IommuResponse r = io.translateNow(asid_, vpn);
     EXPECT_FALSE(r.fault);
     EXPECT_EQ(r.ppn, vm_.translate(asid_, pageBase(vpn))->ppn);
+    // The faulting walk and its retry both count.
+    EXPECT_EQ(io.iommu().walks(), 2u);
+    EXPECT_EQ(io.iommu().faults(), 1u);
 }
 
 TEST_F(IommuTest, ShootdownInvalidatesSharedTlb)

@@ -155,9 +155,10 @@ TEST(RequestRecordPaths, FaultFixerRetriesReturnEveryRecord)
         Tick drained;
         std::uint64_t walks, faults;
     };
-    for (const Pin pin : {Pin{MmuDesign::kBaseline512, 20859, 4, 4},
-                          Pin{MmuDesign::kVcOpt, 20708, 4, 4},
-                          Pin{MmuDesign::kL1Vc32, 20859, 4, 4}}) {
+    // Every first walk faults and its retry walks again: 8 walks.
+    for (const Pin pin : {Pin{MmuDesign::kBaseline512, 20859, 8, 4},
+                          Pin{MmuDesign::kVcOpt, 20708, 8, 4},
+                          Pin{MmuDesign::kL1Vc32, 20859, 8, 4}}) {
         const MmuDesign d = pin.design;
         SimContext ctx;
         PhysMem pm(std::uint64_t{1} << 30);
@@ -186,6 +187,8 @@ TEST(RequestRecordPaths, FaultFixerRetriesReturnEveryRecord)
         const StatSnapshot snap = snapshotOf(sut.system());
         EXPECT_EQ(ctx.now(), pin.drained) << designName(d);
         EXPECT_EQ(snap.get("iommu.walks"), pin.walks) << designName(d);
+        EXPECT_EQ(snap.get("iommu.ptw.requests"), pin.walks)
+            << designName(d);
         EXPECT_EQ(snap.get("iommu.faults"), pin.faults) << designName(d);
     }
 }
