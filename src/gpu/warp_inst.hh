@@ -109,13 +109,21 @@ class WarpStream
      * instead of copying its lane addresses.
      */
     virtual const WarpInst *next() = 0;
+
+    /**
+     * The instructions not yet read, as a vector, leaving the stream at
+     * its end.  Capture takes a kernel's warps this way; a stream that
+     * owns its instructions hands them over instead of copying them.
+     */
+    virtual std::vector<WarpInst> take() = 0;
 };
 
 /**
  * A WarpStream over a pre-built instruction vector, read in place.  The
- * vector is shared: trace replay hands in an aliasing pointer to one
- * recorded warp that keeps the whole trace alive, so every launch of a
- * kernel reads the one copy the trace holds.
+ * stream either owns the vector (a workload's kernel, until capture
+ * takes it) or shares it: trace replay hands in an aliasing pointer to
+ * one recorded warp that keeps the whole trace alive, so every launch
+ * of a kernel reads the one copy the trace holds.
  */
 class VectorWarpStream final : public WarpStream
 {
@@ -123,16 +131,20 @@ class VectorWarpStream final : public WarpStream
     using Insts = std::shared_ptr<const std::vector<WarpInst>>;
 
     explicit VectorWarpStream(std::vector<WarpInst> insts)
-        : VectorWarpStream(std::make_shared<const std::vector<WarpInst>>(
-              std::move(insts)))
+        : owned_(std::move(insts)), cur_(owned_.data()),
+          end_(cur_ + owned_.size())
     {
     }
 
     explicit VectorWarpStream(Insts insts)
-        : insts_(std::move(insts)), cur_(insts_->data()),
-          end_(cur_ + insts_->size())
+        : shared_(std::move(insts)), cur_(shared_->data()),
+          end_(cur_ + shared_->size())
     {
     }
+
+    // cur_ and end_ point into the vector the stream reads.
+    VectorWarpStream(const VectorWarpStream &) = delete;
+    VectorWarpStream &operator=(const VectorWarpStream &) = delete;
 
     const WarpInst *
     next() override
@@ -140,8 +152,22 @@ class VectorWarpStream final : public WarpStream
         return cur_ != end_ ? cur_++ : nullptr;
     }
 
+    /** Moves an owned, unread vector out; copies a shared one. */
+    std::vector<WarpInst>
+    take() override
+    {
+        std::vector<WarpInst> rest;
+        if (!shared_ && cur_ == owned_.data())
+            rest = std::move(owned_);
+        else
+            rest.assign(cur_, end_);
+        cur_ = end_ = nullptr;
+        return rest;
+    }
+
   private:
-    Insts insts_;
+    std::vector<WarpInst> owned_;
+    Insts shared_;
     const WarpInst *cur_;
     const WarpInst *end_;
 };

@@ -47,7 +47,7 @@ runSource(trace::KernelSource &source, const RunConfig &cfg,
 
     auto launches = source.kernels();
     if (capture) {
-        trace::wrapForRecording(launches, *capture);
+        trace::captureKernels(launches, *capture);
         capture->boundaries = source.boundaries();
     }
 

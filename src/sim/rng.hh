@@ -8,6 +8,7 @@
 #ifndef GVC_SIM_RNG_HH
 #define GVC_SIM_RNG_HH
 
+#include <cmath>
 #include <cstdint>
 
 namespace gvc
@@ -73,11 +74,34 @@ class Rng
         return lo + below(hi - lo + 1);
     }
 
+    /** The 53 random bits uniform() scales into [0, 1). */
+    constexpr std::uint64_t
+    draw53()
+    {
+        return (*this)() >> 11;
+    }
+
     /** Uniform double in [0, 1). */
     constexpr double
     uniform()
     {
-        return double((*this)() >> 11) * 0x1.0p-53;
+        return double(draw53()) * 0x1.0p-53;
+    }
+
+    /**
+     * The integer k with (draw53() < k) == (uniform() < p) for every
+     * draw: uniform() is draw53() * 2^-53 exactly, so a hot loop can
+     * compare integers instead of converting each draw.
+     */
+    static std::uint64_t
+    uniformThreshold(double p)
+    {
+        constexpr std::uint64_t kOne = std::uint64_t{1} << 53;
+        if (!(p > 0)) // also NaN, which no draw is below
+            return 0;
+        if (p >= 1)
+            return kOne;
+        return std::uint64_t(std::ceil(std::ldexp(p, 53)));
     }
 
     /** Bernoulli draw with probability @p p. */

@@ -72,22 +72,22 @@ TraceKernelSource::materialize() const
 }
 
 void
-wrapForRecording(std::vector<KernelLaunch> &launches, Trace &capture)
+captureKernels(std::vector<KernelLaunch> &launches, Trace &capture)
 {
-    // Size everything first: RecordingWarpStream keeps raw pointers to
-    // the per-warp sink vectors, so the containers must not reallocate.
     capture.kernels.clear();
     capture.kernels.resize(launches.size());
     for (std::size_t ki = 0; ki < launches.size(); ++ki) {
-        capture.kernels[ki].asid = launches[ki].asid;
-        capture.kernels[ki].warps.resize(launches[ki].warps.size());
-    }
-    for (std::size_t ki = 0; ki < launches.size(); ++ki) {
+        TraceKernel &kernel = capture.kernels[ki];
         auto &warps = launches[ki].warps;
-        for (std::size_t wi = 0; wi < warps.size(); ++wi) {
-            warps[wi] = std::make_unique<RecordingWarpStream>(
-                std::move(warps[wi]), &capture.kernels[ki].warps[wi]);
-        }
+        kernel.asid = launches[ki].asid;
+        kernel.warps.reserve(warps.size());
+        for (auto &stream : warps)
+            kernel.warps.push_back(stream->take());
+        // A non-owning pointer: the capture belongs to the caller.
+        for (std::size_t wi = 0; wi < warps.size(); ++wi)
+            warps[wi] = std::make_unique<VectorWarpStream>(
+                VectorWarpStream::Insts(VectorWarpStream::Insts(),
+                                        &kernel.warps[wi]));
     }
 }
 
@@ -106,11 +106,7 @@ captureTrace(KernelSource &source, std::uint64_t phys_mem_bytes)
     t.vm_ops = vm.recordedOps();
 
     auto launches = source.kernels();
-    wrapForRecording(launches, t);
-    for (auto &launch : launches)
-        for (auto &stream : launch.warps)
-            while (stream->next()) {
-            }
+    captureKernels(launches, t);
     return t;
 }
 

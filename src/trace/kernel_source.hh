@@ -161,47 +161,19 @@ class TraceKernelSource final : public KernelSource
 };
 
 /**
- * Tee: forwards an inner stream while appending each instruction to a
- * sink vector.  The runner wraps every launch's streams with this when
- * asked to capture a trace during a live run, so recording costs one
- * copy per instruction and nothing else.
- *
- * @p sink must stay at a stable address for the stream's lifetime
- * (pre-size the Trace's kernel/warp vectors before wrapping).
+ * Move every warp's instructions of @p launches into @p capture's
+ * kernels (the capture must already carry the VM op log and metadata),
+ * then point each stream at its captured warp, so a live run reads the
+ * capture in place: recording copies no instruction a workload built.
+ * @p capture must outlive the streams and keep its kernels unchanged
+ * while they run.
  */
-class RecordingWarpStream final : public WarpStream
-{
-  public:
-    RecordingWarpStream(std::unique_ptr<WarpStream> inner,
-                        std::vector<WarpInst> *sink)
-        : inner_(std::move(inner)), sink_(sink)
-    {
-    }
-
-    const WarpInst *
-    next() override
-    {
-        const WarpInst *inst = inner_->next();
-        if (inst)
-            sink_->push_back(*inst);
-        return inst;
-    }
-
-  private:
-    std::unique_ptr<WarpStream> inner_;
-    std::vector<WarpInst> *sink_;
-};
-
-/**
- * Wrap every stream of @p launches so the instructions they produce are
- * appended into @p capture, which must already carry the VM op log and
- * metadata.  Pre-sizes capture.kernels so sink addresses stay stable.
- */
-void wrapForRecording(std::vector<KernelLaunch> &launches, Trace &capture);
+void captureKernels(std::vector<KernelLaunch> &launches, Trace &capture);
 
 /**
  * Capture a workload into a Trace without simulating: run setup against
- * a scratch VM with op recording on, then drain every warp stream.
+ * a scratch VM with op recording on, then take every warp's
+ * instructions.
  *
  * @p phys_mem_bytes sizes the scratch physical memory and must match
  * the SocConfig the trace will later be replayed under (default: the

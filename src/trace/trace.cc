@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <limits>
 
 #include "mmu/boundary.hh"
 #include "sim/bytes.hh"
@@ -93,26 +94,43 @@ class Cursor
         return v;
     }
 
+    /** A LEB128 varint; @p field names it in the error. */
     std::uint64_t
-    varint()
+    varint(const char *field)
     {
         std::uint64_t v = 0;
         for (unsigned shift = 0; shift < 64; shift += 7) {
             if (!need(1))
                 return 0;
             const std::uint8_t b = data_[pos_++];
+            // A 10th byte carries bit 63 alone, and ends the varint.
+            if (shift == 63 && b > 1)
+                break;
             v |= std::uint64_t(b & 0x7f) << shift;
             if (!(b & 0x80))
                 return v;
         }
-        fail("varint longer than 64 bits");
+        fail(std::string(field) + " overflows 64 bits");
         return 0;
     }
 
-    std::string
-    str()
+    /** A varint that must fit in @p T; @p field names it. */
+    template <typename T>
+    T
+    varintAs(const char *field)
     {
-        const std::uint64_t len = varint();
+        const std::uint64_t v = varint(field);
+        if (v > std::numeric_limits<T>::max()) {
+            fail(std::string(field) + " out of range");
+            return 0;
+        }
+        return T(v);
+    }
+
+    std::string
+    str(const char *field)
+    {
+        const std::uint64_t len = varint(field);
         if (!ok_ || !need(std::size_t(len)))
             return {};
         std::string s(reinterpret_cast<const char *>(data_ + pos_),
@@ -153,33 +171,56 @@ class Cursor
 
 // --- body ---------------------------------------------------------------
 
+/** Longest LEB128 encoding of a 64-bit value. */
+constexpr std::size_t kMaxVarint = 10;
+
+std::uint8_t *
+putVarint(std::uint8_t *p, std::uint64_t v)
+{
+    while (v >= 0x80) {
+        *p++ = std::uint8_t(v) | 0x80;
+        v >>= 7;
+    }
+    *p++ = std::uint8_t(v);
+    return p;
+}
+
+/**
+ * Encode @p inst into a stack buffer and append it with one insert.  A
+ * full warp's lanes always fit; a wider lane list (which the parser
+ * rejects) flushes the buffer as it goes.
+ */
 void
 serializeInst(std::vector<std::uint8_t> &out, const WarpInst &inst)
 {
-    out.push_back(std::uint8_t(inst.op));
+    std::uint8_t buf[1 + kMaxVarint * (kWarpLanes + 1)];
+    std::uint8_t *p = buf;
+    *p++ = std::uint8_t(inst.op);
     switch (inst.op) {
       case WarpOp::kCompute:
       case WarpOp::kScratchLoad:
       case WarpOp::kScratchStore:
-        putVarint(out, inst.cycles);
+        p = putVarint(p, inst.cycles);
         break;
       case WarpOp::kBarrier:
         break;
       case WarpOp::kLoad:
-      case WarpOp::kStore:
-        putVarint(out, inst.lane_addrs.size());
-        for (std::size_t i = 0; i < inst.lane_addrs.size(); ++i) {
-            if (i == 0) {
-                putVarint(out, inst.lane_addrs[0]);
-            } else {
-                const std::int64_t delta =
-                    std::int64_t(inst.lane_addrs[i]) -
-                    std::int64_t(inst.lane_addrs[i - 1]);
-                putVarint(out, zigzag(delta));
+      case WarpOp::kStore: {
+        const std::vector<Vaddr> &lanes = inst.lane_addrs;
+        p = putVarint(p, lanes.size());
+        for (std::size_t i = 0; i < lanes.size(); ++i) {
+            if (std::size_t(buf + sizeof(buf) - p) < kMaxVarint) {
+                out.insert(out.end(), buf, p);
+                p = buf;
             }
+            p = putVarint(p, i == 0 ? lanes[0]
+                                    : zigzag(std::int64_t(
+                                          lanes[i] - lanes[i - 1])));
         }
         break;
+      }
     }
+    out.insert(out.end(), buf, p);
 }
 
 bool
@@ -199,13 +240,13 @@ parseInst(Cursor &c, WarpInst &inst)
       case WarpOp::kCompute:
       case WarpOp::kScratchLoad:
       case WarpOp::kScratchStore:
-        inst.cycles = std::uint32_t(c.varint());
+        inst.cycles = c.varintAs<std::uint32_t>("cycles");
         break;
       case WarpOp::kBarrier:
         break;
       case WarpOp::kLoad:
       case WarpOp::kStore: {
-        const std::uint64_t lanes = c.varint();
+        const std::uint64_t lanes = c.varint("lane count");
         if (!c.ok())
             return false;
         if (lanes > kWarpLanes) {
@@ -217,9 +258,9 @@ parseInst(Cursor &c, WarpInst &inst)
         for (std::uint64_t i = 0; i < lanes; ++i) {
             Vaddr va;
             if (i == 0)
-                va = c.varint();
+                va = c.varint("lane address");
             else
-                va = Vaddr(std::int64_t(prev) + unzigzag(c.varint()));
+                va = prev + Vaddr(unzigzag(c.varint("lane delta")));
             inst.lane_addrs.push_back(va);
             prev = va;
         }
@@ -299,12 +340,12 @@ serializeBody(const Trace &t)
 bool
 parseBody(Cursor &c, Trace &t, std::uint32_t version)
 {
-    t.workload = c.str();
+    t.workload = c.str("workload name");
 
     const std::uint64_t scale_bits = c.u64Fixed();
     std::memcpy(&t.params.scale, &scale_bits, sizeof(t.params.scale));
-    t.params.seed = c.varint();
-    t.params.grid_warps = unsigned(c.varint());
+    t.params.seed = c.varint("seed");
+    t.params.grid_warps = c.varintAs<unsigned>("grid_warps");
     const std::uint8_t graph = c.u8();
     if (!c.ok())
         return false;
@@ -314,7 +355,7 @@ parseBody(Cursor &c, Trace &t, std::uint32_t version)
     }
     t.params.graph = GraphKind(graph);
 
-    const std::uint64_t n_ops = c.varint();
+    const std::uint64_t n_ops = c.varint("vm-op count");
     if (!c.ok())
         return false;
     t.vm_ops.clear();
@@ -329,30 +370,30 @@ parseBody(Cursor &c, Trace &t, std::uint32_t version)
             return false;
         }
         op.kind = VmOp::Kind(kind);
-        op.asid = Asid(c.varint());
-        op.src_asid = Asid(c.varint());
-        op.base = c.varint();
-        op.bytes = c.varint();
+        op.asid = c.varintAs<Asid>("vm-op asid");
+        op.src_asid = c.varintAs<Asid>("vm-op src_asid");
+        op.base = c.varint("vm-op base");
+        op.bytes = c.varint("vm-op bytes");
         op.perms = c.u8();
         if (!c.ok())
             return false;
         t.vm_ops.push_back(op);
     }
 
-    const std::uint64_t n_kernels = c.varint();
+    const std::uint64_t n_kernels = c.varint("kernel count");
     if (!c.ok())
         return false;
     t.kernels.clear();
     t.kernels.reserve(std::size_t(n_kernels));
     for (std::uint64_t ki = 0; ki < n_kernels; ++ki) {
         TraceKernel k;
-        k.asid = Asid(c.varint());
-        const std::uint64_t n_warps = c.varint();
+        k.asid = c.varintAs<Asid>("kernel asid");
+        const std::uint64_t n_warps = c.varint("warp count");
         if (!c.ok())
             return false;
         k.warps.reserve(std::size_t(n_warps));
         for (std::uint64_t wi = 0; wi < n_warps; ++wi) {
-            const std::uint64_t n_insts = c.varint();
+            const std::uint64_t n_insts = c.varint("instruction count");
             if (!c.ok())
                 return false;
             std::vector<WarpInst> warp;
@@ -370,13 +411,13 @@ parseBody(Cursor &c, Trace &t, std::uint32_t version)
 
     t.boundaries.clear();
     if (version >= kTraceVersionScenario) {
-        const std::uint64_t n_bounds = c.varint();
+        const std::uint64_t n_bounds = c.varint("boundary count");
         if (!c.ok())
             return false;
         t.boundaries.reserve(std::size_t(n_bounds));
         for (std::uint64_t bi = 0; bi < n_bounds; ++bi) {
             TraceBoundary b;
-            b.kernel = c.varint();
+            b.kernel = c.varint("boundary kernel");
             b.policy = c.u8();
             if (!c.ok())
                 return false;
@@ -400,13 +441,13 @@ parseBody(Cursor &c, Trace &t, std::uint32_t version)
     }
 
     if (version >= kTraceVersionContig) {
-        const std::uint64_t n_flags = c.varint();
+        const std::uint64_t n_flags = c.varint("flagged-op count");
         if (!c.ok())
             return false;
         std::uint64_t prev = 0;
         bool first = true;
         for (std::uint64_t fi = 0; fi < n_flags; ++fi) {
-            const std::uint64_t idx = c.varint();
+            const std::uint64_t idx = c.varint("vm-op flag index");
             const std::uint8_t flags = c.u8();
             if (!c.ok())
                 return false;

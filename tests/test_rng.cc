@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <vector>
+
 #include "sim/rng.hh"
 
 namespace gvc
@@ -62,6 +66,31 @@ TEST(Rng, UniformInUnitInterval)
         sum += u;
     }
     EXPECT_NEAR(sum / n, 0.5, 0.02);
+}
+
+TEST(Rng, UniformThresholdDecidesLikeUniform)
+{
+    Rng a(13), b(13);
+    for (int i = 0; i < 100; ++i)
+        EXPECT_EQ(double(a.draw53()) * 0x1.0p-53, b.uniform());
+
+    constexpr std::uint64_t kTop = (std::uint64_t{1} << 53) - 1;
+    const double ps[] = {0.57, 0.57 + 0.19, 0.57 + 0.19 + 0.19, 0.5,
+                         1e-300, 0x1.0p-53, 1.0 - 0x1.0p-53, 0.0, -0.25,
+                         1.0, 3.0, std::nan("")};
+    Rng r(17);
+    for (const double p : ps) {
+        const std::uint64_t k = Rng::uniformThreshold(p);
+        std::vector<std::uint64_t> xs = {0, kTop};
+        for (const std::uint64_t x : {k - 2, k - 1, k, k + 1, k + 2})
+            if (x <= kTop) // k - d wraps above kTop when k < d
+                xs.push_back(x);
+        for (int i = 0; i < 1000; ++i)
+            xs.push_back(r.draw53());
+        for (const std::uint64_t x : xs)
+            EXPECT_EQ(x < k, double(x) * 0x1.0p-53 < p)
+                << "p=" << p << " x=" << x;
+    }
 }
 
 TEST(Rng, ChanceMatchesProbability)

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -17,6 +18,7 @@
 #include "harness/results_io.hh"
 #include "harness/sweep.hh"
 #include "mmu/boundary.hh"
+#include "sim/bytes.hh"
 #include "trace/kernel_source.hh"
 #include "trace/trace.hh"
 
@@ -77,6 +79,44 @@ std::string
 tempPath(const char *name)
 {
     return ::testing::TempDir() + name;
+}
+
+/** Re-stamp the header digest so the parser, not the checksum, judges
+ *  an edited body. */
+void
+restampDigest(std::vector<std::uint8_t> &bytes)
+{
+    const std::uint64_t h = fnv1a(bytes.data() + 16, bytes.size() - 16);
+    for (std::size_t i = 0; i < 8; ++i)
+        bytes[8 + i] = std::uint8_t(h >> (8 * i));
+}
+
+/** Overwrite the one occurrence of @p from in the body with @p to. */
+void
+patchBody(std::vector<std::uint8_t> &bytes,
+          const std::vector<std::uint8_t> &from,
+          const std::vector<std::uint8_t> &to)
+{
+    ASSERT_EQ(from.size(), to.size());
+    const auto at =
+        std::search(bytes.begin() + 16, bytes.end(), from.begin(),
+                    from.end());
+    ASSERT_NE(at, bytes.end());
+    ASSERT_EQ(std::search(at + 1, bytes.end(), from.begin(), from.end()),
+              bytes.end());
+    std::copy(to.begin(), to.end(), at);
+    restampDigest(bytes);
+}
+
+/** Parse @p bytes, expecting a failure whose message holds @p what. */
+void
+expectRejected(const std::vector<std::uint8_t> &bytes, const char *what)
+{
+    Trace out;
+    std::string err;
+    EXPECT_FALSE(TraceReader::parse(bytes.data(), bytes.size(), out,
+                                    &err));
+    EXPECT_NE(err.find(what), std::string::npos) << err;
 }
 
 // ---------------------------------------------------------------------
@@ -306,13 +346,7 @@ TEST(TraceFormat, RejectsTruncatedBody)
     // truncation detection (not the checksum) is what fires.
     auto bytes = TraceWriter::serialize(sampleTrace());
     bytes.resize(bytes.size() - 10);
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (std::size_t i = 16; i < bytes.size(); ++i) {
-        h ^= bytes[i];
-        h *= 0x100000001b3ull;
-    }
-    for (int i = 0; i < 8; ++i)
-        bytes[8 + std::size_t(i)] = std::uint8_t(h >> (8 * i));
+    restampDigest(bytes);
     Trace out;
     std::string err;
     EXPECT_FALSE(TraceReader::parse(bytes.data(), bytes.size(), out,
@@ -333,6 +367,47 @@ TEST(TraceFormat, RejectsOverwideLaneCount)
     EXPECT_NE(err.find("lane count"), std::string::npos) << err;
 }
 
+TEST(TraceFormat, RejectsVarintOverflowingU64)
+{
+    // Bit 63 alone in a 10th byte is the largest legal varint.
+    Trace t = sampleTrace();
+    t.params.seed = std::uint64_t{1} << 63;
+    auto bytes = TraceWriter::serialize(t);
+    Trace out;
+    std::string err;
+    ASSERT_TRUE(TraceReader::parse(bytes.data(), bytes.size(), out, &err))
+        << err;
+    EXPECT_EQ(out.params.seed, t.params.seed);
+
+    // A 10th byte of 2 would be bit 64, which no u64 holds.
+    std::vector<std::uint8_t> from(9, 0x80), to(9, 0x80);
+    from.push_back(0x01);
+    to.push_back(0x02);
+    patchBody(bytes, from, to);
+    expectRejected(bytes, "seed overflows 64 bits");
+}
+
+TEST(TraceFormat, RejectsCyclesOutOfRange)
+{
+    // 0xffffffff cycles is ff ff ff ff 0f; 1f makes it 2^33 - 1.
+    Trace t = sampleTrace();
+    t.kernels[0].warps[0][0] = WarpInst::compute(0xffff'ffffu);
+    auto bytes = TraceWriter::serialize(t);
+    patchBody(bytes, {0xff, 0xff, 0xff, 0xff, 0x0f},
+              {0xff, 0xff, 0xff, 0xff, 0x1f});
+    expectRejected(bytes, "cycles out of range");
+}
+
+TEST(TraceFormat, RejectsAsidOutOfRange)
+{
+    // ASID 0xffff is ff ff 03; 04 makes it 0x13fff.
+    Trace t = sampleTrace();
+    t.vm_ops[1].asid = 0xffff;
+    auto bytes = TraceWriter::serialize(t);
+    patchBody(bytes, {0xff, 0xff, 0x03}, {0xff, 0xff, 0x04});
+    expectRejected(bytes, "vm-op asid out of range");
+}
+
 TEST(TraceFormat, ReadFileReportsMissingFile)
 {
     Trace out;
@@ -346,33 +421,71 @@ TEST(TraceFormat, ReadFileReportsMissingFile)
 // Streams
 // ---------------------------------------------------------------------
 
-TEST(TraceStreams, RecordingStreamForwardsAndCaptures)
+/**
+ * Capture takes each warp's vector from the workload instead of copying
+ * it, and the streams it leaves behind read the capture in place: the
+ * live run of a recording simulates the very instructions it records.
+ */
+TEST(TraceStreams, CaptureTakesEachWarpAndReadsItInPlace)
 {
     std::vector<WarpInst> insts;
     insts.push_back(WarpInst::compute(5));
     insts.push_back(WarpInst::load({0x100, 0x104}));
     insts.push_back(WarpInst::store({0x900}));
-    auto inner = std::make_unique<VectorWarpStream>(insts);
+    const WarpInst *built = insts.data();
+    const Vaddr *lanes = insts[1].lane_addrs.data();
 
-    std::vector<WarpInst> sink;
-    trace::RecordingWarpStream rec(std::move(inner), &sink);
-    std::vector<WarpInst> forwarded;
-    while (const WarpInst *inst = rec.next())
-        forwarded.push_back(*inst);
-    // The end is sticky, and a call past it records nothing.
-    EXPECT_EQ(rec.next(), nullptr);
-    EXPECT_EQ(rec.next(), nullptr);
+    std::vector<KernelLaunch> launches(1);
+    launches[0].asid = 3;
+    launches[0].warps.push_back(
+        std::make_unique<VectorWarpStream>(std::move(insts)));
+    launches[0].warps.push_back(
+        std::make_unique<VectorWarpStream>(std::vector<WarpInst>{}));
 
-    ASSERT_EQ(forwarded.size(), insts.size());
-    ASSERT_EQ(sink.size(), insts.size());
-    for (std::size_t i = 0; i < insts.size(); ++i) {
-        EXPECT_EQ(forwarded[i].op, insts[i].op);
-        EXPECT_EQ(forwarded[i].cycles, insts[i].cycles);
-        EXPECT_EQ(forwarded[i].lane_addrs, insts[i].lane_addrs);
-        EXPECT_EQ(sink[i].op, forwarded[i].op);
-        EXPECT_EQ(sink[i].cycles, forwarded[i].cycles);
-        EXPECT_EQ(sink[i].lane_addrs, forwarded[i].lane_addrs);
-    }
+    Trace capture;
+    trace::captureKernels(launches, capture);
+    ASSERT_EQ(capture.kernels.size(), 1u);
+    EXPECT_EQ(capture.kernels[0].asid, 3u);
+    ASSERT_EQ(capture.kernels[0].warps.size(), 2u);
+    const std::vector<WarpInst> &warp = capture.kernels[0].warps[0];
+    ASSERT_EQ(warp.size(), 3u);
+    EXPECT_EQ(warp.data(), built); // moved, not copied
+    EXPECT_EQ(warp[1].lane_addrs.data(), lanes);
+    EXPECT_EQ(warp[0].cycles, 5u);
+    EXPECT_EQ(warp[2].op, WarpOp::kStore);
+    EXPECT_TRUE(capture.kernels[0].warps[1].empty());
+
+    WarpStream &stream = *launches[0].warps[0];
+    for (const WarpInst &inst : warp)
+        EXPECT_EQ(stream.next(), &inst);
+    EXPECT_EQ(stream.next(), nullptr);
+    EXPECT_EQ(stream.next(), nullptr);
+    EXPECT_EQ(launches[0].warps[1]->next(), nullptr);
+}
+
+/** take() copies what the stream does not own alone, or has begun. */
+TEST(TraceStreams, TakeCopiesASharedOrStartedStream)
+{
+    const auto shared = std::make_shared<const std::vector<WarpInst>>(
+        std::vector<WarpInst>{WarpInst::compute(2),
+                              WarpInst::load({0x40, 0x48})});
+    VectorWarpStream replay(shared);
+    const std::vector<WarpInst> copy = replay.take();
+    ASSERT_EQ(copy.size(), 2u);
+    EXPECT_NE(copy.data(), shared->data());
+    EXPECT_EQ(copy[1].lane_addrs, (*shared)[1].lane_addrs);
+    EXPECT_EQ(shared->size(), 2u);
+    EXPECT_EQ(replay.next(), nullptr);
+
+    VectorWarpStream started(
+        {WarpInst::compute(1), WarpInst::barrier(), WarpInst::compute(7)});
+    ASSERT_NE(started.next(), nullptr);
+    const std::vector<WarpInst> rest = started.take();
+    ASSERT_EQ(rest.size(), 2u);
+    EXPECT_EQ(rest[0].op, WarpOp::kBarrier);
+    EXPECT_EQ(rest[1].cycles, 7u);
+    EXPECT_EQ(started.next(), nullptr);
+    EXPECT_TRUE(started.take().empty());
 }
 
 TEST(TraceStreams, VectorStreamEndIsSticky)
