@@ -270,10 +270,10 @@ parseInst(Cursor &c, WarpInst &inst)
     return c.ok();
 }
 
-std::vector<std::uint8_t>
-serializeBody(const Trace &t)
+/** Append the body of @p t to @p out. */
+void
+serializeBody(const Trace &t, std::vector<std::uint8_t> &out)
 {
-    std::vector<std::uint8_t> out;
     putVarint(out, t.workload.size());
     out.insert(out.end(), t.workload.begin(), t.workload.end());
 
@@ -334,7 +334,6 @@ serializeBody(const Trace &t)
             }
         }
     }
-    return out;
 }
 
 bool
@@ -488,21 +487,23 @@ setErr(std::string *err, const std::string &msg)
 std::uint64_t
 traceDigest(const Trace &trace)
 {
-    const auto body = serializeBody(trace);
+    std::vector<std::uint8_t> body;
+    serializeBody(trace, body);
     return fnv1a(body.data(), body.size());
 }
 
 std::vector<std::uint8_t>
 TraceWriter::serialize(const Trace &trace)
 {
-    const auto body = serializeBody(trace);
-    std::vector<std::uint8_t> out;
-    out.reserve(16 + body.size());
-    for (char c : kTraceMagic)
-        out.push_back(std::uint8_t(c));
+    // The body is written after the header and digested in place.
+    std::vector<std::uint8_t> out(std::begin(kTraceMagic),
+                                  std::end(kTraceMagic));
     putU32Fixed(out, trace.formatVersion());
-    putU64Fixed(out, fnv1a(body.data(), body.size()));
-    out.insert(out.end(), body.begin(), body.end());
+    putU64Fixed(out, 0);
+    serializeBody(trace, out);
+    const std::uint64_t digest = fnv1a(out.data() + 16, out.size() - 16);
+    for (std::size_t i = 0; i < 8; ++i)
+        out[8 + i] = std::uint8_t(digest >> (8 * i));
     return out;
 }
 

@@ -398,6 +398,17 @@ TEST(TraceFormat, RejectsCyclesOutOfRange)
     expectRejected(bytes, "cycles out of range");
 }
 
+TEST(TraceFormat, RejectsGridWarpsOutOfRange)
+{
+    // 0xffffffff warps is ff ff ff ff 0f; 1f makes it 2^33 - 1.
+    Trace t = sampleTrace();
+    t.params.grid_warps = 0xffff'ffffu;
+    auto bytes = TraceWriter::serialize(t);
+    patchBody(bytes, {0xff, 0xff, 0xff, 0xff, 0x0f},
+              {0xff, 0xff, 0xff, 0xff, 0x1f});
+    expectRejected(bytes, "grid_warps out of range");
+}
+
 TEST(TraceFormat, RejectsAsidOutOfRange)
 {
     // ASID 0xffff is ff ff 03; 04 makes it 0x13fff.
