@@ -17,12 +17,17 @@
 namespace gvc
 {
 
-/** FNV-1a-64 of @p size bytes at @p data. */
+/** FNV-1a-64 offset basis: the digest of no bytes. */
+inline constexpr std::uint64_t kFnv1aBasis = 0xcbf29ce484222325ull;
+
+/**
+ * FNV-1a-64 of @p size bytes at @p data, continuing from the digest @p h
+ * of the bytes before them, so a digest can be taken piece by piece.
+ */
 inline std::uint64_t
-fnv1a(const void *data, std::size_t size)
+fnv1a(const void *data, std::size_t size, std::uint64_t h = kFnv1aBasis)
 {
     const auto *p = static_cast<const unsigned char *>(data);
-    std::uint64_t h = 0xcbf29ce484222325ull;
     for (std::size_t i = 0; i < size; ++i) {
         h ^= p[i];
         h *= 0x100000001b3ull;

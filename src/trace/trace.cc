@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <utility>
 
 #include "mmu/boundary.hh"
 #include "sim/bytes.hh"
@@ -15,28 +16,12 @@ namespace
 
 // --- encoding primitives ------------------------------------------------
 
+/** Store the low @p n bytes of @p v at @p p, little-endian. */
 void
-putU32Fixed(std::vector<std::uint8_t> &out, std::uint32_t v)
+putLittleEndian(std::uint8_t *p, std::uint64_t v, std::size_t n)
 {
-    for (int i = 0; i < 4; ++i)
-        out.push_back(std::uint8_t(v >> (8 * i)));
-}
-
-void
-putU64Fixed(std::vector<std::uint8_t> &out, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        out.push_back(std::uint8_t(v >> (8 * i)));
-}
-
-void
-putVarint(std::vector<std::uint8_t> &out, std::uint64_t v)
-{
-    while (v >= 0x80) {
-        out.push_back(std::uint8_t(v) | 0x80);
-        v >>= 7;
-    }
-    out.push_back(std::uint8_t(v));
+    for (std::size_t i = 0; i < n; ++i)
+        p[i] = std::uint8_t(v >> (8 * i));
 }
 
 std::uint64_t
@@ -174,53 +159,88 @@ class Cursor
 /** Longest LEB128 encoding of a 64-bit value. */
 constexpr std::size_t kMaxVarint = 10;
 
-std::uint8_t *
-putVarint(std::uint8_t *p, std::uint64_t v)
-{
-    while (v >= 0x80) {
-        *p++ = std::uint8_t(v) | 0x80;
-        v >>= 7;
-    }
-    *p++ = std::uint8_t(v);
-    return p;
-}
-
 /**
- * Encode @p inst into a stack buffer and append it with one insert.  A
- * full warp's lanes always fit; a wider lane list (which the parser
- * rejects) flushes the buffer as it goes.
+ * Encodes a trace body into a fixed buffer and hands each full buffer,
+ * and the rest at finish(), to @p Sink, called as sink(data, size).
+ * serialize appends the pieces behind the header and traceDigest only
+ * hashes them, so neither holds a second copy of the body.
  */
-void
-serializeInst(std::vector<std::uint8_t> &out, const WarpInst &inst)
+template <typename Sink>
+class BodyWriter
 {
-    std::uint8_t buf[1 + kMaxVarint * (kWarpLanes + 1)];
-    std::uint8_t *p = buf;
-    *p++ = std::uint8_t(inst.op);
+  public:
+    explicit BodyWriter(Sink sink) : sink_(std::move(sink)) {}
+
+    void
+    u8(std::uint8_t v)
+    {
+        room(1);
+        *p_++ = v;
+    }
+
+    void
+    u64Fixed(std::uint64_t v)
+    {
+        room(8);
+        putLittleEndian(p_, v, 8);
+        p_ += 8;
+    }
+
+    void
+    varint(std::uint64_t v)
+    {
+        room(kMaxVarint);
+        while (v >= 0x80) {
+            *p_++ = std::uint8_t(v) | 0x80;
+            v >>= 7;
+        }
+        *p_++ = std::uint8_t(v);
+    }
+
+    /** Hand the buffered bytes to the sink. */
+    void
+    finish()
+    {
+        sink_(buf_, std::size_t(p_ - buf_));
+        p_ = buf_;
+    }
+
+  private:
+    void
+    room(std::size_t n)
+    {
+        if (std::size_t(buf_ + sizeof(buf_) - p_) < n)
+            finish();
+    }
+
+    Sink sink_;
+    std::uint8_t buf_[16 * 1024];
+    std::uint8_t *p_ = buf_;
+};
+
+template <typename Sink>
+void
+serializeInst(BodyWriter<Sink> &w, const WarpInst &inst)
+{
+    w.u8(std::uint8_t(inst.op));
     switch (inst.op) {
       case WarpOp::kCompute:
       case WarpOp::kScratchLoad:
       case WarpOp::kScratchStore:
-        p = putVarint(p, inst.cycles);
+        w.varint(inst.cycles);
         break;
       case WarpOp::kBarrier:
         break;
       case WarpOp::kLoad:
       case WarpOp::kStore: {
         const std::vector<Vaddr> &lanes = inst.lane_addrs;
-        p = putVarint(p, lanes.size());
-        for (std::size_t i = 0; i < lanes.size(); ++i) {
-            if (std::size_t(buf + sizeof(buf) - p) < kMaxVarint) {
-                out.insert(out.end(), buf, p);
-                p = buf;
-            }
-            p = putVarint(p, i == 0 ? lanes[0]
-                                    : zigzag(std::int64_t(
-                                          lanes[i] - lanes[i - 1])));
-        }
+        w.varint(lanes.size());
+        for (std::size_t i = 0; i < lanes.size(); ++i)
+            w.varint(i == 0 ? lanes[0]
+                            : zigzag(std::int64_t(lanes[i] - lanes[i - 1])));
         break;
       }
     }
-    out.insert(out.end(), buf, p);
 }
 
 bool
@@ -270,39 +290,41 @@ parseInst(Cursor &c, WarpInst &inst)
     return c.ok();
 }
 
-/** Append the body of @p t to @p out. */
+/** Write the body of @p t through @p w, and finish it. */
+template <typename Sink>
 void
-serializeBody(const Trace &t, std::vector<std::uint8_t> &out)
+serializeBody(const Trace &t, BodyWriter<Sink> &w)
 {
-    putVarint(out, t.workload.size());
-    out.insert(out.end(), t.workload.begin(), t.workload.end());
+    w.varint(t.workload.size());
+    for (const char c : t.workload)
+        w.u8(std::uint8_t(c));
 
     std::uint64_t scale_bits;
     static_assert(sizeof(scale_bits) == sizeof(t.params.scale));
     std::memcpy(&scale_bits, &t.params.scale, sizeof(scale_bits));
-    putU64Fixed(out, scale_bits);
-    putVarint(out, t.params.seed);
-    putVarint(out, t.params.grid_warps);
-    out.push_back(std::uint8_t(t.params.graph));
+    w.u64Fixed(scale_bits);
+    w.varint(t.params.seed);
+    w.varint(t.params.grid_warps);
+    w.u8(std::uint8_t(t.params.graph));
 
-    putVarint(out, t.vm_ops.size());
+    w.varint(t.vm_ops.size());
     for (const VmOp &op : t.vm_ops) {
-        out.push_back(std::uint8_t(op.kind));
-        putVarint(out, op.asid);
-        putVarint(out, op.src_asid);
-        putVarint(out, op.base);
-        putVarint(out, op.bytes);
-        out.push_back(op.perms);
+        w.u8(std::uint8_t(op.kind));
+        w.varint(op.asid);
+        w.varint(op.src_asid);
+        w.varint(op.base);
+        w.varint(op.bytes);
+        w.u8(op.perms);
     }
 
-    putVarint(out, t.kernels.size());
+    w.varint(t.kernels.size());
     for (const TraceKernel &k : t.kernels) {
-        putVarint(out, k.asid);
-        putVarint(out, k.warps.size());
+        w.varint(k.asid);
+        w.varint(k.warps.size());
         for (const auto &warp : k.warps) {
-            putVarint(out, warp.size());
+            w.varint(warp.size());
             for (const WarpInst &inst : warp)
-                serializeInst(out, inst);
+                serializeInst(w, inst);
         }
     }
 
@@ -313,10 +335,10 @@ serializeBody(const Trace &t, std::vector<std::uint8_t> &out)
     // follows is unambiguous.
     const bool flagged = t.hasVmOpFlags();
     if (!t.boundaries.empty() || flagged) {
-        putVarint(out, t.boundaries.size());
+        w.varint(t.boundaries.size());
         for (const TraceBoundary &b : t.boundaries) {
-            putVarint(out, b.kernel);
-            out.push_back(b.policy);
+            w.varint(b.kernel);
+            w.u8(b.policy);
         }
     }
 
@@ -326,14 +348,15 @@ serializeBody(const Trace &t, std::vector<std::uint8_t> &out)
         for (const VmOp &op : t.vm_ops)
             if (op.flags)
                 ++count;
-        putVarint(out, count);
+        w.varint(count);
         for (std::size_t i = 0; i < t.vm_ops.size(); ++i) {
             if (t.vm_ops[i].flags) {
-                putVarint(out, i);
-                out.push_back(t.vm_ops[i].flags);
+                w.varint(i);
+                w.u8(t.vm_ops[i].flags);
             }
         }
     }
+    w.finish();
 }
 
 bool
@@ -487,23 +510,28 @@ setErr(std::string *err, const std::string &msg)
 std::uint64_t
 traceDigest(const Trace &trace)
 {
-    std::vector<std::uint8_t> body;
-    serializeBody(trace, body);
-    return fnv1a(body.data(), body.size());
+    std::uint64_t digest = kFnv1aBasis;
+    BodyWriter w([&digest](const std::uint8_t *p, std::size_t n) {
+        digest = fnv1a(p, n, digest);
+    });
+    serializeBody(trace, w);
+    return digest;
 }
 
 std::vector<std::uint8_t>
 TraceWriter::serialize(const Trace &trace)
 {
-    // The body is written after the header and digested in place.
-    std::vector<std::uint8_t> out(std::begin(kTraceMagic),
-                                  std::end(kTraceMagic));
-    putU32Fixed(out, trace.formatVersion());
-    putU64Fixed(out, 0);
-    serializeBody(trace, out);
-    const std::uint64_t digest = fnv1a(out.data() + 16, out.size() - 16);
-    for (std::size_t i = 0; i < 8; ++i)
-        out[8 + i] = std::uint8_t(digest >> (8 * i));
+    // The header's digest is stamped once the body behind it is written.
+    std::vector<std::uint8_t> out(16);
+    std::memcpy(out.data(), kTraceMagic, sizeof(kTraceMagic));
+    putLittleEndian(out.data() + 4, trace.formatVersion(), 4);
+    std::uint64_t digest = kFnv1aBasis;
+    BodyWriter w([&](const std::uint8_t *p, std::size_t n) {
+        digest = fnv1a(p, n, digest);
+        out.insert(out.end(), p, p + n);
+    });
+    serializeBody(trace, w);
+    putLittleEndian(out.data() + 8, digest, 8);
     return out;
 }
 
