@@ -78,16 +78,15 @@ captureKernels(std::vector<KernelLaunch> &launches, Trace &capture)
     capture.kernels.resize(launches.size());
     for (std::size_t ki = 0; ki < launches.size(); ++ki) {
         TraceKernel &kernel = capture.kernels[ki];
-        auto &warps = launches[ki].warps;
         kernel.asid = launches[ki].asid;
-        kernel.warps.reserve(warps.size());
-        for (auto &stream : warps)
+        kernel.warps.reserve(launches[ki].warps.size());
+        for (auto &stream : launches[ki].warps) {
             kernel.warps.push_back(stream->take());
-        // A non-owning pointer: the capture belongs to the caller.
-        for (std::size_t wi = 0; wi < warps.size(); ++wi)
-            warps[wi] = std::make_unique<VectorWarpStream>(
+            // A non-owning pointer: the capture belongs to the caller.
+            stream = std::make_unique<VectorWarpStream>(
                 VectorWarpStream::Insts(VectorWarpStream::Insts(),
-                                        &kernel.warps[wi]));
+                                        &kernel.warps.back()));
+        }
     }
 }
 
