@@ -152,7 +152,7 @@ class VectorWarpStream final : public WarpStream
         return cur_ != end_ ? cur_++ : nullptr;
     }
 
-    /** Moves an owned, unread vector out; copies a shared one. */
+    /** Moves an owned, unread vector out; copies a shared or started one. */
     std::vector<WarpInst>
     take() override
     {
