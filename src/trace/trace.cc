@@ -99,6 +99,20 @@ class Cursor
         return 0;
     }
 
+    /**
+     * An element count, @p field naming it.  Every element takes at
+     * least one body byte, so a count above the bytes left is corrupt,
+     * and is refused before anything is reserved for it.
+     */
+    std::uint64_t
+    count(const char *field)
+    {
+        const std::uint64_t n = varint(field);
+        if (ok_ && n > remaining())
+            fail(std::string(field) + " exceeds the bytes left");
+        return n;
+    }
+
     /** A varint that must fit in @p T; @p field names it. */
     template <typename T>
     T
@@ -377,7 +391,7 @@ parseBody(Cursor &c, Trace &t, std::uint32_t version)
     }
     t.params.graph = GraphKind(graph);
 
-    const std::uint64_t n_ops = c.varint("vm-op count");
+    const std::uint64_t n_ops = c.count("vm-op count");
     if (!c.ok())
         return false;
     t.vm_ops.clear();
@@ -402,7 +416,7 @@ parseBody(Cursor &c, Trace &t, std::uint32_t version)
         t.vm_ops.push_back(op);
     }
 
-    const std::uint64_t n_kernels = c.varint("kernel count");
+    const std::uint64_t n_kernels = c.count("kernel count");
     if (!c.ok())
         return false;
     t.kernels.clear();
@@ -410,12 +424,12 @@ parseBody(Cursor &c, Trace &t, std::uint32_t version)
     for (std::uint64_t ki = 0; ki < n_kernels; ++ki) {
         TraceKernel k;
         k.asid = c.varintAs<Asid>("kernel asid");
-        const std::uint64_t n_warps = c.varint("warp count");
+        const std::uint64_t n_warps = c.count("warp count");
         if (!c.ok())
             return false;
         k.warps.reserve(std::size_t(n_warps));
         for (std::uint64_t wi = 0; wi < n_warps; ++wi) {
-            const std::uint64_t n_insts = c.varint("instruction count");
+            const std::uint64_t n_insts = c.count("instruction count");
             if (!c.ok())
                 return false;
             std::vector<WarpInst> warp;
@@ -433,7 +447,7 @@ parseBody(Cursor &c, Trace &t, std::uint32_t version)
 
     t.boundaries.clear();
     if (version >= kTraceVersionScenario) {
-        const std::uint64_t n_bounds = c.varint("boundary count");
+        const std::uint64_t n_bounds = c.count("boundary count");
         if (!c.ok())
             return false;
         t.boundaries.reserve(std::size_t(n_bounds));

@@ -119,6 +119,58 @@ expectRejected(const std::vector<std::uint8_t> &bytes, const char *what)
     EXPECT_NE(err.find(what), std::string::npos) << err;
 }
 
+/** A hand-written trace body: varints and bytes, in file order. */
+struct BodyBytes
+{
+    std::vector<std::uint8_t> bytes;
+
+    BodyBytes &
+    varint(std::uint64_t v)
+    {
+        for (; v >= 0x80; v >>= 7)
+            bytes.push_back(std::uint8_t(v) | 0x80);
+        bytes.push_back(std::uint8_t(v));
+        return *this;
+    }
+
+    BodyBytes &
+    u8(std::uint8_t v)
+    {
+        bytes.push_back(v);
+        return *this;
+    }
+
+    /** Workload "t" with zero scale, seed and warps, and no vm ops
+     *  unless @p vm_ops says otherwise. */
+    static BodyBytes
+    header(std::uint64_t vm_ops = 0)
+    {
+        BodyBytes b;
+        b.varint(1).u8('t');
+        for (int i = 0; i < 8; ++i)
+            b.u8(0); // scale
+        b.varint(0).varint(0).u8(0); // seed, grid_warps, graph
+        b.varint(vm_ops);
+        return b;
+    }
+
+    /** The file image of this body as format @p version. */
+    std::vector<std::uint8_t>
+    file(std::uint32_t version = trace::kTraceVersion) const
+    {
+        std::vector<std::uint8_t> out = {'G', 'V', 'C', 'T'};
+        for (int i = 0; i < 4; ++i)
+            out.push_back(std::uint8_t(version >> (8 * i)));
+        out.resize(16);
+        out.insert(out.end(), bytes.begin(), bytes.end());
+        restampDigest(out);
+        return out;
+    }
+};
+
+/** A count no body holds, so large that reserving for it fails. */
+constexpr std::uint64_t kHugeCount = std::uint64_t{1} << 44;
+
 // ---------------------------------------------------------------------
 // Binary format
 // ---------------------------------------------------------------------
@@ -417,6 +469,67 @@ TEST(TraceFormat, RejectsAsidOutOfRange)
     auto bytes = TraceWriter::serialize(t);
     patchBody(bytes, {0xff, 0xff, 0x03}, {0xff, 0xff, 0x04});
     expectRejected(bytes, "vm-op asid out of range");
+}
+
+TEST(TraceFormat, BodyBytesBuildAnEmptyTrace)
+{
+    // The hand-written body the count tests start from parses as is.
+    Trace out;
+    std::string err;
+    const auto bytes = BodyBytes::header().varint(0).file();
+    ASSERT_TRUE(TraceReader::parse(bytes.data(), bytes.size(), out, &err))
+        << err;
+    EXPECT_EQ(out.workload, "t");
+    EXPECT_TRUE(out.kernels.empty());
+}
+
+// Each count is checked against the bytes left before anything is
+// reserved for it: a forged count is an error, not an allocation.
+
+TEST(TraceFormat, RejectsVmOpCountBeyondTheBody)
+{
+    expectRejected(BodyBytes::header(kHugeCount).file(),
+                   "vm-op count exceeds the bytes left");
+}
+
+TEST(TraceFormat, RejectsKernelCountBeyondTheBody)
+{
+    expectRejected(BodyBytes::header().varint(kHugeCount).file(),
+                   "kernel count exceeds the bytes left");
+}
+
+TEST(TraceFormat, RejectsWarpCountBeyondTheBody)
+{
+    expectRejected(
+        BodyBytes::header().varint(1).varint(0).varint(kHugeCount).file(),
+        "warp count exceeds the bytes left");
+}
+
+TEST(TraceFormat, RejectsInstructionCountBeyondTheBody)
+{
+    // One kernel of one warp, as a recorded trace would hold it.
+    expectRejected(BodyBytes::header()
+                       .varint(1)
+                       .varint(0)
+                       .varint(1)
+                       .varint(kHugeCount)
+                       .u8(std::uint8_t(WarpOp::kBarrier))
+                       .file(),
+                   "instruction count exceeds the bytes left");
+}
+
+TEST(TraceFormat, RejectsBoundaryCountBeyondTheBody)
+{
+    // Two kernels without warps, then the version-2 boundary section.
+    expectRejected(BodyBytes::header()
+                       .varint(2)
+                       .varint(0)
+                       .varint(0)
+                       .varint(0)
+                       .varint(0)
+                       .varint(kHugeCount)
+                       .file(trace::kTraceVersionScenario),
+                   "boundary count exceeds the bytes left");
 }
 
 TEST(TraceFormat, ReadFileReportsMissingFile)
