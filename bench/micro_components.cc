@@ -202,27 +202,27 @@ BENCHMARK(BM_CoalescerDivergent)->Arg(1024)->Arg(1 << 22);
 
 /**
  * Warp-stream drain cost, as the CU issue loop pays it on replay: each
- * next() hands out a pointer into one shared instruction vector, and
- * the loop reads the lanes in place.
+ * next() hands out a pointer into one shared warp, and the loop reads
+ * the packed lanes in place.
  */
 void
 BM_WarpStreamDrain(benchmark::State &state)
 {
     constexpr std::size_t kInsts = 256;
-    std::vector<WarpInst> warp;
+    WarpInsts warp;
     Rng rng(9);
     for (std::size_t i = 0; i < kInsts; ++i) {
         std::vector<Vaddr> lanes(kWarpLanes);
         for (auto &va : lanes)
             va = rng.below(1 << 22) * 4;
-        warp.push_back(WarpInst::load(std::move(lanes)));
+        warp.load(lanes);
     }
     const auto insts =
-        std::make_shared<const std::vector<WarpInst>>(std::move(warp));
+        std::make_shared<const WarpInsts>(std::move(warp));
     for (auto _ : state) {
         VectorWarpStream stream(insts);
         while (const WarpInst *inst = stream.next())
-            benchmark::DoNotOptimize(inst->lane_addrs.data());
+            benchmark::DoNotOptimize(inst->lane_addrs.bytes());
     }
     state.SetItemsProcessed(state.iterations() * kInsts);
 }

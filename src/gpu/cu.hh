@@ -353,8 +353,7 @@ class ComputeUnit
         // Reference into the coalescer's scratch: valid because nothing
         // below re-enters coalesce() — mem_.access completions arrive
         // through the event queue, never synchronously.
-        const auto &lines = coalescer_.coalesce(inst.lane_addrs.data(),
-                                                inst.lane_addrs.size());
+        const auto &lines = coalescer_.coalesce(inst.lane_addrs);
         if (lines.empty()) {
             s.ready_at = ctx_.now() + 1;
             return;

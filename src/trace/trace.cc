@@ -24,18 +24,6 @@ putLittleEndian(std::uint8_t *p, std::uint64_t v, std::size_t n)
         p[i] = std::uint8_t(v >> (8 * i));
 }
 
-std::uint64_t
-zigzag(std::int64_t v)
-{
-    return (std::uint64_t(v) << 1) ^ std::uint64_t(v >> 63);
-}
-
-std::int64_t
-unzigzag(std::uint64_t v)
-{
-    return std::int64_t(v >> 1) ^ -std::int64_t(v & 1);
-}
-
 /** Bounds-checked little-endian / varint cursor over a byte buffer. */
 class Cursor
 {
@@ -46,6 +34,8 @@ class Cursor
     }
 
     std::size_t remaining() const { return size_ - pos_; }
+    /** The next unread byte. */
+    const std::uint8_t *here() const { return data_ + pos_; }
     bool ok() const { return ok_; }
     const std::string &error() const { return err_; }
 
@@ -170,9 +160,6 @@ class Cursor
 
 // --- body ---------------------------------------------------------------
 
-/** Longest LEB128 encoding of a 64-bit value. */
-constexpr std::size_t kMaxVarint = 10;
-
 /**
  * Encodes a trace body into a fixed buffer and hands each full buffer,
  * and the rest at finish(), to @p Sink, called as sink(data, size).
@@ -203,12 +190,17 @@ class BodyWriter
     void
     varint(std::uint64_t v)
     {
-        room(kMaxVarint);
-        while (v >= 0x80) {
-            *p_++ = std::uint8_t(v) | 0x80;
-            v >>= 7;
-        }
-        *p_++ = std::uint8_t(v);
+        room(kMaxVarintBytes);
+        p_ = putVarint(p_, v);
+    }
+
+    /** @p n <= kMaxLaneBytes bytes as they are. */
+    void
+    bytes(const std::uint8_t *data, std::size_t n)
+    {
+        room(n);
+        std::memcpy(p_, data, n);
+        p_ += n;
     }
 
     /** Hand the buffered bytes to the sink. */
@@ -246,20 +238,24 @@ serializeInst(BodyWriter<Sink> &w, const WarpInst &inst)
       case WarpOp::kBarrier:
         break;
       case WarpOp::kLoad:
-      case WarpOp::kStore: {
-        const std::vector<Vaddr> &lanes = inst.lane_addrs;
-        w.varint(lanes.size());
-        for (std::size_t i = 0; i < lanes.size(); ++i)
-            w.varint(i == 0 ? lanes[0]
-                            : zigzag(std::int64_t(lanes[i] - lanes[i - 1])));
+      case WarpOp::kStore:
+        // The lanes are held in the body's own encoding.
+        w.varint(inst.lane_addrs.size());
+        w.bytes(inst.lane_addrs.bytes(), inst.lane_addrs.byteSize());
         break;
-      }
     }
 }
 
+/**
+ * Parse one instruction and append it to @p warp.  A load's or store's
+ * lanes are validated varint by varint and copied as they are; a lane
+ * varint padded with empty bytes is packed again canonically, so the
+ * parsed trace holds (and digests to) the bytes a writer would produce.
+ */
 bool
-parseInst(Cursor &c, WarpInst &inst)
+parseInst(Cursor &c, WarpInsts &warp)
 {
+    WarpInst inst;
     const std::uint8_t op = c.u8();
     if (!c.ok())
         return false;
@@ -268,8 +264,6 @@ parseInst(Cursor &c, WarpInst &inst)
         return false;
     }
     inst.op = WarpOp(op);
-    inst.cycles = 1;
-    inst.lane_addrs.clear();
     switch (inst.op) {
       case WarpOp::kCompute:
       case WarpOp::kScratchLoad:
@@ -287,21 +281,36 @@ parseInst(Cursor &c, WarpInst &inst)
             c.fail("lane count exceeds warp width");
             return false;
         }
-        inst.lane_addrs.reserve(std::size_t(lanes));
-        Vaddr prev = 0;
+        const std::uint8_t *const start = c.here();
+        std::uint64_t raw[kWarpLanes];
+        bool canonical = true;
         for (std::uint64_t i = 0; i < lanes; ++i) {
-            Vaddr va;
-            if (i == 0)
-                va = c.varint("lane address");
-            else
-                va = prev + Vaddr(unzigzag(c.varint("lane delta")));
-            inst.lane_addrs.push_back(va);
-            prev = va;
+            const std::uint8_t *const at = c.here();
+            raw[i] = c.varint(i == 0 ? "lane address" : "lane delta");
+            if (!c.ok())
+                return false;
+            // Only a one-byte varint may end in a zero byte.
+            if (c.here() - at > 1 && c.here()[-1] == 0)
+                canonical = false;
         }
+        std::uint8_t packed[kMaxLaneBytes];
+        const std::uint8_t *bytes = start;
+        std::size_t size = std::size_t(c.here() - start);
+        if (!canonical) {
+            std::uint8_t *p = packed;
+            for (std::uint64_t i = 0; i < lanes; ++i)
+                p = putVarint(p, raw[i]);
+            bytes = packed;
+            size = std::size_t(p - packed);
+        }
+        inst.lane_addrs = LaneView(bytes, std::size_t(lanes), size);
         break;
       }
     }
-    return c.ok();
+    if (!c.ok())
+        return false;
+    warp.add(inst);
+    return true;
 }
 
 /** Write the body of @p t through @p w, and finish it. */
@@ -335,7 +344,7 @@ serializeBody(const Trace &t, BodyWriter<Sink> &w)
     for (const TraceKernel &k : t.kernels) {
         w.varint(k.asid);
         w.varint(k.warps.size());
-        for (const auto &warp : k.warps) {
+        for (const WarpInsts &warp : k.warps) {
             w.varint(warp.size());
             for (const WarpInst &inst : warp)
                 serializeInst(w, inst);
@@ -376,6 +385,9 @@ serializeBody(const Trace &t, BodyWriter<Sink> &w)
 bool
 parseBody(Cursor &c, Trace &t, std::uint32_t version)
 {
+    // Each warp is parsed here, then copied out at its exact size: one
+    // instruction array and one lane arena per warp.
+    WarpInsts scratch;
     t.workload = c.str("workload name");
 
     const std::uint64_t scale_bits = c.u64Fixed();
@@ -432,15 +444,11 @@ parseBody(Cursor &c, Trace &t, std::uint32_t version)
             const std::uint64_t n_insts = c.count("instruction count");
             if (!c.ok())
                 return false;
-            std::vector<WarpInst> warp;
-            warp.reserve(std::size_t(n_insts));
-            for (std::uint64_t ii = 0; ii < n_insts; ++ii) {
-                WarpInst inst;
-                if (!parseInst(c, inst))
+            scratch.clear();
+            for (std::uint64_t ii = 0; ii < n_insts; ++ii)
+                if (!parseInst(c, scratch))
                     return false;
-                warp.push_back(std::move(inst));
-            }
-            k.warps.push_back(std::move(warp));
+            k.warps.push_back(scratch);
         }
         t.kernels.push_back(std::move(k));
     }

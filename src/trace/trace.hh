@@ -64,7 +64,9 @@
  *
  * Lane addresses are overwhelmingly small positive strides off the
  * previous lane, so zigzag delta coding shrinks the dominant payload
- * from 8 bytes to 1-2 bytes per lane.
+ * from 8 bytes to 1-2 bytes per lane.  A decoded trace keeps the lanes
+ * in these very bytes (gpu/warp_inst.hh's lane codec), so encoding
+ * copies them and decoding validates and copies them back.
  */
 
 #ifndef GVC_TRACE_TRACE_HH
@@ -97,7 +99,7 @@ inline constexpr char kTraceMagic[4] = {'G', 'V', 'C', 'T'};
 struct TraceKernel
 {
     Asid asid = 0;
-    std::vector<std::vector<WarpInst>> warps;
+    std::vector<WarpInsts> warps;
 };
 
 /**
@@ -187,7 +189,8 @@ class TraceReader
   public:
     /**
      * Parse a full file image.  Validates magic, version, digest, enum
-     * ranges, lane counts, and that the body is exactly consumed.
+     * ranges, lane counts and lane varints, that no count exceeds the
+     * bytes left, and that the body is exactly consumed.
      * @return false (with @p err filled when non-null) on any defect.
      */
     static bool parse(const std::uint8_t *data, std::size_t size,

@@ -649,11 +649,11 @@ class FwWorkload final : public Workload
                         kj.push_back(dist_.at(std::uint64_t(j) * n_ + k));
                         ij.push_back(dist_.at(std::uint64_t(j) * n_ + i));
                     }
-                    kb.add(w, WarpInst::load(std::move(ik)));
-                    kb.add(w, WarpInst::load(std::move(kj)));
-                    kb.add(w, WarpInst::load(ij));
+                    kb.load(w, ik);
+                    kb.load(w, kj);
+                    kb.load(w, ij);
                     kb.compute(w, 2);
-                    kb.add(w, WarpInst::store(std::move(ij)));
+                    kb.store(w, ij);
                 });
             launches.push_back(kb.take());
         }

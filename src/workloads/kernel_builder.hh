@@ -19,7 +19,7 @@
 namespace gvc
 {
 
-/** Accumulates per-warp instruction vectors and emits a KernelLaunch. */
+/** Accumulates per-warp instructions and emits a KernelLaunch. */
 class KernelBuilder
 {
   public:
@@ -30,11 +30,18 @@ class KernelBuilder
 
     unsigned numWarps() const { return unsigned(warps_.size()); }
 
-    /** Append an instruction to warp @p w. */
+    /** Append a load of the lane addresses @p addrs to warp @p w. */
     void
-    add(unsigned w, WarpInst inst)
+    load(unsigned w, const std::vector<Vaddr> &addrs)
     {
-        warps_[w].push_back(std::move(inst));
+        warps_[w].load(addrs);
+    }
+
+    /** Append a store to the lane addresses @p addrs to warp @p w. */
+    void
+    store(unsigned w, const std::vector<Vaddr> &addrs)
+    {
+        warps_[w].store(addrs);
     }
 
     /** Append a coalesced load of @p lanes consecutive elements. */
@@ -42,7 +49,7 @@ class KernelBuilder
     loadSeq(unsigned w, const DevArray &arr, std::uint64_t first,
             unsigned lanes)
     {
-        add(w, WarpInst::load(seqAddrs(arr, first, lanes)));
+        load(w, seqAddrs(arr, first, lanes));
     }
 
     /** Append a coalesced store of @p lanes consecutive elements. */
@@ -50,7 +57,7 @@ class KernelBuilder
     storeSeq(unsigned w, const DevArray &arr, std::uint64_t first,
              unsigned lanes)
     {
-        add(w, WarpInst::store(seqAddrs(arr, first, lanes)));
+        store(w, seqAddrs(arr, first, lanes));
     }
 
     /** Append a gather load of @p arr at the given indices. */
@@ -59,7 +66,7 @@ class KernelBuilder
                const std::vector<std::uint32_t> &idx)
     {
         if (!idx.empty())
-            add(w, WarpInst::load(gatherAddrs(arr, idx)));
+            load(w, gatherAddrs(arr, idx));
     }
 
     /** Append a scatter store of @p arr at the given indices. */
@@ -68,20 +75,20 @@ class KernelBuilder
                  const std::vector<std::uint32_t> &idx)
     {
         if (!idx.empty())
-            add(w, WarpInst::store(gatherAddrs(arr, idx)));
+            store(w, gatherAddrs(arr, idx));
     }
 
     void compute(unsigned w, std::uint32_t cycles)
     {
-        add(w, WarpInst::compute(cycles));
+        warps_[w].add(WarpInst::compute(cycles));
     }
 
     void scratch(unsigned w, bool is_store)
     {
-        add(w, WarpInst::scratch(is_store));
+        warps_[w].add(WarpInst::scratch(is_store));
     }
 
-    void barrier(unsigned w) { add(w, WarpInst::barrier()); }
+    void barrier(unsigned w) { warps_[w].add(WarpInst::barrier()); }
 
     /** Barrier on every warp (tiled kernels). */
     void
@@ -101,15 +108,19 @@ class KernelBuilder
         return n;
     }
 
-    /** Move the accumulated streams into a launch (builder is spent). */
+    /**
+     * Move the accumulated streams into a launch (builder is spent),
+     * each warp trimmed to its exact size first.
+     */
     KernelLaunch
     take()
     {
         KernelLaunch launch;
         launch.asid = asid_;
         launch.warps.reserve(warps_.size());
-        for (auto &insts : warps_) {
+        for (WarpInsts &insts : warps_) {
             if (!insts.empty()) {
+                insts.shrinkToFit();
                 launch.warps.push_back(
                     std::make_unique<VectorWarpStream>(std::move(insts)));
             }
@@ -140,7 +151,7 @@ class KernelBuilder
 
   private:
     Asid asid_;
-    std::vector<std::vector<WarpInst>> warps_;
+    std::vector<WarpInsts> warps_;
 };
 
 /**

@@ -56,7 +56,7 @@ class KmeansWorkload final : public Workload
                         for (unsigned l = 0; l < lanes; ++l)
                             addrs.push_back(features_.at(
                                 (first + l) * kDims + d));
-                        kb.add(w, WarpInst::load(std::move(addrs)));
+                        kb.load(w, addrs);
                     }
                     // Centroid table: one hot line set, always cached.
                     kb.loadSeq(w, centroids_, 0, kClusters);
@@ -299,7 +299,7 @@ class LudWorkload final : public Workload
                 addrs.push_back(a_.at(
                     std::uint64_t(ti * kTile + l) * n_ + tj * kTile + c));
             }
-            kb.add(w, WarpInst::load(std::move(addrs)));
+            kb.load(w, addrs);
         }
         kb.compute(w, 4);
     }
@@ -365,8 +365,8 @@ class NwWorkload final : public Workload
             top.push_back(score_.at(std::uint64_t(ti * kTile) * n_ +
                                     tj * kTile + l));
         }
-        kb.add(w, WarpInst::load(std::move(left)));
-        kb.add(w, WarpInst::load(std::move(top)));
+        kb.load(w, left);
+        kb.load(w, top);
         // Reference tile rows, coalesced.
         for (unsigned r = 0; r < 4; ++r) {
             kb.loadSeq(w, ref_,
@@ -384,7 +384,7 @@ class NwWorkload final : public Workload
             out.push_back(score_.at(std::uint64_t(ti * kTile + l) * n_ +
                                     (tj + 1) * kTile - 1));
         }
-        kb.add(w, WarpInst::store(std::move(out)));
+        kb.store(w, out);
     }
 
     unsigned n_ = 0;

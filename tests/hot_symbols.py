@@ -25,6 +25,9 @@ import sys
 FUNCTIONS = [
     ("ComputeUnit::tryIssue", r"gvc::ComputeUnit::tryIssue\(\)"),
     ("ComputeUnit::issueGlobal", r"gvc::ComputeUnit::issueGlobal\(.*\)"),
+    ("Coalescer::coalesce(LaneView)",
+     r"(.* )?gvc::Coalescer::(coalesce|dedupe<gvc::LaneView>)"
+     r"\(gvc::LaneView const&\)"),
     ("VectorWarpStream::next", r"gvc::VectorWarpStream::next\(\)"),
     ("PhysCaches::l1Access", r"gvc::PhysCaches::l1Access\(.*\)"),
     ("PhysCaches::l2Arrive", r"gvc::PhysCaches::l2Arrive\(.*\)"),

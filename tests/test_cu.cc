@@ -113,8 +113,8 @@ TEST_F(CuTest, ZeroWarpKernelIsSynchronousAndClockNeutral)
 
     // A real launch afterwards still works (no stuck completion state).
     KernelLaunch k;
-    std::vector<WarpInst> insts;
-    insts.push_back(WarpInst::compute(3));
+    WarpInsts insts;
+    insts.add(WarpInst::compute(3));
     k.warps.push_back(
         std::make_unique<VectorWarpStream>(std::move(insts)));
     run(std::move(k));
@@ -125,9 +125,9 @@ TEST_F(CuTest, ZeroWarpKernelIsSynchronousAndClockNeutral)
 TEST_F(CuTest, LoadIsCoalescedAndBlocksWarp)
 {
     KernelLaunch k;
-    std::vector<WarpInst> insts;
-    insts.push_back(WarpInst::load(lanesAt(0x1000, 32)));
-    insts.push_back(WarpInst::compute(1));
+    WarpInsts insts;
+    insts.load(lanesAt(0x1000, 32));
+    insts.add(WarpInst::compute(1));
     k.warps.push_back(
         std::make_unique<VectorWarpStream>(std::move(insts)));
     run(std::move(k));
@@ -143,7 +143,7 @@ TEST_F(CuTest, DivergentLoadEmitsOneRequestPerLine)
     for (unsigned l = 0; l < 16; ++l)
         lanes.push_back(std::uint64_t(l) * kPageSize);
     k.warps.push_back(std::make_unique<VectorWarpStream>(
-        std::vector<WarpInst>{WarpInst::load(lanes)}));
+        WarpInsts().load(lanes)));
     run(std::move(k));
     EXPECT_EQ(mem_.requests.size(), 16u);
 }
@@ -153,10 +153,9 @@ TEST_F(CuTest, StoresDoNotBlockTheWarp)
     // A warp issuing N stores then one compute finishes long before
     // N*latency (stores are fire-and-forget).
     KernelLaunch k;
-    std::vector<WarpInst> insts;
+    WarpInsts insts;
     for (int i = 0; i < 8; ++i)
-        insts.push_back(
-            WarpInst::store({Vaddr(0x1000 + i * kLineSize)}));
+        insts.store({Vaddr(0x1000 + i * kLineSize)});
     k.warps.push_back(
         std::make_unique<VectorWarpStream>(std::move(insts)));
     const Tick end = run(std::move(k));
@@ -171,10 +170,9 @@ TEST_F(CuTest, WarpsHideEachOthersLatency)
     auto make_kernel = [&](unsigned warps, unsigned loads_per_warp) {
         KernelLaunch k;
         for (unsigned w = 0; w < warps; ++w) {
-            std::vector<WarpInst> insts;
+            WarpInsts insts;
             for (unsigned i = 0; i < loads_per_warp; ++i)
-                insts.push_back(WarpInst::load(
-                    {Vaddr((w * 100 + i) * kLineSize)}));
+                insts.load({Vaddr((w * 100 + i) * kLineSize)});
             k.warps.push_back(std::make_unique<VectorWarpStream>(
                 std::move(insts)));
         }
@@ -195,7 +193,7 @@ TEST_F(CuTest, ComputeOccupiesWarpForItsCycles)
 {
     KernelLaunch k;
     k.warps.push_back(std::make_unique<VectorWarpStream>(
-        std::vector<WarpInst>{WarpInst::compute(500)}));
+        WarpInsts().add(WarpInst::compute(500))));
     const Tick end = run(std::move(k));
     EXPECT_GE(end, 500u);
 }
@@ -204,8 +202,9 @@ TEST_F(CuTest, ScratchpadGeneratesNoGlobalTraffic)
 {
     KernelLaunch k;
     k.warps.push_back(std::make_unique<VectorWarpStream>(
-        std::vector<WarpInst>{WarpInst::scratch(false),
-                              WarpInst::scratch(true)}));
+        WarpInsts()
+            .add(WarpInst::scratch(false))
+            .add(WarpInst::scratch(true))));
     run(std::move(k));
     EXPECT_EQ(mem_.requests.size(), 0u);
 }
@@ -219,16 +218,17 @@ TEST_F(CuTest, BarrierSynchronizesWarps)
     // warps at even indices).
     KernelLaunch k;
     k.warps.push_back(std::make_unique<VectorWarpStream>(
-        std::vector<WarpInst>{WarpInst::compute(300),
-                              WarpInst::barrier(),
-                              WarpInst::load({0x10000})}));
+        WarpInsts()
+            .add(WarpInst::compute(300))
+            .add(WarpInst::barrier())
+            .load({0x10000})));
     k.warps.push_back(std::make_unique<VectorWarpStream>(
-        std::vector<WarpInst>{WarpInst::compute(300),
-                              WarpInst::barrier(),
-                              WarpInst::load({0x20000})}));
+        WarpInsts()
+            .add(WarpInst::compute(300))
+            .add(WarpInst::barrier())
+            .load({0x20000})));
     k.warps.push_back(std::make_unique<VectorWarpStream>(
-        std::vector<WarpInst>{WarpInst::barrier(),
-                              WarpInst::load({0x30000})}));
+        WarpInsts().add(WarpInst::barrier()).load({0x30000})));
     run(std::move(k));
     // Warps 0 and 2 share CU 0; warp 1 is alone on CU 1 and its barrier
     // releases immediately.  The loads of warps 0 and 2 issue only
@@ -246,9 +246,9 @@ TEST_F(CuTest, MoreWarpsThanSlotsDrainsEventually)
     KernelLaunch k;
     for (int w = 0; w < 20; ++w) { // > 2 CUs * 4 slots
         k.warps.push_back(std::make_unique<VectorWarpStream>(
-            std::vector<WarpInst>{
-                WarpInst::load({Vaddr(w) * kPageSize}),
-                WarpInst::compute(3)}));
+            WarpInsts()
+                .load({Vaddr(w) * kPageSize})
+                .add(WarpInst::compute(3))));
     }
     run(std::move(k));
     EXPECT_EQ(mem_.requests.size(), 20u);
@@ -265,9 +265,9 @@ TEST_F(CuTest, StoreQueueCapStallsIssue)
     FakeMem mem(ctx, /*latency=*/1000);
     Gpu gpu(ctx, p, mem);
     KernelLaunch k;
-    std::vector<WarpInst> insts;
+    WarpInsts insts;
     for (int i = 0; i < 12; ++i)
-        insts.push_back(WarpInst::store({Vaddr(i) * kLineSize}));
+        insts.store({Vaddr(i) * kLineSize});
     k.warps.push_back(
         std::make_unique<VectorWarpStream>(std::move(insts)));
     bool done = false;
@@ -284,8 +284,7 @@ TEST_F(CuTest, SequentialKernelLaunches)
     for (int i = 0; i < 3; ++i) {
         KernelLaunch k;
         k.warps.push_back(std::make_unique<VectorWarpStream>(
-            std::vector<WarpInst>{
-                WarpInst::load({Vaddr(i) * kPageSize})}));
+            WarpInsts().load({Vaddr(i) * kPageSize})));
         run(std::move(k));
     }
     EXPECT_EQ(gpu_.kernelsLaunched(), 3u);
@@ -297,7 +296,7 @@ TEST_F(CuTest, PerAsidRequestsCarryAsid)
     KernelLaunch k;
     k.asid = 7;
     k.warps.push_back(std::make_unique<VectorWarpStream>(
-        std::vector<WarpInst>{WarpInst::load({0x4000})}));
+        WarpInsts().load({0x4000})));
     run(std::move(k));
     ASSERT_EQ(mem_.requests.size(), 1u);
     EXPECT_EQ(mem_.requests[0].asid, 7u);
@@ -403,21 +402,20 @@ issueOrderDigest(WarpSchedPolicy sched, unsigned slots)
     Rng rng(slots * 7 + unsigned(sched));
     KernelLaunch k;
     for (unsigned w = 0; w < 3 * slots; ++w) {
-        std::vector<WarpInst> insts;
+        WarpInsts insts;
         for (int i = 0; i < 24; ++i) {
             if (i == 12)
-                insts.push_back(WarpInst::barrier());
+                insts.add(WarpInst::barrier());
             const auto op = rng.below(8);
             const Vaddr line = (w * 64 + rng.below(64)) * kLineSize;
             if (op < 3)
-                insts.push_back(WarpInst::compute(1 + rng.below(12)));
+                insts.add(WarpInst::compute(1 + rng.below(12)));
             else if (op < 4)
-                insts.push_back(WarpInst::scratch(rng.chance(0.5)));
+                insts.add(WarpInst::scratch(rng.chance(0.5)));
             else if (op < 6)
-                insts.push_back(WarpInst::load(
-                    {line, line + kLineSize * rng.below(3)}));
+                insts.load({line, line + kLineSize * rng.below(3)});
             else
-                insts.push_back(WarpInst::store({line}));
+                insts.store({line});
         }
         k.warps.push_back(
             std::make_unique<VectorWarpStream>(std::move(insts)));

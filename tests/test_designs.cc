@@ -320,11 +320,10 @@ TEST(WarpSched, GtoPrefersOneWarpUntilItStalls)
     // warp 0 runs all its computes before warp 1 issues anything.
     KernelLaunch k;
     for (unsigned w = 0; w < 2; ++w) {
-        std::vector<WarpInst> insts;
+        WarpInsts insts;
         for (int i = 0; i < 3; ++i)
-            insts.push_back(WarpInst::compute(1));
-        insts.push_back(
-            WarpInst::load({Vaddr(0x1000 * (w + 1))}));
+            insts.add(WarpInst::compute(1));
+        insts.load({Vaddr(0x1000 * (w + 1))});
         k.warps.push_back(
             std::make_unique<VectorWarpStream>(std::move(insts)));
     }
@@ -350,11 +349,10 @@ TEST(WarpSched, BothPoliciesCompleteIdenticalWork)
         Gpu gpu(ctx, p, mem);
         KernelLaunch k;
         for (unsigned w = 0; w < 12; ++w) {
-            std::vector<WarpInst> insts;
-            insts.push_back(WarpInst::load({Vaddr(w) * kPageSize}));
-            insts.push_back(WarpInst::compute(4));
-            insts.push_back(
-                WarpInst::store({Vaddr(w) * kPageSize + 64}));
+            WarpInsts insts;
+            insts.load({Vaddr(w) * kPageSize});
+            insts.add(WarpInst::compute(4));
+            insts.store({Vaddr(w) * kPageSize + 64});
             k.warps.push_back(
                 std::make_unique<VectorWarpStream>(std::move(insts)));
         }

@@ -100,9 +100,9 @@ TEST(GpuAggregates, SumAcrossCus)
     Gpu gpu(ctx, p, mem);
     KernelLaunch k;
     for (int w = 0; w < 8; ++w) {
-        std::vector<WarpInst> insts;
-        insts.push_back(WarpInst::load({Vaddr(w) * kPageSize}));
-        insts.push_back(WarpInst::compute(2));
+        WarpInsts insts;
+        insts.load({Vaddr(w) * kPageSize});
+        insts.add(WarpInst::compute(2));
         k.warps.push_back(
             std::make_unique<VectorWarpStream>(std::move(insts)));
     }

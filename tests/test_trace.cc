@@ -21,6 +21,7 @@
 #include "sim/bytes.hh"
 #include "trace/kernel_source.hh"
 #include "trace/trace.hh"
+#include "workloads/registry.hh"
 
 namespace gvc
 {
@@ -62,13 +63,13 @@ sampleTrace()
 
     trace::TraceKernel k;
     k.asid = 0;
-    std::vector<WarpInst> warp;
-    warp.push_back(WarpInst::compute(17));
-    warp.push_back(WarpInst::load({0x1000, 0x1004, 0x1008, 0x2000}));
-    warp.push_back(WarpInst::store({0x9000, 0x8000})); // negative delta
-    warp.push_back(WarpInst::scratch(false));
-    warp.push_back(WarpInst::barrier());
-    warp.push_back(WarpInst::load({0xffff'ffff'f000ull})); // 1 lane
+    WarpInsts warp;
+    warp.add(WarpInst::compute(17));
+    warp.load({0x1000, 0x1004, 0x1008, 0x2000});
+    warp.store({0x9000, 0x8000}); // negative delta
+    warp.add(WarpInst::scratch(false));
+    warp.add(WarpInst::barrier());
+    warp.load({0xffff'ffff'f000ull}); // 1 lane
     k.warps.push_back(std::move(warp));
     k.warps.emplace_back(); // empty warp stream
     t.kernels.push_back(std::move(k));
@@ -408,15 +409,56 @@ TEST(TraceFormat, RejectsTruncatedBody)
 
 TEST(TraceFormat, RejectsOverwideLaneCount)
 {
-    Trace t = sampleTrace();
-    std::vector<Vaddr> lanes(kWarpLanes + 1, 0x4000);
-    t.kernels[0].warps[0].push_back(WarpInst::load(lanes));
-    const auto bytes = TraceWriter::serialize(t);
-    Trace out;
+    // One load of kWarpLanes + 1 lanes, all at 0x4000.
+    BodyBytes b = BodyBytes::header();
+    b.varint(1).varint(0).varint(1).varint(1);
+    b.u8(std::uint8_t(WarpOp::kLoad)).varint(kWarpLanes + 1).varint(0x4000);
+    for (unsigned l = 1; l <= kWarpLanes; ++l)
+        b.u8(0);
+    expectRejected(b.file(), "lane count exceeds warp width");
+}
+
+/** The bytes of sampleTrace()'s first load, from its op byte on. */
+const std::vector<std::uint8_t> kSampleLoad = {
+    std::uint8_t(WarpOp::kLoad), 4, 0x80, 0x20, 8, 8, 0xf0, 0x3f};
+
+TEST(TraceFormat, RepacksAPaddedLaneVarintCanonically)
+{
+    // Pad the lane delta 8 to three bytes (88 80 00): a reader may meet
+    // such a varint, and must hold and digest what a writer would.
+    const Trace t = sampleTrace();
+    const auto canonical = TraceWriter::serialize(t);
+    auto bytes = canonical;
+    const auto at = std::search(bytes.begin() + 16, bytes.end(),
+                                kSampleLoad.begin(), kSampleLoad.end());
+    ASSERT_NE(at, bytes.end());
+    at[4] = 0x88;
+    bytes.insert(at + 5, {0x80, 0x00});
+    restampDigest(bytes);
+
+    Trace parsed;
     std::string err;
-    EXPECT_FALSE(TraceReader::parse(bytes.data(), bytes.size(), out,
-                                    &err));
-    EXPECT_NE(err.find("lane count"), std::string::npos) << err;
+    ASSERT_TRUE(TraceReader::parse(bytes.data(), bytes.size(), parsed,
+                                   &err))
+        << err;
+    const LaneView lanes = parsed.kernels[0].warps[0][1].lane_addrs;
+    EXPECT_EQ(std::vector<Vaddr>(lanes.begin(), lanes.end()),
+              (std::vector<Vaddr>{0x1000, 0x1004, 0x1008, 0x2000}));
+    EXPECT_EQ(lanes, t.kernels[0].warps[0][1].lane_addrs);
+    EXPECT_EQ(TraceWriter::serialize(parsed), canonical);
+    EXPECT_EQ(trace::traceDigest(parsed), trace::traceDigest(t));
+}
+
+TEST(TraceFormat, RejectsLaneVarintOverflowingU64)
+{
+    // The first lane address as ten bytes whose last carries bit 64.
+    BodyBytes b = BodyBytes::header();
+    b.varint(1).varint(0).varint(1).varint(1);
+    b.u8(std::uint8_t(WarpOp::kStore)).varint(1);
+    for (int i = 0; i < 9; ++i)
+        b.u8(0x80);
+    b.u8(0x02);
+    expectRejected(b.file(), "lane address overflows 64 bits");
 }
 
 TEST(TraceFormat, RejectsVarintOverflowingU64)
@@ -443,7 +485,7 @@ TEST(TraceFormat, RejectsCyclesOutOfRange)
 {
     // 0xffffffff cycles is ff ff ff ff 0f; 1f makes it 2^33 - 1.
     Trace t = sampleTrace();
-    t.kernels[0].warps[0][0] = WarpInst::compute(0xffff'ffffu);
+    t.kernels[0].warps[0] = WarpInsts().add(WarpInst::compute(0xffff'ffffu));
     auto bytes = TraceWriter::serialize(t);
     patchBody(bytes, {0xff, 0xff, 0xff, 0xff, 0x0f},
               {0xff, 0xff, 0xff, 0xff, 0x1f});
@@ -552,29 +594,29 @@ TEST(TraceFormat, ReadFileReportsMissingFile)
  */
 TEST(TraceStreams, CaptureTakesEachWarpAndReadsItInPlace)
 {
-    std::vector<WarpInst> insts;
-    insts.push_back(WarpInst::compute(5));
-    insts.push_back(WarpInst::load({0x100, 0x104}));
-    insts.push_back(WarpInst::store({0x900}));
-    const WarpInst *built = insts.data();
-    const Vaddr *lanes = insts[1].lane_addrs.data();
+    WarpInsts insts;
+    insts.add(WarpInst::compute(5));
+    insts.load({0x100, 0x104});
+    insts.store({0x900});
+    const WarpInst *built = insts.begin();
+    const std::uint8_t *lanes = insts[1].lane_addrs.bytes();
 
     std::vector<KernelLaunch> launches(1);
     launches[0].asid = 3;
     launches[0].warps.push_back(
         std::make_unique<VectorWarpStream>(std::move(insts)));
     launches[0].warps.push_back(
-        std::make_unique<VectorWarpStream>(std::vector<WarpInst>{}));
+        std::make_unique<VectorWarpStream>(WarpInsts()));
 
     Trace capture;
     trace::captureKernels(launches, capture);
     ASSERT_EQ(capture.kernels.size(), 1u);
     EXPECT_EQ(capture.kernels[0].asid, 3u);
     ASSERT_EQ(capture.kernels[0].warps.size(), 2u);
-    const std::vector<WarpInst> &warp = capture.kernels[0].warps[0];
+    const WarpInsts &warp = capture.kernels[0].warps[0];
     ASSERT_EQ(warp.size(), 3u);
-    EXPECT_EQ(warp.data(), built); // moved, not copied
-    EXPECT_EQ(warp[1].lane_addrs.data(), lanes);
+    EXPECT_EQ(warp.begin(), built); // moved, not copied
+    EXPECT_EQ(warp[1].lane_addrs.bytes(), lanes);
     EXPECT_EQ(warp[0].cycles, 5u);
     EXPECT_EQ(warp[2].op, WarpOp::kStore);
     EXPECT_TRUE(capture.kernels[0].warps[1].empty());
@@ -588,33 +630,108 @@ TEST(TraceStreams, CaptureTakesEachWarpAndReadsItInPlace)
 }
 
 /** take() copies what the stream does not own alone, or has begun. */
+/** True when every view of @p warp lies in its own arena, back to back
+ *  from its start, and that arena is exactly sized. */
+::testing::AssertionResult
+packedInPlace(const WarpInsts &warp)
+{
+    const std::vector<std::uint8_t> &arena = warp.arena();
+    if (arena.capacity() != arena.size() || warp.capacity() != warp.size())
+        return ::testing::AssertionFailure() << "growth slack left";
+    std::size_t offset = 0;
+    for (const WarpInst &inst : warp) {
+        if (inst.lane_addrs.empty())
+            continue;
+        if (inst.lane_addrs.bytes() != arena.data() + offset)
+            return ::testing::AssertionFailure()
+                   << "a view outside its warp's arena at " << offset;
+        offset += inst.lane_addrs.byteSize();
+    }
+    if (offset != arena.size())
+        return ::testing::AssertionFailure() << "arena holds stray bytes";
+    return ::testing::AssertionSuccess();
+}
+
+/** take() copies what the stream does not own alone, or has begun. */
 TEST(TraceStreams, TakeCopiesASharedOrStartedStream)
 {
-    const auto shared = std::make_shared<const std::vector<WarpInst>>(
-        std::vector<WarpInst>{WarpInst::compute(2),
-                              WarpInst::load({0x40, 0x48})});
+    const auto shared = std::make_shared<const WarpInsts>(
+        WarpInsts().add(WarpInst::compute(2)).load({0x40, 0x48}));
     VectorWarpStream replay(shared);
-    const std::vector<WarpInst> copy = replay.take();
+    const WarpInsts copy = replay.take();
     ASSERT_EQ(copy.size(), 2u);
-    EXPECT_NE(copy.data(), shared->data());
+    EXPECT_NE(copy.begin(), shared->begin());
     EXPECT_EQ(copy[1].lane_addrs, (*shared)[1].lane_addrs);
+    EXPECT_TRUE(packedInPlace(copy)); // views into the copy, not *shared
     EXPECT_EQ(shared->size(), 2u);
     EXPECT_EQ(replay.next(), nullptr);
 
-    VectorWarpStream started(
-        {WarpInst::compute(1), WarpInst::barrier(), WarpInst::compute(7)});
+    VectorWarpStream started(WarpInsts()
+                                 .load({0x10, 0x90})
+                                 .add(WarpInst::barrier())
+                                 .store({0x7000, 0x100})
+                                 .add(WarpInst::compute(7)));
     ASSERT_NE(started.next(), nullptr);
-    const std::vector<WarpInst> rest = started.take();
-    ASSERT_EQ(rest.size(), 2u);
+    const WarpInsts rest = started.take();
+    ASSERT_EQ(rest.size(), 3u);
     EXPECT_EQ(rest[0].op, WarpOp::kBarrier);
-    EXPECT_EQ(rest[1].cycles, 7u);
+    const LaneView stored = rest[1].lane_addrs;
+    EXPECT_EQ(std::vector<Vaddr>(stored.begin(), stored.end()),
+              (std::vector<Vaddr>{0x7000, 0x100}));
+    EXPECT_EQ(rest[2].cycles, 7u);
+    EXPECT_TRUE(packedInPlace(rest)); // only the unread lanes, copied
     EXPECT_EQ(started.next(), nullptr);
     EXPECT_TRUE(started.take().empty());
 }
 
+/** A copied trace reads its own lanes: the original can go first. */
+TEST(TraceStreams, CopiedTraceViewsItsOwnArenas)
+{
+    auto original = std::make_unique<Trace>(sampleScenarioTrace());
+    const auto bytes = TraceWriter::serialize(*original);
+    const Trace copy = *original;
+    for (const trace::TraceKernel &k : copy.kernels)
+        for (const WarpInsts &warp : k.warps)
+            EXPECT_TRUE(packedInPlace(warp));
+    original.reset();
+    EXPECT_EQ(TraceWriter::serialize(copy), bytes);
+}
+
+/**
+ * Every workload's capture, and its decode, holds each warp as one
+ * exactly sized instruction array and one exactly sized lane arena that
+ * its views fill back to back: no per-instruction allocation, no slack.
+ */
+TEST(TraceStreams, CaptureAndDecodePackEveryWarpExactly)
+{
+    std::vector<std::string> names = allWorkloadNames();
+    for (const std::string &name : extraWorkloadNames())
+        names.push_back(name);
+    for (const std::string &name : names) {
+        const Trace captured =
+            trace::captureWorkloadTrace(name, tinyParams());
+        const auto bytes = TraceWriter::serialize(captured);
+        Trace parsed;
+        std::string err;
+        ASSERT_TRUE(TraceReader::parse(bytes.data(), bytes.size(), parsed,
+                                       &err))
+            << name << ": " << err;
+        std::uint64_t mem_insts = 0;
+        for (const Trace *t : std::vector<const Trace *>{&captured, &parsed})
+            for (const trace::TraceKernel &k : t->kernels)
+                for (const WarpInsts &warp : k.warps) {
+                    ASSERT_TRUE(packedInPlace(warp)) << name;
+                    for (const WarpInst &inst : warp)
+                        mem_insts += inst.isGlobalMem();
+                }
+        EXPECT_GT(mem_insts, 0u) << name;
+    }
+}
+
 TEST(TraceStreams, VectorStreamEndIsSticky)
 {
-    VectorWarpStream stream({WarpInst::compute(3), WarpInst::barrier()});
+    VectorWarpStream stream(
+        WarpInsts().add(WarpInst::compute(3)).add(WarpInst::barrier()));
     const WarpInst *first = stream.next();
     ASSERT_NE(first, nullptr);
     EXPECT_EQ(first->op, WarpOp::kCompute);
@@ -625,7 +742,7 @@ TEST(TraceStreams, VectorStreamEndIsSticky)
     for (int i = 0; i < 3; ++i)
         EXPECT_EQ(stream.next(), nullptr);
 
-    VectorWarpStream empty(std::vector<WarpInst>{});
+    VectorWarpStream empty{WarpInsts()};
     EXPECT_EQ(empty.next(), nullptr);
     EXPECT_EQ(empty.next(), nullptr);
 }
@@ -633,7 +750,7 @@ TEST(TraceStreams, VectorStreamEndIsSticky)
 TEST(TraceStreams, ReplayReadsTheTraceInPlace)
 {
     auto t = std::make_shared<Trace>(sampleTrace());
-    const std::vector<WarpInst> &warp = t->kernels[0].warps[0];
+    const WarpInsts &warp = t->kernels[0].warps[0];
     auto launches = trace::TraceKernelSource(t).kernels();
     ASSERT_EQ(launches.size(), 1u);
     ASSERT_EQ(launches[0].warps.size(), 2u);
