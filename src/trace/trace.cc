@@ -256,6 +256,7 @@ bool
 parseInst(Cursor &c, WarpInsts &warp)
 {
     WarpInst inst;
+    std::uint8_t packed[kMaxLaneBytes]; // lanes packed again, if padded
     const std::uint8_t op = c.u8();
     if (!c.ok())
         return false;
@@ -293,7 +294,6 @@ parseInst(Cursor &c, WarpInsts &warp)
             if (c.here() - at > 1 && c.here()[-1] == 0)
                 canonical = false;
         }
-        std::uint8_t packed[kMaxLaneBytes];
         const std::uint8_t *bytes = start;
         std::size_t size = std::size_t(c.here() - start);
         if (!canonical) {
