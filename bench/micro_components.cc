@@ -209,7 +209,7 @@ void
 BM_WarpStreamDrain(benchmark::State &state)
 {
     constexpr std::size_t kInsts = 256;
-    WarpInsts warp;
+    WarpBuilder warp;
     Rng rng(9);
     for (std::size_t i = 0; i < kInsts; ++i) {
         std::vector<Vaddr> lanes(kWarpLanes);
@@ -218,7 +218,7 @@ BM_WarpStreamDrain(benchmark::State &state)
         warp.load(lanes);
     }
     const auto insts =
-        std::make_shared<const WarpInsts>(std::move(warp));
+        std::make_shared<const WarpInsts>(warp.finish());
     for (auto _ : state) {
         VectorWarpStream stream(insts);
         while (const WarpInst *inst = stream.next())

@@ -325,7 +325,7 @@ class ComputeUnit
         ++issued_;
         switch (inst->op) {
           case WarpOp::kCompute:
-            s.ready_at = ctx_.now() + inst->cycles;
+            s.ready_at = ctx_.now() + inst->cycles();
             break;
           case WarpOp::kScratchLoad:
           case WarpOp::kScratchStore:

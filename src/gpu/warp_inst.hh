@@ -5,20 +5,21 @@
  * Workloads are expressed as per-warp instruction streams at the
  * granularity that matters for the memory system: compute delays, global
  * memory scatter/gather with per-lane virtual addresses, scratchpad
- * traffic (which bypasses translation entirely), and barriers.  The
- * lanes of a warp's loads and stores stay packed, in the `.gvct`
- * encoding, in one byte arena per warp.
+ * traffic (which bypasses translation entirely), and barriers.  A
+ * warp's instruction records and the lanes of its loads and stores,
+ * packed in the `.gvct` encoding, share one exactly sized block.
  */
 
 #ifndef GVC_GPU_WARP_INST_HH
 #define GVC_GPU_WARP_INST_HH
 
-#include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <iterator>
 #include <memory>
+#include <new>
 #include <vector>
 
 #include "sim/logging.hh"
@@ -85,27 +86,38 @@ unzigzag(std::uint64_t v)
     return std::int64_t(v >> 1) ^ -std::int64_t(v & 1);
 }
 
+/** Bytes of @p v as a LEB128 varint. */
+inline constexpr std::size_t
+varintSize(std::uint64_t v)
+{
+    return 1 + std::size_t(63 - std::countl_zero(v | 1)) / 7;
+}
+
 /**
- * Pack the @p n <= kWarpLanes addresses at @p addrs into @p out, which
- * has room for kMaxLaneBytes.  @return the bytes written.
+ * Pack @p n <= kWarpLanes lanes, lane i being lane(i), into @p out,
+ * which has room for kMaxLaneBytes.  @return the bytes written.
  */
-inline std::size_t
-packLanes(const Vaddr *addrs, std::size_t n, std::uint8_t *out)
+template <typename LaneAt>
+std::size_t
+packLanes(std::size_t n, LaneAt lane, std::uint8_t *out)
 {
     std::uint8_t *p = out;
-    for (std::size_t i = 0; i < n; ++i)
-        p = putVarint(p, i == 0 ? addrs[0]
-                                : zigzag(std::int64_t(addrs[i] -
-                                                      addrs[i - 1])));
+    Vaddr prev = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const Vaddr va = lane(i);
+        p = putVarint(p, i == 0 ? va : zigzag(std::int64_t(va - prev)));
+        prev = va;
+    }
     return std::size_t(p - out);
 }
 
 /**
- * One instruction's lane addresses, packed by the lane codec.  It views
- * bytes owned elsewhere (the arena of the WarpInsts holding the
- * instruction); iterating decodes the addresses in lane order.  Packing
- * is canonical, so two views hold the same lanes exactly when they hold
- * the same bytes.
+ * One instruction's lane addresses, packed by the lane codec.  The view
+ * sits in its instruction's record and finds the bytes by their offset
+ * from itself, in the block of the WarpInsts holding it; iterating
+ * decodes the addresses in lane order.  So a view is never copied out
+ * of its record.  Packing is canonical, so two views hold the same
+ * lanes exactly when they hold the same bytes.
  */
 class LaneView
 {
@@ -157,21 +169,19 @@ class LaneView
     };
     using const_iterator = iterator;
 
-    LaneView() = default;
-
-    /** @p size packed bytes at @p bytes holding @p lanes lanes. */
-    LaneView(const std::uint8_t *bytes, std::size_t lanes, std::size_t size)
-        : bytes_(bytes), size_(std::uint16_t(size)),
-          lanes_(std::uint8_t(lanes))
-    {
-    }
+    LaneView(const LaneView &) = delete;
+    LaneView &operator=(const LaneView &) = delete;
 
     std::size_t size() const { return lanes_; }
     bool empty() const { return lanes_ == 0; }
-    const std::uint8_t *bytes() const { return bytes_; }
+    const std::uint8_t *
+    bytes() const
+    {
+        return reinterpret_cast<const std::uint8_t *>(this) + word_;
+    }
     std::size_t byteSize() const { return size_; }
 
-    iterator begin() const { return iterator(bytes_, lanes_); }
+    iterator begin() const { return iterator(bytes(), lanes_); }
     iterator end() const { return iterator(); }
 
     friend bool
@@ -179,88 +189,108 @@ class LaneView
     {
         return a.lanes_ == b.lanes_ && a.size_ == b.size_ &&
                (a.size_ == 0 ||
-                std::memcmp(a.bytes_, b.bytes_, a.size_) == 0);
+                std::memcmp(a.bytes(), b.bytes(), a.size_) == 0);
     }
 
   private:
-    const std::uint8_t *bytes_ = nullptr;
-    std::uint16_t size_ = 0;
-    std::uint8_t lanes_ = 0;
+    friend struct WarpInst;
+
+    constexpr LaneView(std::uint32_t word, std::size_t lanes,
+                       std::size_t size)
+        : word_(word), size_(std::uint16_t(size)),
+          lanes_(std::uint8_t(lanes))
+    {
+    }
+
+    /** A load's or store's lanes: their offset from this view.  A
+     *  lane-free op keeps its cycles here. */
+    std::uint32_t word_;
+    std::uint16_t size_;
+    std::uint8_t lanes_;
 };
 
 static_assert(kMaxLaneBytes <= 0xffff && kWarpLanes <= 0xff,
               "LaneView's byte and lane counts must hold a full warp");
 
 /**
- * One warp instruction.  A load or store's lanes live in the arena of
- * the WarpInsts that holds it, so instructions are built through
- * WarpInsts::load/store; the factories here make lane-free ones.
+ * One warp instruction: an 8-byte record, its op in the tail padding of
+ * its lane view.  A load or store exists only in the block of a
+ * WarpInsts, built through WarpBuilder; the factories here make
+ * lane-free ones.
  */
 struct WarpInst
 {
-    WarpOp op = WarpOp::kCompute;
-    /** Compute latency for kCompute. */
-    std::uint32_t cycles = 1;
     /** Active-lane virtual addresses for loads/stores (<= kWarpLanes). */
-    LaneView lane_addrs;
+    [[no_unique_address]] LaneView lane_addrs;
+    WarpOp op;
+
+    /** A lane-free op (not a load or store) of @p cycles. */
+    constexpr WarpInst(WarpOp op, std::uint32_t cycles)
+        : WarpInst(op, cycles, 0, 0)
+    {
+    }
+
+    /** Compute latency of kCompute; the lanes of a scratch op. */
+    std::uint32_t cycles() const { return lane_addrs.word_; }
 
     static WarpInst
     compute(std::uint32_t cycles)
     {
-        WarpInst w;
-        w.op = WarpOp::kCompute;
-        w.cycles = cycles;
-        return w;
+        return WarpInst(WarpOp::kCompute, cycles);
     }
 
     static WarpInst
     scratch(bool is_store, unsigned lanes = kWarpLanes)
     {
-        WarpInst w;
-        w.op = is_store ? WarpOp::kScratchStore : WarpOp::kScratchLoad;
-        w.cycles = lanes;
-        return w;
+        return WarpInst(is_store ? WarpOp::kScratchStore
+                                 : WarpOp::kScratchLoad,
+                        lanes);
     }
 
-    static WarpInst
-    barrier()
-    {
-        WarpInst w;
-        w.op = WarpOp::kBarrier;
-        return w;
-    }
+    static WarpInst barrier() { return WarpInst(WarpOp::kBarrier, 1); }
 
     bool
     isGlobalMem() const
     {
         return op == WarpOp::kLoad || op == WarpOp::kStore;
     }
+
+  private:
+    friend class WarpInsts;
+
+    constexpr WarpInst(WarpOp op, std::uint32_t word, std::size_t lanes,
+                       std::size_t size)
+        : lane_addrs(word, lanes, size), op(op)
+    {
+    }
 };
 
-static_assert(sizeof(WarpInst) <= 24, "a warp instruction is a small record");
+static_assert(sizeof(WarpInst) == 8, "a warp instruction is 8 bytes");
 
 /**
- * One warp's instructions in issue order, with every load's and store's
- * lanes packed back to back in one byte arena the warp owns.  A move
- * keeps the views (the arena's buffer moves with it); a copy packs the
- * lanes into an arena of its own, exactly sized, and re-points its views
- * there.
+ * One warp's instructions in issue order, in one exactly sized block:
+ * the records, then the packed lanes of every load and store back to
+ * back in the same order.  Each view's offset points within the block,
+ * so a move keeps them and a copy is the block's bytes again.
  */
 class WarpInsts
 {
   public:
     WarpInsts() = default;
 
-    /** A copy of [@p first, @p last), lanes in one exactly sized arena. */
+    /** A copy of [@p first, @p last), records of any one warp. */
     WarpInsts(const WarpInst *first, const WarpInst *last)
+        : WarpInsts(std::size_t(last - first), laneBytes(first, last))
     {
-        std::size_t bytes = 0;
-        for (const WarpInst *i = first; i != last; ++i)
-            bytes += i->lane_addrs.byteSize();
-        insts_.reserve(std::size_t(last - first));
-        lanes_.reserve(bytes);
-        for (; first != last; ++first)
-            add(*first);
+        std::size_t at = 0;
+        for (std::size_t i = 0; i < size_; ++i) {
+            const WarpInst &inst = first[i];
+            const LaneView &v = inst.lane_addrs;
+            place(i, inst.op, inst.cycles(),
+                  inst.isGlobalMem() ? v.bytes() : nullptr, v.size(),
+                  v.byteSize(), at);
+            at += v.byteSize();
+        }
     }
 
     WarpInsts(const WarpInsts &o) : WarpInsts(o.begin(), o.end()) {}
@@ -276,113 +306,173 @@ class WarpInsts
 
     WarpInsts &operator=(WarpInsts &&) noexcept = default;
 
-    std::size_t size() const { return insts_.size(); }
-    bool empty() const { return insts_.empty(); }
-    const WarpInst *begin() const { return insts_.data(); }
-    const WarpInst *end() const { return insts_.data() + insts_.size(); }
-    const WarpInst &operator[](std::size_t i) const { return insts_[i]; }
+    std::size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+    const WarpInst *
+    begin() const
+    {
+        return reinterpret_cast<const WarpInst *>(block_.get());
+    }
+    const WarpInst *end() const { return begin() + size_; }
+    const WarpInst &operator[](std::size_t i) const { return begin()[i]; }
 
-    /** Room for instructions before the array grows. */
-    std::size_t capacity() const { return insts_.capacity(); }
-    /** The packed lanes of every memory instruction, in order. */
-    const std::vector<std::uint8_t> &arena() const { return lanes_; }
+    /** Bytes of the block: the records, then the lanes. */
+    std::size_t
+    blockBytes() const
+    {
+        return size_ * sizeof(WarpInst) + lane_bytes_;
+    }
 
-    /** Append @p inst, copying its lanes into this warp's arena. */
-    WarpInsts &
+  private:
+    friend class WarpBuilder;
+
+    static std::size_t
+    laneBytes(const WarpInst *first, const WarpInst *last)
+    {
+        std::size_t n = 0;
+        for (; first != last; ++first)
+            n += first->lane_addrs.byteSize();
+        return n;
+    }
+
+    /** A block for @p n records and @p lane_bytes lanes, unfilled. */
+    WarpInsts(std::size_t n, std::size_t lane_bytes)
+        : block_(n ? new std::uint8_t[n * sizeof(WarpInst) + lane_bytes]
+                   : nullptr),
+          size_(n), lane_bytes_(lane_bytes)
+    {
+        panicIfNot(blockBytes() <= 0xffff'ffffu,
+                   "WarpInsts: a warp's block exceeds 4 GiB");
+    }
+
+    /**
+     * Build record @p i: a lane-free @p op of @p cycles, or a load or
+     * store whose @p lanes lanes, packed in @p size bytes at @p bytes,
+     * are copied to offset @p at of the lane area.
+     */
+    void
+    place(std::size_t i, WarpOp op, std::uint32_t cycles,
+          const std::uint8_t *bytes, std::size_t lanes, std::size_t size,
+          std::size_t at)
+    {
+        std::uint8_t *const rec = block_.get() + i * sizeof(WarpInst);
+        if (op != WarpOp::kLoad && op != WarpOp::kStore) {
+            new (rec) WarpInst(op, cycles);
+            return;
+        }
+        std::uint8_t *const dst =
+            block_.get() + size_ * sizeof(WarpInst) + at;
+        if (size)
+            std::memcpy(dst, bytes, size);
+        new (rec) WarpInst(op, std::uint32_t(dst - rec), lanes, size);
+    }
+
+    std::unique_ptr<std::uint8_t[]> block_;
+    std::size_t size_ = 0;
+    std::size_t lane_bytes_ = 0;
+};
+
+/**
+ * Builds one warp's instructions in issue order, then finishes them
+ * into a WarpInsts of exactly their size.  A load's or store's lanes are
+ * packed as they are added.
+ */
+class WarpBuilder
+{
+  public:
+    std::size_t size() const { return recs_.size(); }
+    bool empty() const { return recs_.empty(); }
+
+    /** Bytes of the block finish() makes. */
+    std::size_t
+    blockBytes() const
+    {
+        return recs_.size() * sizeof(WarpInst) + lanes_.size();
+    }
+
+    /** Append a copy of @p inst, lanes and all. */
+    WarpBuilder &
     add(const WarpInst &inst)
     {
-        WarpInst mine = inst;
-        mine.lane_addrs = inst.lane_addrs.empty()
-                              ? LaneView()
-                              : appendLanes(inst.lane_addrs);
-        insts_.push_back(mine);
+        if (!inst.isGlobalMem()) {
+            recs_.push_back({inst.op, 0, 0, inst.cycles()});
+            return *this;
+        }
+        const LaneView &v = inst.lane_addrs;
+        return packed(inst.op, v.size(), v.bytes(), v.byteSize());
+    }
+
+    /** Append a gather of @p addrs (at most kWarpLanes). */
+    WarpBuilder &
+    load(const std::vector<Vaddr> &addrs)
+    {
+        return mem(WarpOp::kLoad, addrs.size(),
+                   [&](std::size_t i) { return addrs[i]; });
+    }
+
+    /** Append a scatter to @p addrs (at most kWarpLanes). */
+    WarpBuilder &
+    store(const std::vector<Vaddr> &addrs)
+    {
+        return mem(WarpOp::kStore, addrs.size(),
+                   [&](std::size_t i) { return addrs[i]; });
+    }
+
+    /** Append a load or store of @p n lanes, lane i at lane(i). */
+    template <typename LaneAt>
+    WarpBuilder &
+    mem(WarpOp op, std::size_t n, LaneAt lane)
+    {
+        panicIfNot(n <= kWarpLanes,
+                   "WarpBuilder: more lane addresses than warp lanes");
+        std::uint8_t bytes[kMaxLaneBytes];
+        return packed(op, n, bytes, packLanes(n, lane, bytes));
+    }
+
+    /** Append a load or store of @p n lanes packed in @p size bytes. */
+    WarpBuilder &
+    packed(WarpOp op, std::size_t n, const std::uint8_t *bytes,
+           std::size_t size)
+    {
+        recs_.push_back({op, std::uint8_t(n), std::uint16_t(size),
+                         std::uint32_t(lanes_.size())});
+        lanes_.insert(lanes_.end(), bytes, bytes + size);
         return *this;
     }
 
-    /** Append a gather of @p addrs (at most kWarpLanes), packed. */
-    WarpInsts &
-    load(const std::vector<Vaddr> &addrs)
+    /** The instructions so far, in one exactly sized block. */
+    WarpInsts
+    finish() const
     {
-        return addMem(WarpOp::kLoad, addrs);
-    }
-
-    /** Append a scatter to @p addrs (at most kWarpLanes), packed. */
-    WarpInsts &
-    store(const std::vector<Vaddr> &addrs)
-    {
-        return addMem(WarpOp::kStore, addrs);
-    }
-
-    /** Drop growth slack: both the instructions and the arena end up
-     *  exactly sized. */
-    void
-    shrinkToFit()
-    {
-        if (lanes_.capacity() != lanes_.size()) {
-            std::vector<std::uint8_t> exact(lanes_.begin(), lanes_.end());
-            repoint(exact.data());
-            lanes_.swap(exact);
+        WarpInsts w(recs_.size(), lanes_.size());
+        for (std::size_t i = 0; i < recs_.size(); ++i) {
+            const Rec &r = recs_[i];
+            const bool mem = r.op == WarpOp::kLoad || r.op == WarpOp::kStore;
+            w.place(i, r.op, r.word, mem ? lanes_.data() + r.word : nullptr,
+                    r.lanes, r.size, r.word);
         }
-        if (insts_.capacity() != insts_.size())
-            insts_ = std::vector<WarpInst>(insts_.begin(), insts_.end());
+        return w;
     }
 
-    /** Empty the warp, keeping its storage for reuse. */
+    /** Empty the builder, keeping its storage for reuse. */
     void
     clear()
     {
-        insts_.clear();
+        recs_.clear();
         lanes_.clear();
     }
 
   private:
-    WarpInsts &
-    addMem(WarpOp op, const std::vector<Vaddr> &addrs)
+    /** An instruction; word is its cycles, or its lanes' offset. */
+    struct Rec
     {
-        panicIfNot(addrs.size() <= kWarpLanes,
-                   "WarpInsts: more lane addresses than warp lanes");
-        std::uint8_t packed[kMaxLaneBytes];
-        WarpInst inst;
-        inst.op = op;
-        inst.lane_addrs =
-            LaneView(packed, addrs.size(),
-                     packLanes(addrs.data(), addrs.size(), packed));
-        return add(inst);
-    }
+        WarpOp op;
+        std::uint8_t lanes;
+        std::uint16_t size;
+        std::uint32_t word;
+    };
 
-    /** Copy @p lanes' bytes to the end of the arena; view the copy. */
-    LaneView
-    appendLanes(const LaneView &lanes)
-    {
-        const std::size_t n = lanes.byteSize();
-        std::vector<std::uint8_t> old; // holds the source while copying
-        if (lanes_.capacity() - lanes_.size() < n) {
-            std::vector<std::uint8_t> bigger;
-            bigger.reserve(std::max(2 * lanes_.capacity(), lanes_.size() + n));
-            bigger.assign(lanes_.begin(), lanes_.end());
-            repoint(bigger.data());
-            lanes_.swap(bigger);
-            old = std::move(bigger);
-        }
-        const std::size_t at = lanes_.size();
-        lanes_.insert(lanes_.end(), lanes.bytes(), lanes.bytes() + n);
-        return LaneView(lanes_.data() + at, lanes.size(), n);
-    }
-
-    /** Point every view at the same offset in @p base, a copy of the
-     *  arena about to replace it. */
-    void
-    repoint(const std::uint8_t *base)
-    {
-        for (WarpInst &inst : insts_) {
-            LaneView &v = inst.lane_addrs;
-            if (!v.empty())
-                v = LaneView(base + (v.bytes() - lanes_.data()), v.size(),
-                             v.byteSize());
-        }
-    }
-
-    std::vector<WarpInst> insts_;
+    std::vector<Rec> recs_;
     std::vector<std::uint8_t> lanes_;
 };
 
@@ -406,7 +496,7 @@ class WarpStream
     /**
      * The instructions not yet read, leaving the stream at its end.
      * Capture takes a kernel's warps this way; a stream that owns its
-     * instructions hands them over, arena and all, instead of copying
+     * instructions hands them over, block and all, instead of copying
      * them.
      */
     virtual WarpInsts take() = 0;
@@ -448,7 +538,7 @@ class VectorWarpStream final : public WarpStream
 
     /**
      * Moves an owned, unread warp out; copies the rest of a shared or
-     * started one, whose views then point into the copy's own arena.
+     * started one into a block of its own.
      */
     WarpInsts
     take() override

@@ -161,16 +161,20 @@ class Cursor
 // --- body ---------------------------------------------------------------
 
 /**
- * Encodes a trace body into a fixed buffer and hands each full buffer,
- * and the rest at finish(), to @p Sink, called as sink(data, size).
- * serialize appends the pieces behind the header and traceDigest only
- * hashes them, so neither holds a second copy of the body.
+ * Writes a trace body into [buf, buf + size) and hands the bytes to
+ * @p Sink, called as sink(data, size), whenever the buffer fills and at
+ * finish().  traceDigest writes through a small buffer it only hashes;
+ * serialize writes straight into its exactly sized output, which fills
+ * only at the end.
  */
 template <typename Sink>
 class BodyWriter
 {
   public:
-    explicit BodyWriter(Sink sink) : sink_(std::move(sink)) {}
+    BodyWriter(std::uint8_t *buf, std::size_t size, Sink sink)
+        : buf_(buf), p_(buf), end_(buf + size), sink_(std::move(sink))
+    {
+    }
 
     void
     u8(std::uint8_t v)
@@ -190,7 +194,7 @@ class BodyWriter
     void
     varint(std::uint64_t v)
     {
-        room(kMaxVarintBytes);
+        room(varintSize(v));
         p_ = putVarint(p_, v);
     }
 
@@ -215,25 +219,38 @@ class BodyWriter
     void
     room(std::size_t n)
     {
-        if (std::size_t(buf_ + sizeof(buf_) - p_) < n)
+        if (std::size_t(end_ - p_) < n)
             finish();
     }
 
+    std::uint8_t *const buf_;
+    std::uint8_t *p_;
+    std::uint8_t *const end_;
     Sink sink_;
-    std::uint8_t buf_[16 * 1024];
-    std::uint8_t *p_ = buf_;
 };
 
-template <typename Sink>
+/** Counts the bytes of a body, written through BodyWriter's calls. */
+struct BodySize
+{
+    std::size_t n = 0;
+
+    void u8(std::uint8_t) { ++n; }
+    void u64Fixed(std::uint64_t) { n += 8; }
+    void varint(std::uint64_t v) { n += varintSize(v); }
+    void bytes(const std::uint8_t *, std::size_t size) { n += size; }
+    void finish() {}
+};
+
+template <typename Writer>
 void
-serializeInst(BodyWriter<Sink> &w, const WarpInst &inst)
+serializeInst(Writer &w, const WarpInst &inst)
 {
     w.u8(std::uint8_t(inst.op));
     switch (inst.op) {
       case WarpOp::kCompute:
       case WarpOp::kScratchLoad:
       case WarpOp::kScratchStore:
-        w.varint(inst.cycles);
+        w.varint(inst.cycles());
         break;
       case WarpOp::kBarrier:
         break;
@@ -253,70 +270,68 @@ serializeInst(BodyWriter<Sink> &w, const WarpInst &inst)
  * parsed trace holds (and digests to) the bytes a writer would produce.
  */
 bool
-parseInst(Cursor &c, WarpInsts &warp)
+parseInst(Cursor &c, WarpBuilder &warp)
 {
-    WarpInst inst;
-    std::uint8_t packed[kMaxLaneBytes]; // lanes packed again, if padded
-    const std::uint8_t op = c.u8();
+    const std::uint8_t byte = c.u8();
     if (!c.ok())
         return false;
-    if (op > std::uint8_t(WarpOp::kBarrier)) {
+    if (byte > std::uint8_t(WarpOp::kBarrier)) {
         c.fail("invalid warp op");
         return false;
     }
-    inst.op = WarpOp(op);
-    switch (inst.op) {
+    const WarpOp op = WarpOp(byte);
+    switch (op) {
       case WarpOp::kCompute:
       case WarpOp::kScratchLoad:
-      case WarpOp::kScratchStore:
-        inst.cycles = c.varintAs<std::uint32_t>("cycles");
-        break;
-      case WarpOp::kBarrier:
-        break;
-      case WarpOp::kLoad:
-      case WarpOp::kStore: {
-        const std::uint64_t lanes = c.varint("lane count");
+      case WarpOp::kScratchStore: {
+        const std::uint32_t cycles = c.varintAs<std::uint32_t>("cycles");
         if (!c.ok())
             return false;
-        if (lanes > kWarpLanes) {
-            c.fail("lane count exceeds warp width");
-            return false;
-        }
-        const std::uint8_t *const start = c.here();
-        std::uint64_t raw[kWarpLanes];
-        bool canonical = true;
-        for (std::uint64_t i = 0; i < lanes; ++i) {
-            const std::uint8_t *const at = c.here();
-            raw[i] = c.varint(i == 0 ? "lane address" : "lane delta");
-            if (!c.ok())
-                return false;
-            // Only a one-byte varint may end in a zero byte.
-            if (c.here() - at > 1 && c.here()[-1] == 0)
-                canonical = false;
-        }
-        const std::uint8_t *bytes = start;
-        std::size_t size = std::size_t(c.here() - start);
-        if (!canonical) {
-            std::uint8_t *p = packed;
-            for (std::uint64_t i = 0; i < lanes; ++i)
-                p = putVarint(p, raw[i]);
-            bytes = packed;
-            size = std::size_t(p - packed);
-        }
-        inst.lane_addrs = LaneView(bytes, std::size_t(lanes), size);
-        break;
+        warp.add(WarpInst(op, cycles));
+        return true;
       }
+      case WarpOp::kBarrier:
+        warp.add(WarpInst::barrier());
+        return true;
+      case WarpOp::kLoad:
+      case WarpOp::kStore:
+        break;
     }
+    const std::uint64_t lanes = c.varint("lane count");
     if (!c.ok())
         return false;
-    warp.add(inst);
+    if (lanes > kWarpLanes) {
+        c.fail("lane count exceeds warp width");
+        return false;
+    }
+    const std::uint8_t *const start = c.here();
+    std::uint64_t raw[kWarpLanes];
+    bool canonical = true;
+    for (std::uint64_t i = 0; i < lanes; ++i) {
+        const std::uint8_t *const at = c.here();
+        raw[i] = c.varint(i == 0 ? "lane address" : "lane delta");
+        if (!c.ok())
+            return false;
+        // Only a one-byte varint may end in a zero byte.
+        if (c.here() - at > 1 && c.here()[-1] == 0)
+            canonical = false;
+    }
+    if (canonical) {
+        warp.packed(op, lanes, start, std::size_t(c.here() - start));
+        return true;
+    }
+    std::uint8_t packed[kMaxLaneBytes];
+    std::uint8_t *p = packed;
+    for (std::uint64_t i = 0; i < lanes; ++i)
+        p = putVarint(p, raw[i]);
+    warp.packed(op, lanes, packed, std::size_t(p - packed));
     return true;
 }
 
 /** Write the body of @p t through @p w, and finish it. */
-template <typename Sink>
+template <typename Writer>
 void
-serializeBody(const Trace &t, BodyWriter<Sink> &w)
+serializeBody(const Trace &t, Writer &w)
 {
     w.varint(t.workload.size());
     for (const char c : t.workload)
@@ -382,12 +397,21 @@ serializeBody(const Trace &t, BodyWriter<Sink> &w)
     w.finish();
 }
 
+/** Bytes of @p t's body, counted from its records without encoding. */
+std::size_t
+bodySize(const Trace &t)
+{
+    BodySize size;
+    serializeBody(t, size);
+    return size.n;
+}
+
 bool
 parseBody(Cursor &c, Trace &t, std::uint32_t version)
 {
-    // Each warp is parsed here, then copied out at its exact size: one
-    // instruction array and one lane arena per warp.
-    WarpInsts scratch;
+    // Each warp is parsed here, then finished into one exactly sized
+    // block of its records and lanes.
+    WarpBuilder scratch;
     t.workload = c.str("workload name");
 
     const std::uint64_t scale_bits = c.u64Fixed();
@@ -448,7 +472,11 @@ parseBody(Cursor &c, Trace &t, std::uint32_t version)
             for (std::uint64_t ii = 0; ii < n_insts; ++ii)
                 if (!parseInst(c, scratch))
                     return false;
-            k.warps.push_back(scratch);
+            if (scratch.blockBytes() > 0xffff'ffffu) {
+                c.fail("warp exceeds 4 GiB");
+                return false;
+            }
+            k.warps.push_back(scratch.finish());
         }
         t.kernels.push_back(std::move(k));
     }
@@ -533,9 +561,11 @@ std::uint64_t
 traceDigest(const Trace &trace)
 {
     std::uint64_t digest = kFnv1aBasis;
-    BodyWriter w([&digest](const std::uint8_t *p, std::size_t n) {
-        digest = fnv1a(p, n, digest);
-    });
+    std::uint8_t buf[16 * 1024];
+    BodyWriter w(buf, sizeof(buf),
+                 [&digest](const std::uint8_t *p, std::size_t n) {
+                     digest = fnv1a(p, n, digest);
+                 });
     serializeBody(trace, w);
     return digest;
 }
@@ -543,15 +573,19 @@ traceDigest(const Trace &trace)
 std::vector<std::uint8_t>
 TraceWriter::serialize(const Trace &trace)
 {
-    // The header's digest is stamped once the body behind it is written.
-    std::vector<std::uint8_t> out(16);
+    // One allocation of the file's exact size.  The body is written in
+    // place, so it fills only at finish(), which hashes it for the
+    // header's digest.
+    const std::size_t body = bodySize(trace);
+    std::vector<std::uint8_t> out(16 + body);
     std::memcpy(out.data(), kTraceMagic, sizeof(kTraceMagic));
     putLittleEndian(out.data() + 4, trace.formatVersion(), 4);
-    std::uint64_t digest = kFnv1aBasis;
-    BodyWriter w([&](const std::uint8_t *p, std::size_t n) {
-        digest = fnv1a(p, n, digest);
-        out.insert(out.end(), p, p + n);
-    });
+    std::uint64_t digest = 0;
+    BodyWriter w(out.data() + 16, body,
+                 [&](const std::uint8_t *p, std::size_t n) {
+                     panicIfNot(n == body, "TraceWriter: body miscounted");
+                     digest = fnv1a(p, n);
+                 });
     serializeBody(trace, w);
     putLittleEndian(out.data() + 8, digest, 8);
     return out;

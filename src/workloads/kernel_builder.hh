@@ -49,7 +49,7 @@ class KernelBuilder
     loadSeq(unsigned w, const DevArray &arr, std::uint64_t first,
             unsigned lanes)
     {
-        load(w, seqAddrs(arr, first, lanes));
+        seq(w, WarpOp::kLoad, arr, first, lanes);
     }
 
     /** Append a coalesced store of @p lanes consecutive elements. */
@@ -57,7 +57,7 @@ class KernelBuilder
     storeSeq(unsigned w, const DevArray &arr, std::uint64_t first,
              unsigned lanes)
     {
-        store(w, seqAddrs(arr, first, lanes));
+        seq(w, WarpOp::kStore, arr, first, lanes);
     }
 
     /** Append a gather load of @p arr at the given indices. */
@@ -65,8 +65,7 @@ class KernelBuilder
     loadGather(unsigned w, const DevArray &arr,
                const std::vector<std::uint32_t> &idx)
     {
-        if (!idx.empty())
-            load(w, gatherAddrs(arr, idx));
+        gather(w, WarpOp::kLoad, arr, idx);
     }
 
     /** Append a scatter store of @p arr at the given indices. */
@@ -74,8 +73,7 @@ class KernelBuilder
     storeScatter(unsigned w, const DevArray &arr,
                  const std::vector<std::uint32_t> &idx)
     {
-        if (!idx.empty())
-            store(w, gatherAddrs(arr, idx));
+        gather(w, WarpOp::kStore, arr, idx);
     }
 
     void compute(unsigned w, std::uint32_t cycles)
@@ -109,8 +107,9 @@ class KernelBuilder
     }
 
     /**
-     * Move the accumulated streams into a launch (builder is spent),
-     * each warp trimmed to its exact size first.
+     * Finish the accumulated streams into a launch (builder is spent),
+     * each warp in one exactly sized block, freeing its builder as it
+     * goes.
      */
     KernelLaunch
     take()
@@ -118,40 +117,36 @@ class KernelBuilder
         KernelLaunch launch;
         launch.asid = asid_;
         launch.warps.reserve(warps_.size());
-        for (WarpInsts &insts : warps_) {
-            if (!insts.empty()) {
-                insts.shrinkToFit();
+        for (WarpBuilder &warp : warps_) {
+            if (!warp.empty())
                 launch.warps.push_back(
-                    std::make_unique<VectorWarpStream>(std::move(insts)));
-            }
+                    std::make_unique<VectorWarpStream>(warp.finish()));
+            warp = WarpBuilder();
         }
         warps_.clear();
         return launch;
     }
 
-    static std::vector<Vaddr>
-    seqAddrs(const DevArray &arr, std::uint64_t first, unsigned lanes)
-    {
-        std::vector<Vaddr> addrs;
-        addrs.reserve(lanes);
-        for (unsigned l = 0; l < lanes; ++l)
-            addrs.push_back(arr.at(first + l));
-        return addrs;
-    }
-
-    static std::vector<Vaddr>
-    gatherAddrs(const DevArray &arr, const std::vector<std::uint32_t> &idx)
-    {
-        std::vector<Vaddr> addrs;
-        addrs.reserve(idx.size());
-        for (const auto i : idx)
-            addrs.push_back(arr.at(i));
-        return addrs;
-    }
-
   private:
+    void
+    seq(unsigned w, WarpOp op, const DevArray &arr, std::uint64_t first,
+        unsigned lanes)
+    {
+        warps_[w].mem(op, lanes,
+                      [&](std::size_t l) { return arr.at(first + l); });
+    }
+
+    void
+    gather(unsigned w, WarpOp op, const DevArray &arr,
+           const std::vector<std::uint32_t> &idx)
+    {
+        if (!idx.empty())
+            warps_[w].mem(op, idx.size(),
+                          [&](std::size_t l) { return arr.at(idx[l]); });
+    }
+
     Asid asid_;
-    std::vector<WarpInsts> warps_;
+    std::vector<WarpBuilder> warps_;
 };
 
 /**

@@ -140,8 +140,7 @@ TEST(Coalescer, MatchesTheLinearSearchInLockstep)
     for (const std::vector<Vaddr> &lanes : laneSets()) {
         const std::vector<Vaddr> want = referenceCoalesce(lanes);
         ASSERT_EQ(from_vector.coalesce(lanes), want);
-        WarpInsts packed;
-        packed.load(lanes);
+        const WarpInsts packed = WarpBuilder().load(lanes).finish();
         ASSERT_EQ(from_view.coalesce(packed[0].lane_addrs), want);
         ++instructions;
         lines += want.size();

@@ -113,10 +113,10 @@ TEST_F(CuTest, ZeroWarpKernelIsSynchronousAndClockNeutral)
 
     // A real launch afterwards still works (no stuck completion state).
     KernelLaunch k;
-    WarpInsts insts;
+    WarpBuilder insts;
     insts.add(WarpInst::compute(3));
     k.warps.push_back(
-        std::make_unique<VectorWarpStream>(std::move(insts)));
+        std::make_unique<VectorWarpStream>(insts.finish()));
     run(std::move(k));
     EXPECT_EQ(gpu_.kernelsLaunched(), 2u);
     EXPECT_GT(ctx_.now(), 0u);
@@ -125,11 +125,11 @@ TEST_F(CuTest, ZeroWarpKernelIsSynchronousAndClockNeutral)
 TEST_F(CuTest, LoadIsCoalescedAndBlocksWarp)
 {
     KernelLaunch k;
-    WarpInsts insts;
+    WarpBuilder insts;
     insts.load(lanesAt(0x1000, 32));
     insts.add(WarpInst::compute(1));
     k.warps.push_back(
-        std::make_unique<VectorWarpStream>(std::move(insts)));
+        std::make_unique<VectorWarpStream>(insts.finish()));
     run(std::move(k));
     ASSERT_EQ(mem_.requests.size(), 1u);
     EXPECT_EQ(mem_.requests[0].line, 0x1000u);
@@ -143,7 +143,7 @@ TEST_F(CuTest, DivergentLoadEmitsOneRequestPerLine)
     for (unsigned l = 0; l < 16; ++l)
         lanes.push_back(std::uint64_t(l) * kPageSize);
     k.warps.push_back(std::make_unique<VectorWarpStream>(
-        WarpInsts().load(lanes)));
+        WarpBuilder().load(lanes).finish()));
     run(std::move(k));
     EXPECT_EQ(mem_.requests.size(), 16u);
 }
@@ -153,11 +153,11 @@ TEST_F(CuTest, StoresDoNotBlockTheWarp)
     // A warp issuing N stores then one compute finishes long before
     // N*latency (stores are fire-and-forget).
     KernelLaunch k;
-    WarpInsts insts;
+    WarpBuilder insts;
     for (int i = 0; i < 8; ++i)
         insts.store({Vaddr(0x1000 + i * kLineSize)});
     k.warps.push_back(
-        std::make_unique<VectorWarpStream>(std::move(insts)));
+        std::make_unique<VectorWarpStream>(insts.finish()));
     const Tick end = run(std::move(k));
     EXPECT_LT(end, 8 * 20u);
     EXPECT_EQ(mem_.requests.size(), 8u);
@@ -170,11 +170,11 @@ TEST_F(CuTest, WarpsHideEachOthersLatency)
     auto make_kernel = [&](unsigned warps, unsigned loads_per_warp) {
         KernelLaunch k;
         for (unsigned w = 0; w < warps; ++w) {
-            WarpInsts insts;
+            WarpBuilder insts;
             for (unsigned i = 0; i < loads_per_warp; ++i)
                 insts.load({Vaddr((w * 100 + i) * kLineSize)});
             k.warps.push_back(std::make_unique<VectorWarpStream>(
-                std::move(insts)));
+                insts.finish()));
         }
         return k;
     };
@@ -193,7 +193,7 @@ TEST_F(CuTest, ComputeOccupiesWarpForItsCycles)
 {
     KernelLaunch k;
     k.warps.push_back(std::make_unique<VectorWarpStream>(
-        WarpInsts().add(WarpInst::compute(500))));
+        WarpBuilder().add(WarpInst::compute(500)).finish()));
     const Tick end = run(std::move(k));
     EXPECT_GE(end, 500u);
 }
@@ -202,9 +202,9 @@ TEST_F(CuTest, ScratchpadGeneratesNoGlobalTraffic)
 {
     KernelLaunch k;
     k.warps.push_back(std::make_unique<VectorWarpStream>(
-        WarpInsts()
+        WarpBuilder()
             .add(WarpInst::scratch(false))
-            .add(WarpInst::scratch(true))));
+            .add(WarpInst::scratch(true)).finish()));
     run(std::move(k));
     EXPECT_EQ(mem_.requests.size(), 0u);
 }
@@ -218,17 +218,17 @@ TEST_F(CuTest, BarrierSynchronizesWarps)
     // warps at even indices).
     KernelLaunch k;
     k.warps.push_back(std::make_unique<VectorWarpStream>(
-        WarpInsts()
+        WarpBuilder()
             .add(WarpInst::compute(300))
             .add(WarpInst::barrier())
-            .load({0x10000})));
+            .load({0x10000}).finish()));
     k.warps.push_back(std::make_unique<VectorWarpStream>(
-        WarpInsts()
+        WarpBuilder()
             .add(WarpInst::compute(300))
             .add(WarpInst::barrier())
-            .load({0x20000})));
+            .load({0x20000}).finish()));
     k.warps.push_back(std::make_unique<VectorWarpStream>(
-        WarpInsts().add(WarpInst::barrier()).load({0x30000})));
+        WarpBuilder().add(WarpInst::barrier()).load({0x30000}).finish()));
     run(std::move(k));
     // Warps 0 and 2 share CU 0; warp 1 is alone on CU 1 and its barrier
     // releases immediately.  The loads of warps 0 and 2 issue only
@@ -246,9 +246,9 @@ TEST_F(CuTest, MoreWarpsThanSlotsDrainsEventually)
     KernelLaunch k;
     for (int w = 0; w < 20; ++w) { // > 2 CUs * 4 slots
         k.warps.push_back(std::make_unique<VectorWarpStream>(
-            WarpInsts()
+            WarpBuilder()
                 .load({Vaddr(w) * kPageSize})
-                .add(WarpInst::compute(3))));
+                .add(WarpInst::compute(3)).finish()));
     }
     run(std::move(k));
     EXPECT_EQ(mem_.requests.size(), 20u);
@@ -265,11 +265,11 @@ TEST_F(CuTest, StoreQueueCapStallsIssue)
     FakeMem mem(ctx, /*latency=*/1000);
     Gpu gpu(ctx, p, mem);
     KernelLaunch k;
-    WarpInsts insts;
+    WarpBuilder insts;
     for (int i = 0; i < 12; ++i)
         insts.store({Vaddr(i) * kLineSize});
     k.warps.push_back(
-        std::make_unique<VectorWarpStream>(std::move(insts)));
+        std::make_unique<VectorWarpStream>(insts.finish()));
     bool done = false;
     gpu.launch(std::move(k), [&] { done = true; });
     ctx.eq.run();
@@ -284,7 +284,7 @@ TEST_F(CuTest, SequentialKernelLaunches)
     for (int i = 0; i < 3; ++i) {
         KernelLaunch k;
         k.warps.push_back(std::make_unique<VectorWarpStream>(
-            WarpInsts().load({Vaddr(i) * kPageSize})));
+            WarpBuilder().load({Vaddr(i) * kPageSize}).finish()));
         run(std::move(k));
     }
     EXPECT_EQ(gpu_.kernelsLaunched(), 3u);
@@ -296,7 +296,7 @@ TEST_F(CuTest, PerAsidRequestsCarryAsid)
     KernelLaunch k;
     k.asid = 7;
     k.warps.push_back(std::make_unique<VectorWarpStream>(
-        WarpInsts().load({0x4000})));
+        WarpBuilder().load({0x4000}).finish()));
     run(std::move(k));
     ASSERT_EQ(mem_.requests.size(), 1u);
     EXPECT_EQ(mem_.requests[0].asid, 7u);
@@ -402,7 +402,7 @@ issueOrderDigest(WarpSchedPolicy sched, unsigned slots)
     Rng rng(slots * 7 + unsigned(sched));
     KernelLaunch k;
     for (unsigned w = 0; w < 3 * slots; ++w) {
-        WarpInsts insts;
+        WarpBuilder insts;
         for (int i = 0; i < 24; ++i) {
             if (i == 12)
                 insts.add(WarpInst::barrier());
@@ -418,7 +418,7 @@ issueOrderDigest(WarpSchedPolicy sched, unsigned slots)
                 insts.store({line});
         }
         k.warps.push_back(
-            std::make_unique<VectorWarpStream>(std::move(insts)));
+            std::make_unique<VectorWarpStream>(insts.finish()));
     }
     bool done = false;
     gpu.launch(std::move(k), [&] { done = true; });

@@ -320,12 +320,12 @@ TEST(WarpSched, GtoPrefersOneWarpUntilItStalls)
     // warp 0 runs all its computes before warp 1 issues anything.
     KernelLaunch k;
     for (unsigned w = 0; w < 2; ++w) {
-        WarpInsts insts;
+        WarpBuilder insts;
         for (int i = 0; i < 3; ++i)
             insts.add(WarpInst::compute(1));
         insts.load({Vaddr(0x1000 * (w + 1))});
         k.warps.push_back(
-            std::make_unique<VectorWarpStream>(std::move(insts)));
+            std::make_unique<VectorWarpStream>(insts.finish()));
     }
     bool done = false;
     gpu.launch(std::move(k), [&] { done = true; });
@@ -349,12 +349,12 @@ TEST(WarpSched, BothPoliciesCompleteIdenticalWork)
         Gpu gpu(ctx, p, mem);
         KernelLaunch k;
         for (unsigned w = 0; w < 12; ++w) {
-            WarpInsts insts;
+            WarpBuilder insts;
             insts.load({Vaddr(w) * kPageSize});
             insts.add(WarpInst::compute(4));
             insts.store({Vaddr(w) * kPageSize + 64});
             k.warps.push_back(
-                std::make_unique<VectorWarpStream>(std::move(insts)));
+                std::make_unique<VectorWarpStream>(insts.finish()));
         }
         bool done = false;
         gpu.launch(std::move(k), [&] { done = true; });

@@ -100,11 +100,11 @@ TEST(GpuAggregates, SumAcrossCus)
     Gpu gpu(ctx, p, mem);
     KernelLaunch k;
     for (int w = 0; w < 8; ++w) {
-        WarpInsts insts;
+        WarpBuilder insts;
         insts.load({Vaddr(w) * kPageSize});
         insts.add(WarpInst::compute(2));
         k.warps.push_back(
-            std::make_unique<VectorWarpStream>(std::move(insts)));
+            std::make_unique<VectorWarpStream>(insts.finish()));
     }
     bool done = false;
     gpu.launch(std::move(k), [&] { done = true; });

@@ -63,14 +63,14 @@ sampleTrace()
 
     trace::TraceKernel k;
     k.asid = 0;
-    WarpInsts warp;
+    WarpBuilder warp;
     warp.add(WarpInst::compute(17));
     warp.load({0x1000, 0x1004, 0x1008, 0x2000});
     warp.store({0x9000, 0x8000}); // negative delta
     warp.add(WarpInst::scratch(false));
     warp.add(WarpInst::barrier());
     warp.load({0xffff'ffff'f000ull}); // 1 lane
-    k.warps.push_back(std::move(warp));
+    k.warps.push_back(warp.finish());
     k.warps.emplace_back(); // empty warp stream
     t.kernels.push_back(std::move(k));
     return t;
@@ -210,7 +210,7 @@ TEST(TraceFormat, SerializeParseRoundTripIsByteIdentical)
         EXPECT_EQ(p0[i].op, w0[i].op);
         EXPECT_EQ(p0[i].lane_addrs, w0[i].lane_addrs);
         if (!w0[i].isGlobalMem()) {
-            EXPECT_EQ(p0[i].cycles, w0[i].cycles);
+            EXPECT_EQ(p0[i].cycles(), w0[i].cycles());
         }
     }
     EXPECT_TRUE(parsed.kernels[0].warps[1].empty());
@@ -441,7 +441,7 @@ TEST(TraceFormat, RepacksAPaddedLaneVarintCanonically)
     ASSERT_TRUE(TraceReader::parse(bytes.data(), bytes.size(), parsed,
                                    &err))
         << err;
-    const LaneView lanes = parsed.kernels[0].warps[0][1].lane_addrs;
+    const LaneView &lanes = parsed.kernels[0].warps[0][1].lane_addrs;
     EXPECT_EQ(std::vector<Vaddr>(lanes.begin(), lanes.end()),
               (std::vector<Vaddr>{0x1000, 0x1004, 0x1008, 0x2000}));
     EXPECT_EQ(lanes, t.kernels[0].warps[0][1].lane_addrs);
@@ -485,7 +485,8 @@ TEST(TraceFormat, RejectsCyclesOutOfRange)
 {
     // 0xffffffff cycles is ff ff ff ff 0f; 1f makes it 2^33 - 1.
     Trace t = sampleTrace();
-    t.kernels[0].warps[0] = WarpInsts().add(WarpInst::compute(0xffff'ffffu));
+    t.kernels[0].warps[0] =
+        WarpBuilder().add(WarpInst::compute(0xffff'ffffu)).finish();
     auto bytes = TraceWriter::serialize(t);
     patchBody(bytes, {0xff, 0xff, 0xff, 0xff, 0x0f},
               {0xff, 0xff, 0xff, 0xff, 0x1f});
@@ -594,10 +595,11 @@ TEST(TraceFormat, ReadFileReportsMissingFile)
  */
 TEST(TraceStreams, CaptureTakesEachWarpAndReadsItInPlace)
 {
-    WarpInsts insts;
-    insts.add(WarpInst::compute(5));
-    insts.load({0x100, 0x104});
-    insts.store({0x900});
+    WarpInsts insts = WarpBuilder()
+                          .add(WarpInst::compute(5))
+                          .load({0x100, 0x104})
+                          .store({0x900})
+                          .finish();
     const WarpInst *built = insts.begin();
     const std::uint8_t *lanes = insts[1].lane_addrs.bytes();
 
@@ -617,7 +619,7 @@ TEST(TraceStreams, CaptureTakesEachWarpAndReadsItInPlace)
     ASSERT_EQ(warp.size(), 3u);
     EXPECT_EQ(warp.begin(), built); // moved, not copied
     EXPECT_EQ(warp[1].lane_addrs.bytes(), lanes);
-    EXPECT_EQ(warp[0].cycles, 5u);
+    EXPECT_EQ(warp[0].cycles(), 5u);
     EXPECT_EQ(warp[2].op, WarpOp::kStore);
     EXPECT_TRUE(capture.kernels[0].warps[1].empty());
 
@@ -629,26 +631,48 @@ TEST(TraceStreams, CaptureTakesEachWarpAndReadsItInPlace)
     EXPECT_EQ(launches[0].warps[1]->next(), nullptr);
 }
 
-/** take() copies what the stream does not own alone, or has begun. */
-/** True when every view of @p warp lies in its own arena, back to back
- *  from its start, and that arena is exactly sized. */
+static_assert(sizeof(WarpInst) <= 16, "a warp instruction is a small record");
+
+/**
+ * True when @p warp is one block of exactly its records and lanes: the
+ * records from begin(), then every load's and store's lanes right after
+ * them, back to back in issue order.
+ */
 ::testing::AssertionResult
 packedInPlace(const WarpInsts &warp)
 {
-    const std::vector<std::uint8_t> &arena = warp.arena();
-    if (arena.capacity() != arena.size() || warp.capacity() != warp.size())
-        return ::testing::AssertionFailure() << "growth slack left";
+    const auto *lanes = reinterpret_cast<const std::uint8_t *>(warp.end());
     std::size_t offset = 0;
     for (const WarpInst &inst : warp) {
-        if (inst.lane_addrs.empty())
+        if (!inst.isGlobalMem())
             continue;
-        if (inst.lane_addrs.bytes() != arena.data() + offset)
+        if (inst.lane_addrs.bytes() != lanes + offset)
             return ::testing::AssertionFailure()
-                   << "a view outside its warp's arena at " << offset;
+                   << "a view outside its warp's block at " << offset;
         offset += inst.lane_addrs.byteSize();
     }
-    if (offset != arena.size())
-        return ::testing::AssertionFailure() << "arena holds stray bytes";
+    if (warp.blockBytes() != warp.size() * sizeof(WarpInst) + offset)
+        return ::testing::AssertionFailure()
+               << "the block holds more than records and lanes";
+    return ::testing::AssertionSuccess();
+}
+
+/** True when @p b holds the instructions of [@p a, @p end): the same
+ *  ops, cycle counts and decoded lanes. */
+::testing::AssertionResult
+sameInsts(const WarpInst *a, const WarpInst *end, const WarpInsts &b)
+{
+    if (std::size_t(end - a) != b.size())
+        return ::testing::AssertionFailure() << "sizes differ";
+    for (std::size_t i = 0; i < b.size(); ++i) {
+        const LaneView &x = a[i].lane_addrs, &y = b[i].lane_addrs;
+        if (a[i].op != b[i].op ||
+            (!a[i].isGlobalMem() && a[i].cycles() != b[i].cycles()) ||
+            std::vector<Vaddr>(x.begin(), x.end()) !=
+                std::vector<Vaddr>(y.begin(), y.end()))
+            return ::testing::AssertionFailure()
+                   << "instruction " << i << " differs";
+    }
     return ::testing::AssertionSuccess();
 }
 
@@ -656,7 +680,7 @@ packedInPlace(const WarpInsts &warp)
 TEST(TraceStreams, TakeCopiesASharedOrStartedStream)
 {
     const auto shared = std::make_shared<const WarpInsts>(
-        WarpInsts().add(WarpInst::compute(2)).load({0x40, 0x48}));
+        WarpBuilder().add(WarpInst::compute(2)).load({0x40, 0x48}).finish());
     VectorWarpStream replay(shared);
     const WarpInsts copy = replay.take();
     ASSERT_EQ(copy.size(), 2u);
@@ -666,19 +690,20 @@ TEST(TraceStreams, TakeCopiesASharedOrStartedStream)
     EXPECT_EQ(shared->size(), 2u);
     EXPECT_EQ(replay.next(), nullptr);
 
-    VectorWarpStream started(WarpInsts()
+    VectorWarpStream started(WarpBuilder()
                                  .load({0x10, 0x90})
                                  .add(WarpInst::barrier())
                                  .store({0x7000, 0x100})
-                                 .add(WarpInst::compute(7)));
+                                 .add(WarpInst::compute(7))
+                                 .finish());
     ASSERT_NE(started.next(), nullptr);
     const WarpInsts rest = started.take();
     ASSERT_EQ(rest.size(), 3u);
     EXPECT_EQ(rest[0].op, WarpOp::kBarrier);
-    const LaneView stored = rest[1].lane_addrs;
+    const LaneView &stored = rest[1].lane_addrs;
     EXPECT_EQ(std::vector<Vaddr>(stored.begin(), stored.end()),
               (std::vector<Vaddr>{0x7000, 0x100}));
-    EXPECT_EQ(rest[2].cycles, 7u);
+    EXPECT_EQ(rest[2].cycles(), 7u);
     EXPECT_TRUE(packedInPlace(rest)); // only the unread lanes, copied
     EXPECT_EQ(started.next(), nullptr);
     EXPECT_TRUE(started.take().empty());
@@ -698,19 +723,22 @@ TEST(TraceStreams, CopiedTraceViewsItsOwnArenas)
 }
 
 /**
- * Every workload's capture, and its decode, holds each warp as one
- * exactly sized instruction array and one exactly sized lane arena that
- * its views fill back to back: no per-instruction allocation, no slack.
+ * Every workload's capture, and its decode, holds each warp in one
+ * exactly sized block of its records and lanes, which its views fill
+ * back to back: one allocation per warp, no slack.  The encoding is
+ * allocated at its exact size too.
  */
 TEST(TraceStreams, CaptureAndDecodePackEveryWarpExactly)
 {
     std::vector<std::string> names = allWorkloadNames();
     for (const std::string &name : extraWorkloadNames())
         names.push_back(name);
+    EXPECT_EQ(names.size(), 17u);
     for (const std::string &name : names) {
         const Trace captured =
             trace::captureWorkloadTrace(name, tinyParams());
         const auto bytes = TraceWriter::serialize(captured);
+        EXPECT_EQ(bytes.capacity(), bytes.size()) << name;
         Trace parsed;
         std::string err;
         ASSERT_TRUE(TraceReader::parse(bytes.data(), bytes.size(), parsed,
@@ -728,14 +756,69 @@ TEST(TraceStreams, CaptureAndDecodePackEveryWarpExactly)
     }
 }
 
+/**
+ * Copies, moves and takes of a warp, and copies and moves of a trace,
+ * hold every instruction and lane of the original, each in a block of
+ * its own, and keep the trace's digest.
+ */
+TEST(TraceStreams, CopiesMovesAndTakesKeepEveryLane)
+{
+    for (Trace t : {trace::captureWorkloadTrace("bfs", tinyParams()),
+                    sampleScenarioTrace()}) {
+        const std::uint64_t digest = trace::traceDigest(t);
+        const Trace copy = t;
+        EXPECT_EQ(trace::traceDigest(copy), digest);
+        const auto shared = std::make_shared<Trace>(std::move(t));
+        EXPECT_EQ(trace::traceDigest(*shared), digest);
+        Trace assigned;
+        assigned = copy;
+        EXPECT_EQ(trace::traceDigest(assigned), digest);
+        for (std::size_t ki = 0; ki < copy.kernels.size(); ++ki) {
+            for (std::size_t wi = 0; wi < copy.kernels[ki].warps.size();
+                 ++wi) {
+                const WarpInsts &warp = copy.kernels[ki].warps[wi];
+                const WarpInsts &orig = shared->kernels[ki].warps[wi];
+                ASSERT_TRUE(sameInsts(orig.begin(), orig.end(), warp));
+                ASSERT_TRUE(packedInPlace(warp));
+                if (!warp.empty()) {
+                    EXPECT_NE(warp.begin(), orig.begin());
+                }
+
+                WarpInsts moved = WarpInsts(warp);
+                const WarpInst *at = moved.begin();
+                const WarpInsts kept = std::move(moved);
+                EXPECT_EQ(kept.begin(), at);
+                EXPECT_TRUE(sameInsts(warp.begin(), warp.end(), kept));
+
+                const VectorWarpStream::Insts view(shared, &orig);
+                VectorWarpStream whole(view);
+                const WarpInsts taken = whole.take();
+                EXPECT_TRUE(sameInsts(orig.begin(), orig.end(), taken));
+                EXPECT_TRUE(packedInPlace(taken));
+
+                const std::size_t skip = warp.size() / 2;
+                VectorWarpStream started(view);
+                for (std::size_t i = 0; i < skip; ++i)
+                    ASSERT_NE(started.next(), nullptr);
+                const WarpInsts rest = started.take();
+                EXPECT_TRUE(
+                    sameInsts(orig.begin() + skip, orig.end(), rest));
+                EXPECT_TRUE(packedInPlace(rest));
+            }
+        }
+    }
+}
+
 TEST(TraceStreams, VectorStreamEndIsSticky)
 {
-    VectorWarpStream stream(
-        WarpInsts().add(WarpInst::compute(3)).add(WarpInst::barrier()));
+    VectorWarpStream stream(WarpBuilder()
+                                .add(WarpInst::compute(3))
+                                .add(WarpInst::barrier())
+                                .finish());
     const WarpInst *first = stream.next();
     ASSERT_NE(first, nullptr);
     EXPECT_EQ(first->op, WarpOp::kCompute);
-    EXPECT_EQ(first->cycles, 3u);
+    EXPECT_EQ(first->cycles(), 3u);
     const WarpInst *second = stream.next();
     ASSERT_NE(second, nullptr);
     EXPECT_EQ(second->op, WarpOp::kBarrier);
