@@ -20,6 +20,7 @@
 #include <iterator>
 #include <memory>
 #include <new>
+#include <utility>
 #include <vector>
 
 #include "sim/logging.hh"
@@ -68,10 +69,23 @@ putVarint(std::uint8_t *p, std::uint64_t v)
 inline std::uint64_t
 getVarint(const std::uint8_t *&p)
 {
-    std::uint64_t v = *p & 0x7f;
-    for (unsigned shift = 7; *p++ & 0x80; shift += 7)
-        v |= std::uint64_t(*p & 0x7f) << shift;
-    return v;
+    // One- and two-byte varints, most lane deltas, take no loop.
+    std::uint64_t v = p[0];
+    if (v < 0x80) {
+        p += 1;
+        return v;
+    }
+    const std::uint64_t b1 = p[1];
+    v = (v & 0x7f) | (b1 & 0x7f) << 7;
+    p += 2;
+    if (b1 < 0x80)
+        return v;
+    for (unsigned shift = 14;; shift += 7) {
+        const std::uint64_t b = *p++;
+        v |= (b & 0x7f) << shift;
+        if (b < 0x80)
+            return v;
+    }
 }
 
 inline std::uint64_t
@@ -256,7 +270,7 @@ struct WarpInst
     }
 
   private:
-    friend class WarpInsts;
+    friend class WarpBuilder;
 
     constexpr WarpInst(WarpOp op, std::uint32_t word, std::size_t lanes,
                        std::size_t size)
@@ -270,8 +284,8 @@ static_assert(sizeof(WarpInst) == 8, "a warp instruction is 8 bytes");
 /**
  * One warp's instructions in issue order, in one exactly sized block:
  * the records, then the packed lanes of every load and store back to
- * back in the same order.  Each view's offset points within the block,
- * so a move keeps them and a copy is the block's bytes again.
+ * back in the same order.  Each view's offset stays within the block,
+ * so a move keeps every view; a copy is built into a block of its own.
  */
 class WarpInsts
 {
@@ -279,22 +293,16 @@ class WarpInsts
     WarpInsts() = default;
 
     /** A copy of [@p first, @p last), records of any one warp. */
-    WarpInsts(const WarpInst *first, const WarpInst *last)
-        : WarpInsts(std::size_t(last - first), laneBytes(first, last))
-    {
-        std::size_t at = 0;
-        for (std::size_t i = 0; i < size_; ++i) {
-            const WarpInst &inst = first[i];
-            const LaneView &v = inst.lane_addrs;
-            place(i, inst.op, inst.cycles(),
-                  inst.isGlobalMem() ? v.bytes() : nullptr, v.size(),
-                  v.byteSize(), at);
-            at += v.byteSize();
-        }
-    }
+    WarpInsts(const WarpInst *first, const WarpInst *last);
 
     WarpInsts(const WarpInsts &o) : WarpInsts(o.begin(), o.end()) {}
-    WarpInsts(WarpInsts &&) noexcept = default;
+
+    /** Takes @p o's block, leaving @p o empty. */
+    WarpInsts(WarpInsts &&o) noexcept
+        : block_(std::move(o.block_)), size_(std::exchange(o.size_, 0)),
+          lane_bytes_(std::exchange(o.lane_bytes_, 0))
+    {
+    }
 
     WarpInsts &
     operator=(const WarpInsts &o)
@@ -304,7 +312,14 @@ class WarpInsts
         return *this;
     }
 
-    WarpInsts &operator=(WarpInsts &&) noexcept = default;
+    WarpInsts &
+    operator=(WarpInsts &&o) noexcept
+    {
+        block_ = std::move(o.block_);
+        size_ = std::exchange(o.size_, 0);
+        lane_bytes_ = std::exchange(o.lane_bytes_, 0);
+        return *this;
+    }
 
     std::size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
@@ -326,15 +341,6 @@ class WarpInsts
   private:
     friend class WarpBuilder;
 
-    static std::size_t
-    laneBytes(const WarpInst *first, const WarpInst *last)
-    {
-        std::size_t n = 0;
-        for (; first != last; ++first)
-            n += first->lane_addrs.byteSize();
-        return n;
-    }
-
     /** A block for @p n records and @p lane_bytes lanes, unfilled. */
     WarpInsts(std::size_t n, std::size_t lane_bytes)
         : block_(n ? new std::uint8_t[n * sizeof(WarpInst) + lane_bytes]
@@ -343,28 +349,6 @@ class WarpInsts
     {
         panicIfNot(blockBytes() <= 0xffff'ffffu,
                    "WarpInsts: a warp's block exceeds 4 GiB");
-    }
-
-    /**
-     * Build record @p i: a lane-free @p op of @p cycles, or a load or
-     * store whose @p lanes lanes, packed in @p size bytes at @p bytes,
-     * are copied to offset @p at of the lane area.
-     */
-    void
-    place(std::size_t i, WarpOp op, std::uint32_t cycles,
-          const std::uint8_t *bytes, std::size_t lanes, std::size_t size,
-          std::size_t at)
-    {
-        std::uint8_t *const rec = block_.get() + i * sizeof(WarpInst);
-        if (op != WarpOp::kLoad && op != WarpOp::kStore) {
-            new (rec) WarpInst(op, cycles);
-            return;
-        }
-        std::uint8_t *const dst =
-            block_.get() + size_ * sizeof(WarpInst) + at;
-        if (size)
-            std::memcpy(dst, bytes, size);
-        new (rec) WarpInst(op, std::uint32_t(dst - rec), lanes, size);
     }
 
     std::unique_ptr<std::uint8_t[]> block_;
@@ -445,11 +429,18 @@ class WarpBuilder
     finish() const
     {
         WarpInsts w(recs_.size(), lanes_.size());
+        std::uint8_t *const block = w.block_.get();
+        std::uint8_t *const lanes = block + recs_.size() * sizeof(WarpInst);
+        if (!lanes_.empty())
+            std::memcpy(lanes, lanes_.data(), lanes_.size());
         for (std::size_t i = 0; i < recs_.size(); ++i) {
             const Rec &r = recs_[i];
+            std::uint8_t *const rec = block + i * sizeof(WarpInst);
             const bool mem = r.op == WarpOp::kLoad || r.op == WarpOp::kStore;
-            w.place(i, r.op, r.word, mem ? lanes_.data() + r.word : nullptr,
-                    r.lanes, r.size, r.word);
+            new (rec) WarpInst(r.op,
+                               mem ? std::uint32_t(lanes + r.word - rec)
+                                   : r.word,
+                               r.lanes, r.size);
         }
         return w;
     }
@@ -475,6 +466,14 @@ class WarpBuilder
     std::vector<Rec> recs_;
     std::vector<std::uint8_t> lanes_;
 };
+
+inline WarpInsts::WarpInsts(const WarpInst *first, const WarpInst *last)
+{
+    WarpBuilder warp;
+    for (; first != last; ++first)
+        warp.add(*first);
+    *this = warp.finish();
+}
 
 /**
  * A lazily-generated stream of warp instructions.  Kernels implement this

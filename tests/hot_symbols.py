@@ -29,6 +29,12 @@ FUNCTIONS = [
      r"(.* )?gvc::Coalescer::(coalesce|dedupe<gvc::LaneView>)"
      r"\(gvc::LaneView const&\)"),
     ("VectorWarpStream::next", r"gvc::VectorWarpStream::next\(\)"),
+    ("LaneView::iterator::operator++",
+     r"gvc::LaneView::iterator::operator\+\+\(\)"),
+    ("trace::bodySize",
+     r"(.* )?gvc::trace::\(anonymous namespace\)::(bodySize|"
+     r"serializeBody<gvc::trace::\(anonymous namespace\)::BodySize>)"
+     r"\(.*\)"),
     ("PhysCaches::l1Access", r"gvc::PhysCaches::l1Access\(.*\)"),
     ("PhysCaches::l2Arrive", r"gvc::PhysCaches::l2Arrive\(.*\)"),
     ("Iommu::afterTlbLookup", r"gvc::Iommu::afterTlbLookup\(.*\)"),

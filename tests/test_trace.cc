@@ -788,6 +788,8 @@ TEST(TraceStreams, CopiesMovesAndTakesKeepEveryLane)
                 const WarpInst *at = moved.begin();
                 const WarpInsts kept = std::move(moved);
                 EXPECT_EQ(kept.begin(), at);
+                EXPECT_TRUE(moved.empty()); // a move empties its source
+                EXPECT_EQ(moved.begin(), moved.end());
                 EXPECT_TRUE(sameInsts(warp.begin(), warp.end(), kept));
 
                 const VectorWarpStream::Insts view(shared, &orig);
